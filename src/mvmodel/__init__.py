@@ -2,9 +2,10 @@
 
 The package keeps every version of a model inside one graph: versions are
 id sets over a shared element store, histories are acyclic successor
-graphs of maximally preserving modifications, and the folded encoding
-lets constraint checking, merge-conflict detection, and merge previews
-run once over the whole history instead of once per version.
+graphs of maximally preserving modifications, and the fold (the union of
+all versions plus presence marks) lets constraint checking,
+merge-conflict detection, and merge previews run once over the whole
+history instead of once per version.
 """
 
 from .analysis import mcheck_mv, pcheck_m_mv, pcheck_mv
@@ -23,11 +24,13 @@ from .core import (
     validate_pattern,
 )
 from .corpus import (
+    AdaptedTypeGraph,
     parse_constraints,
     parse_corpus,
     write_constraints,
     write_corpus,
     write_model,
+    trans_mv,
     write_mv_encoding,
 )
 from .errors import (
@@ -70,10 +73,10 @@ from .merge import (
     merge,
     merge_min,
 )
-from .mvm import AdaptedTypeGraph, MultiVersionModel, adapt_type_graph, comb, trans_mv
+from .mvm import MultiVersionModel, comb
 from .oo import oo_constraint_patterns, oo_type_graph
 from .reports import MergeConflictReport, MergeViolationReport, VersionedViolation
-from .versioning import ModelModification, ModelVersioning, validate_versioning
+from .versioning import ModelModification, ModelVersioning
 
 __version__ = "0.1.0"
 
@@ -118,7 +121,6 @@ __all__ = [
     "UnknownVersion",
     "ValidationError",
     "VersionedViolation",
-    "adapt_type_graph",
     "comb",
     "enumerate_strategies",
     "find_monomorphisms",
@@ -145,7 +147,6 @@ __all__ = [
     "trans_mv",
     "validate_model",
     "validate_pattern",
-    "validate_versioning",
     "write_constraints",
     "write_corpus",
     "write_generator_params",

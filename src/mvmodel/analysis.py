@@ -9,43 +9,14 @@ baseline route computes.
 
 from __future__ import annotations
 
-from collections import deque
-
-from .core import Match, Pattern, find_monomorphisms
-from .mvm import MultiVersionModel, trans_mv
+from .core import Pattern, find_monomorphisms
+from .mvm import MultiVersionModel
 from .reports import (
     MergeConflictReport,
     MergeViolationReport,
     VersionedViolation,
     check_lcp_mode,
 )
-
-
-def _translated_matches(mvm: MultiVersionModel, pattern: Pattern):
-    """Match the pattern's folded form against the structural graph.
-
-    Yields (base_match, mv_images) per embedding, where base_match maps
-    pattern element ids to host element ids and mv_images is the list of
-    structural nodes in the embedding's image (one per pattern element,
-    edge-standing nodes included).
-    """
-    q_structural, q_origin = trans_mv(pattern.graph, mvm.adapted)
-    q_mv = Pattern(pattern.name, q_structural)
-    q_store = q_structural.store
-    base_store = mvm.base_store
-    for m in find_monomorphisms(q_mv, mvm.structural):
-        node_map: dict[str, str] = {}
-        edge_map: dict[str, str] = {}
-        images: list[str] = []
-        for q_node, h_node in m.nodes:
-            element = q_origin[q_node]
-            image = mvm.origin[h_node]
-            images.append(h_node)
-            if base_store.is_node(image):
-                node_map[element] = image
-            else:
-                edge_map[element] = image
-        yield Match.from_maps(node_map, edge_map), images
 
 
 def pcheck_mv(mvm: MultiVersionModel, pattern: Pattern) -> list[VersionedViolation]:
@@ -56,42 +27,19 @@ def pcheck_mv(mvm: MultiVersionModel, pattern: Pattern) -> list[VersionedViolati
     sets.
     """
     out: list[VersionedViolation] = []
-    for base_match, images in _translated_matches(mvm, pattern):
+    for m in find_monomorphisms(pattern, mvm.union):
         shared: frozenset[str] | None = None
-        for h_node in images:
-            p = mvm.presence(h_node)
+        for _, image in m.nodes + m.edges:
+            p = mvm.presence(image)
             shared = p if shared is None else shared & p
             if not shared:
                 break
         if not shared:
             continue
         for vid in sorted(shared):
-            out.append(VersionedViolation(vid, base_match))
+            out.append(VersionedViolation(vid, m))
     out.sort()
     return out
-
-
-def _deletion_reach(mvm: MultiVersionModel, element: str) -> frozenset[str]:
-    """Versions that dropped the element and have not re-adopted it.
-
-    Walk successor edges from every deletion version; creation versions
-    act as barriers (a re-creation ends the deleted span), endpoints
-    included.
-    """
-    barriers = mvm.cv.get(element, frozenset())
-    seen: set[str] = set()
-    queue: deque[str] = deque()
-    for v in sorted(mvm.dv.get(element, frozenset())):
-        if v not in barriers and v not in seen:
-            seen.add(v)
-            queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for w in mvm.suc.get(v, ()):
-            if w not in seen and w not in barriers:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
 
 
 def _bases_for(mvm: MultiVersionModel, i: str, j: str, lcp_mode: str):
@@ -113,7 +61,7 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
     """
     check_lcp_mode(lcp_mode)
     root = mvm.versioning.root
-    base_store = mvm.base_store
+    store = mvm.union.store
     reach_cache: dict[str, frozenset[str]] = {}
     out: set[MergeConflictReport] = set()
     for edge_elem in mvm.edge_elements:
@@ -122,14 +70,14 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
         edge_presence = mvm.presence(edge_elem)
         if not edge_presence:
             continue
-        src, tgt = base_store.endpoint(edge_elem)
+        src, tgt = store.endpoint(edge_elem)
         for endpoint in sorted({src, tgt}):
             endpoint_presence = mvm.presence(endpoint)
             if edge_presence == endpoint_presence:
                 continue
             dropped = reach_cache.get(endpoint)
             if dropped is None:
-                dropped = _deletion_reach(mvm, endpoint)
+                dropped = mvm.reach(mvm.dv.get(endpoint, frozenset()), mvm.cv[endpoint])
                 reach_cache[endpoint] = dropped
             if not dropped:
                 continue
@@ -161,8 +109,8 @@ def pcheck_m_mv(
     check_lcp_mode(lcp_mode)
     all_versions = mvm.version_ids
     out: set[MergeViolationReport] = set()
-    for base_match, images in _translated_matches(mvm, pattern):
-        presences = [mvm.presence(h) for h in images]
+    for m in find_monomorphisms(pattern, mvm.union):
+        presences = [mvm.presence(image) for _, image in m.nodes + m.edges]
         if not presences:
             continue
         min_size = min(len(p) for p in presences)
@@ -181,5 +129,5 @@ def pcheck_m_mv(
                 for c in _bases_for(mvm, a, b, lcp_mode):
                     if all((c not in p) or (a in p and b in p) for p in presences):
                         left, right = (a, b) if a < b else (b, a)
-                        out.add(MergeViolationReport(left, right, c, base_match))
+                        out.add(MergeViolationReport(left, right, c, m))
     return sorted(out)

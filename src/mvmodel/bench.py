@@ -23,7 +23,7 @@ from .errors import BenchMismatch, CorpusSyntaxError, ParamError
 from .generate import GeneratorParams, generate_versioning
 from .merge import merge_min
 from .mvm import comb
-from .reports import MergeViolationReport, check_lcp_mode
+from .reports import LCP_MODES, MergeViolationReport
 
 BENCH_FORMAT = "mv-bench/1"
 TASKS = ("check", "conflicts", "merge-check")
@@ -64,7 +64,8 @@ def parse_bench_params(data: bytes | str) -> BenchParams:
     if needs_patterns and constraints is None:
         raise ParamError("check and merge-check tasks need a constraints file")
     lcp = obj.get("lcp", "all")
-    check_lcp_mode(lcp)
+    if lcp not in LCP_MODES:
+        raise ParamError(f"lcp must be one of {LCP_MODES}, got {lcp!r}")
     return BenchParams(corpus, tuple(tasks), constraints, lcp)
 
 

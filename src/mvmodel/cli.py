@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--mode",
                 choices=("mvm", "svm"),
                 default="mvm",
-                help="mvm analyses the folded encoding, svm walks each version",
+                help="mvm analyses the folded history, svm walks each version",
             )
         if lcp:
             p.add_argument(

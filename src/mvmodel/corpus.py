@@ -7,7 +7,8 @@ back the identical bytes, which the test suite pins.
 Corpus files hold one versioning: the type graph, the element registry
 (with fixed endpoints), per-version membership lists, the modification
 pairs, and the root marker. Constraint files hold named violation
-patterns typed over the corpus type graph.
+patterns typed over the corpus type graph. The encoding export renders
+a fold as one graph in edge-as-node form; the analyses never build it.
 """
 
 from __future__ import annotations
@@ -194,11 +195,112 @@ def write_constraints(patterns: list[Pattern]) -> bytes:
     return _canonical(obj)
 
 
+VERSION_NODE_TYPE = "version"
+SUC_EDGE_TYPE = "suc"
+
+_SRC_PREFIX = "src:"
+_TGT_PREFIX = "tgt:"
+
+
+class AdaptedTypeGraph:
+    """Type graph for the folded encoding of one base type graph.
+
+    Every base node type and every base edge type becomes an mv node
+    type; each base edge type also gets a pair of encoding edge types for
+    its source and target legs. One extra node type stands for versions,
+    wired to everything else by creation and deletion edge types plus the
+    successor edge type. The naming scheme is fixed: ``T`` maps to
+    ``T_mv``, the legs of edge type ``t`` to ``t_src`` and ``t_tgt``, and
+    the per-type creation and deletion edges to ``cv_T_mv`` and
+    ``dv_T_mv``.
+    """
+
+    __slots__ = (
+        "base",
+        "node_corr",
+        "edge_corr",
+        "src_corr",
+        "tgt_corr",
+        "cv_types",
+        "dv_types",
+        "origin_kind",
+        "type_graph",
+    )
+
+    def __init__(self, base: TypeGraph):
+        self.base = base
+        self.node_corr = {t: f"{t}_mv" for t in sorted(base.node_types)}
+        self.edge_corr = {t: f"{t}_mv" for t in sorted(base.edge_types)}
+        self.src_corr = {t: f"{t}_src" for t in sorted(base.edge_types)}
+        self.tgt_corr = {t: f"{t}_tgt" for t in sorted(base.edge_types)}
+        mv_node_types = [VERSION_NODE_TYPE]
+        mv_node_types += list(self.node_corr.values()) + list(self.edge_corr.values())
+        self.origin_kind: dict[str, tuple[str, str]] = {}
+        for t, mv in self.node_corr.items():
+            self.origin_kind[mv] = ("node", t)
+        for t, mv in self.edge_corr.items():
+            self.origin_kind[mv] = ("edge", t)
+        mv_edge_types: dict[str, tuple[str, str]] = {SUC_EDGE_TYPE: (VERSION_NODE_TYPE, VERSION_NODE_TYPE)}
+        for t in sorted(base.edge_types):
+            s, g = base.endpoint_types(t)
+            mv_edge_types[self.src_corr[t]] = (self.edge_corr[t], self.node_corr[s])
+            mv_edge_types[self.tgt_corr[t]] = (self.edge_corr[t], self.node_corr[g])
+        self.cv_types = {}
+        self.dv_types = {}
+        for mv in sorted(self.origin_kind):
+            self.cv_types[mv] = f"cv_{mv}"
+            self.dv_types[mv] = f"dv_{mv}"
+            mv_edge_types[f"cv_{mv}"] = (mv, VERSION_NODE_TYPE)
+            mv_edge_types[f"dv_{mv}"] = (mv, VERSION_NODE_TYPE)
+        names = mv_node_types + list(mv_edge_types)
+        if len(set(names)) != len(names):
+            raise ValidationError(
+                "base type names collide with the reserved mv naming scheme"
+            )
+        self.type_graph = TypeGraph(mv_node_types, mv_edge_types)
+
+
+def trans_mv(graph: Model, adapted: AdaptedTypeGraph) -> tuple[Model, dict[str, str]]:
+    """Re-express one base graph as a structural mv graph.
+
+    Returns the structural graph over a fresh store, plus the bijection
+    from its nodes back to the base elements they stand for. Node ids
+    are reused verbatim (base namespaces are disjoint, so element ids are
+    unique across nodes and edges); encoding edges get reserved
+    ``src:``/``tgt:`` prefixed ids.
+    """
+    if graph.type_graph != adapted.base:
+        raise ValidationError("graph is not typed over the adapted base type graph")
+    base_store = graph.store
+    store = ElementStore()
+    origin: dict[str, str] = {}
+    for n in sorted(graph.node_set):
+        store.add_node(n, adapted.node_corr[base_store.elem_type(n)])
+        origin[n] = n
+    for e in sorted(graph.edge_set):
+        store.add_node(e, adapted.edge_corr[base_store.elem_type(e)])
+        origin[e] = e
+    edges = []
+    for e in sorted(graph.edge_set):
+        t = base_store.elem_type(e)
+        src, tgt = base_store.endpoint(e)
+        store.add_edge(_SRC_PREFIX + e, adapted.src_corr[t], e, src)
+        store.add_edge(_TGT_PREFIX + e, adapted.tgt_corr[t], e, tgt)
+        edges.append(_SRC_PREFIX + e)
+        edges.append(_TGT_PREFIX + e)
+    structural = Model(store, adapted.type_graph, origin.keys(), edges)
+    return structural, origin
+
+
 def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
     """Serialise the folded form with version, successor, creation, and
-    deletion information materialised as typed nodes and edges."""
-    adapted = mvm.adapted
-    structural = mvm.structural
+    deletion information materialised as typed nodes and edges.
+
+    Raises ValidationError when the corpus type names collide with the
+    encoding's reserved names.
+    """
+    adapted = AdaptedTypeGraph(mvm.union.type_graph)
+    structural, origin = trans_mv(mvm.union, adapted)
     store = structural.store
     nodes = {n: store.elem_type(n) for n in sorted(structural.node_set)}
     edges = {
@@ -210,15 +312,15 @@ def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
         for e in sorted(structural.edge_set)
     }
     for vid in mvm.version_ids:
-        nodes[f"version:{vid}"] = "version"
+        nodes[f"version:{vid}"] = VERSION_NODE_TYPE
     for a in sorted(mvm.suc):
         for b in mvm.suc[a]:
             edges[f"suc:{a}:{b}"] = {
-                "type": "suc",
+                "type": SUC_EDGE_TYPE,
                 "source": f"version:{a}",
                 "target": f"version:{b}",
             }
-    for elem in sorted(mvm.origin.values()):
+    for elem in sorted(origin.values()):
         mv_type = store.elem_type(elem)
         for vid in sorted(mvm.cv.get(elem, frozenset())):
             edges[f"cv:{elem}:{vid}"] = {
@@ -243,7 +345,7 @@ def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
         },
         "nodes": nodes,
         "edges": edges,
-        "origin": {n: mvm.origin[n] for n in sorted(mvm.origin)},
+        "origin": {n: origin[n] for n in sorted(origin)},
     }
     return _canonical(obj)
 

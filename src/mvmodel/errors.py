@@ -107,10 +107,10 @@ class TooManyConflicts(ModelError):
 
 
 class NotStructural(ModelError):
-    """A multi-version query named something that is not a structural node."""
+    """A multi-version query named something that is not an element of the fold."""
 
     def __init__(self, node_id: str):
-        super().__init__(f"{node_id!r} is not a structural node of the multi-version model")
+        super().__init__(f"{node_id!r} is not an element of the multi-version model")
         self.node_id = node_id
 
 

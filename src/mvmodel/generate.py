@@ -32,6 +32,13 @@ class GeneratorParams:
     deletion_bias: float = 0.3
 
     def validate(self) -> None:
+        integer_fields = ("seed", "base_size", "branch_factor", "version_count", "edits_per_modification")
+        for name in integer_fields:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParamError(f"{name} must be an integer")
+        if isinstance(self.deletion_bias, bool) or not isinstance(self.deletion_bias, (int, float)):
+            raise ParamError("deletion_bias must be a number")
         if self.base_size < 0:
             raise ParamError("base_size must be non-negative")
         if self.version_count < 1:

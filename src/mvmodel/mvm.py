@@ -1,142 +1,33 @@
 """Folding a version history into a single multi-version graph.
 
-Every element of the union of all versions becomes one node of a
-structural graph; an edge element additionally gets two encoding edges
-pointing at the nodes standing for its endpoints. Which versions contain
-an element is not stored per element as a plain set but derived from
-creation and deletion marks on the version DAG: an element is present in
-every version reachable along successor paths from one of its creation
-versions without touching one of its deletion versions.
+The folded graph is the union of all versions: every element any
+version contains, over the shared store and type graph. Which versions
+contain an element is not stored per element as a plain set but derived
+from creation and deletion marks on the version DAG: an element is
+present in every version reachable along successor paths from one of its
+creation versions without touching one of its deletion versions.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
 
-from .core import ElementStore, Model, TypeGraph, graph_union, validate_model
+from .core import Model, graph_union
 from .errors import NotStructural, UnknownVersion, ValidationError
 from .versioning import ModelModification, ModelVersioning
-
-VERSION_NODE_TYPE = "version"
-SUC_EDGE_TYPE = "suc"
-
-_SRC_PREFIX = "src:"
-_TGT_PREFIX = "tgt:"
-
-
-class AdaptedTypeGraph:
-    """Type graph for the folded encoding of one base type graph.
-
-    Every base node type and every base edge type becomes an mv node
-    type; each base edge type also gets a pair of encoding edge types for
-    its source and target legs. One extra node type stands for versions,
-    wired to everything else by creation and deletion edge types plus the
-    successor edge type. The naming scheme is fixed: ``T`` maps to
-    ``T_mv``, the legs of edge type ``t`` to ``t_src`` and ``t_tgt``, and
-    the per-type creation and deletion edges to ``cv_T_mv`` and
-    ``dv_T_mv``.
-    """
-
-    __slots__ = (
-        "base",
-        "node_corr",
-        "edge_corr",
-        "src_corr",
-        "tgt_corr",
-        "cv_types",
-        "dv_types",
-        "origin_kind",
-        "type_graph",
-    )
-
-    def __init__(self, base: TypeGraph):
-        self.base = base
-        self.node_corr = {t: f"{t}_mv" for t in sorted(base.node_types)}
-        self.edge_corr = {t: f"{t}_mv" for t in sorted(base.edge_types)}
-        self.src_corr = {t: f"{t}_src" for t in sorted(base.edge_types)}
-        self.tgt_corr = {t: f"{t}_tgt" for t in sorted(base.edge_types)}
-        mv_node_types = [VERSION_NODE_TYPE]
-        mv_node_types += list(self.node_corr.values()) + list(self.edge_corr.values())
-        self.origin_kind: dict[str, tuple[str, str]] = {}
-        for t, mv in self.node_corr.items():
-            self.origin_kind[mv] = ("node", t)
-        for t, mv in self.edge_corr.items():
-            self.origin_kind[mv] = ("edge", t)
-        mv_edge_types: dict[str, tuple[str, str]] = {SUC_EDGE_TYPE: (VERSION_NODE_TYPE, VERSION_NODE_TYPE)}
-        for t in sorted(base.edge_types):
-            s, g = base.endpoint_types(t)
-            mv_edge_types[self.src_corr[t]] = (self.edge_corr[t], self.node_corr[s])
-            mv_edge_types[self.tgt_corr[t]] = (self.edge_corr[t], self.node_corr[g])
-        self.cv_types = {}
-        self.dv_types = {}
-        for mv in sorted(self.origin_kind):
-            self.cv_types[mv] = f"cv_{mv}"
-            self.dv_types[mv] = f"dv_{mv}"
-            mv_edge_types[f"cv_{mv}"] = (mv, VERSION_NODE_TYPE)
-            mv_edge_types[f"dv_{mv}"] = (mv, VERSION_NODE_TYPE)
-        names = mv_node_types + list(mv_edge_types)
-        if len(set(names)) != len(names):
-            raise ValidationError(
-                "base type names collide with the reserved mv naming scheme"
-            )
-        self.type_graph = TypeGraph(mv_node_types, mv_edge_types)
-
-    def corr(self, base_type: str) -> str:
-        if base_type in self.node_corr:
-            return self.node_corr[base_type]
-        return self.edge_corr[base_type]
-
-
-def adapt_type_graph(base: TypeGraph) -> AdaptedTypeGraph:
-    return AdaptedTypeGraph(base)
-
-
-def trans_mv(graph: Model, adapted: AdaptedTypeGraph) -> tuple[Model, dict[str, str]]:
-    """Re-express one base graph as a structural mv graph.
-
-    Returns the structural graph over a fresh store, plus the bijection
-    from its nodes back to the base elements they stand for. Node ids
-    are reused verbatim (base namespaces are disjoint, so element ids are
-    unique across nodes and edges); encoding edges get reserved
-    ``src:``/``tgt:`` prefixed ids.
-    """
-    if graph.type_graph != adapted.base:
-        raise ValidationError("graph is not typed over the adapted base type graph")
-    base_store = graph.store
-    store = ElementStore()
-    origin: dict[str, str] = {}
-    for n in sorted(graph.node_set):
-        store.add_node(n, adapted.node_corr[base_store.elem_type(n)])
-        origin[n] = n
-    for e in sorted(graph.edge_set):
-        store.add_node(e, adapted.edge_corr[base_store.elem_type(e)])
-        origin[e] = e
-    edges = []
-    for e in sorted(graph.edge_set):
-        t = base_store.elem_type(e)
-        src, tgt = base_store.endpoint(e)
-        store.add_edge(_SRC_PREFIX + e, adapted.src_corr[t], e, src)
-        store.add_edge(_TGT_PREFIX + e, adapted.tgt_corr[t], e, tgt)
-        edges.append(_SRC_PREFIX + e)
-        edges.append(_TGT_PREFIX + e)
-    structural = Model(store, adapted.type_graph, origin.keys(), edges)
-    return structural, origin
 
 
 class MultiVersionModel:
     """One graph standing for a whole version history.
 
-    ``structural`` holds a node per element of the union of all versions
-    plus the endpoint encoding edges. The version DAG is kept as plain
-    adjacency (successor map) and per-element creation/deletion version
-    sets; presence is derived on demand and memoised.
+    ``union`` holds every element of every version. The version DAG is
+    kept as plain adjacency (successor map) and per-element
+    creation/deletion version sets; presence is derived on demand and
+    memoised.
     """
 
     __slots__ = (
-        "adapted",
-        "structural",
-        "origin",
+        "union",
         "versioning",
         "version_ids",
         "suc",
@@ -149,66 +40,48 @@ class MultiVersionModel:
 
     def __init__(
         self,
-        adapted: AdaptedTypeGraph,
-        structural: Model,
-        origin: dict[str, str],
+        union: Model,
         versioning: ModelVersioning,
         suc: dict[str, tuple[str, ...]],
         cv: dict[str, frozenset[str]],
         dv: dict[str, frozenset[str]],
     ):
-        self.adapted = adapted
-        self.structural = structural
-        self.origin = origin
+        self.union = union
         self.versioning = versioning
         self.version_ids = tuple(versioning.versions)
         self.suc = suc
         self.cv = cv
         self.dv = dv
-        base_store = versioning.version(versioning.root).store
-        self.node_elements = tuple(
-            x for x in sorted(origin.values()) if base_store.is_node(x)
-        )
-        self.edge_elements = tuple(
-            x for x in sorted(origin.values()) if base_store.is_edge(x)
-        )
+        self.node_elements = tuple(sorted(union.node_set))
+        self.edge_elements = tuple(sorted(union.edge_set))
         self._presence_cache: dict[str, frozenset[str]] = {}
 
-    @property
-    def base_store(self) -> ElementStore:
-        return self.versioning.version(self.versioning.root).store
+    def reach(self, starts: frozenset[str], barriers: frozenset[str]) -> frozenset[str]:
+        """Versions reachable along successor edges from ``starts``.
 
-    def element_kind(self, element_id: str) -> str:
-        return "node" if self.base_store.is_node(element_id) else "edge"
-
-    def presence(self, mv_node: str) -> frozenset[str]:
-        """Versions containing the element a structural node stands for.
-
-        Breadth-first search along successor edges from every creation
-        version; deletion versions act as barriers and are themselves
-        excluded, as are paths that would enter them.
+        Barrier versions are excluded, start versions included, and no
+        path continues through a barrier.
         """
-        cached = self._presence_cache.get(mv_node)
-        if cached is not None:
-            return cached
-        if mv_node not in self.origin:
-            raise NotStructural(mv_node)
-        element = self.origin[mv_node]
-        barriers = self.dv.get(element, frozenset())
-        seen: set[str] = set()
-        queue: deque[str] = deque()
-        for v in sorted(self.cv.get(element, frozenset())):
-            if v not in barriers and v not in seen:
-                seen.add(v)
-                queue.append(v)
+        seen = set(starts - barriers)
+        queue = deque(seen)
         while queue:
             v = queue.popleft()
             for w in self.suc.get(v, ()):
                 if w not in seen and w not in barriers:
                     seen.add(w)
                     queue.append(w)
-        result = frozenset(seen)
-        self._presence_cache[mv_node] = result
+        return frozenset(seen)
+
+    def presence(self, element: str) -> frozenset[str]:
+        """Versions containing the element: the reach from its creation
+        versions, with its deletion versions as barriers."""
+        cached = self._presence_cache.get(element)
+        if cached is not None:
+            return cached
+        if element not in self.cv:
+            raise NotStructural(element)
+        result = self.reach(self.cv[element], self.dv.get(element, frozenset()))
+        self._presence_cache[element] = result
         return result
 
     def reset_presence_cache(self) -> None:
@@ -220,8 +93,7 @@ class MultiVersionModel:
             raise UnknownVersion(version_id)
         nodes = [x for x in self.node_elements if version_id in self.presence(x)]
         edges = [x for x in self.edge_elements if version_id in self.presence(x)]
-        root_model = self.versioning.version(self.versioning.root)
-        return Model(root_model.store, root_model.type_graph, nodes, edges)
+        return Model(self.union.store, self.union.type_graph, nodes, edges)
 
     def proj_delta(self, i: str, j: str) -> ModelModification:
         """The span between two recovered versions."""
@@ -239,10 +111,7 @@ def comb(versioning: ModelVersioning) -> MultiVersionModel:
     """
     versioning.validate()
     base_model = versioning.version(versioning.root)
-    adapted = adapt_type_graph(base_model.type_graph)
     union = graph_union(list(versioning.versions.values()))
-    structural, origin = trans_mv(union, adapted)
-    validate_model(structural)
 
     cv: dict[str, set[str]] = {}
     dv: dict[str, set[str]] = {}
@@ -268,9 +137,7 @@ def comb(versioning: ModelVersioning) -> MultiVersionModel:
 
     suc = {v: versioning.successors(v) for v in versioning.versions}
     return MultiVersionModel(
-        adapted,
-        structural,
-        origin,
+        union,
         versioning,
         suc,
         {x: frozenset(vs) for x, vs in cv.items()},

@@ -293,11 +293,6 @@ class ModelVersioning:
         shadowed = set().union(*(self.predecessors(x) for x in common))
         return frozenset(common - shadowed)
 
-    def single_latest_common_predecessor(self, i: VersionId, j: VersionId) -> VersionId | None:
-        """One representative merge base: the lexicographically least id."""
-        lcps = self.latest_common_predecessors(i, j)
-        return min(lcps) if lcps else None
-
     def latest_common_predecessor_table(
         self,
     ) -> dict[tuple[VersionId, VersionId], frozenset[VersionId]]:
@@ -318,6 +313,3 @@ class ModelVersioning:
         """The span from version i to version j that preserves their intersection."""
         return ModelModification(self.version(i), self.version(j), i, j)
 
-
-def validate_versioning(versioning: ModelVersioning) -> None:
-    versioning.validate()

@@ -157,8 +157,8 @@ def test_pcheck_mv_ignores_matches_spanning_versions():
     )
     versioning.validate()
     mvm = comb(versioning)
-    # both edges are in the folded graph, so the structural match exists
-    assert "e12" in mvm.structural.node_set and "e13" in mvm.structural.node_set
+    # both edges are in the union of the versions, so the match on it exists
+    assert "e12" in mvm.union.edge_set and "e13" in mvm.union.edge_set
     assert pcheck_mv(mvm, unique_superclass_pattern()) == []
     assert svm_check(versioning, unique_superclass_pattern()) == []
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -268,3 +269,152 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "ok versions=3 elements=7\n"
+
+
+# sha256 of export-mvm output; the encoding is a published format, so its
+# bytes must not drift
+EXPORT_MVM_SHA256 = {
+    "running.corpus.json": "df357d3fd30addce39e2951eefd7bb1ae2c66e843b92ab54bf03c15bc1c9db33",
+    "oo_project.corpus.json": "b86d63c35e8dbd7bc31c131d972cc8846a7c71408c0ca5eed99f5adcc19a43f6",
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(EXPORT_MVM_SHA256))
+def test_export_mvm_bytes_are_pinned(capsys, tmp_path, data_dir, corpus):
+    out = tmp_path / "encoding.json"
+    code, _, err = run_cli(capsys, "export-mvm", str(data_dir / corpus), "-o", str(out))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_MVM_SHA256[corpus]
+
+
+def write_reserved_name_corpus(tmp_path: Path) -> tuple[str, str]:
+    """A corpus whose edge type cv_A collides with the export encoding's
+    creation-mark type for node type A.
+
+    x adds a->c while y deletes c (a conflict); z adds a->b on top of x
+    (a check violation), and w adds a->b on its own (merging x and w
+    violates the constraint).
+    """
+    corpus = {
+        "format": "mv-corpus/1",
+        "type_graph": {
+            "node_types": ["A"],
+            "edge_types": {"cv_A": {"source": "A", "target": "A"}},
+        },
+        "elements": {
+            "nodes": {"a": "A", "b": "A", "c": "A"},
+            "edges": {
+                "e_ab": {"type": "cv_A", "source": "a", "target": "b"},
+                "e_ac": {"type": "cv_A", "source": "a", "target": "c"},
+            },
+        },
+        "root": "r",
+        "versions": {
+            "r": {"nodes": ["a", "b", "c"], "edges": []},
+            "x": {"nodes": ["a", "b", "c"], "edges": ["e_ac"]},
+            "y": {"nodes": ["a", "b"], "edges": []},
+            "z": {"nodes": ["a", "b", "c"], "edges": ["e_ab", "e_ac"]},
+            "w": {"nodes": ["a", "b", "c"], "edges": ["e_ab"]},
+        },
+        "modifications": [["r", "w"], ["r", "x"], ["r", "y"], ["x", "z"]],
+    }
+    constraints = {
+        "format": "mv-constraints/1",
+        "patterns": {
+            "two-out": {
+                "nodes": {"p": "A", "q1": "A", "q2": "A"},
+                "edges": {
+                    "f1": {"type": "cv_A", "source": "p", "target": "q1"},
+                    "f2": {"type": "cv_A", "source": "p", "target": "q2"},
+                },
+            }
+        },
+    }
+    corpus_path = tmp_path / "reserved.corpus.json"
+    constraints_path = tmp_path / "reserved.constraints.json"
+    corpus_path.write_text(json.dumps(corpus))
+    constraints_path.write_text(json.dumps(constraints))
+    return str(corpus_path), str(constraints_path)
+
+
+@pytest.mark.parametrize(
+    "command, uses_constraints",
+    [("check", True), ("conflicts", False), ("merge-check", True)],
+)
+def test_reserved_encoding_names_engines_agree(capsys, tmp_path, command, uses_constraints):
+    corpus, constraints = write_reserved_name_corpus(tmp_path)
+    argv = [command, corpus] + (["--constraints", constraints] if uses_constraints else [])
+    mvm = run_cli(capsys, *argv, "--mode", "mvm")
+    svm = run_cli(capsys, *argv, "--mode", "svm")
+    assert mvm == svm
+    code, out, err = mvm
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] != "total 0"
+
+
+def test_reserved_encoding_names_pass_the_oracle(capsys, tmp_path):
+    corpus, constraints = write_reserved_name_corpus(tmp_path)
+    code, out, err = run_cli(capsys, "oracle", corpus, "--constraints", constraints)
+    assert code == 0 and err == ""
+    assert all(" ok results=" in l for l in out.splitlines())
+
+
+def test_reserved_encoding_names_are_rejected_only_by_export(capsys, tmp_path):
+    corpus, _ = write_reserved_name_corpus(tmp_path)
+    code, out, err = run_cli(capsys, "export-mvm", corpus)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def assert_one_error_line(capsys, *argv: str) -> None:
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+GENERATOR_PARAMS = {
+    "format": "mv-generator/1",
+    "seed": 1,
+    "base_size": 6,
+    "branch_factor": 2,
+    "version_count": 3,
+    "edits_per_modification": 1,
+    "deletion_bias": 0.5,
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("base_size", "x"),
+        ("base_size", True),
+        ("base_size", 2.0),
+        ("seed", None),
+        ("deletion_bias", "x"),
+        ("deletion_bias", True),
+    ],
+)
+def test_generator_rejects_mistyped_params(capsys, tmp_path, key, value):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**GENERATOR_PARAMS, key: value}))
+    assert_one_error_line(capsys, "generate", "--params", str(params))
+
+
+def test_bench_rejects_mistyped_corpus_params(capsys, tmp_path):
+    params = tmp_path / "bench.json"
+    corpus = {k: v for k, v in GENERATOR_PARAMS.items() if k != "format"}
+    params.write_text(
+        json.dumps({"format": "mv-bench/1", "corpus": {**corpus, "base_size": "x"},
+                    "tasks": ["conflicts"]})
+    )
+    assert_one_error_line(capsys, "bench", "--params", str(params), "--repeat", "1")
+
+
+def test_bench_rejects_unknown_lcp_mode(capsys, tmp_path):
+    params = tmp_path / "bench.json"
+    corpus = {k: v for k, v in GENERATOR_PARAMS.items() if k != "format"}
+    params.write_text(
+        json.dumps({"format": "mv-bench/1", "corpus": corpus, "tasks": ["conflicts"],
+                    "lcp": "bogus"})
+    )
+    assert_one_error_line(capsys, "bench", "--params", str(params), "--repeat", "1")

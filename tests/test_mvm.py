@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from mvmodel import (
+    AdaptedTypeGraph,
     ElementStore,
     GeneratorParams,
     Model,
@@ -13,13 +14,12 @@ from mvmodel import (
     TypeGraph,
     UnknownVersion,
     ValidationError,
-    adapt_type_graph,
     comb,
     generate_versioning,
     trans_mv,
     validate_model,
 )
-from mvmodel.mvm import SUC_EDGE_TYPE, VERSION_NODE_TYPE
+from mvmodel.corpus import SUC_EDGE_TYPE, VERSION_NODE_TYPE
 from conftest import build_store, full_model
 
 CLS_TG = TypeGraph({"Class"}, {"superclass": ("Class", "Class")})
@@ -49,7 +49,7 @@ def test_adapted_type_graph_shape():
     base = TypeGraph(
         {"A", "B"}, {"x": ("A", "A"), "y": ("A", "B"), "z": ("B", "B")}
     )
-    adapted = adapt_type_graph(base)
+    adapted = AdaptedTypeGraph(base)
     # one node type per base element type, plus the version bookkeeping type
     assert adapted.type_graph.node_types == {
         "A_mv", "B_mv", "x_mv", "y_mv", "z_mv", VERSION_NODE_TYPE,
@@ -71,18 +71,18 @@ def test_adapt_rejects_colliding_names():
     # the edge type cv_A adapts to node type cv_A_mv, which the creation
     # bookkeeping for node type A also claims as an edge type name
     with pytest.raises(ValidationError):
-        adapt_type_graph(TypeGraph({"A"}, {"cv_A": ("A", "A")}))
+        AdaptedTypeGraph(TypeGraph({"A"}, {"cv_A": ("A", "A")}))
 
 
 def test_adapt_suffixes_avoid_reserved_names():
     # a base type called "version" is fine; it adapts to version_mv
-    adapted = adapt_type_graph(TypeGraph({"version"}, {}))
+    adapted = AdaptedTypeGraph(TypeGraph({"version"}, {}))
     assert adapted.node_corr["version"] == "version_mv"
     assert VERSION_NODE_TYPE in adapted.type_graph.node_types
 
 
 def test_trans_mv_turns_edges_into_nodes():
-    adapted = adapt_type_graph(CLS_TG)
+    adapted = AdaptedTypeGraph(CLS_TG)
     store = build_store(
         CLS_TG,
         {"c1": "Class", "c2": "Class"},
@@ -100,10 +100,10 @@ def test_trans_mv_turns_edges_into_nodes():
 
 def test_comb_builds_expected_encoding():
     mvm = comb(running_example())
-    s = mvm.structural
-    # 4 class nodes + 3 edge nodes from the union of all versions
-    assert len(s.node_set) == 7
-    assert len(s.edge_set) == 6
+    s = mvm.union
+    # 4 classes and 3 superclass edges from the union of all versions
+    assert len(s.node_set) == 4
+    assert len(s.edge_set) == 3
     assert sorted(mvm.version_ids) == ["M_1", "M_2", "M_3"]
     assert mvm.suc["M_1"] == ("M_2", "M_3")
     assert mvm.suc["M_2"] == ()

@@ -138,7 +138,6 @@ def test_lcp_empty_for_comparable_pair():
         {"r": {"n1"}, "a": {"n1"}}, {("r", "a")}
     )
     assert v.latest_common_predecessors("r", "a") == frozenset()
-    assert v.single_latest_common_predecessor("r", "a") is None
 
 
 def test_lcp_simple_fork():
@@ -157,7 +156,7 @@ def test_lcp_criss_cross_has_two_bases():
     )
     v.validate()
     assert v.latest_common_predecessors("c", "d") == {"a", "b"}
-    assert v.single_latest_common_predecessor("c", "d") == "a"
+    assert min(v.latest_common_predecessors("c", "d")) == "a"
 
 
 def test_lcp_table_covers_every_unordered_pair():
@@ -234,5 +233,4 @@ def test_generated_corpora_validate_and_have_sane_ancestry(seed):
             # maximality: no other common ancestor sits strictly above c
             others = (bases - {c}) | (v.predecessors(i) & v.predecessors(j) - bases)
             assert all(c not in v.predecessors(x) or x not in bases for x in others)
-        if bases:
-            assert v.single_latest_common_predecessor(i, j) == min(bases)
+        assert bases == v.latest_common_predecessors(i, j)
