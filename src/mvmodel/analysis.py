@@ -15,7 +15,8 @@ from .reports import (
     MergeConflictReport,
     MergeViolationReport,
     VersionedViolation,
-    check_lcp_mode,
+    drawn_bases,
+    sorted_reports,
 )
 
 
@@ -38,18 +39,7 @@ def pcheck_mv(mvm: MultiVersionModel, pattern: Pattern) -> list[VersionedViolati
             continue
         for vid in sorted(shared):
             out.append(VersionedViolation(vid, m))
-    out.sort()
-    return out
-
-
-def _bases_for(mvm: MultiVersionModel, i: str, j: str, lcp_mode: str):
-    pair = (i, j) if i < j else (j, i)
-    bases = mvm.versioning.latest_common_predecessor_table().get(pair, frozenset())
-    if not bases:
-        return ()
-    if lcp_mode == "single":
-        return (min(bases),)
-    return tuple(sorted(bases))
+    return sorted_reports(out)
 
 
 def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConflictReport]:
@@ -57,10 +47,14 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
 
     For an edge created after the root, a conflict pairs a version that
     has the edge with a version that dropped one of its endpoints, over a
-    common base that still had the endpoint but not the edge.
+    common base that still had the endpoint but not the edge. Only the
+    mergeable partners among the dropping versions are paired up.
     """
-    check_lcp_mode(lcp_mode)
-    root = mvm.versioning.root
+    versioning = mvm.versioning
+    table = versioning.latest_common_predecessor_table()
+    drawn = drawn_bases(table, lcp_mode)
+    partners = versioning.merge_partners()
+    root = versioning.root
     store = mvm.union.store
     reach_cache: dict[str, frozenset[str]] = {}
     out: set[MergeConflictReport] = set()
@@ -81,15 +75,13 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
                 reach_cache[endpoint] = dropped
             if not dropped:
                 continue
-            for i in sorted(edge_presence):
-                for j in sorted(dropped):
-                    if i == j:
-                        continue
-                    for c in _bases_for(mvm, i, j, lcp_mode):
+            for i in edge_presence:
+                for j in dropped & partners[i]:
+                    left, right = (i, j) if i < j else (j, i)
+                    for c in drawn[table[left, right]]:
                         if c in endpoint_presence and c not in edge_presence:
-                            left, right = (i, j) if i < j else (j, i)
                             out.add(MergeConflictReport(left, right, c, edge_elem, endpoint))
-    return sorted(out)
+    return sorted_reports(out)
 
 
 def pcheck_m_mv(
@@ -101,13 +93,15 @@ def pcheck_m_mv(
     two merged versions, and no element the base already had may be
     deleted on either side. The first candidate version is drawn from a
     smallest presence set of the image (one of the two merged versions
-    always lies in every presence set); its counterpart must supply every
-    matched element the first candidate lacks, so counterparts are the
-    intersection of the presence sets missing the candidate, or any other
-    version when the candidate covers the whole image.
+    always lies in every presence set); its counterpart must be one of
+    its mergeable partners and supply every matched element the first
+    candidate lacks, so counterparts are its partners narrowed by the
+    presence sets missing the candidate.
     """
-    check_lcp_mode(lcp_mode)
-    all_versions = mvm.version_ids
+    versioning = mvm.versioning
+    table = versioning.latest_common_predecessor_table()
+    drawn = drawn_bases(table, lcp_mode)
+    partners = versioning.merge_partners()
     out: set[MergeViolationReport] = set()
     for m in find_monomorphisms(pattern, mvm.union):
         presences = [mvm.presence(image) for _, image in m.nodes + m.edges]
@@ -116,18 +110,17 @@ def pcheck_m_mv(
         min_size = min(len(p) for p in presences)
         if min_size == 0:
             continue
-        first_pool = sorted(set().union(*(p for p in presences if len(p) == min_size)))
+        first_pool = set().union(*(p for p in presences if len(p) == min_size))
         for a in first_pool:
-            missing = [p for p in presences if a not in p]
-            if missing:
-                partners = sorted(frozenset.intersection(*missing))
-            else:
-                partners = list(all_versions)
-            for b in partners:
-                if b == a:
-                    continue
-                for c in _bases_for(mvm, a, b, lcp_mode):
+            counterparts = partners[a]
+            if not counterparts:
+                continue
+            for p in presences:
+                if a not in p:
+                    counterparts = counterparts & p
+            for b in counterparts:
+                left, right = (a, b) if a < b else (b, a)
+                for c in drawn[table[left, right]]:
                     if all((c not in p) or (a in p and b in p) for p in presences):
-                        left, right = (a, b) if a < b else (b, a)
                         out.add(MergeViolationReport(left, right, c, m))
-    return sorted(out)
+    return sorted_reports(out)

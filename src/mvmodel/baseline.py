@@ -14,7 +14,8 @@ from .reports import (
     MergeConflictReport,
     MergeViolationReport,
     VersionedViolation,
-    check_lcp_mode,
+    drawn_bases,
+    sorted_reports,
 )
 from .versioning import ModelVersioning
 
@@ -25,22 +26,16 @@ def svm_check(versioning: ModelVersioning, pattern: Pattern) -> list[VersionedVi
     for vid in versioning.versions:
         for m in pcheck(versioning.versions[vid], pattern):
             out.append(VersionedViolation(vid, m))
-    out.sort()
-    return out
+    return sorted_reports(out)
 
 
 def _merge_triplets(versioning: ModelVersioning, lcp_mode: str):
     """Yield (left, right, base) for every mergeable pair, base drawn per mode."""
-    check_lcp_mode(lcp_mode)
     table = versioning.latest_common_predecessor_table()
-    for (i, j), bases in sorted(table.items()):
-        if not bases:
-            continue
-        if lcp_mode == "single":
-            yield i, j, min(bases)
-        else:
-            for c in sorted(bases):
-                yield i, j, c
+    drawn = drawn_bases(table, lcp_mode)
+    for (i, j), bases in sorted((pair, bases) for pair, bases in table.items() if bases):
+        for c in drawn[bases]:
+            yield i, j, c
 
 
 def svm_conflicts(versioning: ModelVersioning, lcp_mode: str = "all") -> list[MergeConflictReport]:
@@ -51,7 +46,7 @@ def svm_conflicts(versioning: ModelVersioning, lcp_mode: str = "all") -> list[Me
         m2 = versioning.max_preserving_mod(c, j)
         for conflict in insert_delete_conflicts(m1, m2):
             out.add(MergeConflictReport(i, j, c, conflict.edge, conflict.node))
-    return sorted(out)
+    return sorted_reports(out)
 
 
 def svm_merge_check(
@@ -65,4 +60,4 @@ def svm_merge_check(
         merged = merge_min(m1, m2).merged
         for m in pcheck(merged, pattern):
             out.add(MergeViolationReport(i, j, c, m))
-    return sorted(out)
+    return sorted_reports(out)

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .analysis import mcheck_mv, pcheck_m_mv, pcheck_mv
+from .corpus import load_json
 from .baseline import svm_check, svm_conflicts, _merge_triplets
 from .core import Pattern, pcheck
 from .errors import BenchMismatch, CorpusSyntaxError, ParamError
 from .generate import GeneratorParams, generate_versioning
 from .merge import merge_min
 from .mvm import comb
-from .reports import LCP_MODES, MergeViolationReport
+from .reports import LCP_MODES, MergeViolationReport, sorted_reports
 
 BENCH_FORMAT = "mv-bench/1"
 TASKS = ("check", "conflicts", "merge-check")
@@ -38,12 +39,7 @@ class BenchParams:
 
 
 def parse_bench_params(data: bytes | str) -> BenchParams:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as err:
-        raise CorpusSyntaxError(str(err), "bench-params") from err
+    obj = load_json(data, "bench-params")
     if not isinstance(obj, dict) or obj.get("format") != BENCH_FORMAT:
         raise CorpusSyntaxError(f"expected format {BENCH_FORMAT!r}", "bench-params")
     corpus_obj = obj.get("corpus")
@@ -185,7 +181,7 @@ def run_bench(params: BenchParams, repeat: int = 5, patterns: list[Pattern] | No
                     for (i, j, c), model in merged.items():
                         for m in pcheck(model, p):
                             hits.add(MergeViolationReport(i, j, c, m))
-                    out.extend(sorted(hits))
+                    out.extend(sorted_reports(hits))
                 return out
 
         # Warm-up builds adjacency indices for both routes, outside timing.

@@ -27,11 +27,14 @@ ENCODING_FORMAT = "mv-encoding/1"
 MODEL_FORMAT = "mv-model/1"
 
 
-def _loads(data: bytes | str, what: str) -> Any:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+def load_json(data: bytes | str, what: str) -> Any:
+    """Decode one JSON input file; malformed UTF-8 or JSON is a CorpusSyntaxError."""
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         return json.loads(data)
+    except UnicodeDecodeError as err:
+        raise CorpusSyntaxError(f"not valid UTF-8: {err}", what) from err
     except json.JSONDecodeError as err:
         raise CorpusSyntaxError(str(err), what) from err
 
@@ -59,6 +62,8 @@ def _check_format(obj: Any, expected: str, where: str) -> None:
 
 def _parse_type_graph(obj: Any, where: str) -> TypeGraph:
     node_types = _require(obj, "node_types", list, where)
+    if not all(isinstance(t, str) for t in node_types):
+        raise CorpusSyntaxError("node types must be strings", f"{where}.node_types")
     edge_types = _require(obj, "edge_types", dict, where)
     edges = {}
     for t, decl in sorted(edge_types.items()):
@@ -95,7 +100,7 @@ def _fill_store(store: ElementStore, obj: Any, where: str) -> None:
 
 def parse_corpus(data: bytes | str) -> ModelVersioning:
     """Parse and fully validate one corpus file."""
-    obj = _loads(data, "corpus")
+    obj = load_json(data, "corpus")
     _check_format(obj, CORPUS_FORMAT, "corpus")
     tg = _parse_type_graph(_require(obj, "type_graph", dict, "corpus"), "type_graph")
     store = ElementStore()
@@ -107,6 +112,8 @@ def parse_corpus(data: bytes | str) -> ModelVersioning:
         where = f"versions.{vid}"
         nodes = _require(versions_obj[vid], "nodes", list, where)
         edges = _require(versions_obj[vid], "edges", list, where)
+        if not all(isinstance(x, str) for x in nodes + edges):
+            raise CorpusSyntaxError("element ids must be strings", where)
         try:
             versions[vid] = Model(store, tg, nodes, edges)
         except ValueError as err:
@@ -155,7 +162,7 @@ def write_corpus(versioning: ModelVersioning) -> bytes:
 
 def parse_constraints(data: bytes | str, type_graph: TypeGraph) -> list[Pattern]:
     """Parse a constraint file; patterns are validated against the corpus types."""
-    obj = _loads(data, "constraints")
+    obj = load_json(data, "constraints")
     _check_format(obj, CONSTRAINTS_FORMAT, "constraints")
     patterns_obj = _require(obj, "patterns", dict, "constraints")
     out = []

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, fields
 
 from .core import ElementStore, Model
+from .corpus import load_json
 from .errors import CorpusSyntaxError, ParamError
 from .oo import CLASS, METHOD, OVERRIDES, OWNS, RETURN_TYPE, SUPERCLASS, TYPEREF, oo_type_graph
 from .versioning import ModelVersioning
@@ -52,12 +53,7 @@ class GeneratorParams:
 
 
 def parse_generator_params(data: bytes | str) -> GeneratorParams:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as err:
-        raise CorpusSyntaxError(str(err), "generator-params") from err
+    obj = load_json(data, "generator-params")
     if not isinstance(obj, dict):
         raise CorpusSyntaxError("expected an object", "generator-params")
     if obj.get("format") != GENERATOR_FORMAT:

@@ -115,6 +115,7 @@ class ModelVersioning:
         self._pred = {v: tuple(ws) for v, ws in pred.items()}
         self._pre_cache: dict[VersionId, frozenset[VersionId]] = {}
         self._lcp_table: dict[tuple[VersionId, VersionId], frozenset[VersionId]] | None = None
+        self._partners: dict[VersionId, frozenset[VersionId]] | None = None
 
     # -- basic access ---------------------------------------------------
 
@@ -293,19 +294,78 @@ class ModelVersioning:
         shadowed = set().union(*(self.predecessors(x) for x in common))
         return frozenset(common - shadowed)
 
+    def _ancestor_masks(self) -> tuple[list[VersionId], list[int]]:
+        """Versions in a topological order, and each one's strict ancestors
+        as a bitmask over positions in that order (bit k is ``order[k]``)."""
+        indegree = {v: len(ps) for v, ps in self._pred.items()}
+        ready = [v for v, n in indegree.items() if not n]
+        order: list[VersionId] = []
+        while ready:
+            v = ready.pop()
+            order.append(v)
+            for w in self._succ[v]:
+                indegree[w] -= 1
+                if not indegree[w]:
+                    ready.append(w)
+        if len(order) < len(self.versions):
+            raise CycleDetected(self._find_cycle())
+        position = {v: k for k, v in enumerate(order)}
+        pre: list[int] = []
+        for v in order:
+            mask = 0
+            for p in self._pred[v]:
+                k = position[p]
+                mask |= pre[k] | (1 << k)
+            pre.append(mask)
+        return order, pre
+
     def latest_common_predecessor_table(
         self,
     ) -> dict[tuple[VersionId, VersionId], frozenset[VersionId]]:
-        """Merge-base sets for every unordered version pair, keyed (i, j) with i < j."""
+        """Merge-base sets for every unordered version pair, keyed (i, j) with i < j.
+
+        Built from ancestor bitmasks in one pass over the pairs, which also
+        records each version's mergeable partners (see ``merge_partners``).
+        Pairs with equal merge bases share one frozenset.
+        """
         if self._lcp_table is None:
+            order, pre = self._ancestor_masks()
+            position = {v: k for k, v in enumerate(order)}
             ids = list(self.versions)
-            table = {}
-            for a in range(len(ids)):
+            # per version in id order: its own bit and its ancestor mask
+            bits = [1 << position[v] for v in ids]
+            ancestors = [pre[position[v]] for v in ids]
+            empty: frozenset[VersionId] = frozenset()
+            # The common ancestors are the down-closure of the merge bases,
+            # so the common mask identifies the base set.
+            bases_of: dict[int, frozenset[VersionId]] = {}
+            partners: dict[VersionId, list[VersionId]] = {v: [] for v in ids}
+            table: dict[tuple[VersionId, VersionId], frozenset[VersionId]] = {}
+            for a, i in enumerate(ids):
+                pre_i, bit_i = ancestors[a], bits[a]
                 for b in range(a + 1, len(ids)):
-                    i, j = ids[a], ids[b]
-                    table[(i, j)] = self.latest_common_predecessors(i, j)
+                    j = ids[b]
+                    pre_j = ancestors[b]
+                    common = pre_i & pre_j
+                    if not common or pre_i & bits[b] or pre_j & bit_i:
+                        table[(i, j)] = empty
+                        continue
+                    bases = bases_of.get(common)
+                    if bases is None:
+                        bases = bases_of[common] = frozenset(
+                            order[k] for k in _set_bits(common & ~_shadow(common, pre))
+                        )
+                    table[(i, j)] = bases
+                    partners[i].append(j)
+                    partners[j].append(i)
+            self._partners = {v: frozenset(ws) for v, ws in partners.items()}
             self._lcp_table = table
         return self._lcp_table
+
+    def merge_partners(self) -> dict[VersionId, frozenset[VersionId]]:
+        """For each version, the versions it has a merge base with."""
+        self.latest_common_predecessor_table()
+        return self._partners  # type: ignore[return-value]
 
     # -- spans ------------------------------------------------------------
 
@@ -313,3 +373,26 @@ class ModelVersioning:
         """The span from version i to version j that preserves their intersection."""
         return ModelModification(self.version(i), self.version(j), i, j)
 
+
+def _shadow(common: int, pre: list[int]) -> int:
+    """The members of ``common`` that are ancestors of another member.
+
+    Takes the highest unvisited member, shadows its ancestors, and repeats
+    until every member is visited or shadowed; a maximal member is never
+    shadowed, so this holds for any numbering. With a topological
+    numbering every visited member is maximal: one round per merge base.
+    """
+    shadow = 0
+    rest = common
+    while rest:
+        top = rest.bit_length() - 1
+        shadow |= pre[top]
+        rest &= ~(shadow | (1 << top))
+    return shadow
+
+
+def _set_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low

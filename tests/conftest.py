@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
 
-from mvmodel import ElementStore, Model, Pattern, TypeGraph
+from mvmodel import (
+    ElementStore,
+    GeneratorParams,
+    Model,
+    ModelVersioning,
+    Pattern,
+    TypeGraph,
+    generate_versioning,
+)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -41,3 +50,30 @@ def full_model(store: ElementStore, type_graph: TypeGraph) -> Model:
 def make_pattern(name: str, type_graph: TypeGraph, nodes: dict[str, str], edges: dict[str, tuple[str, str, str]]) -> Pattern:
     store = build_store(type_graph, nodes, edges)
     return Pattern(name, full_model(store, type_graph))
+
+
+def rename_versions(versioning: ModelVersioning, seed: int) -> ModelVersioning:
+    """The same history with version ids shuffled, so that id order is not a
+    topological order; the root gets the id that sorts last."""
+    others = [v for v in versioning.version_ids() if v != versioning.root]
+    random.Random(seed).shuffle(others)
+    new = {v: f"w{k:03d}" for k, v in enumerate(others)}
+    new[versioning.root] = "z_root"
+    return ModelVersioning(
+        {new[v]: m for v, m in versioning.versions.items()},
+        {(new[a], new[b]) for a, b in versioning.modifications},
+        new[versioning.root],
+    )
+
+
+def merge_history(seed: int) -> ModelVersioning:
+    """A generated history with two-parent versions and renamed ids."""
+    params = GeneratorParams(
+        seed=seed,
+        base_size=6,
+        branch_factor=2 + seed % 2,
+        version_count=12 + seed % 7,
+        edits_per_modification=2,
+        deletion_bias=0.4,
+    )
+    return rename_versions(generate_versioning(params), seed)

@@ -23,8 +23,10 @@ from mvmodel import (
     svm_conflicts,
     svm_merge_check,
 )
-from mvmodel.reports import check_lcp_mode
-from conftest import build_store, make_pattern
+import random
+
+from mvmodel.reports import check_lcp_mode, sorted_reports
+from conftest import build_store, make_pattern, merge_history
 
 CLS_TG = TypeGraph({"Class"}, {"superclass": ("Class", "Class")})
 
@@ -231,3 +233,29 @@ def test_single_mode_picks_one_base_in_criss_cross():
         got = pcheck_m_mv(mvm, pattern, mode)
         assert got == svm_merge_check(versioning, pattern, mode)
         assert {r.base for r in got} == ({"a", "b"} if mode == "all" else {"a"})
+
+
+@pytest.mark.parametrize("seed", range(16))
+@pytest.mark.parametrize("mode", ["all", "single"])
+def test_folded_merge_analyses_equal_baseline_off_topological_order(seed, mode):
+    versioning = merge_history(seed)
+    versioning.validate()
+    mvm = comb(versioning)
+    assert mcheck_mv(mvm, mode) == svm_conflicts(versioning, mode)
+    for pattern in oo_constraint_patterns():
+        assert pcheck_m_mv(mvm, pattern, mode) == svm_merge_check(versioning, pattern, mode)
+
+
+def test_sorted_reports_matches_dataclass_order():
+    found: list[list] = [[], [], []]
+    for seed in range(8):
+        versioning = generate_versioning(acceptance_params(seed, base=20))
+        for p in oo_constraint_patterns():
+            found[0] += svm_check(versioning, p)
+            found[2] += svm_merge_check(versioning, p)
+        found[1] += svm_conflicts(versioning)
+    rng = random.Random(0)
+    for reports in found:
+        assert reports
+        rng.shuffle(reports)
+        assert sorted_reports(reports) == sorted(reports)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -271,6 +272,19 @@ def test_console_entry_point_runs():
     assert proc.stdout == "ok versions=3 elements=7\n"
 
 
+def test_package_runs_as_module():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvmodel", "validate", "data/running.corpus.json"],
+        capture_output=True,
+        text=True,
+        cwd=DATA_DIR.parent,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "ok versions=3 elements=7\n"
+
+
 # sha256 of export-mvm output; the encoding is a published format, so its
 # bytes must not drift
 EXPORT_MVM_SHA256 = {
@@ -418,3 +432,38 @@ def test_bench_rejects_unknown_lcp_mode(capsys, tmp_path):
                     "lcp": "bogus"})
     )
     assert_one_error_line(capsys, "bench", "--params", str(params), "--repeat", "1")
+
+
+def test_corpus_that_is_not_utf8_is_one_error(capsys, tmp_path):
+    corpus = tmp_path / "latin1.corpus.json"
+    corpus.write_bytes(Path(RUNNING).read_bytes().replace(b'"M_1"', b'"M_\xe9"'))
+    assert_one_error_line(capsys, "validate", str(corpus))
+
+
+def test_constraints_that_are_not_utf8_are_one_error(capsys, tmp_path):
+    constraints = tmp_path / "latin1.constraints.json"
+    constraints.write_bytes(Path(RUNNING_K).read_bytes() + b"\xe9")
+    assert_one_error_line(capsys, "check", RUNNING, "--constraints", str(constraints))
+
+
+def test_bench_params_that_are_not_utf8_are_one_error(capsys, tmp_path):
+    params = tmp_path / "bench.json"
+    params.write_bytes(b'{"format": "mv-bench/1", "note": "\xe9"}')
+    assert_one_error_line(capsys, "bench", "--params", str(params), "--repeat", "1")
+
+
+def test_non_string_id_in_version_nodes_is_one_error(capsys, tmp_path):
+    corpus = json.loads(Path(RUNNING).read_text())
+    corpus["versions"]["M_1"]["nodes"].append(["x"])
+    path = tmp_path / "list-id.corpus.json"
+    path.write_text(json.dumps(corpus))
+    assert_one_error_line(capsys, "validate", str(path))
+
+
+def test_non_string_node_type_is_one_error(capsys, tmp_path):
+    corpus = json.loads(Path(RUNNING).read_text())
+    corpus["type_graph"]["node_types"].append(1)
+    path = tmp_path / "int-type.corpus.json"
+    path.write_text(json.dumps(corpus))
+    assert_one_error_line(capsys, "validate", str(path))
+    assert_one_error_line(capsys, "oracle", str(path), "--constraints", RUNNING_K)

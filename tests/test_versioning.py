@@ -18,7 +18,7 @@ from mvmodel import (
     UnknownVersion,
     generate_versioning,
 )
-from conftest import build_store
+from conftest import build_store, merge_history, rename_versions
 
 TG = TypeGraph({"N"}, {"link": ("N", "N")})
 
@@ -234,3 +234,46 @@ def test_generated_corpora_validate_and_have_sane_ancestry(seed):
             others = (bases - {c}) | (v.predecessors(i) & v.predecessors(j) - bases)
             assert all(c not in v.predecessors(x) or x not in bases for x in others)
         assert bases == v.latest_common_predecessors(i, j)
+
+
+def is_merge_version(v: ModelVersioning, vid: str) -> bool:
+    return sum(1 for _, b in v.modifications if b == vid) == 2
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_lcp_table_and_partners_match_the_reference_off_topological_order(seed):
+    v = merge_history(seed)
+    v.validate()
+    ids = v.version_ids()
+    assert ids[-1] == v.root and any(is_merge_version(v, x) for x in ids)
+    table = v.latest_common_predecessor_table()
+    partners = v.merge_partners()
+    assert len(table) == len(ids) * (len(ids) - 1) // 2
+    for (i, j), bases in table.items():
+        assert i < j
+        assert bases == v.latest_common_predecessors(i, j)
+        assert (j in partners[i]) == bool(bases)
+    assert set(partners) == set(ids)
+    for i, ps in partners.items():
+        assert i not in ps
+        assert all(i in partners[j] for j in ps)
+    # pairs with equal merge bases share one frozenset
+    distinct = {b for b in table.values() if b}
+    assert len({id(b) for b in table.values() if b}) == len(distinct)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_linear_chain_has_no_merge_partners(seed):
+    params = GeneratorParams(seed=seed, base_size=6, branch_factor=1, version_count=15)
+    v = rename_versions(generate_versioning(params), seed)
+    assert all(not b for b in v.latest_common_predecessor_table().values())
+    assert v.merge_partners() == {x: frozenset() for x in v.version_ids()}
+
+
+def test_lcp_table_rejects_a_cycle():
+    v = versioning_from_shape(
+        {"r": {"n1"}, "a": {"n1"}, "b": {"n1"}},
+        {("r", "a"), ("a", "b"), ("b", "a")},
+    )
+    with pytest.raises(CycleDetected):
+        v.latest_common_predecessor_table()
