@@ -301,6 +301,51 @@ def test_export_mvm_bytes_are_pinned(capsys, tmp_path, data_dir, corpus):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_MVM_SHA256[corpus]
 
 
+# sha256 of every report output on the shipped corpora, keyed by corpus,
+# command and format. Both engines and both --lcp modes must print these
+# same bytes: the engines agree, and every mergeable pair in these
+# corpora has a single merge base.
+REPORT_SHA256 = {
+    ("running", "check", "text"): "bf22d9341614e23448d92045f9ada00f2d62b00491261ec5843adca20e5a4b3a",
+    ("running", "check", "json"): "bcbade9597fcb44d3af83a09a555a421e7a0d98a6869e30a02f91cd57f0a72f2",
+    ("running", "conflicts", "text"): "6f922c216aa31ad1aa75087ff196ee1aa12db42a430bc44c1a7aadf557a6d9d9",
+    ("running", "conflicts", "json"): "3faba66d7aeb83106fddb858fe8b8d3f0412c668aba1b541d5332fddd2436770",
+    ("running", "merge-check", "text"): "8c4b6100251a345ace7d3d3ae78bd5668a9cd4302ec4877eb53dde5f9df7fcbe",
+    ("running", "merge-check", "json"): "ee24d4f26465357d181c5e0f1910aaac7f4a5c042b8ec000d6b15bc70b6a51cc",
+    ("oo_project", "check", "text"): "361ea275fe6754723f68a147f501936d60337e674832ca6f62eba0e0ffbd3558",
+    ("oo_project", "check", "json"): "671eb5d06c5392daa51eb0301371c93f2f36a01973dbeea8e96adc80b81fb60a",
+    ("oo_project", "conflicts", "text"): "21b5fc9c3838539a3356b96a87c7c0443cf21cb30cb63cb3bc6deae9d46fcbfc",
+    ("oo_project", "conflicts", "json"): "ef809cf361f795fb7698700856fbeaa205fb683f1dffd4e77c3bc65aebcada03",
+    ("oo_project", "merge-check", "text"): "65ba5a25f783fdd48671eab3c7e7958e571282923a28545d21e57d91847e7b5c",
+    ("oo_project", "merge-check", "json"): "d19e3b7b4626a1dc0c353ff430f18085e79640df56d8d878f9fdce3a3d24f914",
+}
+SHIPPED = {"running": (RUNNING, RUNNING_K), "oo_project": (PROJECT, PROJECT_K)}
+
+
+def report_cases():
+    for corpus, command, fmt in REPORT_SHA256:
+        for mode in ("mvm", "svm"):
+            for lcp in (None,) if command == "check" else ("all", "single"):
+                label = "-".join(x for x in (corpus, command, mode, lcp, fmt) if x)
+                yield pytest.param(corpus, command, mode, lcp, fmt, id=label)
+
+
+@pytest.mark.parametrize("corpus, command, mode, lcp, fmt", report_cases())
+def test_report_bytes_are_pinned(capsys, corpus, command, mode, lcp, fmt):
+    path, constraints = SHIPPED[corpus]
+    argv = [command, path, "--mode", mode]
+    if command != "conflicts":
+        argv += ["--constraints", constraints]
+    if lcp is not None:
+        argv += ["--lcp", lcp]
+    if fmt == "json":
+        argv.append("--json")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == REPORT_SHA256[corpus, command, fmt]
+
+
 def write_reserved_name_corpus(tmp_path: Path) -> tuple[str, str]:
     """A corpus whose edge type cv_A collides with the export encoding's
     creation-mark type for node type A.
