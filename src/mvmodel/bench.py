@@ -1,12 +1,14 @@
 """Benchmark harness comparing the folded route against the per-version route.
 
 Setup work that both routes consume is done before the clock starts:
-corpus generation, folding, merge-base table, adjacency indices, and the
-merge results the per-version route would check patterns against. Each
-repetition re-derives presence from scratch so the folded route pays its
-full analysis cost every time. Reported times are arithmetic means over
-the repetitions, and the harness refuses to report if the two routes
-ever disagree on their results.
+corpus generation, folding, merge-base table and, through an untimed
+warm-up run, adjacency indices. The per-version merge-check route builds
+the merge of every pair (``merge_min``) inside the clock, as
+``merge-check --mode svm`` does. Each repetition re-derives presence
+from scratch so the folded route pays its full analysis cost every time.
+Reported times are arithmetic means over the repetitions, and the
+harness refuses to report if the two routes ever disagree on their
+results.
 """
 
 from __future__ import annotations
@@ -14,20 +16,18 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
-from .analysis import mcheck_mv, pcheck_m_mv, pcheck_mv
+from .core import Pattern
 from .corpus import load_json
-from .baseline import svm_check, svm_conflicts, _merge_triplets
-from .core import Pattern, pcheck
 from .errors import BenchMismatch, CorpusSyntaxError, ParamError
 from .generate import GeneratorParams, generate_versioning
-from .merge import merge_min
 from .mvm import comb
-from .reports import LCP_MODES, MergeViolationReport, sorted_reports
+from .reports import LCP_MODES
+from .tasks import TASKS
 
 BENCH_FORMAT = "mv-bench/1"
-TASKS = ("check", "conflicts", "merge-check")
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,13 @@ def parse_bench_params(data: bytes | str) -> BenchParams:
         raise ParamError(str(err)) from err
     corpus.validate()
     tasks = obj.get("tasks")
-    if not isinstance(tasks, list) or not tasks or any(t not in TASKS for t in tasks):
-        raise ParamError(f"tasks must be a non-empty subset of {TASKS}")
+    names = tuple(TASKS)  # tuple membership is equality, so no entry can raise
+    if not isinstance(tasks, list) or not tasks or any(t not in names for t in tasks):
+        raise ParamError(f"tasks must be a non-empty subset of {names}")
     constraints = obj.get("constraints")
     if constraints is not None and not isinstance(constraints, str):
         raise ParamError("constraints must be a path string")
-    needs_patterns = any(t in ("check", "merge-check") for t in tasks)
-    if needs_patterns and constraints is None:
+    if constraints is None and any(TASKS[t].patterns for t in tasks):
         raise ParamError("check and merge-check tasks need a constraints file")
     lcp = obj.get("lcp", "all")
     if lcp not in LCP_MODES:
@@ -133,8 +133,7 @@ def run_bench(params: BenchParams, repeat: int = 5, patterns: list[Pattern] | No
     """Generate the corpus, run each task in both modes, compare, and time."""
     if repeat < 1:
         raise ParamError("repeat must be at least 1")
-    needs_patterns = any(t in ("check", "merge-check") for t in params.tasks)
-    if needs_patterns and not patterns:
+    if not patterns and any(TASKS[t].patterns for t in params.tasks):
         raise ParamError("check and merge-check tasks need constraint patterns")
     patterns = patterns or []
 
@@ -143,58 +142,22 @@ def run_bench(params: BenchParams, repeat: int = 5, patterns: list[Pattern] | No
     versioning.latest_common_predecessor_table()
 
     results: list[BenchTaskResult] = []
-    for task in params.tasks:
-        if task == "check":
-
-            def run_mvm():
-                return [v for p in patterns for v in pcheck_mv(mvm, p)]
-
-            def run_svm():
-                return [v for p in patterns for v in svm_check(versioning, p)]
-
-        elif task == "conflicts":
-
-            def run_mvm():
-                return mcheck_mv(mvm, params.lcp)
-
-            def run_svm():
-                return svm_conflicts(versioning, params.lcp)
-
-        else:
-            # Merge results are inputs to the per-version route, not part
-            # of the work being compared; build them up front.
-            triplets = list(_merge_triplets(versioning, params.lcp))
-            merged = {
-                (i, j, c): merge_min(
-                    versioning.max_preserving_mod(c, i), versioning.max_preserving_mod(c, j)
-                ).merged
-                for i, j, c in triplets
-            }
-
-            def run_mvm():
-                return [r for p in patterns for r in pcheck_m_mv(mvm, p, params.lcp)]
-
-            def run_svm():
-                out = []
-                for p in patterns:
-                    hits = set()
-                    for (i, j, c), model in merged.items():
-                        for m in pcheck(model, p):
-                            hits.add(MergeViolationReport(i, j, c, m))
-                    out.extend(sorted_reports(hits))
-                return out
+    for name in params.tasks:
+        task = TASKS[name]
+        run_mvm = partial(task.mvm, mvm, patterns, params.lcp)
+        run_svm = partial(task.svm, versioning, patterns, params.lcp)
 
         # Warm-up builds adjacency indices for both routes, outside timing.
         mvm.reset_presence_cache()
         warm_mvm = run_mvm()
         warm_svm = run_svm()
         if warm_mvm != warm_svm:
-            raise BenchMismatch(f"task {task!r}: modes disagree on results")
+            raise BenchMismatch(f"task {name!r}: modes disagree on results")
 
         mvm_time, mvm_out = _timed(run_mvm, repeat, mvm.reset_presence_cache)
         svm_time, svm_out = _timed(run_svm, repeat, lambda: None)
         if mvm_out != svm_out:
-            raise BenchMismatch(f"task {task!r}: modes disagree on results")
-        results.append(BenchTaskResult(task, mvm_time, svm_time, len(mvm_out)))  # type: ignore[arg-type]
+            raise BenchMismatch(f"task {name!r}: modes disagree on results")
+        results.append(BenchTaskResult(name, mvm_time, svm_time, len(mvm_out)))  # type: ignore[arg-type]
 
     return BenchReport(params.corpus, repeat, tuple(results))

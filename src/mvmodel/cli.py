@@ -8,12 +8,13 @@ when they find violations; the findings are the output, not a failure.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .analysis import mcheck_mv, pcheck_m_mv, pcheck_mv
-from .baseline import svm_check, svm_conflicts, svm_merge_check
 from .bench import parse_bench_params, run_bench
+from .core import Match
 from .corpus import (
     parse_constraints,
     parse_corpus,
@@ -25,6 +26,7 @@ from .errors import ModelError
 from .generate import generate_versioning, parse_generator_params
 from .mvm import comb
 from .reports import LCP_MODES, MergeConflictReport, MergeViolationReport, VersionedViolation
+from .tasks import TASKS
 
 _JSON_FORMAT = "mv-report/1"
 
@@ -41,167 +43,103 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _pairs(items) -> str:
-    return ",".join(f"{q}:{h}" for q, h in items)
+    return ",".join(map(":".join, items))
 
 
-def _violation_line(pattern: str, v: VersionedViolation) -> str:
-    return (
-        f"violation pattern={pattern} version={v.version}"
-        f" nodes={_pairs(v.match.nodes)} edges={_pairs(v.match.edges)}"
-    )
+# Each report type's leading word in text output, and its field names in
+# declaration order.
+_KINDS = {
+    VersionedViolation: "violation",
+    MergeConflictReport: "conflict",
+    MergeViolationReport: "merge-violation",
+}
+_FIELDS = {t: tuple(f.name for f in fields(t)) for t in _KINDS}
 
 
-def _conflict_line(c: MergeConflictReport) -> str:
-    return f"conflict left={c.left} right={c.right} base={c.base} edge={c.edge} node={c.node}"
+def _line(name: str | None, report) -> str:
+    """A report's text line: its kind, its pattern name when it has one,
+    then its fields, with a Match split into ``nodes`` and ``edges``."""
+    parts = [_KINDS[type(report)]]
+    if name is not None:
+        parts.append(f"pattern={name}")
+    for field in _FIELDS[type(report)]:
+        value = getattr(report, field)
+        if isinstance(value, Match):
+            parts.append(f"nodes={_pairs(value.nodes)} edges={_pairs(value.edges)}")
+        else:
+            parts.append(f"{field}={value}")
+    return " ".join(parts)
 
 
-def _merge_violation_line(pattern: str, r: MergeViolationReport) -> str:
-    return (
-        f"merge-violation pattern={pattern} left={r.left} right={r.right} base={r.base}"
-        f" nodes={_pairs(r.match.nodes)} edges={_pairs(r.match.edges)}"
-    )
-
-
-def _render(lines: list[str], json_obj: dict, as_json: bool) -> str:
-    if as_json:
-        import json
-
-        return json.dumps(json_obj, indent=2, sort_keys=True) + "\n"
-    return "\n".join(lines + [f"total {json_obj['total']}"]) + "\n"
-
-
-def _load_corpus(path: str):
-    return parse_corpus(_read(path))
-
-
-def _load_patterns(path: str, type_graph):
-    return parse_constraints(_read(path), type_graph)
+def _row(name: str | None, report) -> dict:
+    """A report's JSON row, with the same keys as its text line."""
+    row = {} if name is None else {"pattern": name}
+    for field in _FIELDS[type(report)]:
+        value = getattr(report, field)
+        if isinstance(value, Match):
+            row["nodes"], row["edges"] = dict(value.nodes), dict(value.edges)
+        else:
+            row[field] = value
+    return row
 
 
 def cmd_validate(args) -> int:
-    versioning = _load_corpus(args.corpus)
+    versioning = parse_corpus(_read(args.corpus))
     n = len(versioning.store)
     _emit(f"ok versions={len(versioning.version_ids())} elements={n}\n", args.out)
     return 0
 
 
 def cmd_project(args) -> int:
-    versioning = _load_corpus(args.corpus)
+    versioning = parse_corpus(_read(args.corpus))
     mvm = comb(versioning)
     model = mvm.proj(args.version)
     _emit(write_model(model, args.version).decode("utf-8"), args.out)
     return 0
 
 
-def cmd_check(args) -> int:
-    versioning = _load_corpus(args.corpus)
-    patterns = _load_patterns(args.constraints, versioning.type_graph)
+def cmd_report(args) -> int:
+    task = TASKS[args.command]
+    versioning = parse_corpus(_read(args.corpus))
+    patterns = []
+    if task.patterns:
+        patterns = parse_constraints(_read(args.constraints), versioning.type_graph)
+    lcp = args.lcp if task.lcp else None
     if args.mode == "mvm":
-        mvm = comb(versioning)
-        found = [(p.name, v) for p in patterns for v in pcheck_mv(mvm, p)]
+        found = task.mvm(comb(versioning), patterns, lcp)
     else:
-        found = [(p.name, v) for p in patterns for v in svm_check(versioning, p)]
-    lines = [_violation_line(name, v) for name, v in found]
-    obj = {
-        "format": _JSON_FORMAT,
-        "command": "check",
-        "total": len(found),
-        "violations": [
-            {
-                "pattern": name,
-                "version": v.version,
-                "nodes": {q: h for q, h in v.match.nodes},
-                "edges": {q: h for q, h in v.match.edges},
-            }
-            for name, v in found
-        ],
-    }
-    _emit(_render(lines, obj, args.json), args.out)
-    return 0
-
-
-def cmd_conflicts(args) -> int:
-    versioning = _load_corpus(args.corpus)
-    if args.mode == "mvm":
-        found = mcheck_mv(comb(versioning), args.lcp)
+        found = task.svm(versioning, patterns, lcp)
+    if args.json:
+        obj = {
+            "format": _JSON_FORMAT,
+            "command": args.command,
+            "total": len(found),
+            # pattern tasks report violations; the one without patterns, conflicts
+            "violations" if task.patterns else "conflicts": [_row(n, r) for n, r in found],
+        }
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     else:
-        found = svm_conflicts(versioning, args.lcp)
-    lines = [_conflict_line(c) for c in found]
-    obj = {
-        "format": _JSON_FORMAT,
-        "command": "conflicts",
-        "total": len(found),
-        "conflicts": [
-            {"left": c.left, "right": c.right, "base": c.base, "edge": c.edge, "node": c.node}
-            for c in found
-        ],
-    }
-    _emit(_render(lines, obj, args.json), args.out)
-    return 0
-
-
-def cmd_merge_check(args) -> int:
-    versioning = _load_corpus(args.corpus)
-    patterns = _load_patterns(args.constraints, versioning.type_graph)
-    if args.mode == "mvm":
-        mvm = comb(versioning)
-        found = [(p.name, r) for p in patterns for r in pcheck_m_mv(mvm, p, args.lcp)]
-    else:
-        found = [(p.name, r) for p in patterns for r in svm_merge_check(versioning, p, args.lcp)]
-    lines = [_merge_violation_line(name, r) for name, r in found]
-    obj = {
-        "format": _JSON_FORMAT,
-        "command": "merge-check",
-        "total": len(found),
-        "violations": [
-            {
-                "pattern": name,
-                "left": r.left,
-                "right": r.right,
-                "base": r.base,
-                "nodes": {q: h for q, h in r.match.nodes},
-                "edges": {q: h for q, h in r.match.edges},
-            }
-            for name, r in found
-        ],
-    }
-    _emit(_render(lines, obj, args.json), args.out)
+        text = "\n".join([_line(n, r) for n, r in found] + [f"total {len(found)}"]) + "\n"
+    _emit(text, args.out)
     return 0
 
 
 def cmd_oracle(args) -> int:
-    versioning = _load_corpus(args.corpus)
-    patterns = _load_patterns(args.constraints, versioning.type_graph)
+    versioning = parse_corpus(_read(args.corpus))
+    patterns = parse_constraints(_read(args.constraints), versioning.type_graph)
     mvm = comb(versioning)
     lines: list[str] = []
     ok = True
-
-    folded = [(p.name, v) for p in patterns for v in pcheck_mv(mvm, p)]
-    plain = [(p.name, v) for p in patterns for v in svm_check(versioning, p)]
-    if folded == plain:
-        lines.append(f"oracle check ok results={len(folded)}")
-    else:
-        ok = False
-        lines.append(f"oracle check MISMATCH mvm={len(folded)} svm={len(plain)}")
-
-    for mode in LCP_MODES:
-        a = mcheck_mv(mvm, mode)
-        b = svm_conflicts(versioning, mode)
-        if a == b:
-            lines.append(f"oracle conflicts lcp={mode} ok results={len(a)}")
-        else:
-            ok = False
-            lines.append(f"oracle conflicts lcp={mode} MISMATCH mvm={len(a)} svm={len(b)}")
-
-    for mode in LCP_MODES:
-        a2 = [(p.name, r) for p in patterns for r in pcheck_m_mv(mvm, p, mode)]
-        b2 = [(p.name, r) for p in patterns for r in svm_merge_check(versioning, p, mode)]
-        if a2 == b2:
-            lines.append(f"oracle merge-check lcp={mode} ok results={len(a2)}")
-        else:
-            ok = False
-            lines.append(f"oracle merge-check lcp={mode} MISMATCH mvm={len(a2)} svm={len(b2)}")
-
+    for name, task in TASKS.items():
+        for lcp in LCP_MODES if task.lcp else (None,):
+            label = f"oracle {name}" if lcp is None else f"oracle {name} lcp={lcp}"
+            folded = task.mvm(mvm, patterns, lcp)
+            plain = task.svm(versioning, patterns, lcp)
+            if folded == plain:
+                lines.append(f"{label} ok results={len(folded)}")
+            else:
+                ok = False
+                lines.append(f"{label} MISMATCH mvm={len(folded)} svm={len(plain)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if ok else 1
 
@@ -214,7 +152,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_export_mvm(args) -> int:
-    versioning = _load_corpus(args.corpus)
+    versioning = parse_corpus(_read(args.corpus))
     mvm = comb(versioning)
     _emit(write_mv_encoding(mvm).decode("utf-8"), args.out)
     return 0
@@ -233,30 +171,23 @@ def cmd_bench(args) -> int:
     return 0
 
 
+_REPORT_HELP = {
+    "check": "find constraint violations in every version",
+    "conflicts": "find merge conflicts between version pairs",
+    "merge-check": "find constraint violations in prospective merge results",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvmodel", description="Multi-version model storage, checking, and merge analysis."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, constraints=False, mode=False, lcp=False):
+    def add_common(p, constraints=False):
         p.add_argument("-o", "--out", help="write output to this file instead of stdout")
         if constraints:
             p.add_argument("--constraints", required=True, help="constraint patterns file")
-        if mode:
-            p.add_argument(
-                "--mode",
-                choices=("mvm", "svm"),
-                default="mvm",
-                help="mvm analyses the folded history, svm walks each version",
-            )
-        if lcp:
-            p.add_argument(
-                "--lcp",
-                choices=LCP_MODES,
-                default="all",
-                help="consider all merge bases per pair, or a single one",
-            )
 
     p = sub.add_parser("validate", help="parse a corpus and run all well-formedness checks")
     p.add_argument("corpus")
@@ -269,25 +200,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(fn=cmd_project)
 
-    p = sub.add_parser("check", help="find constraint violations in every version")
-    p.add_argument("corpus")
-    add_common(p, constraints=True, mode=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("conflicts", help="find merge conflicts between version pairs")
-    p.add_argument("corpus")
-    add_common(p, mode=True, lcp=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_conflicts)
-
-    p = sub.add_parser(
-        "merge-check", help="find constraint violations in prospective merge results"
-    )
-    p.add_argument("corpus")
-    add_common(p, constraints=True, mode=True, lcp=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_merge_check)
+    for name, task in TASKS.items():
+        p = sub.add_parser(name, help=_REPORT_HELP[name])
+        p.add_argument("corpus")
+        add_common(p, constraints=task.patterns)
+        p.add_argument(
+            "--mode",
+            choices=("mvm", "svm"),
+            default="mvm",
+            help="mvm analyses the folded history, svm walks each version",
+        )
+        if task.lcp:
+            p.add_argument(
+                "--lcp",
+                choices=LCP_MODES,
+                default="all",
+                help="consider all merge bases per pair, or a single one",
+            )
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("oracle", help="run every analysis in both modes and compare")
     p.add_argument("corpus")

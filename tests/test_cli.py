@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import mvmodel.tasks
 from mvmodel.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -425,10 +427,11 @@ def test_reserved_encoding_names_are_rejected_only_by_export(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-def assert_one_error_line(capsys, *argv: str) -> None:
+def assert_one_error_line(capsys, *argv: str) -> str:
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
 
 
 GENERATOR_PARAMS = {
@@ -512,3 +515,77 @@ def test_non_string_node_type_is_one_error(capsys, tmp_path):
     path.write_text(json.dumps(corpus))
     assert_one_error_line(capsys, "validate", str(path))
     assert_one_error_line(capsys, "oracle", str(path), "--constraints", RUNNING_K)
+
+
+@pytest.mark.parametrize("tasks", [[["check"]], [{}]])
+def test_bench_rejects_unhashable_task_entries(capsys, tmp_path, tasks):
+    params = tmp_path / "bench.json"
+    corpus = {k: v for k, v in GENERATOR_PARAMS.items() if k != "format"}
+    params.write_text(json.dumps({"format": "mv-bench/1", "corpus": corpus, "tasks": tasks}))
+    err = assert_one_error_line(capsys, "bench", "--params", str(params), "--repeat", "1")
+    assert err.startswith("error: tasks must be a non-empty subset of ")
+
+
+@pytest.fixture
+def folded_conflicts_drop_one(monkeypatch):
+    """The folded conflicts route loses its last report."""
+    task = mvmodel.tasks.TASKS["conflicts"]
+    monkeypatch.setitem(
+        mvmodel.tasks.TASKS,
+        "conflicts",
+        dataclasses.replace(task, mvm=lambda *args: task.mvm(*args)[:-1]),
+    )
+
+
+def test_oracle_reports_each_mismatch(capsys, folded_conflicts_drop_one):
+    code, out, err = run_cli(capsys, "oracle", PROJECT, "--constraints", PROJECT_K)
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "oracle check ok results=9",
+        "oracle conflicts lcp=all MISMATCH mvm=1 svm=2",
+        "oracle conflicts lcp=single MISMATCH mvm=1 svm=2",
+        "oracle merge-check lcp=all ok results=7",
+        "oracle merge-check lcp=single ok results=7",
+    ]
+
+
+def test_bench_refuses_to_report_a_mismatch(capsys, data_dir, folded_conflicts_drop_one):
+    params = str(data_dir / "bench_small_all.params.json")
+    err = assert_one_error_line(capsys, "bench", "--params", params, "--repeat", "1")
+    assert err == "error: task 'conflicts': modes disagree on results\n"
+
+
+# The function each command's route calls, per engine. Tracing patches
+# these names in mvmodel.tasks, so every route must reach its analysis
+# through them.
+ROUTE_FUNCTIONS = {
+    ("check", "mvm"): "pcheck_mv",
+    ("check", "svm"): "svm_check",
+    ("conflicts", "mvm"): "mcheck_mv",
+    ("conflicts", "svm"): "svm_conflicts",
+    ("merge-check", "mvm"): "pcheck_m_mv",
+    ("merge-check", "svm"): "svm_merge_check",
+}
+
+
+@pytest.mark.parametrize("command, mode", sorted(ROUTE_FUNCTIONS))
+def test_routes_call_analyses_through_module_attributes(capsys, monkeypatch, command, mode):
+    name = ROUTE_FUNCTIONS[command, mode]
+    analysis = getattr(mvmodel.tasks, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return analysis(*args)
+
+    monkeypatch.setattr(mvmodel.tasks, name, counted)
+    argv = [command, PROJECT, "--mode", mode]
+    if mvmodel.tasks.TASKS[command].patterns:
+        argv += ["--constraints", PROJECT_K]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    if mvmodel.tasks.TASKS[command].patterns:
+        patterns = json.loads(Path(PROJECT_K).read_text())["patterns"]
+        assert sorted(args[1].name for args in calls) == sorted(patterns)
+    else:
+        assert len(calls) == 1
