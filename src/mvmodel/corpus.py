@@ -28,7 +28,8 @@ MODEL_FORMAT = "mv-model/1"
 
 
 def load_json(data: bytes | str, what: str) -> Any:
-    """Decode one JSON input file; malformed UTF-8 or JSON is a CorpusSyntaxError."""
+    """Decode one JSON input file; malformed UTF-8 or JSON, or nesting too
+    deep for the decoder, is a CorpusSyntaxError."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
@@ -37,6 +38,8 @@ def load_json(data: bytes | str, what: str) -> Any:
         raise CorpusSyntaxError(f"not valid UTF-8: {err}", what) from err
     except json.JSONDecodeError as err:
         raise CorpusSyntaxError(str(err), what) from err
+    except RecursionError as err:
+        raise CorpusSyntaxError("JSON nested too deeply", what) from err
 
 
 def _canonical(obj: Any) -> bytes:
@@ -124,9 +127,7 @@ def parse_corpus(data: bytes | str) -> ModelVersioning:
         if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
             raise CorpusSyntaxError("modification must be a [from, to] pair", f"modifications[{k}]")
         mods.append((pair[0], pair[1]))
-    versioning = ModelVersioning(versions, mods, root)
-    versioning.validate()
-    return versioning
+    return ModelVersioning(versions, mods, root)
 
 
 def write_corpus(versioning: ModelVersioning) -> bytes:
@@ -304,9 +305,14 @@ def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
     deletion information materialised as typed nodes and edges.
 
     Raises ValidationError when the corpus type names collide with the
-    encoding's reserved names.
+    encoding's reserved names, or when an element or version id contains
+    the ``:`` that separates the parts of the encoding's own ids.
     """
     adapted = AdaptedTypeGraph(mvm.union.type_graph)
+    ids = (*mvm.node_elements, *mvm.edge_elements, *mvm.version_ids)
+    clash = next((x for x in ids if ":" in x), None)
+    if clash is not None:
+        raise ValidationError(f"id {clash!r} contains ':', the encoding's id separator")
     structural, origin = trans_mv(mvm.union, adapted)
     store = structural.store
     nodes = {n: store.elem_type(n) for n in sorted(structural.node_set)}

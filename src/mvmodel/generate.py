@@ -228,6 +228,4 @@ def generate_versioning(params: GeneratorParams) -> ModelVersioning:
     versions = {
         vid: Model(b.store, tg, nodes, edges) for vid, (nodes, edges) in membership.items()
     }
-    versioning = ModelVersioning(versions, mods, root)
-    versioning.validate()
-    return versioning
+    return ModelVersioning(versions, mods, root)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 
 from .core import Model, graph_union
-from .errors import NotStructural, UnknownVersion, ValidationError
+from .errors import NotStructural, UnknownVersion
 from .versioning import ModelModification, ModelVersioning
 
 
@@ -101,15 +101,13 @@ class MultiVersionModel:
 
 
 def comb(versioning: ModelVersioning) -> MultiVersionModel:
-    """Fold a validated version history into a multi-version model.
+    """Fold a version history into a multi-version model.
 
     Creation marks: the root's elements are created at the root; every
     modification marks the elements it adds as created at its target.
     Deletion marks: every modification marks the elements it removes as
-    deleted at its target. An element marked both ways at one version
-    would be contradictory and is rejected.
+    deleted at its target.
     """
-    versioning.validate()
     base_model = versioning.version(versioning.root)
     union = graph_union(list(versioning.versions.values()))
 
@@ -125,15 +123,6 @@ def comb(versioning: ModelVersioning) -> MultiVersionModel:
             cv.setdefault(x, set()).add(b)
         for x in (ma.node_set - mb.node_set) | (ma.edge_set - mb.edge_set):
             dv.setdefault(x, set()).add(b)
-    for x, created in cv.items():
-        clash = created & dv.get(x, set())
-        if clash:
-            raise ValidationError(
-                f"element {x!r} both created and deleted entering {sorted(clash)[0]!r}"
-            )
-    for x in union.node_set | union.edge_set:
-        if not cv.get(x):
-            raise ValidationError(f"element {x!r} has no creation version")
 
     suc = {v: versioning.successors(v) for v in versioning.versions}
     return MultiVersionModel(

@@ -92,7 +92,8 @@ class ModelModification:
 
 
 class ModelVersioning:
-    """A rooted DAG of model versions over one element store."""
+    """A rooted DAG of model versions over one element store; construction
+    validates it (see ``validate``), so every instance is well formed."""
 
     def __init__(
         self,
@@ -116,6 +117,7 @@ class ModelVersioning:
         self._pre_cache: dict[VersionId, frozenset[VersionId]] = {}
         self._lcp_table: dict[tuple[VersionId, VersionId], frozenset[VersionId]] | None = None
         self._partners: dict[VersionId, frozenset[VersionId]] | None = None
+        self.validate()
 
     # -- basic access ---------------------------------------------------
 
@@ -161,11 +163,7 @@ class ModelVersioning:
                 return False
             if m.type_graph != o.type_graph:
                 return False
-        if self.versions:
-            a = next(iter(self.versions.values()))
-            b = next(iter(other.versions.values()))
-            return a.store.snapshot() == b.store.snapshot()
-        return True
+        return self.store.snapshot() == other.store.snapshot()
 
     def __hash__(self):  # pragma: no cover - versionings are not hashed
         return NotImplemented
@@ -179,7 +177,9 @@ class ModelVersioning:
     # -- validation -----------------------------------------------------
 
     def validate(self) -> None:
-        """Check the whole versioning; raises the first violation found."""
+        """Check the whole versioning; raises the first violation found.
+        One topological sort decides acyclicity and reachability from the
+        root; its ancestor masks are kept for the merge-base table."""
         if not self.versions:
             raise ValidationError("a versioning needs at least one version")
         if self.root not in self.versions:
@@ -202,11 +202,9 @@ class ModelVersioning:
                 core.validate_model(self.versions[vid])
             except Exception as err:
                 raise InvalidVersion(vid, err) from err
-        cycle = self._find_cycle()
-        if cycle:
-            raise CycleDetected(cycle)
-        reached = self._forward_reach(self.root)
-        missing = sorted(set(self.versions) - reached)
+        self._order, self._pre = order, pre = self._ancestor_masks()
+        root_bit = 1 << order.index(self.root)
+        missing = sorted(v for v, m in zip(order, pre) if not m & root_bit and v != self.root)
         if missing:
             raise NoCommonRoot(missing)
 
@@ -241,17 +239,6 @@ class ModelVersioning:
                     colour[v] = BLACK
                     stack.pop()
         return None
-
-    def _forward_reach(self, start: VersionId) -> set[VersionId]:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in self._succ[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen
 
     # -- predecessor structure -------------------------------------------
 
@@ -296,7 +283,8 @@ class ModelVersioning:
 
     def _ancestor_masks(self) -> tuple[list[VersionId], list[int]]:
         """Versions in a topological order, and each one's strict ancestors
-        as a bitmask over positions in that order (bit k is ``order[k]``)."""
+        as a bitmask over positions in that order (bit k is ``order[k]``).
+        Raises CycleDetected when there is no such order."""
         indegree = {v: len(ps) for v, ps in self._pred.items()}
         ready = [v for v, n in indegree.items() if not n]
         order: list[VersionId] = []
@@ -329,7 +317,7 @@ class ModelVersioning:
         Pairs with equal merge bases share one frozenset.
         """
         if self._lcp_table is None:
-            order, pre = self._ancestor_masks()
+            order, pre = self._order, self._pre
             position = {v: k for k, v in enumerate(order)}
             ids = list(self.versions)
             # per version in id order: its own bit and its ancestor mask

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import mvmodel.tasks
+from mvmodel import ModelVersioning
 from mvmodel.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -427,6 +428,53 @@ def test_reserved_encoding_names_are_rejected_only_by_export(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+# Node ids that meet the export's colon id scheme: src:e_ab is also the id
+# of edge e_ab's source leg, and version:r the id of version r's node.
+COLON_IDS = ["src:e_ab", "version:r"]
+
+
+def write_colon_id_corpus(tmp_path: Path, node_id: str) -> tuple[str, str]:
+    """The reserved-name corpus with an ordinary edge type name and its
+    node c renamed to ``node_id``."""
+    paths = write_reserved_name_corpus(tmp_path)
+    for path in map(Path, paths):
+        text = path.read_text().replace('"cv_A"', '"link"')
+        path.write_text(text.replace('"c"', json.dumps(node_id)))
+    return paths
+
+
+@pytest.mark.parametrize("node_id", COLON_IDS)
+@pytest.mark.parametrize(
+    "command, uses_constraints",
+    [("check", True), ("conflicts", False), ("merge-check", True)],
+)
+def test_colon_ids_engines_agree(capsys, tmp_path, command, uses_constraints, node_id):
+    corpus, constraints = write_colon_id_corpus(tmp_path, node_id)
+    argv = [command, corpus] + (["--constraints", constraints] if uses_constraints else [])
+    mvm = run_cli(capsys, *argv, "--mode", "mvm")
+    svm = run_cli(capsys, *argv, "--mode", "svm")
+    assert mvm == svm
+    code, out, err = mvm
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] != "total 0"
+
+
+@pytest.mark.parametrize("node_id", COLON_IDS)
+def test_colon_ids_pass_the_oracle(capsys, tmp_path, node_id):
+    corpus, constraints = write_colon_id_corpus(tmp_path, node_id)
+    code, out, err = run_cli(capsys, "oracle", corpus, "--constraints", constraints)
+    assert code == 0 and err == ""
+    assert all(" ok results=" in l for l in out.splitlines())
+
+
+@pytest.mark.parametrize("node_id", COLON_IDS)
+def test_colon_ids_are_rejected_only_by_export(capsys, tmp_path, node_id):
+    corpus, _ = write_colon_id_corpus(tmp_path, node_id)
+    code, out, err = run_cli(capsys, "export-mvm", corpus)
+    assert code == 1 and out == ""
+    assert err == f"error: id {node_id!r} contains ':', the encoding's id separator\n"
+
+
 def assert_one_error_line(capsys, *argv: str) -> str:
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
@@ -491,6 +539,21 @@ def test_corpus_that_is_not_utf8_is_one_error(capsys, tmp_path):
 def test_constraints_that_are_not_utf8_are_one_error(capsys, tmp_path):
     constraints = tmp_path / "latin1.constraints.json"
     constraints.write_bytes(Path(RUNNING_K).read_bytes() + b"\xe9")
+    assert_one_error_line(capsys, "check", RUNNING, "--constraints", str(constraints))
+
+
+DEEPLY_NESTED = "[" * 100000 + "]" * 100000
+
+
+def test_deeply_nested_corpus_is_one_error(capsys, tmp_path):
+    corpus = tmp_path / "deep.corpus.json"
+    corpus.write_text(DEEPLY_NESTED)
+    assert_one_error_line(capsys, "validate", str(corpus))
+
+
+def test_deeply_nested_constraints_are_one_error(capsys, tmp_path):
+    constraints = tmp_path / "deep.constraints.json"
+    constraints.write_text(DEEPLY_NESTED)
     assert_one_error_line(capsys, "check", RUNNING, "--constraints", str(constraints))
 
 
@@ -589,3 +652,18 @@ def test_routes_call_analyses_through_module_attributes(capsys, monkeypatch, com
         assert sorted(args[1].name for args in calls) == sorted(patterns)
     else:
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["check", "merge-check"])
+def test_a_folded_verdict_validates_the_history_once(capsys, monkeypatch, command):
+    validate = ModelVersioning.validate
+    calls = []
+
+    def counted(versioning):
+        calls.append(versioning)
+        return validate(versioning)
+
+    monkeypatch.setattr(ModelVersioning, "validate", counted)
+    code, _, err = run_cli(capsys, command, PROJECT, "--constraints", PROJECT_K, "--mode", "mvm")
+    assert code == 0 and err == ""
+    assert len(calls) == 1

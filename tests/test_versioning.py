@@ -57,42 +57,35 @@ def test_unknown_version_lookup():
 
 
 def test_validate_rejects_unknown_root():
-    v = versioning_from_shape({"a": {"n1"}}, set(), root="zzz")
     with pytest.raises(UnknownVersion):
-        v.validate()
+        versioning_from_shape({"a": {"n1"}}, set(), root="zzz")
 
 
 def test_validate_rejects_unknown_modification_endpoint():
     store = simple_store()
-    v = ModelVersioning(
-        {"r": Model(store, TG, {"n1"}, set())}, {("r", "ghost")}, root="r"
-    )
     with pytest.raises(UnknownVersion):
-        v.validate()
+        ModelVersioning({"r": Model(store, TG, {"n1"}, set())}, {("r", "ghost")}, root="r")
 
 
 def test_validate_rejects_self_modification():
-    v = versioning_from_shape({"r": {"n1"}}, {("r", "r")})
     with pytest.raises(CycleDetected):
-        v.validate()
+        versioning_from_shape({"r": {"n1"}}, {("r", "r")})
 
 
 def test_validate_rejects_cycle():
-    v = versioning_from_shape(
-        {"r": {"n1"}, "a": {"n1"}, "b": {"n1"}},
-        {("r", "a"), ("a", "b"), ("b", "a")},
-    )
     with pytest.raises(CycleDetected):
-        v.validate()
+        versioning_from_shape(
+            {"r": {"n1"}, "a": {"n1"}, "b": {"n1"}},
+            {("r", "a"), ("a", "b"), ("b", "a")},
+        )
 
 
 def test_validate_rejects_unreachable_version():
-    v = versioning_from_shape(
-        {"r": {"n1"}, "a": {"n1"}, "island": {"n2"}},
-        {("r", "a")},
-    )
     with pytest.raises(NoCommonRoot) as exc:
-        v.validate()
+        versioning_from_shape(
+            {"r": {"n1"}, "a": {"n1"}, "island": {"n2"}},
+            {("r", "a")},
+        )
     assert "island" in exc.value.unreachable
 
 
@@ -100,21 +93,19 @@ def test_validate_wraps_broken_version_content():
     store = simple_store()
     # e12 needs n2, which this version does not include
     broken = Model(store, TG, {"n1"}, {"e12"})
-    v = ModelVersioning({"r": broken}, set(), root="r")
     with pytest.raises(InvalidVersion) as exc:
-        v.validate()
+        ModelVersioning({"r": broken}, set(), root="r")
     assert exc.value.version_id == "r"
 
 
 def test_validate_rejects_mixed_stores():
     s1, s2 = simple_store(), simple_store()
-    v = ModelVersioning(
-        {"r": Model(s1, TG, {"n1"}, set()), "a": Model(s2, TG, {"n1"}, set())},
-        {("r", "a")},
-        root="r",
-    )
     with pytest.raises(StoreMismatch):
-        v.validate()
+        ModelVersioning(
+            {"r": Model(s1, TG, {"n1"}, set()), "a": Model(s2, TG, {"n1"}, set())},
+            {("r", "a")},
+            root="r",
+        )
 
 
 def test_predecessors_are_strict_and_transitive():
@@ -268,12 +259,3 @@ def test_linear_chain_has_no_merge_partners(seed):
     v = rename_versions(generate_versioning(params), seed)
     assert all(not b for b in v.latest_common_predecessor_table().values())
     assert v.merge_partners() == {x: frozenset() for x in v.version_ids()}
-
-
-def test_lcp_table_rejects_a_cycle():
-    v = versioning_from_shape(
-        {"r": {"n1"}, "a": {"n1"}, "b": {"n1"}},
-        {("r", "a"), ("a", "b"), ("b", "a")},
-    )
-    with pytest.raises(CycleDetected):
-        v.latest_common_predecessor_table()

@@ -52,9 +52,7 @@ def build_running_example() -> ModelVersioning:
         "M_2": Model(store, tg, {"c1", "c2", "c3"}, {"sup_c1_c3"}),
         "M_3": Model(store, tg, {"c1", "c2", "c3", "c4"}, {"sup_c1_c2", "sup_c4_c2"}),
     }
-    v = ModelVersioning(versions, {("M_1", "M_2"), ("M_1", "M_3")}, root="M_1")
-    v.validate()
-    return v
+    return ModelVersioning(versions, {("M_1", "M_2"), ("M_1", "M_3")}, root="M_1")
 
 
 def running_constraint() -> Pattern:
@@ -121,9 +119,7 @@ def build_oo_project() -> ModelVersioning:
         "v5": Model(store, tg, v5_nodes, v5_edges),
     }
     mods = {("v0", "v1"), ("v1", "v2"), ("v1", "v3"), ("v2", "v4"), ("v3", "v4"), ("v2", "v5")}
-    v = ModelVersioning(versions, mods, root="v0")
-    v.validate()
-    return v
+    return ModelVersioning(versions, mods, root="v0")
 
 
 def check_running(versioning: ModelVersioning, pattern: Pattern) -> None:
