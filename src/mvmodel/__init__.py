@@ -24,13 +24,11 @@ from .core import (
     validate_pattern,
 )
 from .corpus import (
-    AdaptedTypeGraph,
     parse_constraints,
     parse_corpus,
     write_constraints,
     write_corpus,
     write_model,
-    trans_mv,
     write_mv_encoding,
 )
 from .errors import (
@@ -45,7 +43,6 @@ from .errors import (
     NoCommonRoot,
     NotStructural,
     ParamError,
-    SameVersion,
     SourceMismatch,
     StoreMismatch,
     TooManyConflicts,
@@ -81,7 +78,6 @@ from .versioning import ModelModification, ModelVersioning
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptedTypeGraph",
     "BenchMismatch",
     "BenchParams",
     "BenchReport",
@@ -110,7 +106,6 @@ __all__ = [
     "ParamError",
     "Pattern",
     "Resolution",
-    "SameVersion",
     "SourceMismatch",
     "StoreMismatch",
     "TooManyConflicts",
@@ -144,7 +139,6 @@ __all__ = [
     "svm_check",
     "svm_conflicts",
     "svm_merge_check",
-    "trans_mv",
     "validate_model",
     "validate_pattern",
     "write_constraints",

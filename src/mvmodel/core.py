@@ -181,9 +181,6 @@ class Model:
     def __repr__(self) -> str:
         return f"Model({len(self.node_set)} nodes, {len(self.edge_set)} edges)"
 
-    def elements(self) -> frozenset[str]:
-        return self.node_set | self.edge_set
-
     def index(self) -> "_ModelIndex":
         # Built at most once; rebuilding under a race would be identical.
         if self._index is None:

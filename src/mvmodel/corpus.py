@@ -28,8 +28,9 @@ MODEL_FORMAT = "mv-model/1"
 
 
 def load_json(data: bytes | str, what: str) -> Any:
-    """Decode one JSON input file; malformed UTF-8 or JSON, or nesting too
-    deep for the decoder, is a CorpusSyntaxError."""
+    """Decode one JSON input file; malformed UTF-8 or JSON, nesting too
+    deep for the decoder, or an integer literal longer than the
+    interpreter converts, is a CorpusSyntaxError."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
@@ -40,6 +41,8 @@ def load_json(data: bytes | str, what: str) -> Any:
         raise CorpusSyntaxError(str(err), what) from err
     except RecursionError as err:
         raise CorpusSyntaxError("JSON nested too deeply", what) from err
+    except ValueError as err:  # CPython's limit on int-string conversion
+        raise CorpusSyntaxError(str(err), what) from err
 
 
 def _canonical(obj: Any) -> bytes:
@@ -206,159 +209,68 @@ def write_constraints(patterns: list[Pattern]) -> bytes:
 VERSION_NODE_TYPE = "version"
 SUC_EDGE_TYPE = "suc"
 
-_SRC_PREFIX = "src:"
-_TGT_PREFIX = "tgt:"
-
-
-class AdaptedTypeGraph:
-    """Type graph for the folded encoding of one base type graph.
-
-    Every base node type and every base edge type becomes an mv node
-    type; each base edge type also gets a pair of encoding edge types for
-    its source and target legs. One extra node type stands for versions,
-    wired to everything else by creation and deletion edge types plus the
-    successor edge type. The naming scheme is fixed: ``T`` maps to
-    ``T_mv``, the legs of edge type ``t`` to ``t_src`` and ``t_tgt``, and
-    the per-type creation and deletion edges to ``cv_T_mv`` and
-    ``dv_T_mv``.
-    """
-
-    __slots__ = (
-        "base",
-        "node_corr",
-        "edge_corr",
-        "src_corr",
-        "tgt_corr",
-        "cv_types",
-        "dv_types",
-        "origin_kind",
-        "type_graph",
-    )
-
-    def __init__(self, base: TypeGraph):
-        self.base = base
-        self.node_corr = {t: f"{t}_mv" for t in sorted(base.node_types)}
-        self.edge_corr = {t: f"{t}_mv" for t in sorted(base.edge_types)}
-        self.src_corr = {t: f"{t}_src" for t in sorted(base.edge_types)}
-        self.tgt_corr = {t: f"{t}_tgt" for t in sorted(base.edge_types)}
-        mv_node_types = [VERSION_NODE_TYPE]
-        mv_node_types += list(self.node_corr.values()) + list(self.edge_corr.values())
-        self.origin_kind: dict[str, tuple[str, str]] = {}
-        for t, mv in self.node_corr.items():
-            self.origin_kind[mv] = ("node", t)
-        for t, mv in self.edge_corr.items():
-            self.origin_kind[mv] = ("edge", t)
-        mv_edge_types: dict[str, tuple[str, str]] = {SUC_EDGE_TYPE: (VERSION_NODE_TYPE, VERSION_NODE_TYPE)}
-        for t in sorted(base.edge_types):
-            s, g = base.endpoint_types(t)
-            mv_edge_types[self.src_corr[t]] = (self.edge_corr[t], self.node_corr[s])
-            mv_edge_types[self.tgt_corr[t]] = (self.edge_corr[t], self.node_corr[g])
-        self.cv_types = {}
-        self.dv_types = {}
-        for mv in sorted(self.origin_kind):
-            self.cv_types[mv] = f"cv_{mv}"
-            self.dv_types[mv] = f"dv_{mv}"
-            mv_edge_types[f"cv_{mv}"] = (mv, VERSION_NODE_TYPE)
-            mv_edge_types[f"dv_{mv}"] = (mv, VERSION_NODE_TYPE)
-        names = mv_node_types + list(mv_edge_types)
-        if len(set(names)) != len(names):
-            raise ValidationError(
-                "base type names collide with the reserved mv naming scheme"
-            )
-        self.type_graph = TypeGraph(mv_node_types, mv_edge_types)
-
-
-def trans_mv(graph: Model, adapted: AdaptedTypeGraph) -> tuple[Model, dict[str, str]]:
-    """Re-express one base graph as a structural mv graph.
-
-    Returns the structural graph over a fresh store, plus the bijection
-    from its nodes back to the base elements they stand for. Node ids
-    are reused verbatim (base namespaces are disjoint, so element ids are
-    unique across nodes and edges); encoding edges get reserved
-    ``src:``/``tgt:`` prefixed ids.
-    """
-    if graph.type_graph != adapted.base:
-        raise ValidationError("graph is not typed over the adapted base type graph")
-    base_store = graph.store
-    store = ElementStore()
-    origin: dict[str, str] = {}
-    for n in sorted(graph.node_set):
-        store.add_node(n, adapted.node_corr[base_store.elem_type(n)])
-        origin[n] = n
-    for e in sorted(graph.edge_set):
-        store.add_node(e, adapted.edge_corr[base_store.elem_type(e)])
-        origin[e] = e
-    edges = []
-    for e in sorted(graph.edge_set):
-        t = base_store.elem_type(e)
-        src, tgt = base_store.endpoint(e)
-        store.add_edge(_SRC_PREFIX + e, adapted.src_corr[t], e, src)
-        store.add_edge(_TGT_PREFIX + e, adapted.tgt_corr[t], e, tgt)
-        edges.append(_SRC_PREFIX + e)
-        edges.append(_TGT_PREFIX + e)
-    structural = Model(store, adapted.type_graph, origin.keys(), edges)
-    return structural, origin
-
 
 def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
-    """Serialise the folded form with version, successor, creation, and
-    deletion information materialised as typed nodes and edges.
+    """Serialise the fold as one typed graph in edge-as-node form, with
+    versions, succession, creation and deletion as typed nodes and edges.
 
-    Raises ValidationError when the corpus type names collide with the
-    encoding's reserved names, or when an element or version id contains
-    the ``:`` that separates the parts of the encoding's own ids.
+    The naming scheme lives here alone. Corpus node type ``T`` and edge
+    type ``t`` become node types ``T_mv`` and ``t_mv``; the source and
+    target legs of ``t`` are edge types ``t_src`` and ``t_tgt``. Node type
+    ``version`` and edge type ``suc`` join them, and each mv type ``X``
+    gets creation and deletion edge types ``cv_X`` and ``dv_X`` into
+    ``version``. Corpus element ids stay node ids (``origin`` maps each to
+    itself); edge ``e``'s legs are ``src:e`` and ``tgt:e``, version ``v``
+    is node ``version:v``, and marks are ``suc:a:b``, ``cv:x:v``, ``dv:x:v``.
+
+    Raises ValidationError when the corpus type names collide with this
+    scheme, or when an element or version id contains the ``:`` that
+    separates the parts of the encoding's own ids.
     """
-    adapted = AdaptedTypeGraph(mvm.union.type_graph)
-    ids = (*mvm.node_elements, *mvm.edge_elements, *mvm.version_ids)
-    clash = next((x for x in ids if ":" in x), None)
+    base = mvm.union.type_graph
+    store = mvm.union.store
+    mv_type = {t: f"{t}_mv" for t in (*base.node_types, *base.edge_types)}
+    node_types = [VERSION_NODE_TYPE, *mv_type.values()]
+    edge_types = {SUC_EDGE_TYPE: (VERSION_NODE_TYPE, VERSION_NODE_TYPE)}
+    for t, ends in base.edge_types.items():
+        for leg, end in zip(("src", "tgt"), ends):
+            edge_types[f"{t}_{leg}"] = (mv_type[t], mv_type[end])
+    for mv in mv_type.values():
+        edge_types[f"cv_{mv}"] = edge_types[f"dv_{mv}"] = (mv, VERSION_NODE_TYPE)
+    names = node_types + list(edge_types)
+    if len(set(names)) != len(names):
+        raise ValidationError("base type names collide with the reserved mv naming scheme")
+    elements = (*mvm.node_elements, *mvm.edge_elements)
+    clash = next((x for x in (*elements, *mvm.version_ids) if ":" in x), None)
     if clash is not None:
         raise ValidationError(f"id {clash!r} contains ':', the encoding's id separator")
-    structural, origin = trans_mv(mvm.union, adapted)
-    store = structural.store
-    nodes = {n: store.elem_type(n) for n in sorted(structural.node_set)}
-    edges = {
-        e: {
-            "type": store.elem_type(e),
-            "source": store.endpoint(e)[0],
-            "target": store.endpoint(e)[1],
-        }
-        for e in sorted(structural.edge_set)
-    }
-    for vid in mvm.version_ids:
-        nodes[f"version:{vid}"] = VERSION_NODE_TYPE
-    for a in sorted(mvm.suc):
-        for b in mvm.suc[a]:
-            edges[f"suc:{a}:{b}"] = {
-                "type": SUC_EDGE_TYPE,
-                "source": f"version:{a}",
-                "target": f"version:{b}",
-            }
-    for elem in sorted(origin.values()):
-        mv_type = store.elem_type(elem)
-        for vid in sorted(mvm.cv.get(elem, frozenset())):
-            edges[f"cv:{elem}:{vid}"] = {
-                "type": adapted.cv_types[mv_type],
-                "source": elem,
-                "target": f"version:{vid}",
-            }
-        for vid in sorted(mvm.dv.get(elem, frozenset())):
-            edges[f"dv:{elem}:{vid}"] = {
-                "type": adapted.dv_types[mv_type],
-                "source": elem,
-                "target": f"version:{vid}",
-            }
+    nodes = {x: mv_type[store.elem_type(x)] for x in elements}
+    nodes.update((f"version:{v}", VERSION_NODE_TYPE) for v in mvm.version_ids)
+    edges: dict[str, dict[str, str]] = {}
+
+    def link(eid: str, t: str, source: str, target: str) -> None:
+        edges[eid] = {"type": t, "source": source, "target": target}
+
+    for e in mvm.edge_elements:
+        t = store.elem_type(e)
+        for leg, end in zip(("src", "tgt"), store.endpoint(e)):
+            link(f"{leg}:{e}", f"{t}_{leg}", e, end)
+    for a, bs in mvm.suc.items():
+        for b in bs:
+            link(f"suc:{a}:{b}", SUC_EDGE_TYPE, f"version:{a}", f"version:{b}")
+    for mark, marks in (("cv", mvm.cv), ("dv", mvm.dv)):
+        for x, vids in marks.items():
+            for v in vids:
+                link(f"{mark}:{x}:{v}", f"{mark}_{nodes[x]}", x, f"version:{v}")
     obj = {
         "format": ENCODING_FORMAT,
         "type_graph": {
-            "node_types": sorted(adapted.type_graph.node_types),
-            "edge_types": {
-                t: {"source": s, "target": g}
-                for t, (s, g) in adapted.type_graph.edge_types.items()
-            },
+            "node_types": sorted(node_types),
+            "edge_types": {t: {"source": s, "target": g} for t, (s, g) in edge_types.items()},
         },
         "nodes": nodes,
         "edges": edges,
-        "origin": {n: origin[n] for n in sorted(origin)},
+        "origin": {x: x for x in elements},
     }
     return _canonical(obj)
 

@@ -77,14 +77,6 @@ class UnknownVersion(ModelError):
         self.version_id = version_id
 
 
-class SameVersion(ModelError):
-    """An operation needs two distinct versions."""
-
-    def __init__(self, version_id: str):
-        super().__init__(f"operation needs two distinct versions, got {version_id!r} twice")
-        self.version_id = version_id
-
-
 class SourceMismatch(ModelError):
     """Two modifications that must share a source model do not."""
 

@@ -10,7 +10,6 @@ when it is in both versions.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Mapping
 
 from .core import ElementStore, Model, TypeGraph
@@ -18,7 +17,6 @@ from .errors import (
     CycleDetected,
     InvalidVersion,
     NoCommonRoot,
-    SameVersion,
     StoreMismatch,
     UnknownVersion,
     ValidationError,
@@ -114,7 +112,6 @@ class ModelVersioning:
                 pred[b].append(a)
         self._succ = {v: tuple(ws) for v, ws in succ.items()}
         self._pred = {v: tuple(ws) for v, ws in pred.items()}
-        self._pre_cache: dict[VersionId, frozenset[VersionId]] = {}
         self._lcp_table: dict[tuple[VersionId, VersionId], frozenset[VersionId]] | None = None
         self._partners: dict[VersionId, frozenset[VersionId]] | None = None
         self.validate()
@@ -239,47 +236,6 @@ class ModelVersioning:
                     colour[v] = BLACK
                     stack.pop()
         return None
-
-    # -- predecessor structure -------------------------------------------
-
-    def predecessors(self, version_id: VersionId) -> frozenset[VersionId]:
-        """All strict ancestors of a version (transitive, not reflexive)."""
-        if version_id not in self.versions:
-            raise UnknownVersion(version_id)
-        cached = self._pre_cache.get(version_id)
-        if cached is not None:
-            return cached
-        seen: set[VersionId] = set()
-        queue = deque(self._pred[version_id])
-        seen.update(queue)
-        while queue:
-            v = queue.popleft()
-            for w in self._pred[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        result = frozenset(seen)
-        self._pre_cache[version_id] = result
-        return result
-
-    def latest_common_predecessors(self, i: VersionId, j: VersionId) -> frozenset[VersionId]:
-        """Maximal common strict ancestors of two versions.
-
-        Empty when one version is an ancestor of the other (or equal to
-        it would be an error): such pairs have nothing to merge.
-        """
-        if i == j:
-            raise SameVersion(i)
-        pre_i = self.predecessors(i)
-        pre_j = self.predecessors(j)
-        if i in pre_j or j in pre_i:
-            return frozenset()
-        common = pre_i & pre_j
-        if not common:
-            return frozenset()
-        # Maximal elements: not an ancestor of any other common ancestor.
-        shadowed = set().union(*(self.predecessors(x) for x in common))
-        return frozenset(common - shadowed)
 
     def _ancestor_masks(self) -> tuple[list[VersionId], list[int]]:
         """Versions in a topological order, and each one's strict ancestors

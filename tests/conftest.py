@@ -13,6 +13,7 @@ from mvmodel import (
     Pattern,
     TypeGraph,
     generate_versioning,
+    validate_model,
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -45,6 +46,19 @@ def build_store(type_graph: TypeGraph, nodes: dict[str, str], edges: dict[str, t
 
 def full_model(store: ElementStore, type_graph: TypeGraph) -> Model:
     return Model(store, type_graph, store.node_ids(), store.edge_ids())
+
+
+def read_encoding(doc: dict) -> Model:
+    """Read an ``mv-encoding/1`` document back as one model over its own
+    type graph; ``validate_model`` raises if it is not a valid typed graph."""
+    tg = doc["type_graph"]
+    type_graph = TypeGraph(
+        tg["node_types"], {t: (d["source"], d["target"]) for t, d in tg["edge_types"].items()}
+    )
+    edges = {e: (d["type"], d["source"], d["target"]) for e, d in doc["edges"].items()}
+    model = full_model(build_store(type_graph, doc["nodes"], edges), type_graph)
+    validate_model(model)
+    return model
 
 
 def make_pattern(name: str, type_graph: TypeGraph, nodes: dict[str, str], edges: dict[str, tuple[str, str, str]]) -> Pattern:

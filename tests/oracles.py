@@ -1,15 +1,17 @@
 """Slow reference implementations the fast code is checked against.
 
 Everything here trades speed for obviousness: exhaustive permutation
-search instead of backtracking, so a bug in the real matcher cannot
-hide in shared logic.
+search instead of backtracking, and a reverse BFS over the modifications
+instead of ancestor bitmasks, so a bug in the real matcher or merge-base
+table cannot hide in shared logic.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
-from mvmodel import Match, Model, Pattern
+from mvmodel import Match, Model, ModelVersioning, Pattern
 
 
 def brute_force_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
@@ -38,3 +40,32 @@ def brute_force_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
                 continue
             found.append(Match.from_maps(node_map, dict(zip(q_edges, edges))))
     return sorted(found)
+
+
+def predecessors(versioning: ModelVersioning, version_id: str) -> frozenset[str]:
+    """All strict ancestors of a version (transitive, not reflexive)."""
+    parents: dict[str, list[str]] = {}
+    for a, b in versioning.modifications:
+        parents.setdefault(b, []).append(a)
+    seen: set[str] = set()
+    queue = deque(parents.get(version_id, ()))
+    seen.update(queue)
+    while queue:
+        for w in parents.get(queue.popleft(), ()):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return frozenset(seen)
+
+
+def latest_common_predecessors(versioning: ModelVersioning, i: str, j: str) -> frozenset[str]:
+    """Maximal common strict ancestors of two distinct versions; empty when
+    one is an ancestor of the other, since such pairs have nothing to merge."""
+    pre_i = predecessors(versioning, i)
+    pre_j = predecessors(versioning, j)
+    if i in pre_j or j in pre_i:
+        return frozenset()
+    common = pre_i & pre_j
+    # Maximal elements: not an ancestor of any other common ancestor.
+    shadowed = set().union(*(predecessors(versioning, x) for x in common))
+    return frozenset(common - shadowed)

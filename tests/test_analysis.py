@@ -27,6 +27,7 @@ import random
 
 from mvmodel.reports import check_lcp_mode, sorted_reports
 from conftest import build_store, make_pattern, merge_history
+from oracles import latest_common_predecessors
 
 CLS_TG = TypeGraph({"Class"}, {"superclass": ("Class", "Class")})
 
@@ -226,7 +227,7 @@ def test_single_mode_picks_one_base_in_criss_cross():
         root="r",
     )
     versioning.validate()
-    assert versioning.latest_common_predecessors("c", "d") == {"a", "b"}
+    assert latest_common_predecessors(versioning, "c", "d") == {"a", "b"}
     mvm = comb(versioning)
     pattern = unique_superclass_pattern()
     for mode in ("all", "single"):

@@ -557,6 +557,26 @@ def test_deeply_nested_constraints_are_one_error(capsys, tmp_path):
     assert_one_error_line(capsys, "check", RUNNING, "--constraints", str(constraints))
 
 
+# CPython refuses to convert integer strings longer than 4,300 digits.
+HUGE_INT = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate", "{}"],
+        ["check", RUNNING, "--constraints", "{}"],
+        ["generate", "--params", "{}"],
+        ["bench", "--params", "{}", "--repeat", "1"],
+    ],
+    ids=["corpus", "constraints", "generator-params", "bench-params"],
+)
+def test_huge_integer_literal_is_one_error(capsys, tmp_path, command):
+    path = tmp_path / "huge.json"
+    path.write_text('{"format": ' + HUGE_INT + "}")
+    assert_one_error_line(capsys, *(str(path) if a == "{}" else a for a in command))
+
+
 def test_bench_params_that_are_not_utf8_are_one_error(capsys, tmp_path):
     params = tmp_path / "bench.json"
     params.write_bytes(b'{"format": "mv-bench/1", "note": "\xe9"}')

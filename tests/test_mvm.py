@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from mvmodel import (
-    AdaptedTypeGraph,
     ElementStore,
     GeneratorParams,
     Model,
@@ -16,11 +17,11 @@ from mvmodel import (
     ValidationError,
     comb,
     generate_versioning,
-    trans_mv,
     validate_model,
+    write_mv_encoding,
 )
 from mvmodel.corpus import SUC_EDGE_TYPE, VERSION_NODE_TYPE
-from conftest import build_store, full_model
+from conftest import build_store, full_model, read_encoding
 
 CLS_TG = TypeGraph({"Class"}, {"superclass": ("Class", "Class")})
 
@@ -45,16 +46,26 @@ def running_example() -> ModelVersioning:
     return v
 
 
+def export(type_graph: TypeGraph, nodes=None, edges=None, versions=("r",)) -> dict:
+    """The mv-encoding/1 document of a history whose versions all hold the
+    same model, every successor forking from the first version."""
+    store = build_store(type_graph, nodes or {}, edges or {})
+    model = full_model(store, type_graph)
+    root, *rest = versions
+    versioning = ModelVersioning(dict.fromkeys(versions, model), {(root, v) for v in rest}, root)
+    return json.loads(write_mv_encoding(comb(versioning)))
+
+
 def test_adapted_type_graph_shape():
     base = TypeGraph(
         {"A", "B"}, {"x": ("A", "A"), "y": ("A", "B"), "z": ("B", "B")}
     )
-    adapted = AdaptedTypeGraph(base)
+    type_graph = export(base)["type_graph"]
     # one node type per base element type, plus the version bookkeeping type
-    assert adapted.type_graph.node_types == {
-        "A_mv", "B_mv", "x_mv", "y_mv", "z_mv", VERSION_NODE_TYPE,
-    }
-    edge_types = adapted.type_graph.edge_types
+    assert type_graph["node_types"] == sorted(
+        ["A_mv", "B_mv", "x_mv", "y_mv", "z_mv", VERSION_NODE_TYPE]
+    )
+    edge_types = {t: (d["source"], d["target"]) for t, d in type_graph["edge_types"].items()}
     assert set(edge_types) == {
         "x_src", "x_tgt", "y_src", "y_tgt", "z_src", "z_tgt",
         SUC_EDGE_TYPE,
@@ -70,32 +81,38 @@ def test_adapted_type_graph_shape():
 def test_adapt_rejects_colliding_names():
     # the edge type cv_A adapts to node type cv_A_mv, which the creation
     # bookkeeping for node type A also claims as an edge type name
-    with pytest.raises(ValidationError):
-        AdaptedTypeGraph(TypeGraph({"A"}, {"cv_A": ("A", "A")}))
+    with pytest.raises(ValidationError, match="collide with the reserved mv naming scheme"):
+        export(TypeGraph({"A"}, {"cv_A": ("A", "A")}))
 
 
 def test_adapt_suffixes_avoid_reserved_names():
     # a base type called "version" is fine; it adapts to version_mv
-    adapted = AdaptedTypeGraph(TypeGraph({"version"}, {}))
-    assert adapted.node_corr["version"] == "version_mv"
-    assert VERSION_NODE_TYPE in adapted.type_graph.node_types
+    doc = export(TypeGraph({"version"}, {}), {"n": "version"})
+    assert doc["nodes"]["n"] == "version_mv"
+    assert {"version_mv", VERSION_NODE_TYPE} <= set(doc["type_graph"]["node_types"])
 
 
 def test_trans_mv_turns_edges_into_nodes():
-    adapted = AdaptedTypeGraph(CLS_TG)
-    store = build_store(
+    doc = export(
         CLS_TG,
         {"c1": "Class", "c2": "Class"},
         {"e": ("superclass", "c1", "c2")},
+        versions=("r", "s"),
     )
-    structural, origin = trans_mv(full_model(store, CLS_TG), adapted)
-    assert structural.node_set == {"c1", "c2", "e"}
-    assert structural.edge_set == {"src:e", "tgt:e"}
-    assert structural.store.elem_type("e") == "superclass_mv"
-    assert structural.store.endpoint("src:e") == ("e", "c1")
-    assert structural.store.endpoint("tgt:e") == ("e", "c2")
-    assert origin == {"c1": "c1", "c2": "c2", "e": "e"}
-    validate_model(structural)
+    # every base element is a node; the versions are nodes of their own
+    assert doc["nodes"] == {
+        "c1": "Class_mv", "c2": "Class_mv", "e": "superclass_mv",
+        "version:r": VERSION_NODE_TYPE, "version:s": VERSION_NODE_TYPE,
+    }
+    assert doc["origin"] == {"c1": "c1", "c2": "c2", "e": "e"}
+    edges = {e: (d["type"], d["source"], d["target"]) for e, d in doc["edges"].items()}
+    assert edges["src:e"] == ("superclass_src", "e", "c1")
+    assert edges["tgt:e"] == ("superclass_tgt", "e", "c2")
+    assert edges["suc:r:s"] == (SUC_EDGE_TYPE, "version:r", "version:s")
+    assert edges["cv:e:r"] == ("cv_superclass_mv", "e", "version:r")
+    assert set(edges) == {"src:e", "tgt:e", "suc:r:s", "cv:c1:r", "cv:c2:r", "cv:e:r"}
+    # the whole document, version nodes and marks included, is a valid typed graph
+    assert len(read_encoding(doc).node_set) == 5
 
 
 def test_comb_builds_expected_encoding():

@@ -12,13 +12,13 @@ from mvmodel import (
     ModelVersioning,
     NoCommonRoot,
     InvalidVersion,
-    SameVersion,
     StoreMismatch,
     TypeGraph,
     UnknownVersion,
     generate_versioning,
 )
 from conftest import build_store, merge_history, rename_versions
+from oracles import latest_common_predecessors, predecessors
 
 TG = TypeGraph({"N"}, {"link": ("N", "N")})
 
@@ -113,22 +113,16 @@ def test_predecessors_are_strict_and_transitive():
         {"r": {"n1"}, "a": {"n1"}, "b": {"n1"}, "c": {"n1"}},
         {("r", "a"), ("a", "b"), ("b", "c")},
     )
-    assert v.predecessors("r") == frozenset()
-    assert v.predecessors("a") == {"r"}
-    assert v.predecessors("c") == {"r", "a", "b"}
-
-
-def test_lcp_same_version_is_an_error():
-    v = versioning_from_shape({"r": {"n1"}}, set())
-    with pytest.raises(SameVersion):
-        v.latest_common_predecessors("r", "r")
+    assert predecessors(v, "r") == frozenset()
+    assert predecessors(v, "a") == {"r"}
+    assert predecessors(v, "c") == {"r", "a", "b"}
 
 
 def test_lcp_empty_for_comparable_pair():
     v = versioning_from_shape(
         {"r": {"n1"}, "a": {"n1"}}, {("r", "a")}
     )
-    assert v.latest_common_predecessors("r", "a") == frozenset()
+    assert latest_common_predecessors(v, "r", "a") == frozenset()
 
 
 def test_lcp_simple_fork():
@@ -136,7 +130,7 @@ def test_lcp_simple_fork():
         {"r": {"n1"}, "a": {"n1"}, "b": {"n1"}},
         {("r", "a"), ("r", "b")},
     )
-    assert v.latest_common_predecessors("a", "b") == {"r"}
+    assert latest_common_predecessors(v, "a", "b") == {"r"}
 
 
 def test_lcp_criss_cross_has_two_bases():
@@ -146,8 +140,8 @@ def test_lcp_criss_cross_has_two_bases():
         {("r", "a"), ("r", "b"), ("a", "c"), ("b", "c"), ("a", "d"), ("b", "d")},
     )
     v.validate()
-    assert v.latest_common_predecessors("c", "d") == {"a", "b"}
-    assert min(v.latest_common_predecessors("c", "d")) == "a"
+    assert latest_common_predecessors(v, "c", "d") == {"a", "b"}
+    assert min(latest_common_predecessors(v, "c", "d")) == "a"
 
 
 def test_lcp_table_covers_every_unordered_pair():
@@ -208,23 +202,23 @@ def test_generated_corpora_validate_and_have_sane_ancestry(seed):
     ids = v.version_ids()
     assert v.root == "v000"
     for vid in ids:
-        pre = v.predecessors(vid)
+        pre = predecessors(v, vid)
         assert vid not in pre
         if vid != v.root:
             assert v.root in pre
         for parent in (a for a, b in v.modifications if b == vid):
             assert parent in pre
-            assert pre >= v.predecessors(parent)
+            assert pre >= predecessors(v, parent)
     table = v.latest_common_predecessor_table()
     assert len(table) == len(ids) * (len(ids) - 1) // 2
     for (i, j), bases in table.items():
         assert i < j
         for c in bases:
-            assert c in v.predecessors(i) and c in v.predecessors(j)
+            assert c in predecessors(v, i) and c in predecessors(v, j)
             # maximality: no other common ancestor sits strictly above c
-            others = (bases - {c}) | (v.predecessors(i) & v.predecessors(j) - bases)
-            assert all(c not in v.predecessors(x) or x not in bases for x in others)
-        assert bases == v.latest_common_predecessors(i, j)
+            others = (bases - {c}) | (predecessors(v, i) & predecessors(v, j) - bases)
+            assert all(c not in predecessors(v, x) or x not in bases for x in others)
+        assert bases == latest_common_predecessors(v, i, j)
 
 
 def is_merge_version(v: ModelVersioning, vid: str) -> bool:
@@ -242,7 +236,7 @@ def test_lcp_table_and_partners_match_the_reference_off_topological_order(seed):
     assert len(table) == len(ids) * (len(ids) - 1) // 2
     for (i, j), bases in table.items():
         assert i < j
-        assert bases == v.latest_common_predecessors(i, j)
+        assert bases == latest_common_predecessors(v, i, j)
         assert (j in partners[i]) == bool(bases)
     assert set(partners) == set(ids)
     for i, ps in partners.items():
