@@ -18,26 +18,25 @@ from .reports import (
     drawn_bases,
     sorted_reports,
 )
+from .versioning import bits
 
 
 def pcheck_mv(mvm: MultiVersionModel, pattern: Pattern) -> list[VersionedViolation]:
     """Per-version violations, computed from one match pass over the fold.
 
     A pattern embedding exists in exactly the versions containing every
-    element it touches, i.e. the intersection of the image's presence
-    sets.
+    element it touches, i.e. the AND of the image's presence masks.
     """
+    versioning = mvm.versioning
+    everywhere = (1 << len(versioning.order)) - 1
     out: list[VersionedViolation] = []
     for m in find_monomorphisms(pattern, mvm.union):
-        shared: frozenset[str] | None = None
+        shared = everywhere
         for _, image in m.nodes + m.edges:
-            p = mvm.presence(image)
-            shared = p if shared is None else shared & p
+            shared &= mvm.presence(image)
             if not shared:
                 break
-        if not shared:
-            continue
-        for vid in sorted(shared):
+        for vid in versioning.ids_of(shared):
             out.append(VersionedViolation(vid, m))
     return sorted_reports(out)
 
@@ -47,40 +46,42 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
 
     For an edge created after the root, a conflict pairs a version that
     has the edge with a version that dropped one of its endpoints, over a
-    common base that still had the endpoint but not the edge. Only the
-    mergeable partners among the dropping versions are paired up.
+    common base that still had the endpoint but not the edge. Both sides
+    descend from that base, so only versions below such a base are
+    visited, and only the mergeable partners among the dropping versions
+    are paired up.
     """
     versioning = mvm.versioning
     table = versioning.latest_common_predecessor_table()
     drawn = drawn_bases(table, lcp_mode)
     partners = versioning.merge_partners()
+    order, position, mask = versioning.order, versioning.position, versioning.mask
+    mergeable = sum(1 << k for k, p in enumerate(partners) if p)
     root = versioning.root
     store = mvm.union.store
-    reach_cache: dict[str, frozenset[str]] = {}
-    out: set[MergeConflictReport] = set()
+    out: list[MergeConflictReport] = []
     for edge_elem in mvm.edge_elements:
-        if not (mvm.cv.get(edge_elem, frozenset()) - {root}):
+        if mvm.cv[edge_elem] == {root}:  # created only at the root
             continue
         edge_presence = mvm.presence(edge_elem)
-        if not edge_presence:
-            continue
         src, tgt = store.endpoint(edge_elem)
         for endpoint in sorted({src, tgt}):
             endpoint_presence = mvm.presence(endpoint)
-            if edge_presence == endpoint_presence:
+            bases_ok = endpoint_presence & ~edge_presence
+            if not bases_ok:
                 continue
-            dropped = reach_cache.get(endpoint)
-            if dropped is None:
-                dropped = mvm.reach(mvm.dv.get(endpoint, frozenset()), mvm.cv[endpoint])
-                reach_cache[endpoint] = dropped
+            below = mvm.descendants(bases_ok) & mergeable
+            dropped = below & mvm.reach(mask(mvm.dv.get(endpoint, ())), mask(mvm.cv[endpoint]))
             if not dropped:
                 continue
-            for i in edge_presence:
-                for j in dropped & partners[i]:
-                    left, right = (i, j) if i < j else (j, i)
+            for i in bits(edge_presence & below):
+                vi = order[i]
+                for j in bits(dropped & partners[i]):
+                    vj = order[j]
+                    left, right = (vi, vj) if vi < vj else (vj, vi)
                     for c in drawn[table[left, right]]:
-                        if c in endpoint_presence and c not in edge_presence:
-                            out.add(MergeConflictReport(left, right, c, edge_elem, endpoint))
+                        if bases_ok >> position[c] & 1:
+                            out.append(MergeConflictReport(left, right, c, edge_elem, endpoint))
     return sorted_reports(out)
 
 
@@ -91,36 +92,39 @@ def pcheck_m_mv(
 
     For each embedding, every matched element must come from one of the
     two merged versions, and no element the base already had may be
-    deleted on either side. The first candidate version is drawn from a
-    smallest presence set of the image (one of the two merged versions
-    always lies in every presence set); its counterpart must be one of
-    its mergeable partners and supply every matched element the first
-    candidate lacks, so counterparts are its partners narrowed by the
-    presence sets missing the candidate.
+    deleted on either side. Every presence mask of the image holds one of
+    the two merged versions, so the first candidate is drawn from one
+    smallest mask; its counterpart must be one of its mergeable partners
+    and supply every matched element the first candidate lacks, so
+    counterparts are its partners narrowed by the presence masks missing
+    the candidate. A pair found from both ends is taken from its lower
+    position only, so no report is found twice. A base qualifies when it
+    lies in no presence mask that misses either side of the pair.
     """
     versioning = mvm.versioning
     table = versioning.latest_common_predecessor_table()
     drawn = drawn_bases(table, lcp_mode)
     partners = versioning.merge_partners()
-    out: set[MergeViolationReport] = set()
+    order, position = versioning.order, versioning.position
+    mergeable = sum(1 << k for k, p in enumerate(partners) if p)
+    out: list[MergeViolationReport] = []
     for m in find_monomorphisms(pattern, mvm.union):
         presences = [mvm.presence(image) for _, image in m.nodes + m.edges]
-        if not presences:
-            continue
-        min_size = min(len(p) for p in presences)
-        if min_size == 0:
-            continue
-        first_pool = set().union(*(p for p in presences if len(p) == min_size))
-        for a in first_pool:
-            counterparts = partners[a]
-            if not counterparts:
-                continue
+        smallest = min(presences, key=int.bit_count, default=0)
+        for a in bits(smallest & mergeable):
+            bit_a, va = 1 << a, order[a]
+            counterparts, lacked_a = partners[a] & ~(smallest & (bit_a - 1)), 0
             for p in presences:
-                if a not in p:
-                    counterparts = counterparts & p
-            for b in counterparts:
-                left, right = (a, b) if a < b else (b, a)
+                if not p & bit_a:
+                    counterparts &= p
+                    lacked_a |= p
+            for b in bits(counterparts):
+                bit_b, vb, lacked = 1 << b, order[b], lacked_a
+                for p in presences:
+                    if not p & bit_b:
+                        lacked |= p
+                left, right = (va, vb) if va < vb else (vb, va)
                 for c in drawn[table[left, right]]:
-                    if all((c not in p) or (a in p and b in p) for p in presences):
-                        out.add(MergeViolationReport(left, right, c, m))
+                    if not lacked >> position[c] & 1:
+                        out.append(MergeViolationReport(left, right, c, m))
     return sorted_reports(out)

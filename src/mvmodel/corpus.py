@@ -240,12 +240,13 @@ def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
     names = node_types + list(edge_types)
     if len(set(names)) != len(names):
         raise ValidationError("base type names collide with the reserved mv naming scheme")
+    versioning = mvm.versioning
     elements = (*mvm.node_elements, *mvm.edge_elements)
-    clash = next((x for x in (*elements, *mvm.version_ids) if ":" in x), None)
+    clash = next((x for x in (*elements, *versioning.versions) if ":" in x), None)
     if clash is not None:
         raise ValidationError(f"id {clash!r} contains ':', the encoding's id separator")
     nodes = {x: mv_type[store.elem_type(x)] for x in elements}
-    nodes.update((f"version:{v}", VERSION_NODE_TYPE) for v in mvm.version_ids)
+    nodes.update((f"version:{v}", VERSION_NODE_TYPE) for v in versioning.versions)
     edges: dict[str, dict[str, str]] = {}
 
     def link(eid: str, t: str, source: str, target: str) -> None:
@@ -255,8 +256,8 @@ def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
         t = store.elem_type(e)
         for leg, end in zip(("src", "tgt"), store.endpoint(e)):
             link(f"{leg}:{e}", f"{t}_{leg}", e, end)
-    for a, bs in mvm.suc.items():
-        for b in bs:
+    for a in versioning.versions:
+        for b in versioning.successors(a):
             link(f"suc:{a}:{b}", SUC_EDGE_TYPE, f"version:{a}", f"version:{b}")
     for mark, marks in (("cv", mvm.cv), ("dv", mvm.dv)):
         for x, vids in marks.items():

@@ -2,97 +2,104 @@
 
 The folded graph is the union of all versions: every element any
 version contains, over the shared store and type graph. Which versions
-contain an element is not stored per element as a plain set but derived
-from creation and deletion marks on the version DAG: an element is
-present in every version reachable along successor paths from one of its
-creation versions without touching one of its deletion versions.
+contain an element is not stored per element but derived from creation
+and deletion marks on the version DAG: an element is present in every
+version that descends from one of its creation versions with none of its
+deletion versions in between. Every version set is a bitmask over the
+history's one numbering, ``ModelVersioning.order``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from .core import Model, graph_union
 from .errors import NotStructural, UnknownVersion
-from .versioning import ModelModification, ModelVersioning
+from .versioning import ModelModification, ModelVersioning, bits
 
 
 class MultiVersionModel:
     """One graph standing for a whole version history.
 
-    ``union`` holds every element of every version. The version DAG is
-    kept as plain adjacency (successor map) and per-element
-    creation/deletion version sets; presence is derived on demand and
-    memoised.
+    ``union`` holds every element of every version; ``cv`` and ``dv`` map
+    each element to the versions that create and delete it. Presence is
+    derived from these marks on demand, as a bitmask over
+    ``versioning.order``, and memoised.
     """
-
-    __slots__ = (
-        "union",
-        "versioning",
-        "version_ids",
-        "suc",
-        "cv",
-        "dv",
-        "node_elements",
-        "edge_elements",
-        "_presence_cache",
-    )
 
     def __init__(
         self,
         union: Model,
         versioning: ModelVersioning,
-        suc: dict[str, tuple[str, ...]],
         cv: dict[str, frozenset[str]],
         dv: dict[str, frozenset[str]],
     ):
         self.union = union
         self.versioning = versioning
-        self.version_ids = tuple(versioning.versions)
-        self.suc = suc
         self.cv = cv
         self.dv = dv
         self.node_elements = tuple(sorted(union.node_set))
         self.edge_elements = tuple(sorted(union.edge_set))
-        self._presence_cache: dict[str, frozenset[str]] = {}
+        self._presence_cache: dict[str, int] = {}
+        self._below: list[int] | None = None
 
-    def reach(self, starts: frozenset[str], barriers: frozenset[str]) -> frozenset[str]:
-        """Versions reachable along successor edges from ``starts``.
+    def descendants(self, mask: int) -> int:
+        """The versions at or below a member of ``mask``. Each version's
+        descendant mask is built on first use and dropped with the
+        presence cache."""
+        below = self._below
+        if below is None:
+            versioning = self.versioning
+            order, position = versioning.order, versioning.position
+            below = self._below = [0] * len(order)
+            for k in reversed(range(len(order))):
+                for w in versioning.successors(order[k]):
+                    below[k] |= below[position[w]]
+                below[k] |= 1 << k
+        out = 0
+        while mask:  # lowest member first; members already covered are skipped
+            out |= below[(mask & -mask).bit_length() - 1]
+            mask &= ~out
+        return out
 
-        Barrier versions are excluded, start versions included, and no
-        path continues through a barrier.
+    def reach(self, starts: int, barriers: int) -> int:
+        """Each start's descendants (itself included) minus the descendants
+        of the barriers below it (themselves included).
+
+        With an element's creation versions as starts and its deletion
+        versions as barriers this is the versions that hold the element;
+        the other way round, the versions without it that have a strict
+        ancestor with it. The closed form is exact on these marks because
+        ``comb`` marks every version whose parents disagree on an element.
         """
-        seen = set(starts - barriers)
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
-            for w in self.suc.get(v, ()):
-                if w not in seen and w not in barriers:
-                    seen.add(w)
-                    queue.append(w)
-        return frozenset(seen)
+        out = 0
+        for s in bits(starts):
+            below = self.descendants(1 << s)
+            out |= below & ~self.descendants(barriers & below)
+        return out
 
-    def presence(self, element: str) -> frozenset[str]:
-        """Versions containing the element: the reach from its creation
-        versions, with its deletion versions as barriers."""
+    def presence(self, element: str) -> int:
+        """The mask of the versions containing the element: the reach from
+        its creation versions, with its deletion versions as barriers."""
         cached = self._presence_cache.get(element)
         if cached is not None:
             return cached
         if element not in self.cv:
             raise NotStructural(element)
-        result = self.reach(self.cv[element], self.dv.get(element, frozenset()))
+        mask = self.versioning.mask
+        result = self.reach(mask(self.cv[element]), mask(self.dv.get(element, ())))
         self._presence_cache[element] = result
         return result
 
     def reset_presence_cache(self) -> None:
         self._presence_cache = {}
+        self._below = None
 
     def proj(self, version_id: str) -> Model:
         """Recover one version's model from the folded form."""
         if version_id not in self.versioning.versions:
             raise UnknownVersion(version_id)
-        nodes = [x for x in self.node_elements if version_id in self.presence(x)]
-        edges = [x for x in self.edge_elements if version_id in self.presence(x)]
+        bit = 1 << self.versioning.position[version_id]
+        nodes = [x for x in self.node_elements if self.presence(x) & bit]
+        edges = [x for x in self.edge_elements if self.presence(x) & bit]
         return Model(self.union.store, self.union.type_graph, nodes, edges)
 
     def proj_delta(self, i: str, j: str) -> ModelModification:
@@ -124,11 +131,9 @@ def comb(versioning: ModelVersioning) -> MultiVersionModel:
         for x in (ma.node_set - mb.node_set) | (ma.edge_set - mb.edge_set):
             dv.setdefault(x, set()).add(b)
 
-    suc = {v: versioning.successors(v) for v in versioning.versions}
     return MultiVersionModel(
         union,
         versioning,
-        suc,
         {x: frozenset(vs) for x, vs in cv.items()},
         {x: frozenset(vs) for x, vs in dv.items()},
     )

@@ -10,7 +10,7 @@ when it is in both versions.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import ElementStore, Model, TypeGraph
 from .errors import (
@@ -113,7 +113,7 @@ class ModelVersioning:
         self._succ = {v: tuple(ws) for v, ws in succ.items()}
         self._pred = {v: tuple(ws) for v, ws in pred.items()}
         self._lcp_table: dict[tuple[VersionId, VersionId], frozenset[VersionId]] | None = None
-        self._partners: dict[VersionId, frozenset[VersionId]] | None = None
+        self._partners: list[int] | None = None
         self.validate()
 
     # -- basic access ---------------------------------------------------
@@ -134,6 +134,21 @@ class ModelVersioning:
 
     def version_ids(self) -> list[VersionId]:
         return list(self.versions)
+
+    # -- version sets as bitmasks ----------------------------------------
+    #
+    # ``order`` is the one numbering of the versions: a topological order,
+    # so every ancestor has a lower position than its descendants, and
+    # ``position`` is its inverse. A set of versions is an int whose bit k
+    # stands for ``order[k]``.
+
+    def mask(self, ids: Iterable[VersionId]) -> int:
+        """The versions ``ids`` as a bitmask over ``order``."""
+        return sum(1 << k for k in {self.position[v] for v in ids})
+
+    def ids_of(self, mask: int) -> list[VersionId]:
+        """The versions of a bitmask, in id order."""
+        return sorted(self.order[k] for k in bits(mask))
 
     def successors(self, version_id: VersionId) -> tuple[VersionId, ...]:
         if version_id not in self.versions:
@@ -176,7 +191,8 @@ class ModelVersioning:
     def validate(self) -> None:
         """Check the whole versioning; raises the first violation found.
         One topological sort decides acyclicity and reachability from the
-        root; its ancestor masks are kept for the merge-base table."""
+        root; it becomes ``order``, and its ancestor masks are kept for
+        the merge-base table."""
         if not self.versions:
             raise ValidationError("a versioning needs at least one version")
         if self.root not in self.versions:
@@ -186,8 +202,6 @@ class ModelVersioning:
                 raise UnknownVersion(a)
             if b not in self.versions:
                 raise UnknownVersion(b)
-            if a == b:
-                raise CycleDetected([a, b])
         ref = next(iter(self.versions.values()))
         for vid, m in self.versions.items():
             if m.store is not ref.store:
@@ -199,48 +213,19 @@ class ModelVersioning:
                 core.validate_model(self.versions[vid])
             except Exception as err:
                 raise InvalidVersion(vid, err) from err
-        self._order, self._pre = order, pre = self._ancestor_masks()
-        root_bit = 1 << order.index(self.root)
-        missing = sorted(v for v, m in zip(order, pre) if not m & root_bit and v != self.root)
+        self._number()
+        root_bit = 1 << self.position[self.root]
+        missing = sorted(
+            v for v, m in zip(self.order, self._pre) if not m & root_bit and v != self.root
+        )
         if missing:
             raise NoCommonRoot(missing)
 
-    def _find_cycle(self) -> list[VersionId] | None:
-        # Iterative DFS with colouring; returns one cycle path if any.
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {v: WHITE for v in self.versions}
-        parent: dict[VersionId, VersionId] = {}
-        for start in self.versions:
-            if colour[start] != WHITE:
-                continue
-            stack: list[tuple[VersionId, int]] = [(start, 0)]
-            colour[start] = GREY
-            while stack:
-                v, i = stack[-1]
-                if i < len(self._succ[v]):
-                    stack[-1] = (v, i + 1)
-                    w = self._succ[v][i]
-                    if colour[w] == GREY:
-                        cycle = [w, v]
-                        cur = v
-                        while cur != w:
-                            cur = parent[cur]
-                            cycle.append(cur)
-                        cycle.reverse()
-                        return cycle
-                    if colour[w] == WHITE:
-                        colour[w] = GREY
-                        parent[w] = v
-                        stack.append((w, 0))
-                else:
-                    colour[v] = BLACK
-                    stack.pop()
-        return None
-
-    def _ancestor_masks(self) -> tuple[list[VersionId], list[int]]:
-        """Versions in a topological order, and each one's strict ancestors
-        as a bitmask over positions in that order (bit k is ``order[k]``).
-        Raises CycleDetected when there is no such order."""
+    def _number(self) -> None:
+        """Number the versions in a topological order (``order`` and its
+        inverse ``position``) and keep each one's strict ancestors as a
+        bitmask over it (``_pre``). Raises CycleDetected when there is no
+        such order."""
         indegree = {v: len(ps) for v, ps in self._pred.items()}
         ready = [v for v, n in indegree.items() if not n]
         order: list[VersionId] = []
@@ -252,7 +237,13 @@ class ModelVersioning:
                 if not indegree[w]:
                     ready.append(w)
         if len(order) < len(self.versions):
-            raise CycleDetected(self._find_cycle())
+            # Every version left over has a parent left over: walk up
+            # parents until one repeats, and report that loop.
+            path, v = [], next(v for v, n in indegree.items() if n)
+            while v not in path:
+                path.append(v)
+                v = next(p for p in self._pred[v] if indegree[p])
+            raise CycleDetected([v, *reversed(path[path.index(v):])])
         position = {v: k for k, v in enumerate(order)}
         pre: list[int] = []
         for v in order:
@@ -261,7 +252,7 @@ class ModelVersioning:
                 k = position[p]
                 mask |= pre[k] | (1 << k)
             pre.append(mask)
-        return order, pre
+        self.order, self.position, self._pre = tuple(order), position, pre
 
     def latest_common_predecessor_table(
         self,
@@ -273,41 +264,39 @@ class ModelVersioning:
         Pairs with equal merge bases share one frozenset.
         """
         if self._lcp_table is None:
-            order, pre = self._order, self._pre
-            position = {v: k for k, v in enumerate(order)}
-            ids = list(self.versions)
-            # per version in id order: its own bit and its ancestor mask
-            bits = [1 << position[v] for v in ids]
-            ancestors = [pre[position[v]] for v in ids]
+            order, pre = self.order, self._pre
             empty: frozenset[VersionId] = frozenset()
             # The common ancestors are the down-closure of the merge bases,
             # so the common mask identifies the base set.
             bases_of: dict[int, frozenset[VersionId]] = {}
-            partners: dict[VersionId, list[VersionId]] = {v: [] for v in ids}
+            partners = [0] * len(order)
             table: dict[tuple[VersionId, VersionId], frozenset[VersionId]] = {}
-            for a, i in enumerate(ids):
-                pre_i, bit_i = ancestors[a], bits[a]
-                for b in range(a + 1, len(ids)):
-                    j = ids[b]
-                    pre_j = ancestors[b]
-                    common = pre_i & pre_j
-                    if not common or pre_i & bits[b] or pre_j & bit_i:
-                        table[(i, j)] = empty
+            for a, i in enumerate(order):
+                pre_i, bit_i, mine = pre[a], 1 << a, 0
+                for b in range(a + 1, len(order)):
+                    j = order[b]
+                    pair = (i, j) if i < j else (j, i)
+                    # b comes after a, so only a can be an ancestor of b
+                    common = pre_i & pre[b]
+                    if not common or pre[b] & bit_i:
+                        table[pair] = empty
                         continue
                     bases = bases_of.get(common)
                     if bases is None:
                         bases = bases_of[common] = frozenset(
-                            order[k] for k in _set_bits(common & ~_shadow(common, pre))
+                            order[k] for k in bits(common & ~_shadow(common, pre))
                         )
-                    table[(i, j)] = bases
-                    partners[i].append(j)
-                    partners[j].append(i)
-            self._partners = {v: frozenset(ws) for v, ws in partners.items()}
+                    table[pair] = bases
+                    mine |= 1 << b
+                    partners[b] |= bit_i
+                partners[a] |= mine
+            self._partners = partners
             self._lcp_table = table
         return self._lcp_table
 
-    def merge_partners(self) -> dict[VersionId, frozenset[VersionId]]:
-        """For each version, the versions it has a merge base with."""
+    def merge_partners(self) -> list[int]:
+        """For each position in ``order``, the mask of the versions it has
+        a merge base with."""
         self.latest_common_predecessor_table()
         return self._partners  # type: ignore[return-value]
 
@@ -335,7 +324,8 @@ def _shadow(common: int, pre: list[int]) -> int:
     return shadow
 
 
-def _set_bits(mask: int):
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

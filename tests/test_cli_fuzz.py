@@ -1,5 +1,7 @@
 """Mutated input files: every command either answers or fails with one
-``error:`` line, and a corpus that validates passes the oracle."""
+``error:`` line, and a corpus that validates passes the oracle. Corpora
+and constraint files go through every corpus command; generator and
+bench parameter files through ``generate`` and ``bench``."""
 
 from __future__ import annotations
 
@@ -8,12 +10,14 @@ import copy
 import io
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvmodel.cli import main
+from mvmodel.generate import GeneratorParams, write_generator_params
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 SHIPPED = [
@@ -38,7 +42,7 @@ VALUES = st.one_of(
 )
 
 
-def mutate(data, doc):
+def mutate(data, doc, values=VALUES, keys=STRINGS):
     """Replace, add or delete one key or item somewhere in ``doc``."""
     node = doc
     while True:
@@ -50,19 +54,19 @@ def mutate(data, doc):
     ops = ["add"] + (["replace", "delete"] if node else [])
     op = data.draw(st.sampled_from(ops))
     if isinstance(node, dict):
-        key = data.draw(st.sampled_from(STRINGS if op == "add" else sorted(node)))
+        key = data.draw(st.sampled_from(keys if op == "add" else sorted(node)))
         if op == "delete":
             del node[key]
         else:
-            node[key] = data.draw(VALUES)
+            node[key] = data.draw(values)
     elif op == "add":
-        node.insert(data.draw(st.integers(0, len(node))), data.draw(VALUES))
+        node.insert(data.draw(st.integers(0, len(node))), data.draw(values))
     else:
         k = data.draw(st.integers(0, len(node) - 1))
         if op == "delete":
             del node[k]
         else:
-            node[k] = data.draw(VALUES)
+            node[k] = data.draw(values)
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -103,3 +107,44 @@ def test_mutated_inputs_fail_with_one_error_line(data):
             assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), label
     if codes["validate"] == 0 and codes["check mvm"] == 0:
         assert codes["oracle"] == 0
+
+
+# Parameter files size a run, so their new values come from a fixed pool
+# whose integers stay at most 8: no draw can start a large run.
+PARAM_VALUES = st.one_of(
+    st.sampled_from([-1, 0, 1, 2, 8, 0.5, 1.5, True, None, "", "x", "all", "single",
+                     "check", "conflicts", "merge-check", "oo_constraints.json"]),
+    st.builds(list),
+    st.builds(dict),
+)
+PARAM_FIELDS = [f.name for f in fields(GeneratorParams)]
+PARAM_KEYS = ["x", "format", "corpus", "tasks", "constraints", "lcp", *PARAM_FIELDS]
+SMALL_CORPUS = json.loads(write_generator_params(GeneratorParams(base_size=8, version_count=6)))
+PARAM_DOCUMENTS = {
+    "generate": SMALL_CORPUS,
+    "bench": {
+        "format": "mv-bench/1",
+        "corpus": {k: v for k, v in SMALL_CORPUS.items() if k != "format"},
+        "tasks": ["check", "conflicts", "merge-check"],
+        "constraints": "oo_constraints.json",
+        "lcp": "all",
+    },
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_mutated_parameter_files_fail_with_one_error_line(data):
+    command = data.draw(st.sampled_from(sorted(PARAM_DOCUMENTS)))
+    doc = copy.deepcopy(PARAM_DOCUMENTS[command])
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(data, doc, PARAM_VALUES, PARAM_KEYS)
+    with tempfile.TemporaryDirectory() as tmp:
+        params = Path(tmp) / "params.json"
+        params.write_text(json.dumps(doc))
+        constraints = "oo_constraints.json"
+        (Path(tmp) / constraints).write_bytes((DATA_DIR / constraints).read_bytes())
+        argv = [command, "--params", str(params), "-o", str(Path(tmp) / "out")]
+        code, err = run(argv + (["--repeat", "1"] if command == "bench" else []))
+    assert code in (0, 1, 2), argv
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err

@@ -1,6 +1,7 @@
 """Arbitrary valid histories: the fold recovers every version, both
-engines agree on every task, and the encoding export is a typed graph
-that carries the fold's marks."""
+engines agree on every task, the encoding export is a typed graph that
+carries the fold's marks, and the presence and deletion-reach masks
+decode to what the versions hold."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from mvmodel import comb, oo_constraint_patterns, write_mv_encoding
 from mvmodel.reports import LCP_MODES
 from mvmodel.tasks import TASKS
 from conftest import read_encoding
+from oracles import predecessors
 from strategies import histories
 
 PATTERNS = oo_constraint_patterns()
@@ -39,3 +41,21 @@ def test_arbitrary_histories_fold_agree_and_export(versioning):
             marks[kind].setdefault(x, set()).add(version)
     assert marks["cv"] == mvm.cv
     assert marks["dv"] == mvm.dv
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(histories())
+def test_presence_and_deletion_reach_are_the_closed_form(versioning):
+    """The masks decode to what the versions hold: presence is the versions
+    with the element, and the deletion reach is the versions without it
+    that have a strict ancestor with it."""
+    mvm = comb(versioning)
+    mask, ids_of = versioning.mask, versioning.ids_of
+    ancestors = {v: predecessors(versioning, v) for v in versioning.versions}
+    for x in mvm.node_elements + mvm.edge_elements:
+        holding = {v for v, m in versioning.versions.items() if x in m.node_set | m.edge_set}
+        assert ids_of(mvm.presence(x)) == sorted(holding)
+        dropped = {v for v in versioning.versions if v not in holding and ancestors[v] & holding}
+        reach = mvm.reach(mask(mvm.dv.get(x, ())), mask(mvm.cv[x]))
+        assert ids_of(reach) == sorted(dropped)
+        assert ids_of(mask(holding)) == sorted(holding)

@@ -121,9 +121,10 @@ def test_comb_builds_expected_encoding():
     # 4 classes and 3 superclass edges from the union of all versions
     assert len(s.node_set) == 4
     assert len(s.edge_set) == 3
-    assert sorted(mvm.version_ids) == ["M_1", "M_2", "M_3"]
-    assert mvm.suc["M_1"] == ("M_2", "M_3")
-    assert mvm.suc["M_2"] == ()
+    assert mvm.versioning.order[0] == "M_1"
+    assert sorted(mvm.versioning.order) == ["M_1", "M_2", "M_3"]
+    assert mvm.versioning.successors("M_1") == ("M_2", "M_3")
+    assert mvm.versioning.successors("M_2") == ()
     validate_model(s)
     # everything alive at the root is recorded as created there
     for c in ("c1", "c2", "c3", "c4"):
@@ -136,10 +137,11 @@ def test_comb_builds_expected_encoding():
 
 def test_presence_walks_succession_and_stops_at_deletion():
     mvm = comb(running_example())
-    assert mvm.presence("c4") == {"M_1", "M_3"}
-    assert mvm.presence("c1") == {"M_1", "M_2", "M_3"}
-    assert mvm.presence("sup_c4_c2") == {"M_3"}
-    assert mvm.presence("sup_c1_c3") == {"M_2"}
+    ids_of = mvm.versioning.ids_of
+    assert ids_of(mvm.presence("c4")) == ["M_1", "M_3"]
+    assert ids_of(mvm.presence("c1")) == ["M_1", "M_2", "M_3"]
+    assert ids_of(mvm.presence("sup_c4_c2")) == ["M_3"]
+    assert ids_of(mvm.presence("sup_c1_c3")) == ["M_2"]
 
 
 def test_presence_rejects_non_structural_id():
@@ -191,7 +193,7 @@ def test_single_version_history_is_all_root():
     v.validate()
     mvm = comb(v)
     assert mvm.cv["x"] == {"r"}
-    assert mvm.presence("x") == {"r"}
+    assert mvm.versioning.ids_of(mvm.presence("x")) == ["r"]
     assert mvm.proj("r") == only
 
 
@@ -209,9 +211,9 @@ def test_presence_equals_membership_on_generated_corpora(seed):
     versioning = generate_versioning(params)
     mvm = comb(versioning)
     for element in mvm.node_elements + mvm.edge_elements:
-        member = frozenset(
+        member = [
             vid
             for vid, model in versioning.versions.items()
             if element in model.node_set or element in model.edge_set
-        )
-        assert mvm.presence(element) == member, element
+        ]
+        assert versioning.ids_of(mvm.presence(element)) == member, element
