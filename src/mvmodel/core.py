@@ -10,7 +10,6 @@ exactly when their id sets are equal.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -158,12 +157,13 @@ class Model:
         self.type_graph = type_graph
         self.node_set: frozenset[NodeId] = frozenset(nodes)
         self.edge_set: frozenset[EdgeId] = frozenset(edges)
-        for n in self.node_set:
-            if not store.is_node(n):
-                raise ValueError(f"{n!r} is not a registered node")
-        for e in self.edge_set:
-            if not store.is_edge(e):
-                raise ValueError(f"{e!r} is not a registered edge")
+        if not (store._nodes.keys() >= self.node_set and store._edges.keys() >= self.edge_set):
+            for n in self.node_set:
+                if not store.is_node(n):
+                    raise ValueError(f"{n!r} is not a registered node")
+            for e in self.edge_set:
+                if not store.is_edge(e):
+                    raise ValueError(f"{e!r} is not a registered edge")
         self._index: _ModelIndex | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -189,7 +189,12 @@ class Model:
 
 
 class _ModelIndex:
-    """Adjacency and type indices for one model, used by the matcher."""
+    """Adjacency and type indices for one model, used by the matcher.
+
+    Only nodes with edges have adjacency lists and per-type edge counts,
+    so read those with ``.get(node, ())`` and ``.get(node, _NO_COUNTS)``.
+    Adjacency and parallel-edge lists are in no particular order.
+    """
 
     __slots__ = (
         "nodes_by_type",
@@ -201,29 +206,33 @@ class _ModelIndex:
     )
 
     def __init__(self, model: Model):
-        store = model.store
+        node_type, edge_decl = model.store._nodes, model.store._edges
         by_type: dict[str, list[str]] = {}
-        out_adj: dict[str, list[tuple[str, str, str]]] = {n: [] for n in model.node_set}
-        in_adj: dict[str, list[tuple[str, str, str]]] = {n: [] for n in model.node_set}
-        out_count: dict[str, Counter] = {n: Counter() for n in model.node_set}
-        in_count: dict[str, Counter] = {n: Counter() for n in model.node_set}
+        out_adj: dict[str, list[tuple[str, str, str]]] = {}
+        in_adj: dict[str, list[tuple[str, str, str]]] = {}
+        out_count: dict[str, dict[str, int]] = {}
+        in_count: dict[str, dict[str, int]] = {}
         by_key: dict[tuple[str, str, str], list[str]] = {}
         for n in model.node_set:
-            by_type.setdefault(store.elem_type(n), []).append(n)
+            by_type.setdefault(node_type[n], []).append(n)
         for e in model.edge_set:
-            t = store.elem_type(e)
-            src, tgt = store.endpoint(e)
-            out_adj[src].append((e, tgt, t))
-            in_adj[tgt].append((e, src, t))
-            out_count[src][t] += 1
-            in_count[tgt][t] += 1
+            t, src, tgt = edge_decl[e]
+            out_adj.setdefault(src, []).append((e, tgt, t))
+            in_adj.setdefault(tgt, []).append((e, src, t))
+            counts = out_count.setdefault(src, {})
+            counts[t] = counts.get(t, 0) + 1
+            counts = in_count.setdefault(tgt, {})
+            counts[t] = counts.get(t, 0) + 1
             by_key.setdefault((t, src, tgt), []).append(e)
         self.nodes_by_type = {t: tuple(sorted(ns)) for t, ns in by_type.items()}
-        self.out_adj = {n: tuple(sorted(v)) for n, v in out_adj.items()}
-        self.in_adj = {n: tuple(sorted(v)) for n, v in in_adj.items()}
+        self.out_adj = out_adj
+        self.in_adj = in_adj
         self.out_type_count = out_count
         self.in_type_count = in_count
-        self.edges_by_key = {k: tuple(sorted(v)) for k, v in by_key.items()}
+        self.edges_by_key = by_key
+
+
+_NO_COUNTS: Mapping[str, int] = MappingProxyType({})
 
 
 def validate_model(model: Model) -> None:
@@ -322,58 +331,48 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
     }
     order = sorted(q_nodes, key=lambda n: (-degree[n], n))
 
-    # Parallel-edge multiplicities within the pattern, keyed by
-    # (type, source, target).
-    q_pair_count: Counter = Counter()
-    for e in q.edge_set:
-        src, tgt = store.endpoint(e)
-        q_pair_count[(store.elem_type(e), src, tgt)] += 1
-
     assignment: dict[str, str] = {}
     used: set[str] = set()
     node_maps: list[dict[str, str]] = []
 
     def candidates(qv: str) -> list[str]:
         qv_type = store.elem_type(qv)
-        pool: list[str] | None = None
-        for (_, other, t) in q_idx.out_adj.get(qv, ()):
-            if other in assignment:
-                hits = [s for (_, s, ht) in h_idx.in_adj.get(assignment[other], ()) if ht == t]
-                pool = hits if pool is None else [h for h in pool if h in set(hits)]
-        for (_, other, t) in q_idx.in_adj.get(qv, ()):
-            if other in assignment:
-                hits = [g for (_, g, ht) in h_idx.out_adj.get(assignment[other], ()) if ht == t]
-                pool = hits if pool is None else [h for h in pool if h in set(hits)]
-        if pool is None:
-            pool = list(h_idx.nodes_by_type.get(qv_type, ()))
+        # Host nodes with an edge of the right type and direction to every
+        # placed neighbour; with none placed, all host nodes of the type.
+        pool: set[str] | None = None
+        for q_adj, h_adj in ((q_idx.out_adj, h_idx.in_adj), (q_idx.in_adj, h_idx.out_adj)):
+            for (_, other, t) in q_adj.get(qv, ()):
+                if other in assignment:
+                    hits = {h for (_, h, ht) in h_adj.get(assignment[other], ()) if ht == t}
+                    pool = hits if pool is None else pool & hits
         out = []
-        q_out = q_idx.out_type_count.get(qv, Counter())
-        q_in = q_idx.in_type_count.get(qv, Counter())
-        for h in sorted(set(pool)):
+        q_out = q_idx.out_type_count.get(qv, _NO_COUNTS).items()
+        q_in = q_idx.in_type_count.get(qv, _NO_COUNTS).items()
+        for h in h_idx.nodes_by_type.get(qv_type, ()) if pool is None else sorted(pool):
             if h in used or h_store.elem_type(h) != qv_type:
                 continue
-            h_out = h_idx.out_type_count.get(h, Counter())
-            h_in = h_idx.in_type_count.get(h, Counter())
-            if any(h_out[t] < c for t, c in q_out.items()):
+            h_out = h_idx.out_type_count.get(h, _NO_COUNTS)
+            h_in = h_idx.in_type_count.get(h, _NO_COUNTS)
+            if any(h_out.get(t, 0) < c for t, c in q_out):
                 continue
-            if any(h_in[t] < c for t, c in q_in.items()):
+            if any(h_in.get(t, 0) < c for t, c in q_in):
                 continue
             ok = True
             for (_, other, t) in q_idx.out_adj.get(qv, ()):
                 if other == qv:
-                    need = q_pair_count[(t, qv, qv)]
+                    need = len(q_idx.edges_by_key[(t, qv, qv)])
                     if len(h_idx.edges_by_key.get((t, h, h), ())) < need:
                         ok = False
                         break
                 elif other in assignment:
-                    need = q_pair_count[(t, qv, other)]
+                    need = len(q_idx.edges_by_key[(t, qv, other)])
                     if len(h_idx.edges_by_key.get((t, h, assignment[other]), ())) < need:
                         ok = False
                         break
             if ok:
                 for (_, other, t) in q_idx.in_adj.get(qv, ()):
                     if other != qv and other in assignment:
-                        need = q_pair_count[(t, other, qv)]
+                        need = len(q_idx.edges_by_key[(t, other, qv)])
                         if len(h_idx.edges_by_key.get((t, assignment[other], h), ())) < need:
                             ok = False
                             break
@@ -395,33 +394,18 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
 
     extend(0)
 
-    # Assign edge images: within each (type, mapped source, mapped target)
-    # group the pattern's parallel edges may hit the host's parallel edges
-    # in any injective way.
+    # Assign edge images: within each (type, source, target) group the
+    # pattern's parallel edges may hit the host's parallel edges between
+    # the mapped endpoints in any injective way.
     matches: list[Match] = []
-    q_edges = sorted(q.edge_set)
     for nm in node_maps:
-        groups: dict[tuple[str, str, str], list[str]] = {}
-        for e in q_edges:
-            src, tgt = store.endpoint(e)
-            groups.setdefault((store.elem_type(e), nm[src], nm[tgt]), []).append(e)
         options: list[list[tuple[tuple[str, str], ...]]] = []
-        feasible = True
-        for key in sorted(groups):
-            members = groups[key]
-            hosts = h_idx.edges_by_key.get(key, ())
-            if len(hosts) < len(members):
-                feasible = False
-                break
+        for (t, src, tgt), members in q_idx.edges_by_key.items():
+            hosts = h_idx.edges_by_key.get((t, nm[src], nm[tgt]), ())
             options.append(
                 [tuple(zip(members, perm)) for perm in itertools.permutations(hosts, len(members))]
             )
-        if not feasible:
-            continue
         node_pairs = tuple(sorted(nm.items()))
-        if not options:
-            matches.append(Match(node_pairs, ()))
-            continue
         for combo in itertools.product(*options):
             edge_map: dict[str, str] = {}
             for part in combo:

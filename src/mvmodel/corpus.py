@@ -118,7 +118,7 @@ def parse_corpus(data: bytes | str) -> ModelVersioning:
         where = f"versions.{vid}"
         nodes = _require(versions_obj[vid], "nodes", list, where)
         edges = _require(versions_obj[vid], "edges", list, where)
-        if not all(isinstance(x, str) for x in nodes + edges):
+        if not {*map(type, nodes), *map(type, edges)} <= {str}:  # JSON gives exact types
             raise CorpusSyntaxError("element ids must be strings", where)
         try:
             versions[vid] = Model(store, tg, nodes, edges)

@@ -192,7 +192,10 @@ class ModelVersioning:
         """Check the whole versioning; raises the first violation found.
         One topological sort decides acyclicity and reachability from the
         root; it becomes ``order``, and its ancestor masks are kept for
-        the merge-base table."""
+        the merge-base table. A valid history is proven valid by its deltas
+        (``_valid_by_delta``); only when that fails is every version checked
+        in full, in id order, so ``InvalidVersion`` names the first broken
+        one and wins over ``CycleDetected`` and ``NoCommonRoot``."""
         if not self.versions:
             raise ValidationError("a versioning needs at least one version")
         if self.root not in self.versions:
@@ -208,6 +211,8 @@ class ModelVersioning:
                 raise StoreMismatch(f"version {vid!r} uses a different element store")
             if m.type_graph != ref.type_graph:
                 raise InvalidVersion(vid, ValidationError("type graph differs between versions"))
+        if self._valid_by_delta():
+            return
         for vid in self.versions:
             try:
                 core.validate_model(self.versions[vid])
@@ -220,6 +225,48 @@ class ModelVersioning:
         )
         if missing:
             raise NoCommonRoot(missing)
+
+    def _valid_by_delta(self) -> bool:
+        """Whether the history is valid, proven without visiting a version
+        in full; False when it has a cycle, a version that does not descend
+        from the root, or an invalid version.
+
+        Types are checked once per element of the union of the versions.
+        Properness holds on the root and carries across a modification
+        (a, b) when every edge created in b has both endpoints in b and no
+        node deleted from a keeps an incident edge in b; by induction from
+        the root it holds for every version."""
+        try:
+            self._number()
+        except CycleDetected:
+            return False
+        # All versions descend from the root exactly when it comes first
+        # and is an ancestor of every other version.
+        if self.order[0] != self.root or not all(p & 1 for p in self._pre[1:]):
+            return False
+        store, tg, versions = self.store, self.type_graph, self.versions
+        nodes = frozenset().union(*(m.node_set for m in versions.values()))
+        edges = frozenset().union(*(m.edge_set for m in versions.values()))
+        if not {store.elem_type(n) for n in nodes} <= tg.node_types:
+            return False
+        incident: dict[str, list[str]] = {}
+        for e in edges:
+            t, ends = store.elem_type(e), store.endpoint(e)
+            if t not in tg.edge_types or tuple(map(store.elem_type, ends)) != tg.endpoint_types(t):
+                return False
+            for n in ends:
+                incident.setdefault(n, []).append(e)
+        root = versions[self.root]
+        if not all(root.node_set.issuperset(store.endpoint(e)) for e in root.edge_set):
+            return False
+        for a, b in self.modifications:
+            src, tgt = versions[a], versions[b]
+            created, deleted = tgt.edge_set - src.edge_set, src.node_set - tgt.node_set
+            if not all(tgt.node_set.issuperset(store.endpoint(e)) for e in created):
+                return False
+            if not all(tgt.edge_set.isdisjoint(incident.get(n, ())) for n in deleted):
+                return False
+        return True
 
     def _number(self) -> None:
         """Number the versions in a topological order (``order`` and its

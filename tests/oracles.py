@@ -1,9 +1,10 @@
 """Slow reference implementations the fast code is checked against.
 
 Everything here trades speed for obviousness: exhaustive permutation
-search instead of backtracking, and a reverse BFS over the modifications
-instead of ancestor bitmasks, so a bug in the real matcher or merge-base
-table cannot hide in shared logic.
+search instead of backtracking, a reverse BFS over the modifications
+instead of ancestor bitmasks, and a full check of every version instead
+of a check of the deltas, so a bug in the real matcher, merge-base table
+or validation cannot hide in shared logic.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from mvmodel import Match, Model, ModelVersioning, Pattern
+from typing import Any, Mapping
+
+from mvmodel import InvalidVersion, Match, Model, ModelVersioning, Pattern, validate_model
 
 
 def brute_force_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
@@ -69,3 +72,15 @@ def latest_common_predecessors(versioning: ModelVersioning, i: str, j: str) -> f
     # Maximal elements: not an ancestor of any other common ancestor.
     shadowed = set().union(*(predecessors(versioning, x) for x in common))
     return frozenset(common - shadowed)
+
+
+def validate_each_version(versioning_args: Mapping[str, Any]) -> None:
+    """Check every version of ``ModelVersioning(**versioning_args)`` in
+    full, in id order, and raise InvalidVersion for the first invalid one.
+    The checks on the shape of the DAG, which come after, are left out."""
+    versions = versioning_args["versions"]
+    for vid in sorted(versions):
+        try:
+            validate_model(versions[vid])
+        except Exception as err:
+            raise InvalidVersion(vid, err) from err

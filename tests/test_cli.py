@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import mvmodel.core
 import mvmodel.tasks
-from mvmodel import ModelVersioning
+from mvmodel import GeneratorParams, ModelVersioning, generate_versioning, parse_corpus
 from mvmodel.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -687,3 +688,30 @@ def test_a_folded_verdict_validates_the_history_once(capsys, monkeypatch, comman
     code, _, err = run_cli(capsys, command, PROJECT, "--constraints", PROJECT_K, "--mode", "mvm")
     assert code == 0 and err == ""
     assert len(calls) == 1
+
+
+def test_valid_histories_are_validated_by_delta_alone(capsys, monkeypatch, tmp_path):
+    """A valid history never checks a version in full; an invalid one
+    still gets the full check's error, naming the first offender."""
+    validate_model = mvmodel.core.validate_model
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return validate_model(model)
+
+    monkeypatch.setattr(mvmodel.core, "validate_model", counted)
+    for path in (RUNNING, PROJECT):
+        parse_corpus(Path(path).read_bytes())
+    generate_versioning(GeneratorParams(seed=3, base_size=100, version_count=120))
+    assert calls == []
+    doc = json.loads(Path(RUNNING).read_text())
+    doc["versions"]["M_3"]["nodes"].remove("c2")
+    broken = tmp_path / "broken.corpus.json"
+    broken.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(broken))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: version 'M_3' is invalid: edge 'sup_c1_c2' lacks an endpoint node in the graph\n"
+    )
+    assert calls
