@@ -16,7 +16,6 @@ from .reports import (
     MergeViolationReport,
     VersionedViolation,
     drawn_bases,
-    sorted_reports,
 )
 from .versioning import bits
 
@@ -38,7 +37,7 @@ def pcheck_mv(mvm: MultiVersionModel, pattern: Pattern) -> list[VersionedViolati
                 break
         for vid in versioning.ids_of(shared):
             out.append(VersionedViolation(vid, m))
-    return sorted_reports(out)
+    return sorted(out)
 
 
 def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConflictReport]:
@@ -82,7 +81,7 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
                     for c in drawn[table[left, right]]:
                         if bases_ok >> position[c] & 1:
                             out.append(MergeConflictReport(left, right, c, edge_elem, endpoint))
-    return sorted_reports(out)
+    return sorted(out)
 
 
 def pcheck_m_mv(
@@ -127,4 +126,4 @@ def pcheck_m_mv(
                 for c in drawn[table[left, right]]:
                     if not lacked >> position[c] & 1:
                         out.append(MergeViolationReport(left, right, c, m))
-    return sorted_reports(out)
+    return sorted(out)

@@ -15,7 +15,6 @@ from .reports import (
     MergeViolationReport,
     VersionedViolation,
     drawn_bases,
-    sorted_reports,
 )
 from .versioning import ModelVersioning
 
@@ -26,7 +25,7 @@ def svm_check(versioning: ModelVersioning, pattern: Pattern) -> list[VersionedVi
     for vid in versioning.versions:
         for m in pcheck(versioning.versions[vid], pattern):
             out.append(VersionedViolation(vid, m))
-    return sorted_reports(out)
+    return sorted(out)
 
 
 def _merge_triplets(versioning: ModelVersioning, lcp_mode: str):
@@ -46,7 +45,7 @@ def svm_conflicts(versioning: ModelVersioning, lcp_mode: str = "all") -> list[Me
         m2 = versioning.max_preserving_mod(c, j)
         for conflict in insert_delete_conflicts(m1, m2):
             out.add(MergeConflictReport(i, j, c, conflict.edge, conflict.node))
-    return sorted_reports(out)
+    return sorted(out)
 
 
 def svm_merge_check(
@@ -60,4 +59,4 @@ def svm_merge_check(
         merged = merge_min(m1, m2).merged
         for m in pcheck(merged, pattern):
             out.add(MergeViolationReport(i, j, c, m))
-    return sorted_reports(out)
+    return sorted(out)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .bench import parse_bench_params, run_bench
@@ -46,14 +45,12 @@ def _pairs(items) -> str:
     return ",".join(map(":".join, items))
 
 
-# Each report type's leading word in text output, and its field names in
-# declaration order.
+# Each report type's leading word in text output.
 _KINDS = {
     VersionedViolation: "violation",
     MergeConflictReport: "conflict",
     MergeViolationReport: "merge-violation",
 }
-_FIELDS = {t: tuple(f.name for f in fields(t)) for t in _KINDS}
 
 
 def _line(name: str | None, report) -> str:
@@ -62,8 +59,7 @@ def _line(name: str | None, report) -> str:
     parts = [_KINDS[type(report)]]
     if name is not None:
         parts.append(f"pattern={name}")
-    for field in _FIELDS[type(report)]:
-        value = getattr(report, field)
+    for field, value in zip(report._fields, report):
         if isinstance(value, Match):
             parts.append(f"nodes={_pairs(value.nodes)} edges={_pairs(value.edges)}")
         else:
@@ -74,8 +70,7 @@ def _line(name: str | None, report) -> str:
 def _row(name: str | None, report) -> dict:
     """A report's JSON row, with the same keys as its text line."""
     row = {} if name is None else {"pattern": name}
-    for field in _FIELDS[type(report)]:
-        value = getattr(report, field)
+    for field, value in zip(report._fields, report):
         if isinstance(value, Match):
             row["nodes"], row["edges"] = dict(value.nodes), dict(value.edges)
         else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     DanglingEdge,
@@ -273,8 +273,7 @@ def validate_pattern(pattern: Pattern) -> None:
         raise ValidationError(f"pattern {pattern.name!r} is empty")
 
 
-@dataclass(frozen=True, order=True)
-class Match:
+class Match(NamedTuple):
     """An injective, type and structure preserving embedding of a pattern.
 
     Stored as pairs sorted by pattern element id, which makes comparison

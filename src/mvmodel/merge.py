@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import Model, validate_model
 from .errors import (
@@ -32,8 +32,7 @@ class ConflictKind(str, enum.Enum):
     DELETE_DELETE = "delete-delete"
 
 
-@dataclass(frozen=True, order=True)
-class Conflict:
+class Conflict(NamedTuple):
     """One conflict between two modifications.
 
     For insert-delete entries, ``edge`` is the created edge and ``node``
@@ -77,13 +76,8 @@ def _check_sources(m1: ModelModification, m2: ModelModification) -> None:
         raise SourceMismatch("modifications do not share a source model")
 
 
-def mcheck(m1: ModelModification, m2: ModelModification) -> list[Conflict]:
-    """Conflicts between two modifications of one source model.
-
-    Insert-delete entries come first, sorted by (edge, node); an edge
-    with both endpoints deleted by the other side yields one entry per
-    endpoint. Delete-delete entries follow, sorted by element id.
-    """
+def insert_delete_conflicts(m1: ModelModification, m2: ModelModification) -> list[Conflict]:
+    """Just the conflicts that require a decision: ``mcheck``'s insert-delete entries."""
     _check_sources(m1, m2)
     store = m1.source.store
     found: set[tuple[str, str]] = set()
@@ -94,15 +88,20 @@ def mcheck(m1: ModelModification, m2: ModelModification) -> list[Conflict]:
             for v in {src, tgt}:
                 if v in dropped:
                     found.add((e, v))
-    out = [Conflict(ConflictKind.INSERT_DELETE, e, v) for e, v in sorted(found)]
+    return [Conflict(ConflictKind.INSERT_DELETE, e, v) for e, v in sorted(found)]
+
+
+def mcheck(m1: ModelModification, m2: ModelModification) -> list[Conflict]:
+    """Conflicts between two modifications of one source model.
+
+    Insert-delete entries come first, sorted by (edge, node); an edge
+    with both endpoints deleted by the other side yields one entry per
+    endpoint. Delete-delete entries follow, sorted by element id.
+    """
+    out = insert_delete_conflicts(m1, m2)
     both = (m1.deleted_nodes | m1.deleted_edges) & (m2.deleted_nodes | m2.deleted_edges)
     out.extend(Conflict(ConflictKind.DELETE_DELETE, "", x) for x in sorted(both))
     return out
-
-
-def insert_delete_conflicts(m1: ModelModification, m2: ModelModification) -> list[Conflict]:
-    """Just the conflicts that require a decision."""
-    return [c for c in mcheck(m1, m2) if c.kind is ConflictKind.INSERT_DELETE]
 
 
 def merge(m1: ModelModification, m2: ModelModification, strategy: Resolution) -> MergeResult:

@@ -2,14 +2,14 @@
 
 All reports are normalised: version pairs are ordered by id, and report
 lists are sorted, so the two analysis routes can be compared with plain
-equality.
+equality. Reports (and the ``Match`` inside them) are named tuples: they
+compare and sort field by field in declaration order, so a plain
+``sorted`` gives the report order, and they unpack like tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Mapping, TypeVar
+from typing import Mapping, NamedTuple
 
 from .core import Match
 
@@ -35,16 +35,14 @@ def drawn_bases(
     }
 
 
-@dataclass(frozen=True, order=True)
-class VersionedViolation:
+class VersionedViolation(NamedTuple):
     """A pattern embedding found in one version."""
 
     version: str
     match: Match
 
 
-@dataclass(frozen=True, order=True)
-class MergeConflictReport:
+class MergeConflictReport(NamedTuple):
     """An insert-delete conflict for the merge of two versions over a base.
 
     ``left`` < ``right`` by id order; ``base`` is a latest common
@@ -59,31 +57,10 @@ class MergeConflictReport:
     node: str
 
 
-@dataclass(frozen=True, order=True)
-class MergeViolationReport:
+class MergeViolationReport(NamedTuple):
     """A pattern embedding that survives the deletion-prioritising merge."""
 
     left: str
     right: str
     base: str
     match: Match
-
-
-# Each report type's dataclass order as attribute paths in declaration
-# order. A Match compares by its own fields, so it is spelled out too:
-# sorting by these keys gives the same order without any __lt__ call.
-_ORDER_KEYS = {
-    VersionedViolation: attrgetter("version", "match.nodes", "match.edges"),
-    MergeConflictReport: attrgetter("left", "right", "base", "edge", "node"),
-    MergeViolationReport: attrgetter("left", "right", "base", "match.nodes", "match.edges"),
-}
-
-R = TypeVar("R", VersionedViolation, MergeConflictReport, MergeViolationReport)
-
-
-def sorted_reports(reports: Iterable[R]) -> list[R]:
-    """Reports of one type as a list in their dataclass order."""
-    out = list(reports)
-    if out:
-        out.sort(key=_ORDER_KEYS[type(out[0])])
-    return out

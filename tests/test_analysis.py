@@ -23,9 +23,8 @@ from mvmodel import (
     svm_conflicts,
     svm_merge_check,
 )
-import random
 
-from mvmodel.reports import check_lcp_mode, sorted_reports
+from mvmodel.reports import check_lcp_mode
 from conftest import build_store, make_pattern, merge_history
 from oracles import latest_common_predecessors
 
@@ -245,18 +244,3 @@ def test_folded_merge_analyses_equal_baseline_off_topological_order(seed, mode):
     assert mcheck_mv(mvm, mode) == svm_conflicts(versioning, mode)
     for pattern in oo_constraint_patterns():
         assert pcheck_m_mv(mvm, pattern, mode) == svm_merge_check(versioning, pattern, mode)
-
-
-def test_sorted_reports_matches_dataclass_order():
-    found: list[list] = [[], [], []]
-    for seed in range(8):
-        versioning = generate_versioning(acceptance_params(seed, base=20))
-        for p in oo_constraint_patterns():
-            found[0] += svm_check(versioning, p)
-            found[2] += svm_merge_check(versioning, p)
-        found[1] += svm_conflicts(versioning)
-    rng = random.Random(0)
-    for reports in found:
-        assert reports
-        rng.shuffle(reports)
-        assert sorted_reports(reports) == sorted(reports)

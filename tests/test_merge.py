@@ -74,6 +74,35 @@ def test_mcheck_requires_shared_source():
         )
 
 
+def test_insert_delete_conflicts_requires_shared_source():
+    store = four_node_store()
+    tgt = Model(store, TG, {"n1", "n2"}, set())
+    with pytest.raises(SourceMismatch):
+        insert_delete_conflicts(
+            ModelModification(Model(store, TG, {"n1"}, set()), tgt, "a", "t"),
+            ModelModification(Model(store, TG, {"n2"}, set()), tgt, "b", "t"),
+        )
+
+
+def test_mcheck_lists_insert_delete_conflicts_first():
+    store = four_node_store()
+    base = Model(store, TG, {"n1", "n2", "n3", "n4"}, {"e13"})
+    # Both sides drop n3 and e13; left also drops n4, which right links to n2.
+    left = Model(store, TG, {"n1", "n2"}, set())
+    right = Model(store, TG, {"n1", "n2", "n4"}, {"e42"})
+    m1 = ModelModification(base, left, "base", "left")
+    m2 = ModelModification(base, right, "base", "right")
+    insert_delete = insert_delete_conflicts(m1, m2)
+    assert insert_delete == [Conflict(ConflictKind.INSERT_DELETE, "e42", "n4")]
+    hits = mcheck(m1, m2)
+    assert hits == insert_delete + [
+        Conflict(ConflictKind.DELETE_DELETE, "", "e13"),
+        Conflict(ConflictKind.DELETE_DELETE, "", "n3"),
+    ]
+    # A kind-first order, not tuple order: "delete-delete" < "insert-delete".
+    assert sorted(hits) != hits
+
+
 def test_mcheck_reports_one_entry_per_deleted_endpoint():
     store = build_store(
         TG,
