@@ -9,7 +9,7 @@ baseline route computes.
 
 from __future__ import annotations
 
-from .core import Pattern, find_monomorphisms
+from .core import Match, Pattern, find_monomorphisms
 from .mvm import MultiVersionModel
 from .reports import (
     MergeConflictReport,
@@ -24,20 +24,22 @@ def pcheck_mv(mvm: MultiVersionModel, pattern: Pattern) -> list[VersionedViolati
     """Per-version violations, computed from one match pass over the fold.
 
     A pattern embedding exists in exactly the versions containing every
-    element it touches, i.e. the AND of the image's presence masks.
+    element it touches, i.e. the AND of the image's presence masks. Sorted
+    matches filed per version and read in id order come in report order.
     """
     versioning = mvm.versioning
     everywhere = (1 << len(versioning.order)) - 1
-    out: list[VersionedViolation] = []
+    held: list[list[Match]] = [[] for _ in versioning.order]
     for m in find_monomorphisms(pattern, mvm.union):
         shared = everywhere
         for _, image in m.nodes + m.edges:
             shared &= mvm.presence(image)
             if not shared:
                 break
-        for vid in versioning.ids_of(shared):
-            out.append(VersionedViolation(vid, m))
-    return sorted(out)
+        for k in bits(shared):
+            held[k].append(m)
+    position = versioning.position
+    return [VersionedViolation(v, m) for v in versioning.versions for m in held[position[v]]]
 
 
 def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConflictReport]:

@@ -53,18 +53,29 @@ _KINDS = {
 }
 
 
-def _line(name: str | None, report) -> str:
-    """A report's text line: its kind, its pattern name when it has one,
-    then its fields, with a Match split into ``nodes`` and ``edges``."""
-    parts = [_KINDS[type(report)]]
-    if name is not None:
-        parts.append(f"pattern={name}")
-    for field, value in zip(report._fields, report):
-        if isinstance(value, Match):
-            parts.append(f"nodes={_pairs(value.nodes)} edges={_pairs(value.edges)}")
-        else:
-            parts.append(f"{field}={value}")
-    return " ".join(parts)
+def _lines(found) -> list[str]:
+    """Text lines: the kind, ``pattern=`` when named, then each field, a
+    Match split into ``nodes`` and ``edges``. Each report type has one
+    ``str.format`` template whose arguments are the name and the values
+    (never pasted into it); each distinct Match is rendered once."""
+    templates, rendered, lines = {}, {}, []
+    for name, report in found:
+        key = type(report), name is None
+        if key not in templates:
+            at = [k for k, value in enumerate(report) if isinstance(value, Match)]
+            words = [_KINDS[key[0]]] + ["pattern={}"] * (name is not None)
+            words += ["{}" if k in at else f"{f}={{}}" for k, f in enumerate(report._fields)]
+            templates[key] = " ".join(words).format, at
+        template, at = templates[key]
+        if at:
+            report = list(report)
+            for k in at:
+                m = report[k]
+                if m not in rendered:
+                    rendered[m] = f"nodes={_pairs(m.nodes)} edges={_pairs(m.edges)}"
+                report[k] = rendered[m]
+        lines.append(template(*report) if name is None else template(name, *report))
+    return lines
 
 
 def _row(name: str | None, report) -> dict:
@@ -114,7 +125,7 @@ def cmd_report(args) -> int:
         }
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     else:
-        text = "\n".join([_line(n, r) for n, r in found] + [f"total {len(found)}"]) + "\n"
+        text = "\n".join(_lines(found) + [f"total {len(found)}"]) + "\n"
     _emit(text, args.out)
     return 0
 

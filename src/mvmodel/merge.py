@@ -16,9 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .core import Model, validate_model
+from .core import Model
 from .errors import (
-    DanglingEdge,
     ImproperResult,
     IncompleteStrategy,
     SourceMismatch,
@@ -110,7 +109,9 @@ def merge(m1: ModelModification, m2: ModelModification, strategy: Resolution) ->
     The strategy must decide exactly the insert-delete conflicts of the
     pair. Reverting an edge creation removes that edge from the result;
     reverting a node deletion restores the node (and nothing else, so
-    edges dropped alongside the node stay dropped).
+    edges dropped alongside the node stay dropped). The source and both
+    targets must be valid models: then the result conforms to the type
+    graph, and only a dangling edge (the first in id order) can fail it.
     """
     _check_sources(m1, m2)
     source = m1.source
@@ -140,10 +141,10 @@ def merge(m1: ModelModification, m2: ModelModification, strategy: Resolution) ->
         else:
             nodes.add(node)
     merged = Model(source.store, source.type_graph, nodes, edges)
-    try:
-        validate_model(merged)
-    except DanglingEdge as err:
-        raise ImproperResult(f"merge produced a dangling edge: {err.edge_id!r}") from err
+    node_set, endpoint = merged.node_set, source.store.endpoint
+    if not all(node_set.issuperset(endpoint(e)) for e in edges):
+        dangling = next(e for e in sorted(edges) if not node_set.issuperset(endpoint(e)))
+        raise ImproperResult(f"merge produced a dangling edge: {dangling!r}")
     target_id = f"merge({m1.target_id},{m2.target_id})"
     result_mod = ModelModification(source, merged, m1.source_id, target_id)
     return MergeResult(result_mod, merged, strategy)

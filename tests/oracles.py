@@ -2,9 +2,10 @@
 
 Everything here trades speed for obviousness: exhaustive permutation
 search instead of backtracking, a reverse BFS over the modifications
-instead of ancestor bitmasks, and a full check of every version instead
-of a check of the deltas, so a bug in the real matcher, merge-base table
-or validation cannot hide in shared logic.
+instead of ancestor bitmasks, a full check of every version instead of a
+check of the deltas, and one report line at a time instead of templates,
+so a bug in the real matcher, merge-base table, validation or renderer
+cannot hide in shared logic.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import deque
 from typing import Any, Mapping
 
 from mvmodel import InvalidVersion, Match, Model, ModelVersioning, Pattern, validate_model
+from mvmodel.reports import MergeConflictReport, MergeViolationReport, VersionedViolation
 
 
 def brute_force_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
@@ -84,3 +86,26 @@ def validate_each_version(versioning_args: Mapping[str, Any]) -> None:
             validate_model(versions[vid])
         except Exception as err:
             raise InvalidVersion(vid, err) from err
+
+
+_KINDS = {
+    VersionedViolation: "violation",
+    MergeConflictReport: "conflict",
+    MergeViolationReport: "merge-violation",
+}
+
+
+def render_line(name: str | None, report) -> str:
+    """A report's text line: its kind, its pattern name when it has one,
+    then its fields, with a Match split into ``nodes`` and ``edges``."""
+    parts = [_KINDS[type(report)]]
+    if name is not None:
+        parts.append(f"pattern={name}")
+    for field, value in zip(report._fields, report):
+        if isinstance(value, Match):
+            nodes = ",".join(map(":".join, value.nodes))
+            edges = ",".join(map(":".join, value.edges))
+            parts.append(f"nodes={nodes} edges={edges}")
+        else:
+            parts.append(f"{field}={value}")
+    return " ".join(parts)

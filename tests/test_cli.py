@@ -93,6 +93,35 @@ def test_check_text_format(capsys, data_dir):
     assert all(l.startswith("violation pattern=") for l in lines[:-1])
 
 
+def test_braces_in_names_print_as_they_are(capsys, tmp_path):
+    """Names and ids are format arguments of the line template, never part
+    of it, so ``{`` and ``}`` in them print unchanged."""
+    constraints = {
+        "format": "mv-constraints/1",
+        "patterns": {
+            "a{0}b{}": {
+                "nodes": {"s{0}": "Class", "t{}": "Class"},
+                "edges": {"e{x}": {"type": "superclass", "source": "s{0}", "target": "t{}"}},
+            }
+        },
+    }
+    path = tmp_path / "braces.constraints.json"
+    path.write_text(json.dumps(constraints))
+    outs = [
+        run_cli(capsys, "check", RUNNING, "--constraints", str(path), "--mode", mode)
+        for mode in ("mvm", "svm")
+    ]
+    assert outs[0] == outs[1]
+    code, out, err = outs[0]
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "total 3"
+    assert lines[0] == (
+        "violation pattern=a{0}b{} version=M_2 nodes=s{0}:c1,t{}:c3 edges=e{x}:sup_c1_c3"
+    )
+    assert all(l.startswith("violation pattern=a{0}b{} version=") for l in lines[:-1])
+
+
 def test_check_modes_agree(capsys, data_dir):
     corpus = str(data_dir / "oo_project.corpus.json")
     constraints = str(data_dir / "oo_constraints.json")

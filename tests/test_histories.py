@@ -1,8 +1,9 @@
 """Arbitrary valid histories: the fold recovers every version, both
 engines agree on every task, the encoding export is a typed graph that
-carries the fold's marks, and the presence and deletion-reach masks
-decode to what the versions hold. The same histories with one broken
-version fail validation as the full per-version check does."""
+carries the fold's marks, the presence and deletion-reach masks decode
+to what the versions hold, and the text renderer writes the reference
+lines. The same histories with one broken version fail validation as
+the full per-version check does."""
 
 from __future__ import annotations
 
@@ -18,12 +19,14 @@ from mvmodel import (
     comb,
     oo_constraint_patterns,
     oo_type_graph,
+    pcheck_mv,
     write_mv_encoding,
 )
+from mvmodel.cli import _lines
 from mvmodel.reports import LCP_MODES
 from mvmodel.tasks import TASKS
 from conftest import build_store, read_encoding
-from oracles import predecessors, validate_each_version
+from oracles import predecessors, render_line, validate_each_version
 from strategies import POOL_EDGES, POOL_NODES, histories
 
 PATTERNS = oo_constraint_patterns()
@@ -69,6 +72,22 @@ def test_presence_and_deletion_reach_are_the_closed_form(versioning):
         reach = mvm.reach(mask(mvm.dv.get(x, ())), mask(mvm.cv[x]))
         assert ids_of(reach) == sorted(dropped)
         assert ids_of(mask(holding)) == sorted(holding)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(histories())
+def test_reports_come_sorted_and_render_as_the_reference_lines(versioning):
+    """``pcheck_mv`` builds its reports in report order without sorting,
+    and ``_lines`` writes, on both routes of every task, the lines that
+    rendering one report at a time writes."""
+    mvm = comb(versioning)
+    for pattern in PATTERNS:
+        found = pcheck_mv(mvm, pattern)
+        assert found == sorted(found)
+    for task in TASKS.values():
+        for lcp in LCP_MODES if task.lcp else (None,):
+            for found in (task.mvm(mvm, PATTERNS, lcp), task.svm(versioning, PATTERNS, lcp)):
+                assert _lines(found) == [render_line(n, r) for n, r in found]
 
 
 def damaged(versioning: ModelVersioning, defect: str, draw) -> dict:

@@ -183,6 +183,18 @@ def test_revert_node_deletion_restores_only_the_node():
     assert result.merged.edge_set == {"e12", "e13", "e42"}
 
 
+def test_a_dangling_target_edge_makes_an_improper_result():
+    """Only properness is checked on the merged model; the first dangling
+    edge in id order is named."""
+    store = four_node_store()
+    base = Model(store, TG, {"n1", "n2", "n3", "n4"}, set())
+    broken = Model(store, TG, {"n1"}, {"e13", "e12"})
+    m1 = ModelModification(base, broken, "base", "broken")
+    m2 = ModelModification(base, base, "base", "same")
+    with pytest.raises(ImproperResult, match=r"^merge produced a dangling edge: 'e12'$"):
+        merge_min(m1, m2)
+
+
 def test_merge_min_reverts_every_conflicting_creation():
     _, m1, m2 = fork()
     result = merge_min(m1, m2)
