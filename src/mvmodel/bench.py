@@ -1,31 +1,32 @@
 """Benchmark harness comparing the folded route against the per-version route.
 
-Setup work that both routes consume is done before the clock starts:
-corpus generation, folding, merge-base table and, through an untimed
-warm-up run, adjacency indices. The per-version merge-check route builds
-the merge of every pair (``merge_min``) inside the clock, as
-``merge-check --mode svm`` does. Each repetition re-derives presence
-from scratch so the folded route pays its full analysis cost every time.
-Reported times are arithmetic means over the repetitions, and the
-harness refuses to report if the two routes ever disagree on their
-results.
+``time`` covers the analysis alone. Setup work that both routes consume
+is done before the clock starts: corpus generation, folding, merge-base
+table and, through an untimed warm-up run, adjacency indices. The
+per-version merge-check route builds the merge of every pair
+(``merge_min``) inside the clock, as ``merge-check --mode svm`` does.
+Each repetition re-derives presence from scratch so the folded route
+pays its full analysis cost every time. ``e2e_time`` covers a verdict
+from nothing, split into ``PHASES``. Times are reported as the mean,
+median and min over the repetitions, and the harness refuses to report
+if the two routes ever disagree on their results.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable
+from statistics import fmean, median
 
 from .core import Pattern
 from .corpus import load_json
 from .errors import BenchMismatch, CorpusSyntaxError, ParamError
 from .generate import GeneratorParams, generate_versioning
 from .mvm import comb
-from .reports import LCP_MODES
-from .tasks import TASKS
+from .reports import LCP_MODES, total, write_text
+from .tasks import TASKS, Task
 
 BENCH_FORMAT = "mv-bench/1"
 
@@ -71,6 +72,9 @@ class BenchTaskResult:
     mvm_time: float
     svm_time: float
     results: int
+    routes: dict[str, dict]
+    """Per route: ``time`` and ``e2e_time`` as mean, median and min, and
+    the mean of each of ``PHASES``."""
 
     @property
     def speedup(self) -> float:
@@ -96,14 +100,7 @@ class BenchReport:
         obj = {
             "format": "mv-bench-report/1",
             "repeat": self.repeat,
-            "corpus": {
-                "seed": self.corpus.seed,
-                "base_size": self.corpus.base_size,
-                "branch_factor": self.corpus.branch_factor,
-                "version_count": self.corpus.version_count,
-                "edits_per_modification": self.corpus.edits_per_modification,
-                "deletion_bias": self.corpus.deletion_bias,
-            },
+            "corpus": asdict(self.corpus),
             "tasks": [
                 {
                     "task": t.task,
@@ -111,6 +108,7 @@ class BenchReport:
                     "svm_time": round(t.svm_time, 6),
                     "speedup": round(t.speedup, 4),
                     "results": t.results,
+                    **t.routes,
                 }
                 for t in self.tasks
             ],
@@ -118,15 +116,30 @@ class BenchReport:
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _timed(fn: Callable[[], object], repeats: int, before: Callable[[], None]) -> tuple[float, object]:
-    total = 0.0
-    result: object = None
-    for _ in range(repeats):
-        before()
-        start = time.perf_counter()
-        result = fn()
-        total += time.perf_counter() - start
-    return total / repeats, result
+PHASES = ("generate", "fold", "lcp_table", "analysis", "render")
+
+
+def _end_to_end(params: BenchParams, task: Task, route: str, patterns: list[Pattern]):
+    """A verdict from nothing, timed by phase: generate the history, fold it
+    (mvm only), build the merge-base table (tasks that depend on the lcp
+    mode), run the analysis and render its text with the CLI's writer.
+    Returns the seconds of each of ``PHASES``, and the findings."""
+    laps = [time.perf_counter()]
+
+    def lap(result):
+        laps.append(time.perf_counter())
+        return result
+
+    versioning = lap(generate_versioning(params.corpus))
+    subject = lap(comb(versioning) if route == "mvm" else versioning)
+    lap(task.lcp and versioning.latest_common_predecessor_table())
+    groups = lap(getattr(task, route)(subject, patterns, params.lcp))
+    lap(write_text(groups, str.encode))  # encoded as the CLI writes it, then dropped
+    return [b - a for a, b in zip(laps, laps[1:])], groups
+
+
+def _stats(samples: list[float]) -> dict[str, float]:
+    return {stat: round(f(samples), 6) for stat, f in (("mean", fmean), ("median", median), ("min", min))}
 
 
 def run_bench(params: BenchParams, repeat: int = 5, patterns: list[Pattern] | None = None) -> BenchReport:
@@ -154,10 +167,27 @@ def run_bench(params: BenchParams, repeat: int = 5, patterns: list[Pattern] | No
         if warm_mvm != warm_svm:
             raise BenchMismatch(f"task {name!r}: modes disagree on results")
 
-        mvm_time, mvm_out = _timed(run_mvm, repeat, mvm.reset_presence_cache)
-        svm_time, svm_out = _timed(run_svm, repeat, lambda: None)
-        if mvm_out != svm_out:
-            raise BenchMismatch(f"task {name!r}: modes disagree on results")
-        results.append(BenchTaskResult(name, mvm_time, svm_time, len(mvm_out)))  # type: ignore[arg-type]
+        means, routes = {}, {}
+        for route, run, before in (
+            ("mvm", run_mvm, mvm.reset_presence_cache),
+            ("svm", run_svm, lambda: None),
+        ):
+            times, laps = [], []
+            for _ in range(repeat):
+                before()
+                start = time.perf_counter()
+                out = run()
+                times.append(time.perf_counter() - start)
+                seconds, e2e_out = _end_to_end(params, task, route, patterns)
+                if out != warm_mvm or e2e_out != warm_mvm:
+                    raise BenchMismatch(f"task {name!r}: modes disagree on results")
+                laps.append(seconds)
+            means[route] = fmean(times)
+            routes[route] = {
+                "time": _stats(times),
+                "e2e_time": _stats(list(map(sum, laps))),
+                "phases": {p: round(fmean(s), 6) for p, s in zip(PHASES, zip(*laps))},
+            }
+        results.append(BenchTaskResult(name, means["mvm"], means["svm"], total(warm_mvm), routes))
 
     return BenchReport(params.corpus, repeat, tuple(results))

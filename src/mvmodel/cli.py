@@ -3,17 +3,19 @@
 Exit codes: 0 success, 1 for model or data errors (and oracle or bench
 mismatches), 2 for usage and I/O problems. Report commands exit 0 even
 when they find violations; the findings are the output, not a failure.
+They run their analysis first, which returns one ``(pattern name,
+reports)`` group per pattern, then write the groups a chunk at a time.
+Every command writes UTF-8 bytes, to ``-o FILE`` or to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .bench import parse_bench_params, run_bench
-from .core import Match
 from .corpus import (
     parse_constraints,
     parse_corpus,
@@ -24,69 +26,31 @@ from .corpus import (
 from .errors import ModelError
 from .generate import generate_versioning, parse_generator_params
 from .mvm import comb
-from .reports import LCP_MODES, MergeConflictReport, MergeViolationReport, VersionedViolation
+from .reports import LCP_MODES, total, write_json, write_text
 from .tasks import TASKS
-
-_JSON_FORMAT = "mv-report/1"
 
 
 def _read(path: str) -> bytes:
     return Path(path).read_bytes()
 
 
+@contextmanager
+def _output(out: str | None):
+    """A ``write(str)`` that sends UTF-8 bytes to the file ``out`` or to
+    stdout's buffer, whatever the encoding of stdout's text layer; a
+    text-only stdout (such as ``io.StringIO``) gets the text."""
+    if out is None and not hasattr(sys.stdout, "buffer"):
+        yield sys.stdout.write
+        return
+    sys.stdout.flush()
+    with open(out, "wb") if out is not None else nullcontext(sys.stdout.buffer) as f:
+        yield lambda text: f.write(text.encode("utf-8"))
+        f.flush()
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_bytes(text.encode("utf-8"))
-
-
-def _pairs(items) -> str:
-    return ",".join(map(":".join, items))
-
-
-# Each report type's leading word in text output.
-_KINDS = {
-    VersionedViolation: "violation",
-    MergeConflictReport: "conflict",
-    MergeViolationReport: "merge-violation",
-}
-
-
-def _lines(found) -> list[str]:
-    """Text lines: the kind, ``pattern=`` when named, then each field, a
-    Match split into ``nodes`` and ``edges``. Each report type has one
-    ``str.format`` template whose arguments are the name and the values
-    (never pasted into it); each distinct Match is rendered once."""
-    templates, rendered, lines = {}, {}, []
-    for name, report in found:
-        key = type(report), name is None
-        if key not in templates:
-            at = [k for k, value in enumerate(report) if isinstance(value, Match)]
-            words = [_KINDS[key[0]]] + ["pattern={}"] * (name is not None)
-            words += ["{}" if k in at else f"{f}={{}}" for k, f in enumerate(report._fields)]
-            templates[key] = " ".join(words).format, at
-        template, at = templates[key]
-        if at:
-            report = list(report)
-            for k in at:
-                m = report[k]
-                if m not in rendered:
-                    rendered[m] = f"nodes={_pairs(m.nodes)} edges={_pairs(m.edges)}"
-                report[k] = rendered[m]
-        lines.append(template(*report) if name is None else template(name, *report))
-    return lines
-
-
-def _row(name: str | None, report) -> dict:
-    """A report's JSON row, with the same keys as its text line."""
-    row = {} if name is None else {"pattern": name}
-    for field, value in zip(report._fields, report):
-        if isinstance(value, Match):
-            row["nodes"], row["edges"] = dict(value.nodes), dict(value.edges)
-        else:
-            row[field] = value
-    return row
+    with _output(out) as write:
+        write(text)
 
 
 def cmd_validate(args) -> int:
@@ -111,22 +75,15 @@ def cmd_report(args) -> int:
     if task.patterns:
         patterns = parse_constraints(_read(args.constraints), versioning.type_graph)
     lcp = args.lcp if task.lcp else None
-    if args.mode == "mvm":
-        found = task.mvm(comb(versioning), patterns, lcp)
-    else:
-        found = task.svm(versioning, patterns, lcp)
-    if args.json:
-        obj = {
-            "format": _JSON_FORMAT,
-            "command": args.command,
-            "total": len(found),
+    subject = comb(versioning) if args.mode == "mvm" else versioning
+    groups = getattr(task, args.mode)(subject, patterns, lcp)
+    # Every analysis has run, so a failing verdict writes nothing.
+    with _output(args.out) as write:
+        if args.json:
             # pattern tasks report violations; the one without patterns, conflicts
-            "violations" if task.patterns else "conflicts": [_row(n, r) for n, r in found],
-        }
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    else:
-        text = "\n".join(_lines(found) + [f"total {len(found)}"]) + "\n"
-    _emit(text, args.out)
+            write_json(groups, args.command, "violations" if task.patterns else "conflicts", write)
+        else:
+            write_text(groups, write)
     return 0
 
 
@@ -142,10 +99,10 @@ def cmd_oracle(args) -> int:
             folded = task.mvm(mvm, patterns, lcp)
             plain = task.svm(versioning, patterns, lcp)
             if folded == plain:
-                lines.append(f"{label} ok results={len(folded)}")
+                lines.append(f"{label} ok results={total(folded)}")
             else:
                 ok = False
-                lines.append(f"{label} MISMATCH mvm={len(folded)} svm={len(plain)}")
+                lines.append(f"{label} MISMATCH mvm={total(folded)} svm={total(plain)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if ok else 1
 

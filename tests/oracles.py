@@ -3,14 +3,15 @@
 Everything here trades speed for obviousness: exhaustive permutation
 search instead of backtracking, a reverse BFS over the modifications
 instead of ancestor bitmasks, a full check of every version instead of a
-check of the deltas, and one report line at a time instead of templates,
-so a bug in the real matcher, merge-base table, validation or renderer
-cannot hide in shared logic.
+check of the deltas, and one report line or one whole ``json.dumps`` at a
+time instead of streamed templates, so a bug in the real matcher,
+merge-base table, validation or renderer cannot hide in shared logic.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import deque
 
 from typing import Any, Mapping
@@ -109,3 +110,27 @@ def render_line(name: str | None, report) -> str:
         else:
             parts.append(f"{field}={value}")
     return " ".join(parts)
+
+
+def render_text(groups) -> str:
+    """A report command's whole text output, one line per report."""
+    lines = [render_line(name, report) for name, reports in groups for report in reports]
+    return "\n".join(lines + [f"total {len(lines)}"]) + "\n"
+
+
+def _row(name: str | None, report) -> dict:
+    """A report's JSON row, with the same keys as its text line."""
+    row = {} if name is None else {"pattern": name}
+    for field, value in zip(report._fields, report):
+        if isinstance(value, Match):
+            row["nodes"], row["edges"] = dict(value.nodes), dict(value.edges)
+        else:
+            row[field] = value
+    return row
+
+
+def render_json(command: str, key: str, groups) -> str:
+    """A report command's whole ``--json`` output, from one ``json.dumps``."""
+    rows = [_row(name, report) for name, reports in groups for report in reports]
+    obj = {"format": "mv-report/1", "command": command, "total": len(rows), key: rows}
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

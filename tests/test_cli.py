@@ -8,13 +8,21 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import mvmodel.core
 import mvmodel.tasks
-from mvmodel import GeneratorParams, ModelVersioning, generate_versioning, parse_corpus
+from mvmodel import (
+    GeneratorParams,
+    ModelVersioning,
+    comb,
+    generate_versioning,
+    parse_corpus,
+    write_corpus,
+)
 from mvmodel.cli import main
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -271,6 +279,20 @@ def test_bench_json_fields(capsys, data_dir):
         assert isinstance(t["results"], int)
 
 
+def test_bench_json_times_each_route_end_to_end(capsys, data_dir):
+    params = str(data_dir / "bench_small_all.params.json")
+    code, out, err = run_cli(capsys, "bench", "--params", params, "--repeat", "3", "--json")
+    assert code == 0 and err == ""
+    for task in json.loads(out)["tasks"]:
+        for route in ("mvm", "svm"):
+            times = task[route]
+            assert times["time"]["mean"] == task[f"{route}_time"]
+            for stats in (times["time"], times["e2e_time"]):
+                assert 0 <= stats["min"] <= min(stats["median"], stats["mean"])
+            assert sorted(times["phases"]) == ["analysis", "fold", "generate", "lcp_table", "render"]
+            assert sum(times["phases"].values()) == pytest.approx(times["e2e_time"]["mean"], abs=1e-5)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -316,6 +338,64 @@ def test_package_runs_as_module():
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == "ok versions=3 elements=7\n"
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize("command", ["check", "merge-check", "project", "export-mvm"])
+def test_stdout_gets_utf8_whatever_its_encoding(tmp_path, encoding, command):
+    """With one version renamed to non-ASCII, stdout gets the bytes that
+    ``-o`` writes, even where Python would encode stdout in ASCII or
+    latin-1."""
+    corpus = json.loads(Path(RUNNING).read_text())
+    renamed = "v\u00e9\u20ac"
+    corpus["versions"][renamed] = corpus["versions"].pop("M_3")
+    corpus["modifications"] = [[renamed if v == "M_3" else v for v in m] for m in corpus["modifications"]]
+    path = tmp_path / "renamed.corpus.json"
+    path.write_text(json.dumps(corpus))
+    argv = [sys.executable, "-m", "mvmodel", command, str(path)]
+    argv += ["--version", renamed] if command == "project" else []
+    argv += ["--constraints", RUNNING_K] if command.endswith("check") else []
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": encoding}
+    proc = subprocess.run(argv, capture_output=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == b""
+    out = tmp_path / "out"
+    assert subprocess.run([*argv, "-o", str(out)], env=env).returncode == 0
+    assert proc.stdout == out.read_bytes()
+    if command == "merge-check":  # its text output names the versions
+        assert renamed.encode("utf-8") in proc.stdout
+
+
+def traced_peak(fn) -> int:
+    """The peak of memory that Python allocated while ``fn()`` ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_report_output_is_streamed(tmp_path):
+    """A report command holds only a chunk of its output at a time: on the
+    benchmark's long-history shape (68,133 conflicts), ``conflicts -o``
+    peaks above the analysis alone by less than half of the file it
+    writes, in text and in JSON."""
+    params = GeneratorParams(seed=2, base_size=40, branch_factor=3, version_count=300,
+                             edits_per_modification=3, deletion_bias=0.4)
+    corpus = tmp_path / "long-history.corpus.json"
+    corpus.write_bytes(write_corpus(generate_versioning(params)))
+    task = mvmodel.tasks.TASKS["conflicts"]
+
+    def analysis():
+        task.mvm(comb(parse_corpus(corpus.read_bytes())), [], "all")
+
+    analysis()  # untraced: lazy one-time allocations land outside the peaks
+    alone = traced_peak(analysis)
+    out = tmp_path / "out"
+    for fmt in ([], ["--json"]):
+        verdict = traced_peak(lambda: main(["conflicts", str(corpus), "-o", str(out), *fmt]))
+        assert verdict - alone < out.stat().st_size / 2, fmt
 
 
 # sha256 of export-mvm output; the encoding is a published format, so its
@@ -641,13 +721,14 @@ def test_bench_rejects_unhashable_task_entries(capsys, tmp_path, tasks):
 
 @pytest.fixture
 def folded_conflicts_drop_one(monkeypatch):
-    """The folded conflicts route loses its last report."""
+    """The folded conflicts route loses the last report of its last group."""
     task = mvmodel.tasks.TASKS["conflicts"]
-    monkeypatch.setitem(
-        mvmodel.tasks.TASKS,
-        "conflicts",
-        dataclasses.replace(task, mvm=lambda *args: task.mvm(*args)[:-1]),
-    )
+
+    def drop_one(*args):
+        *groups, (name, reports) = task.mvm(*args)
+        return [*groups, (name, reports[:-1])]
+
+    monkeypatch.setitem(mvmodel.tasks.TASKS, "conflicts", dataclasses.replace(task, mvm=drop_one))
 
 
 def test_oracle_reports_each_mismatch(capsys, folded_conflicts_drop_one):

@@ -1,9 +1,9 @@
 """Arbitrary valid histories: the fold recovers every version, both
 engines agree on every task, the encoding export is a typed graph that
 carries the fold's marks, the presence and deletion-reach masks decode
-to what the versions hold, and the text renderer writes the reference
-lines. The same histories with one broken version fail validation as
-the full per-version check does."""
+to what the versions hold, and the streamed text and JSON writers give
+the reference bytes. The same histories with one broken version fail
+validation as the full per-version check does."""
 
 from __future__ import annotations
 
@@ -13,20 +13,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvmodel import (
+    ElementStore,
     InvalidVersion,
     Model,
     ModelVersioning,
+    Pattern,
     comb,
     oo_constraint_patterns,
     oo_type_graph,
     pcheck_mv,
     write_mv_encoding,
 )
-from mvmodel.cli import _lines
-from mvmodel.reports import LCP_MODES
+from mvmodel.reports import LCP_MODES, write_json, write_text
 from mvmodel.tasks import TASKS
 from conftest import build_store, read_encoding
-from oracles import predecessors, render_line, validate_each_version
+from oracles import predecessors, render_json, render_text, validate_each_version
 from strategies import POOL_EDGES, POOL_NODES, histories
 
 PATTERNS = oo_constraint_patterns()
@@ -74,20 +75,72 @@ def test_presence_and_deletion_reach_are_the_closed_form(versioning):
         assert ids_of(mask(holding)) == sorted(holding)
 
 
+# Appended to every id and pattern name: a format field, braces, a quote,
+# a backslash and non-ASCII characters.
+ODD = '{0}"\\é€}'
+
+
+def odd_model(model: Model, store: ElementStore) -> Model:
+    return Model(store, model.type_graph, {n + ODD for n in model.node_set},
+                 {e + ODD for e in model.edge_set})
+
+
+def odd_store(store: ElementStore) -> ElementStore:
+    odd = ElementStore()
+    for n in sorted(store.node_ids()):
+        odd.add_node(n + ODD, store.elem_type(n))
+    for e in sorted(store.edge_ids()):
+        source, target = store.endpoint(e)
+        odd.add_edge(e + ODD, store.elem_type(e), source + ODD, target + ODD)
+    return odd
+
+
+def odd_history(versioning: ModelVersioning) -> ModelVersioning:
+    store = odd_store(versioning.store)
+    versions = {v + ODD: odd_model(m, store) for v, m in versioning.versions.items()}
+    modifications = {(a + ODD, b + ODD) for a, b in versioning.modifications}
+    return ModelVersioning(versions, modifications, versioning.root + ODD)
+
+
+def odd_patterns() -> list[Pattern]:
+    """The OO patterns and a pattern with no edges (any TypeRef), all with
+    odd ids and names."""
+    type_graph = oo_type_graph()
+    lone = Model(build_store(type_graph, {"t": "TypeRef"}, {}), type_graph, {"t"}, set())
+    return [
+        Pattern(p.name + ODD, odd_model(p.graph, odd_store(p.graph.store)))
+        for p in PATTERNS + [Pattern("type-ref", lone)]
+    ]
+
+
+def streamed(writer, *args) -> str:
+    parts: list[str] = []
+    writer(*args, parts.append)
+    return "".join(parts)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(histories())
 def test_reports_come_sorted_and_render_as_the_reference_lines(versioning):
     """``pcheck_mv`` builds its reports in report order without sorting,
-    and ``_lines`` writes, on both routes of every task, the lines that
-    rendering one report at a time writes."""
+    and on both routes of every task, in both lcp modes, the streamed text
+    and JSON writers give the bytes that rendering one report at a time and
+    one whole ``json.dumps`` give: with odd ids and names, with a pattern
+    that has no edges, and with no patterns, so no findings."""
+    versioning = odd_history(versioning)
     mvm = comb(versioning)
-    for pattern in PATTERNS:
+    patterns = odd_patterns()
+    for pattern in patterns:
         found = pcheck_mv(mvm, pattern)
         assert found == sorted(found)
-    for task in TASKS.values():
+    for command, task in TASKS.items():
+        key = "violations" if task.patterns else "conflicts"
         for lcp in LCP_MODES if task.lcp else (None,):
-            for found in (task.mvm(mvm, PATTERNS, lcp), task.svm(versioning, PATTERNS, lcp)):
-                assert _lines(found) == [render_line(n, r) for n, r in found]
+            for chosen in (patterns, []):
+                for groups in (task.mvm(mvm, chosen, lcp), task.svm(versioning, chosen, lcp)):
+                    assert streamed(write_text, groups) == render_text(groups)
+                    json_bytes = streamed(write_json, groups, command, key)
+                    assert json_bytes == render_json(command, key, groups)
 
 
 def damaged(versioning: ModelVersioning, defect: str, draw) -> dict:
