@@ -5,12 +5,20 @@ mismatches), 2 for usage and I/O problems. Report commands exit 0 even
 when they find violations; the findings are the output, not a failure.
 They run their analysis first, which returns one ``(pattern name,
 reports)`` group per pattern, then write the groups a chunk at a time.
-Every command writes UTF-8 bytes, to ``-o FILE`` or to stdout.
+Every command writes UTF-8 bytes, to ``-o FILE`` or to stdout. A reader
+that closes the pipe early (``| head``) ends the output, not the command:
+the command exits 0 and prints nothing on stderr.
+
+``main`` runs a command with the cyclic garbage collector paused, then
+restores the caller's setting: the analyses build no reference cycles,
+so reference counting alone frees what they drop.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
@@ -211,14 +219,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except ModelError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the flush at exit
+        # finds no closed pipe either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def entry() -> None:

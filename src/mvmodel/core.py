@@ -309,6 +309,10 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
     parallel-edge counts towards already-placed neighbours. Edge images
     are assigned after the node map is complete, since they are only
     ambiguous between parallel edges.
+
+    The matcher leaves no reference cycles: reference counting frees
+    its working state on return, even with the cyclic garbage collector
+    off. Only the indices it caches on the two models outlive the call.
     """
     q = pattern.graph
     if q.type_graph != host.type_graph:
@@ -379,19 +383,24 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
                 out.append(h)
         return out
 
-    def extend(k: int) -> None:
-        if k == len(order):
-            node_maps.append(dict(assignment))
-            return
-        qv = order[k]
-        for h in candidates(qv):
+    # Depth-first search, holding one candidate iterator per pattern node
+    # on the search path; an explicit stack, since a recursive closure
+    # would refer to itself and leave a reference cycle behind each call.
+    stack = [iter(candidates(order[0]))]
+    while stack:
+        qv = order[len(stack) - 1]
+        if qv in assignment:
+            used.discard(assignment.pop(qv))
+        h = next(stack[-1], None)
+        if h is None:
+            stack.pop()
+        else:
             assignment[qv] = h
             used.add(h)
-            extend(k + 1)
-            del assignment[qv]
-            used.discard(h)
-
-    extend(0)
+            if len(stack) == len(order):
+                node_maps.append(dict(assignment))
+            else:
+                stack.append(iter(candidates(order[len(stack)])))
 
     # Assign edge images: within each (type, source, target) group the
     # pattern's parallel edges may hit the host's parallel edges between

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,13 +15,16 @@ from pathlib import Path
 
 import pytest
 
+import mvmodel.cli
 import mvmodel.core
+import mvmodel.reports
 import mvmodel.tasks
 from mvmodel import (
     GeneratorParams,
     ModelVersioning,
     comb,
     generate_versioning,
+    parse_constraints,
     parse_corpus,
     write_corpus,
 )
@@ -396,6 +401,83 @@ def test_report_output_is_streamed(tmp_path):
     for fmt in ([], ["--json"]):
         verdict = traced_peak(lambda: main(["conflicts", str(corpus), "-o", str(out), *fmt]))
         assert verdict - alone < out.stat().st_size / 2, fmt
+
+
+def test_verdicts_build_no_reference_cycles():
+    """With the cyclic collector off, as in a CLI command, reference
+    counting alone frees what the analyses drop: parsing, folding, both
+    routes of every task in both lcp modes and rendering leave nothing
+    for ``gc.collect()`` to find."""
+    params = GeneratorParams(seed=1, base_size=30, branch_factor=3, version_count=20)
+    corpora = [Path(PROJECT).read_bytes(), write_corpus(generate_versioning(params))]
+    constraints = Path(PROJECT_K).read_bytes()
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for raw in corpora:
+            versioning = parse_corpus(raw)
+            patterns = parse_constraints(constraints, versioning.type_graph)
+            mvm = comb(versioning)
+            for task in mvmodel.tasks.TASKS.values():
+                for lcp in mvmodel.reports.LCP_MODES:
+                    for route, subject in ((task.mvm, mvm), (task.svm, versioning)):
+                        mvmodel.reports.write_text(route(subject, patterns, lcp), io.StringIO().write)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_collector_and_restores_the_callers_setting(monkeypatch, tmp_path, enabled):
+    """A command runs with the cyclic collector off; afterwards the
+    collector is on or off as the caller had it, whether the command
+    succeeded, failed on its data or failed to read its input."""
+    parse = mvmodel.cli.parse_corpus
+    during = []
+
+    def recorded(data):
+        during.append(gc.isenabled())
+        return parse(data)
+
+    monkeypatch.setattr(mvmodel.cli, "parse_corpus", recorded)
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        for argv, code in (
+            (["validate", RUNNING], 0),
+            (["project", RUNNING, "--version", "nope"], 1),
+            (["validate", str(tmp_path / "missing.json")], 2),
+        ):
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert during == [False, False]
+
+
+def test_closing_the_pipe_early_exits_0_quietly(tmp_path):
+    """As in ``mvmodel check ... | head -1``: the reader takes one line of
+    an output of several chunks and closes the pipe; the command exits 0
+    with nothing on stderr."""
+    params = GeneratorParams(seed=0, base_size=50, branch_factor=1, version_count=60,
+                             edits_per_modification=8, deletion_bias=0.1)
+    corpus = tmp_path / "chain.corpus.json"
+    corpus.write_bytes(write_corpus(generate_versioning(params)))
+    argv = ["check", str(corpus), "--constraints", PROJECT_K]
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == 0
+    assert out.read_bytes().count(b"\n") > 2 * mvmodel.reports._CHUNK
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen([sys.executable, "-m", "mvmodel", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == b""
+    assert out.read_bytes().startswith(first) and first.endswith(b"\n")
 
 
 # sha256 of export-mvm output; the encoding is a published format, so its
