@@ -71,8 +71,8 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
             bases_ok = endpoint_presence & ~edge_presence
             if not bases_ok:
                 continue
-            below = mvm.descendants(bases_ok) & mergeable
-            dropped = below & mvm.reach(mask(mvm.dv.get(endpoint, ())), mask(mvm.cv[endpoint]))
+            below = versioning.descendants(bases_ok) & mergeable
+            dropped = below & versioning.reach(mask(mvm.dv.get(endpoint, ())), mask(mvm.cv[endpoint]))
             if not dropped:
                 continue
             for i in bits(edge_presence & below):

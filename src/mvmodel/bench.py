@@ -23,7 +23,7 @@ from statistics import fmean, median
 from .core import Pattern
 from .corpus import load_json
 from .errors import BenchMismatch, CorpusSyntaxError, ParamError
-from .generate import GeneratorParams, generate_versioning
+from .generate import GeneratorParams, generate_versioning, generator_params
 from .mvm import comb
 from .reports import LCP_MODES, total, write_text
 from .tasks import TASKS, Task
@@ -46,11 +46,7 @@ def parse_bench_params(data: bytes | str) -> BenchParams:
     corpus_obj = obj.get("corpus")
     if not isinstance(corpus_obj, dict):
         raise CorpusSyntaxError("missing corpus parameters", "bench-params")
-    try:
-        corpus = GeneratorParams(**corpus_obj)
-    except TypeError as err:
-        raise ParamError(str(err)) from err
-    corpus.validate()
+    corpus = generator_params(corpus_obj)
     tasks = obj.get("tasks")
     names = tuple(TASKS)  # tuple membership is equality, so no entry can raise
     if not isinstance(tasks, list) or not tasks or any(t not in names for t in tasks):

@@ -60,18 +60,17 @@ def parse_generator_params(data: bytes | str) -> GeneratorParams:
         raise CorpusSyntaxError(
             f"expected format {GENERATOR_FORMAT!r}", "generator-params"
         )
-    known = {f.name: f.type for f in fields(GeneratorParams)}
-    values = {}
-    for key, value in obj.items():
-        if key == "format":
-            continue
+    return generator_params({k: v for k, v in obj.items() if k != "format"})
+
+
+def generator_params(values: dict) -> GeneratorParams:
+    """Validated generator parameters from the fields of a JSON object,
+    rejecting the first key that names no parameter."""
+    known = {f.name for f in fields(GeneratorParams)}
+    for key in values:
         if key not in known:
             raise ParamError(f"unknown generator parameter {key!r}")
-        values[key] = value
-    try:
-        params = GeneratorParams(**values)
-    except TypeError as err:
-        raise ParamError(str(err)) from err
+    params = GeneratorParams(**values)
     params.validate()
     return params
 

@@ -5,15 +5,17 @@ version contains, over the shared store and type graph. Which versions
 contain an element is not stored per element but derived from creation
 and deletion marks on the version DAG: an element is present in every
 version that descends from one of its creation versions with none of its
-deletion versions in between. Every version set is a bitmask over the
-history's one numbering, ``ModelVersioning.order``.
+deletion versions in between. The union and the marks are recorded by
+the history's validation, and every version set is a bitmask whose
+numbering, ancestor and descendant masks and ``reach`` are owned by
+``mvmodel.versioning``.
 """
 
 from __future__ import annotations
 
-from .core import Model, graph_union
+from .core import Model
 from .errors import NotStructural, UnknownVersion
-from .versioning import ModelModification, ModelVersioning, bits
+from .versioning import ModelModification, ModelVersioning
 
 
 class MultiVersionModel:
@@ -39,42 +41,6 @@ class MultiVersionModel:
         self.node_elements = tuple(sorted(union.node_set))
         self.edge_elements = tuple(sorted(union.edge_set))
         self._presence_cache: dict[str, int] = {}
-        self._below: list[int] | None = None
-
-    def descendants(self, mask: int) -> int:
-        """The versions at or below a member of ``mask``. Each version's
-        descendant mask is built on first use and dropped with the
-        presence cache."""
-        below = self._below
-        if below is None:
-            versioning = self.versioning
-            order, position = versioning.order, versioning.position
-            below = self._below = [0] * len(order)
-            for k in reversed(range(len(order))):
-                for w in versioning.successors(order[k]):
-                    below[k] |= below[position[w]]
-                below[k] |= 1 << k
-        out = 0
-        while mask:  # lowest member first; members already covered are skipped
-            out |= below[(mask & -mask).bit_length() - 1]
-            mask &= ~out
-        return out
-
-    def reach(self, starts: int, barriers: int) -> int:
-        """Each start's descendants (itself included) minus the descendants
-        of the barriers below it (themselves included).
-
-        With an element's creation versions as starts and its deletion
-        versions as barriers this is the versions that hold the element;
-        the other way round, the versions without it that have a strict
-        ancestor with it. The closed form is exact on these marks because
-        ``comb`` marks every version whose parents disagree on an element.
-        """
-        out = 0
-        for s in bits(starts):
-            below = self.descendants(1 << s)
-            out |= below & ~self.descendants(barriers & below)
-        return out
 
     def presence(self, element: str) -> int:
         """The mask of the versions containing the element: the reach from
@@ -85,13 +51,14 @@ class MultiVersionModel:
         if element not in self.cv:
             raise NotStructural(element)
         mask = self.versioning.mask
-        result = self.reach(mask(self.cv[element]), mask(self.dv.get(element, ())))
+        result = self.versioning.reach(mask(self.cv[element]), mask(self.dv.get(element, ())))
         self._presence_cache[element] = result
         return result
 
     def reset_presence_cache(self) -> None:
+        """Forget the presence masks built so far; the version-set masks
+        belong to the versioning and stay."""
         self._presence_cache = {}
-        self._below = None
 
     def proj(self, version_id: str) -> Model:
         """Recover one version's model from the folded form."""
@@ -110,30 +77,11 @@ class MultiVersionModel:
 def comb(versioning: ModelVersioning) -> MultiVersionModel:
     """Fold a version history into a multi-version model.
 
-    Creation marks: the root's elements are created at the root; every
-    modification marks the elements it adds as created at its target.
-    Deletion marks: every modification marks the elements it removes as
-    deleted at its target.
+    Validating the history already recorded the union of its versions
+    and the marks (see ``ModelVersioning._valid_by_delta``): the root's
+    elements are created at the root, and every modification marks the
+    elements it adds as created and those it removes as deleted at its
+    target. The fold only wraps them and visits no version.
     """
-    base_model = versioning.version(versioning.root)
-    union = graph_union(list(versioning.versions.values()))
-
-    cv: dict[str, set[str]] = {}
-    dv: dict[str, set[str]] = {}
-    root = versioning.root
-    for x in base_model.node_set | base_model.edge_set:
-        cv.setdefault(x, set()).add(root)
-    for a, b in sorted(versioning.modifications):
-        ma = versioning.version(a)
-        mb = versioning.version(b)
-        for x in (mb.node_set - ma.node_set) | (mb.edge_set - ma.edge_set):
-            cv.setdefault(x, set()).add(b)
-        for x in (ma.node_set - mb.node_set) | (ma.edge_set - mb.edge_set):
-            dv.setdefault(x, set()).add(b)
-
-    return MultiVersionModel(
-        union,
-        versioning,
-        {x: frozenset(vs) for x, vs in cv.items()},
-        {x: frozenset(vs) for x, vs in dv.items()},
-    )
+    union = Model(versioning.store, versioning.type_graph, *versioning.union)
+    return MultiVersionModel(union, versioning, versioning.cv, versioning.dv)

@@ -6,6 +6,10 @@ store, the span between any two versions is recovered as the
 componentwise intersection (the largest preserved subgraph). That span
 is maximally preserving by construction: an element survives exactly
 when it is in both versions.
+
+This module owns the version sets: the numbering ``order``, its ancestor
+and descendant masks, and ``reach``. Validation keeps the deltas that the
+fold in ``mvmodel.mvm`` wraps: the union and the creation and deletion marks.
 """
 
 from __future__ import annotations
@@ -150,6 +154,32 @@ class ModelVersioning:
         """The versions of a bitmask, in id order."""
         return sorted(self.order[k] for k in bits(mask))
 
+    def descendants(self, mask: int) -> int:
+        """The versions at or below a member of ``mask``."""
+        post, out = self._post, 0
+        while mask:  # lowest member first; members already covered are skipped
+            low = mask & -mask
+            out |= low | post[low.bit_length() - 1]
+            mask &= ~out
+        return out
+
+    def reach(self, starts: int, barriers: int) -> int:
+        """Each start's descendants (itself included) minus the descendants
+        of the barriers below it (themselves included).
+
+        With an element's creation versions as starts and its deletion
+        versions as barriers this is the versions that hold the element;
+        the other way round, the versions without it that have a strict
+        ancestor with it. The closed form is exact on the marks ``cv`` and
+        ``dv`` because they mark every version whose parents disagree on
+        an element.
+        """
+        out = 0
+        for s in bits(starts):
+            below = self.descendants(1 << s)
+            out |= below & ~self.descendants(barriers & below)
+        return out
+
     def successors(self, version_id: VersionId) -> tuple[VersionId, ...]:
         if version_id not in self.versions:
             raise UnknownVersion(version_id)
@@ -191,11 +221,13 @@ class ModelVersioning:
     def validate(self) -> None:
         """Check the whole versioning; raises the first violation found.
         One topological sort decides acyclicity and reachability from the
-        root; it becomes ``order``, and its ancestor masks are kept for
-        the merge-base table. A valid history is proven valid by its deltas
-        (``_valid_by_delta``); only when that fails is every version checked
-        in full, in id order, so ``InvalidVersion`` names the first broken
-        one and wins over ``CycleDetected`` and ``NoCommonRoot``."""
+        root; it becomes ``order``, with the ancestor and descendant masks
+        that the merge-base table and ``reach`` read. A valid history is
+        proven valid by its deltas, which are kept as the fold's marks
+        (``_valid_by_delta``); only when that fails, as it never does for a
+        valid history, is every version checked in full, in id order, so
+        ``InvalidVersion`` names the first broken one and wins over
+        ``CycleDetected`` and ``NoCommonRoot``."""
         if not self.versions:
             raise ValidationError("a versioning needs at least one version")
         if self.root not in self.versions:
@@ -235,7 +267,12 @@ class ModelVersioning:
         Properness holds on the root and carries across a modification
         (a, b) when every edge created in b has both endpoints in b and no
         node deleted from a keeps an incident edge in b; by induction from
-        the root it holds for every version."""
+        the root it holds for every version.
+
+        The deltas are kept for the fold: ``union`` is the union's node and
+        edge sets; ``cv`` and ``dv`` map each element to the versions that
+        create and delete it (the root creates its elements, and (a, b)
+        marks at b what b adds to a and what it drops)."""
         try:
             self._number()
         except CycleDetected:
@@ -259,6 +296,8 @@ class ModelVersioning:
         root = versions[self.root]
         if not all(root.node_set.issuperset(store.endpoint(e)) for e in root.edge_set):
             return False
+        cv = {x: [self.root] for x in root.node_set | root.edge_set}
+        dv: dict[str, list[VersionId]] = {}
         for a, b in self.modifications:
             src, tgt = versions[a], versions[b]
             created, deleted = tgt.edge_set - src.edge_set, src.node_set - tgt.node_set
@@ -266,13 +305,20 @@ class ModelVersioning:
                 return False
             if not all(tgt.edge_set.isdisjoint(incident.get(n, ())) for n in deleted):
                 return False
+            for x in created.union(tgt.node_set - src.node_set):
+                cv.setdefault(x, []).append(b)
+            for x in deleted.union(src.edge_set - tgt.edge_set):
+                dv.setdefault(x, []).append(b)
+        self.union = (nodes, edges)
+        self.cv = {x: frozenset(vs) for x, vs in cv.items()}
+        self.dv = {x: frozenset(vs) for x, vs in dv.items()}
         return True
 
     def _number(self) -> None:
         """Number the versions in a topological order (``order`` and its
-        inverse ``position``) and keep each one's strict ancestors as a
-        bitmask over it (``_pre``). Raises CycleDetected when there is no
-        such order."""
+        inverse ``position``) and keep each one's strict ancestors
+        (``_pre``) and strict descendants (``_post``) as bitmasks over it.
+        Raises CycleDetected when there is no such order."""
         indegree = {v: len(ps) for v, ps in self._pred.items()}
         ready = [v for v, n in indegree.items() if not n]
         order: list[VersionId] = []
@@ -292,14 +338,9 @@ class ModelVersioning:
                 v = next(p for p in self._pred[v] if indegree[p])
             raise CycleDetected([v, *reversed(path[path.index(v):])])
         position = {v: k for k, v in enumerate(order)}
-        pre: list[int] = []
-        for v in order:
-            mask = 0
-            for p in self._pred[v]:
-                k = position[p]
-                mask |= pre[k] | (1 << k)
-            pre.append(mask)
-        self.order, self.position, self._pre = tuple(order), position, pre
+        self.order, self.position = tuple(order), position
+        self._pre = _closure(order, position, self._pred, range(len(order)))
+        self._post = _closure(order, position, self._succ, reversed(range(len(order))))
 
     def latest_common_predecessor_table(
         self,
@@ -352,6 +393,20 @@ class ModelVersioning:
     def max_preserving_mod(self, i: VersionId, j: VersionId) -> ModelModification:
         """The span from version i to version j that preserves their intersection."""
         return ModelModification(self.version(i), self.version(j), i, j)
+
+
+def _closure(order: list[VersionId], position: dict, links: dict, ks: Iterable[int]) -> list[int]:
+    """For each position of ``order``, the mask of the versions reachable
+    from it over one or more ``links``. ``ks`` visits every position after
+    the positions it links to: parents in ``order``, successors reversed."""
+    masks = [0] * len(order)
+    for k in ks:
+        mask = 0
+        for w in links[order[k]]:
+            j = position[w]
+            mask |= masks[j] | (1 << j)
+        masks[k] = mask
+    return masks
 
 
 def _shadow(common: int, pre: list[int]) -> int:

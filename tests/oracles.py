@@ -3,9 +3,10 @@
 Everything here trades speed for obviousness: exhaustive permutation
 search instead of backtracking, a reverse BFS over the modifications
 instead of ancestor bitmasks, a full check of every version instead of a
-check of the deltas, and one report line or one whole ``json.dumps`` at a
+check of the deltas, marks read off every modification instead of kept
+from validation, and one report line or one whole ``json.dumps`` at a
 time instead of streamed templates, so a bug in the real matcher,
-merge-base table, validation or renderer cannot hide in shared logic.
+merge-base table, validation, fold or renderer cannot hide in shared logic.
 """
 
 from __future__ import annotations
@@ -75,6 +76,26 @@ def latest_common_predecessors(versioning: ModelVersioning, i: str, j: str) -> f
     # Maximal elements: not an ancestor of any other common ancestor.
     shadowed = set().union(*(predecessors(versioning, x) for x in common))
     return frozenset(common - shadowed)
+
+
+def fold_marks(versioning: ModelVersioning):
+    """The union's node and edge sets and the creation and deletion marks,
+    read off every version and modification: the root creates its
+    elements, and each modification (a, b) creates at b what b adds to a
+    and deletes at b what b drops from a."""
+    versions = versioning.versions
+    nodes = set().union(*(m.node_set for m in versions.values()))
+    edges = set().union(*(m.edge_set for m in versions.values()))
+    root = versions[versioning.root]
+    cv: dict[str, set[str]] = {x: {versioning.root} for x in root.node_set | root.edge_set}
+    dv: dict[str, set[str]] = {}
+    for a, b in sorted(versioning.modifications):
+        ma, mb = versions[a], versions[b]
+        for x in (mb.node_set - ma.node_set) | (mb.edge_set - ma.edge_set):
+            cv.setdefault(x, set()).add(b)
+        for x in (ma.node_set - mb.node_set) | (ma.edge_set - mb.edge_set):
+            dv.setdefault(x, set()).add(b)
+    return nodes, edges, cv, dv
 
 
 def validate_each_version(versioning_args: Mapping[str, Any]) -> None:

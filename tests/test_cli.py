@@ -712,6 +712,17 @@ def test_bench_rejects_mistyped_corpus_params(capsys, tmp_path):
     assert_one_error_line(capsys, "bench", "--params", str(params), "--repeat", "1")
 
 
+def test_bench_rejects_unknown_corpus_param_like_generate(capsys, tmp_path):
+    params = tmp_path / "bench.json"
+    corpus = {k: v for k, v in GENERATOR_PARAMS.items() if k != "format"}
+    params.write_text(
+        json.dumps({"format": "mv-bench/1", "corpus": {**corpus, "bogus": 1},
+                    "tasks": ["conflicts"]})
+    )
+    err = assert_one_error_line(capsys, "bench", "--params", str(params), "--repeat", "1")
+    assert err == "error: unknown generator parameter 'bogus'\n"
+
+
 def test_bench_rejects_unknown_lcp_mode(capsys, tmp_path):
     params = tmp_path / "bench.json"
     corpus = {k: v for k, v in GENERATOR_PARAMS.items() if k != "format"}

@@ -1,7 +1,8 @@
 """Arbitrary valid histories: the fold recovers every version, both
 engines agree on every task, the encoding export is a typed graph that
-carries the fold's marks, the presence and deletion-reach masks decode
-to what the versions hold, and the streamed text and JSON writers give
+carries the fold's marks, the fold's union and marks equal the reference
+fold's, the descendant masks and the presence and deletion-reach masks
+decode to what the versions hold, and the streamed text and JSON writers give
 the reference bytes. The same histories with one broken version fail
 validation as the full per-version check does."""
 
@@ -27,7 +28,7 @@ from mvmodel import (
 from mvmodel.reports import LCP_MODES, write_json, write_text
 from mvmodel.tasks import TASKS
 from conftest import build_store, read_encoding
-from oracles import predecessors, render_json, render_text, validate_each_version
+from oracles import fold_marks, predecessors, render_json, render_text, validate_each_version
 from strategies import POOL_EDGES, POOL_NODES, histories
 
 PATTERNS = oo_constraint_patterns()
@@ -70,9 +71,27 @@ def test_presence_and_deletion_reach_are_the_closed_form(versioning):
         holding = {v for v, m in versioning.versions.items() if x in m.node_set | m.edge_set}
         assert ids_of(mvm.presence(x)) == sorted(holding)
         dropped = {v for v in versioning.versions if v not in holding and ancestors[v] & holding}
-        reach = mvm.reach(mask(mvm.dv.get(x, ())), mask(mvm.cv[x]))
+        reach = versioning.reach(mask(mvm.dv.get(x, ())), mask(mvm.cv[x]))
         assert ids_of(reach) == sorted(dropped)
         assert ids_of(mask(holding)) == sorted(holding)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(histories())
+def test_fold_wraps_the_reference_union_and_marks(versioning):
+    mvm = comb(versioning)
+    nodes, edges, cv, dv = fold_marks(versioning)
+    assert (mvm.union.node_set, mvm.union.edge_set) == (nodes, edges)
+    assert mvm.cv == cv
+    assert mvm.dv == dv
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(histories())
+def test_descendants_are_the_versions_with_the_ancestor(versioning):
+    for k, v in enumerate(versioning.order):
+        below = {w for w in versioning.versions if v in predecessors(versioning, w)}
+        assert versioning.ids_of(versioning.descendants(1 << k)) == sorted({v} | below)
 
 
 # Appended to every id and pattern name: a format field, braces, a quote,
