@@ -18,7 +18,6 @@ from .core import (
     Pattern,
     TypeGraph,
     find_monomorphisms,
-    graph_union,
     pcheck,
     validate_model,
     validate_pattern,
@@ -120,7 +119,6 @@ __all__ = [
     "enumerate_strategies",
     "find_monomorphisms",
     "generate_versioning",
-    "graph_union",
     "insert_delete_conflicts",
     "mcheck",
     "mcheck_mv",

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     DanglingEdge,
-    StoreMismatch,
     TypeGraphMismatch,
     TypeMismatch,
     UnknownType,
@@ -107,9 +106,6 @@ class ElementStore:
     def is_edge(self, elem_id: str) -> bool:
         return elem_id in self._edges
 
-    def has(self, elem_id: str) -> bool:
-        return elem_id in self._nodes or elem_id in self._edges
-
     def elem_type(self, elem_id: str) -> TypeId:
         if elem_id in self._nodes:
             return self._nodes[elem_id]
@@ -189,50 +185,34 @@ class Model:
 
 
 class _ModelIndex:
-    """Adjacency and type indices for one model, used by the matcher.
+    """Type, neighbour and edge-group indices for one model, used by the matcher.
 
-    Only nodes with edges have adjacency lists and per-type edge counts,
-    so read those with ``.get(node, ())`` and ``.get(node, _NO_COUNTS)``.
-    Adjacency and parallel-edge lists are in no particular order.
+    ``out_nbrs[n][t]`` lists the targets of n's outgoing t-edges and
+    ``in_nbrs[n][t]`` the sources of its incoming ones, once per edge, so
+    their lengths are n's per-type degrees; only nodes with edges have
+    entries. ``edges_by_key[(t, s, g)]`` lists the parallel t-edges from s
+    to g. No list is in any particular order.
     """
 
-    __slots__ = (
-        "nodes_by_type",
-        "out_adj",
-        "in_adj",
-        "out_type_count",
-        "in_type_count",
-        "edges_by_key",
-    )
+    __slots__ = ("nodes_by_type", "out_nbrs", "in_nbrs", "edges_by_key")
 
     def __init__(self, model: Model):
         node_type, edge_decl = model.store._nodes, model.store._edges
         by_type: dict[str, list[str]] = {}
-        out_adj: dict[str, list[tuple[str, str, str]]] = {}
-        in_adj: dict[str, list[tuple[str, str, str]]] = {}
-        out_count: dict[str, dict[str, int]] = {}
-        in_count: dict[str, dict[str, int]] = {}
+        out_nbrs: dict[str, dict[str, list[str]]] = {}
+        in_nbrs: dict[str, dict[str, list[str]]] = {}
         by_key: dict[tuple[str, str, str], list[str]] = {}
         for n in model.node_set:
             by_type.setdefault(node_type[n], []).append(n)
         for e in model.edge_set:
             t, src, tgt = edge_decl[e]
-            out_adj.setdefault(src, []).append((e, tgt, t))
-            in_adj.setdefault(tgt, []).append((e, src, t))
-            counts = out_count.setdefault(src, {})
-            counts[t] = counts.get(t, 0) + 1
-            counts = in_count.setdefault(tgt, {})
-            counts[t] = counts.get(t, 0) + 1
+            out_nbrs.setdefault(src, {}).setdefault(t, []).append(tgt)
+            in_nbrs.setdefault(tgt, {}).setdefault(t, []).append(src)
             by_key.setdefault((t, src, tgt), []).append(e)
-        self.nodes_by_type = {t: tuple(sorted(ns)) for t, ns in by_type.items()}
-        self.out_adj = out_adj
-        self.in_adj = in_adj
-        self.out_type_count = out_count
-        self.in_type_count = in_count
+        self.nodes_by_type = by_type
+        self.out_nbrs = out_nbrs
+        self.in_nbrs = in_nbrs
         self.edges_by_key = by_key
-
-
-_NO_COUNTS: Mapping[str, int] = MappingProxyType({})
 
 
 def validate_model(model: Model) -> None:
@@ -304,11 +284,16 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
     target. The result is sorted by the tuple of host images taken in
     pattern id order, so callers see a stable order.
 
-    Backtracks over pattern nodes in static degree-descending order;
-    candidates are pruned by type, by per-type degree counts, and by
-    parallel-edge counts towards already-placed neighbours. Edge images
-    are assigned after the node map is complete, since they are only
-    ambiguous between parallel edges.
+    Backtracks over pattern nodes in static degree-descending order. A
+    node's ties are the pattern's (type, source, target) edge groups
+    whose later end in that order is the node, self-loops included;
+    they, the node's type and its per-type degrees are planned once per
+    call. A host node is a candidate when it is unused, has the type,
+    and its per-type degrees and the host edge group of every tie are at
+    least as large as the pattern's. Candidates are drawn from the host
+    neighbours of one tie's placed end, or from all host nodes of the
+    type. Edge images are assigned after the node map is complete,
+    since they are only ambiguous between parallel edges.
 
     The matcher leaves no reference cycles: reference counting frees
     its working state on return, even with the cyclic garbage collector
@@ -323,70 +308,61 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
     if len(q_nodes) > len(host.node_set):
         return []
 
-    store = q.store
     q_idx = q.index()
     h_idx = host.index()
-    h_store = host.store
+    h_type = host.store._nodes
 
+    q_out = {n: [(t, len(ns)) for t, ns in q_idx.out_nbrs.get(n, {}).items()] for n in q_nodes}
+    q_in = {n: [(t, len(ns)) for t, ns in q_idx.in_nbrs.get(n, {}).items()] for n in q_nodes}
     # Static order: highest total degree first, id as tie-break.
-    degree = {
-        n: len(q_idx.out_adj.get(n, ())) + len(q_idx.in_adj.get(n, ())) for n in q_nodes
-    }
-    order = sorted(q_nodes, key=lambda n: (-degree[n], n))
+    order = sorted(q_nodes, key=lambda n: (-sum(k for _, k in q_out[n] + q_in[n]), n))
+    position = {n: i for i, n in enumerate(order)}
+    ties: list[list[tuple[str, str, str, int]]] = [[] for _ in order]
+    for (t, src, tgt), members in q_idx.edges_by_key.items():
+        ties[max(position[src], position[tgt])].append((t, src, tgt, len(members)))
+    # Per position: type, degrees, ties, and the (host neighbour map,
+    # placed end, type) of the first tie that is not a self-loop, whose
+    # host neighbour list is the candidate pool.
+    plan = []
+    for qv, qv_ties in zip(order, ties):
+        seed = next(
+            ((h_idx.in_nbrs, g, t) if s == qv else (h_idx.out_nbrs, s, t)
+             for t, s, g, _ in qv_ties if s != g),
+            None,
+        )
+        plan.append((q.store.elem_type(qv), q_out[qv], q_in[qv], qv_ties, seed))
 
     assignment: dict[str, str] = {}
     used: set[str] = set()
     node_maps: list[dict[str, str]] = []
 
-    def candidates(qv: str) -> list[str]:
-        qv_type = store.elem_type(qv)
-        # Host nodes with an edge of the right type and direction to every
-        # placed neighbour; with none placed, all host nodes of the type.
-        pool: set[str] | None = None
-        for q_adj, h_adj in ((q_idx.out_adj, h_idx.in_adj), (q_idx.in_adj, h_idx.out_adj)):
-            for (_, other, t) in q_adj.get(qv, ()):
-                if other in assignment:
-                    hits = {h for (_, h, ht) in h_adj.get(assignment[other], ()) if ht == t}
-                    pool = hits if pool is None else pool & hits
+    def candidates(i: int) -> list[str]:
+        qv_type, out_deg, in_deg, qv_ties, seed = plan[i]
+        if seed is None:
+            pool = h_idx.nodes_by_type.get(qv_type, ())
+        else:
+            nbrs, other, t = seed
+            pool = set(nbrs[assignment[other]][t])
+        # The node at i is not assigned yet and every other tie end is,
+        # so assignment.get(end, h) maps a tie end to its host image.
         out = []
-        q_out = q_idx.out_type_count.get(qv, _NO_COUNTS).items()
-        q_in = q_idx.in_type_count.get(qv, _NO_COUNTS).items()
-        for h in h_idx.nodes_by_type.get(qv_type, ()) if pool is None else sorted(pool):
-            if h in used or h_store.elem_type(h) != qv_type:
+        for h in pool:
+            if h in used or h_type[h] != qv_type:
                 continue
-            h_out = h_idx.out_type_count.get(h, _NO_COUNTS)
-            h_in = h_idx.in_type_count.get(h, _NO_COUNTS)
-            if any(h_out.get(t, 0) < c for t, c in q_out):
-                continue
-            if any(h_in.get(t, 0) < c for t, c in q_in):
-                continue
-            ok = True
-            for (_, other, t) in q_idx.out_adj.get(qv, ()):
-                if other == qv:
-                    need = len(q_idx.edges_by_key[(t, qv, qv)])
-                    if len(h_idx.edges_by_key.get((t, h, h), ())) < need:
-                        ok = False
-                        break
-                elif other in assignment:
-                    need = len(q_idx.edges_by_key[(t, qv, other)])
-                    if len(h_idx.edges_by_key.get((t, h, assignment[other]), ())) < need:
-                        ok = False
-                        break
-            if ok:
-                for (_, other, t) in q_idx.in_adj.get(qv, ()):
-                    if other != qv and other in assignment:
-                        need = len(q_idx.edges_by_key[(t, other, qv)])
-                        if len(h_idx.edges_by_key.get((t, assignment[other], h), ())) < need:
-                            ok = False
-                            break
-            if ok:
+            h_out = h_idx.out_nbrs.get(h, {})
+            h_in = h_idx.in_nbrs.get(h, {})
+            if (all(len(h_out.get(t, ())) >= k for t, k in out_deg)
+                    and all(len(h_in.get(t, ())) >= k for t, k in in_deg)
+                    and all(len(h_idx.edges_by_key.get(
+                        (t, assignment.get(s, h), assignment.get(g, h)), ())) >= k
+                        for t, s, g, k in qv_ties)):
                 out.append(h)
         return out
 
     # Depth-first search, holding one candidate iterator per pattern node
     # on the search path; an explicit stack, since a recursive closure
     # would refer to itself and leave a reference cycle behind each call.
-    stack = [iter(candidates(order[0]))]
+    stack = [iter(candidates(0))]
     while stack:
         qv = order[len(stack) - 1]
         if qv in assignment:
@@ -400,7 +376,7 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
             if len(stack) == len(order):
                 node_maps.append(dict(assignment))
             else:
-                stack.append(iter(candidates(order[len(stack)])))
+                stack.append(iter(candidates(len(stack))))
 
     # Assign edge images: within each (type, source, target) group the
     # pattern's parallel edges may hit the host's parallel edges between
@@ -427,20 +403,3 @@ def pcheck(model: Model, pattern: Pattern) -> list[Match]:
     """All embeddings of the violation pattern; empty means the model conforms."""
     return find_monomorphisms(pattern, model)
 
-
-def graph_union(models: Iterable[Model]) -> Model:
-    """Componentwise union of models over one store and type graph."""
-    ms = list(models)
-    if not ms:
-        raise ValueError("graph_union needs at least one model")
-    first = ms[0]
-    nodes: set[str] = set()
-    edges: set[str] = set()
-    for m in ms:
-        if m.store is not first.store:
-            raise StoreMismatch("models are drawn from different element stores")
-        if m.type_graph != first.type_graph:
-            raise TypeGraphMismatch("models use different type graphs")
-        nodes |= m.node_set
-        edges |= m.edge_set
-    return Model(first.store, first.type_graph, nodes, edges)

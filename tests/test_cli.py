@@ -345,6 +345,23 @@ def test_package_runs_as_module():
     assert proc.stdout == "ok versions=3 elements=7\n"
 
 
+@pytest.mark.parametrize("mode", ["mvm", "svm"])
+@pytest.mark.parametrize("command", ["check", "merge-check"])
+def test_output_does_not_depend_on_string_hashing(command, mode):
+    """The matcher draws candidates from sets, whose order follows string
+    hashes; two processes with different hash seeds print the same bytes."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-m", "mvmodel", command, PROJECT, "--constraints", PROJECT_K,
+            "--mode", mode]
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run(argv, capture_output=True, env=env)
+        assert proc.returncode == 0 and proc.stderr == b""
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and b"violation pattern=" in outputs[0]
+
+
 @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
 @pytest.mark.parametrize("command", ["check", "merge-check", "project", "export-mvm"])
 def test_stdout_gets_utf8_whatever_its_encoding(tmp_path, encoding, command):

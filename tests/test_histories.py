@@ -2,7 +2,8 @@
 engines agree on every task, the encoding export is a typed graph that
 carries the fold's marks, the fold's union and marks equal the reference
 fold's, the descendant masks and the presence and deletion-reach masks
-decode to what the versions hold, and the streamed text and JSON writers give
+decode to what the versions hold, the matcher finds what the exhaustive
+oracle finds in every version, and the streamed text and JSON writers give
 the reference bytes. The same histories with one broken version fail
 validation as the full per-version check does."""
 
@@ -20,6 +21,7 @@ from mvmodel import (
     ModelVersioning,
     Pattern,
     comb,
+    find_monomorphisms,
     oo_constraint_patterns,
     oo_type_graph,
     pcheck_mv,
@@ -28,7 +30,14 @@ from mvmodel import (
 from mvmodel.reports import LCP_MODES, write_json, write_text
 from mvmodel.tasks import TASKS
 from conftest import build_store, read_encoding
-from oracles import fold_marks, predecessors, render_json, render_text, validate_each_version
+from oracles import (
+    brute_force_monomorphisms,
+    fold_marks,
+    predecessors,
+    render_json,
+    render_text,
+    validate_each_version,
+)
 from strategies import POOL_EDGES, POOL_NODES, histories
 
 PATTERNS = oo_constraint_patterns()
@@ -92,6 +101,17 @@ def test_descendants_are_the_versions_with_the_ancestor(versioning):
     for k, v in enumerate(versioning.order):
         below = {w for w in versioning.versions if v in predecessors(versioning, w)}
         assert versioning.ids_of(versioning.descendants(1 << k)) == sorted({v} | below)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(histories())
+def test_matcher_agrees_with_brute_force_on_every_version(versioning):
+    """The OO patterns, the 4-node consistent-override one included,
+    against the exhaustive oracle; both engines share the matcher, so the
+    engine sweeps cannot catch a matcher fault."""
+    for model in versioning.versions.values():
+        for pattern in PATTERNS:
+            assert find_monomorphisms(pattern, model) == brute_force_monomorphisms(pattern, model)
 
 
 # Appended to every id and pattern name: a format field, braces, a quote,
