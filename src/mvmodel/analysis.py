@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from .core import Match, Pattern, find_monomorphisms
 from .mvm import MultiVersionModel
-from .reports import (
-    MergeConflictReport,
-    MergeViolationReport,
-    VersionedViolation,
-    drawn_bases,
-)
+from .reports import MergeConflictReport, MergeViolationReport, VersionedViolation
 from .versioning import bits
 
 
@@ -53,16 +48,15 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
     are paired up.
     """
     versioning = mvm.versioning
+    drawn = versioning.drawn_bases(lcp_mode)
     table = versioning.latest_common_predecessor_table()
-    drawn = drawn_bases(table, lcp_mode)
     partners = versioning.merge_partners()
-    order, position, mask = versioning.order, versioning.position, versioning.mask
+    order = versioning.order
     mergeable = sum(1 << k for k, p in enumerate(partners) if p)
-    root = versioning.root
     store = mvm.union.store
     out: list[MergeConflictReport] = []
     for edge_elem in mvm.edge_elements:
-        if mvm.cv[edge_elem] == {root}:  # created only at the root
+        if mvm.cv[edge_elem] == 1:  # created only at the root
             continue
         edge_presence = mvm.presence(edge_elem)
         src, tgt = store.endpoint(edge_elem)
@@ -72,7 +66,7 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
             if not bases_ok:
                 continue
             below = versioning.descendants(bases_ok) & mergeable
-            dropped = below & versioning.reach(mask(mvm.dv.get(endpoint, ())), mask(mvm.cv[endpoint]))
+            dropped = below & versioning.reach(mvm.dv.get(endpoint, 0), mvm.cv[endpoint])
             if not dropped:
                 continue
             for i in bits(edge_presence & below):
@@ -80,9 +74,12 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
                 for j in bits(dropped & partners[i]):
                     vj = order[j]
                     left, right = (vi, vj) if vi < vj else (vj, vi)
-                    for c in drawn[table[left, right]]:
-                        if bases_ok >> position[c] & 1:
-                            out.append(MergeConflictReport(left, right, c, edge_elem, endpoint))
+                    hit = drawn[table[left, right]] & bases_ok
+                    while hit:  # bits(hit) inlined: a generator per pair costs more
+                        low = hit & -hit
+                        base = order[low.bit_length() - 1]
+                        out.append(MergeConflictReport(left, right, base, edge_elem, endpoint))
+                        hit ^= low
     return sorted(out)
 
 
@@ -103,10 +100,10 @@ def pcheck_m_mv(
     lies in no presence mask that misses either side of the pair.
     """
     versioning = mvm.versioning
+    drawn = versioning.drawn_bases(lcp_mode)
     table = versioning.latest_common_predecessor_table()
-    drawn = drawn_bases(table, lcp_mode)
     partners = versioning.merge_partners()
-    order, position = versioning.order, versioning.position
+    order = versioning.order
     mergeable = sum(1 << k for k, p in enumerate(partners) if p)
     out: list[MergeViolationReport] = []
     for m in find_monomorphisms(pattern, mvm.union):
@@ -125,7 +122,9 @@ def pcheck_m_mv(
                     if not p & bit_b:
                         lacked |= p
                 left, right = (va, vb) if va < vb else (vb, va)
-                for c in drawn[table[left, right]]:
-                    if not lacked >> position[c] & 1:
-                        out.append(MergeViolationReport(left, right, c, m))
+                hit = drawn[table[left, right]] & ~lacked
+                while hit:  # bits(hit) inlined, as in mcheck_mv
+                    low = hit & -hit
+                    out.append(MergeViolationReport(left, right, order[low.bit_length() - 1], m))
+                    hit ^= low
     return sorted(out)

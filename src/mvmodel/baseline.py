@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from .core import Pattern, pcheck
 from .merge import insert_delete_conflicts, merge_min
-from .reports import (
-    MergeConflictReport,
-    MergeViolationReport,
-    VersionedViolation,
-    drawn_bases,
-)
+from .reports import MergeConflictReport, MergeViolationReport, VersionedViolation
 from .versioning import ModelVersioning
 
 
@@ -30,8 +25,8 @@ def svm_check(versioning: ModelVersioning, pattern: Pattern) -> list[VersionedVi
 
 def _merge_triplets(versioning: ModelVersioning, lcp_mode: str):
     """Yield (left, right, base) for every mergeable pair, base drawn per mode."""
+    drawn = {b: versioning.ids_of(m) for b, m in versioning.drawn_bases(lcp_mode).items()}
     table = versioning.latest_common_predecessor_table()
-    drawn = drawn_bases(table, lcp_mode)
     for (i, j), bases in sorted((pair, bases) for pair, bases in table.items() if bases):
         for c in drawn[bases]:
             yield i, j, c

@@ -25,8 +25,9 @@ from .corpus import load_json
 from .errors import BenchMismatch, CorpusSyntaxError, ParamError
 from .generate import GeneratorParams, generate_versioning, generator_params
 from .mvm import comb
-from .reports import LCP_MODES, total, write_text
+from .reports import total, write_text
 from .tasks import TASKS, Task
+from .versioning import LCP_MODES
 
 BENCH_FORMAT = "mv-bench/1"
 

@@ -34,8 +34,9 @@ from .corpus import (
 from .errors import ModelError
 from .generate import generate_versioning, parse_generator_params
 from .mvm import comb
-from .reports import LCP_MODES, total, write_json, write_text
+from .reports import total, write_json, write_text
 from .tasks import TASKS
+from .versioning import LCP_MODES
 
 
 def _read(path: str) -> bytes:

@@ -380,7 +380,8 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
 
     # Assign edge images: within each (type, source, target) group the
     # pattern's parallel edges may hit the host's parallel edges between
-    # the mapped endpoints in any injective way.
+    # the mapped endpoints in any injective way. The ties already checked
+    # that every group has enough host edges, so every node map yields.
     matches: list[Match] = []
     for nm in node_maps:
         options: list[list[tuple[tuple[str, str], ...]]] = []
@@ -389,6 +390,7 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
             options.append(
                 [tuple(zip(members, perm)) for perm in itertools.permutations(hosts, len(members))]
             )
+        assert all(options), "a node map lacks host edges that its ties checked"
         node_pairs = tuple(sorted(nm.items()))
         for combo in itertools.product(*options):
             edge_map: dict[str, str] = {}

@@ -261,7 +261,7 @@ def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
             link(f"suc:{a}:{b}", SUC_EDGE_TYPE, f"version:{a}", f"version:{b}")
     for mark, marks in (("cv", mvm.cv), ("dv", mvm.dv)):
         for x, vids in marks.items():
-            for v in vids:
+            for v in versioning.ids_of(vids):
                 link(f"{mark}:{x}:{v}", f"{mark}_{nodes[x]}", x, f"version:{v}")
     obj = {
         "format": ENCODING_FORMAT,

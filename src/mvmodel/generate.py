@@ -83,28 +83,21 @@ def write_generator_params(params: GeneratorParams) -> bytes:
 
 
 class _Builder:
-    """Mutable generation state: the growing store plus endpoint lookups."""
+    """Mutable generation state: the growing store, whose sizes number the
+    next node and edge ids."""
 
     def __init__(self, rng: random.Random):
         self.rng = rng
         self.store = ElementStore()
-        self.node_type: dict[str, str] = {}
-        self.edge_info: dict[str, tuple[str, str, str]] = {}
-        self.node_seq = 0
-        self.edge_seq = 0
 
     def new_node(self, node_type: str) -> str:
-        nid = f"n{self.node_seq:04d}"
-        self.node_seq += 1
+        nid = f"n{len(self.store._nodes):04d}"
         self.store.add_node(nid, node_type)
-        self.node_type[nid] = node_type
         return nid
 
     def new_edge(self, edge_type: str, src: str, tgt: str) -> str:
-        eid = f"e{self.edge_seq:04d}"
-        self.edge_seq += 1
+        eid = f"e{len(self.store._edges):04d}"
         self.store.add_edge(eid, edge_type, src, tgt)
-        self.edge_info[eid] = (edge_type, src, tgt)
         return eid
 
 
@@ -142,7 +135,7 @@ def _build_base(b: _Builder, size: int) -> tuple[set[str], set[str]]:
 
 
 def _present_by_type(b: _Builder, nodes: set[str], wanted: str) -> list[str]:
-    return sorted(n for n in nodes if b.node_type[n] == wanted)
+    return sorted(n for n in nodes if b.store._nodes[n] == wanted)
 
 
 def _apply_edits(
@@ -161,23 +154,22 @@ def _apply_edits(
                 victim = rng.choice(sorted(nodes))
                 nodes.discard(victim)
                 for e in sorted(edges):
-                    _, src, tgt = b.edge_info[e]
-                    if victim in (src, tgt):
+                    if victim in b.store.endpoint(e):
                         edges.discard(e)
             continue
         q = rng.random()
         if q < 0.15:
             # Try to readopt something registered earlier but absent here.
-            absent_nodes = sorted(set(b.node_type) - nodes)
+            absent_nodes = sorted(b.store._nodes.keys() - nodes)
             absent_edges = [
                 e
-                for e in sorted(set(b.edge_info) - edges)
-                if b.edge_info[e][1] in nodes and b.edge_info[e][2] in nodes
+                for e in sorted(b.store._edges.keys() - edges)
+                if nodes.issuperset(b.store.endpoint(e))
             ]
             pool = absent_nodes + absent_edges
             if pool:
                 pick = rng.choice(pool)
-                (nodes if pick in b.node_type else edges).add(pick)
+                (nodes if b.store.is_node(pick) else edges).add(pick)
                 continue
         if q < 0.70:
             t = rng.choice(edge_types)

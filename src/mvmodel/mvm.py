@@ -6,9 +6,9 @@ contain an element is not stored per element but derived from creation
 and deletion marks on the version DAG: an element is present in every
 version that descends from one of its creation versions with none of its
 deletion versions in between. The union and the marks are recorded by
-the history's validation, and every version set is a bitmask whose
-numbering, ancestor and descendant masks and ``reach`` are owned by
-``mvmodel.versioning``.
+the history's validation. Every version set, the marks included, is a
+bitmask over the one numbering ``order``; the numbering, the ancestor and
+descendant masks and ``reach`` are owned by ``mvmodel.versioning``.
 """
 
 from __future__ import annotations
@@ -22,17 +22,17 @@ class MultiVersionModel:
     """One graph standing for a whole version history.
 
     ``union`` holds every element of every version; ``cv`` and ``dv`` map
-    each element to the versions that create and delete it. Presence is
-    derived from these marks on demand, as a bitmask over
-    ``versioning.order``, and memoised.
+    each element to the mask of the versions that create and delete it.
+    Presence is derived from these marks on demand, as a mask too, and
+    memoised.
     """
 
     def __init__(
         self,
         union: Model,
         versioning: ModelVersioning,
-        cv: dict[str, frozenset[str]],
-        dv: dict[str, frozenset[str]],
+        cv: dict[str, int],
+        dv: dict[str, int],
     ):
         self.union = union
         self.versioning = versioning
@@ -50,8 +50,7 @@ class MultiVersionModel:
             return cached
         if element not in self.cv:
             raise NotStructural(element)
-        mask = self.versioning.mask
-        result = self.versioning.reach(mask(self.cv[element]), mask(self.dv.get(element, ())))
+        result = self.versioning.reach(self.cv[element], self.dv.get(element, 0))
         self._presence_cache[element] = result
         return result
 

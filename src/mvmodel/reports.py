@@ -1,4 +1,5 @@
-"""Report types shared by the folded analyses and the per-version baseline.
+"""Report types shared by the folded analyses and the per-version baseline,
+and their text and JSON writers; this module holds nothing else.
 
 All reports are normalised: version pairs are ordered by id, and report
 lists are sorted, so the two analysis routes can be compared with plain
@@ -13,30 +14,9 @@ from __future__ import annotations
 import json
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import Match
-
-LCP_MODES = ("all", "single")
-
-
-def check_lcp_mode(mode: str) -> None:
-    if mode not in LCP_MODES:
-        raise ValueError(f"lcp mode must be one of {LCP_MODES}, got {mode!r}")
-
-
-def drawn_bases(
-    table: Mapping[tuple[str, str], frozenset[str]], mode: str
-) -> dict[frozenset[str], tuple[str, ...]]:
-    """The merge bases analysed per lcp mode, for each distinct merge-base
-    set in a table: all of them in id order (``all``) or the least id
-    (``single``)."""
-    check_lcp_mode(mode)
-    return {
-        bases: (min(bases),) if mode == "single" else tuple(sorted(bases))
-        for bases in set(table.values())
-        if bases
-    }
 
 
 class VersionedViolation(NamedTuple):

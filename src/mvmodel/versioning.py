@@ -7,9 +7,10 @@ componentwise intersection (the largest preserved subgraph). That span
 is maximally preserving by construction: an element survives exactly
 when it is in both versions.
 
-This module owns the version sets: the numbering ``order``, its ancestor
-and descendant masks, and ``reach``. Validation keeps the deltas that the
-fold in ``mvmodel.mvm`` wraps: the union and the creation and deletion marks.
+This module owns the version sets, each one a bitmask over the numbering
+``order``: the ancestor and descendant masks, ``reach``, the merge bases
+that each lcp mode draws, and the creation and deletion marks that
+validation keeps, with the union, for the fold in ``mvmodel.mvm``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,13 @@ from .errors import (
 from . import core
 
 VersionId = str
+
+LCP_MODES = ("all", "single")
+
+
+def check_lcp_mode(mode: str) -> None:
+    if mode not in LCP_MODES:
+        raise ValueError(f"lcp mode must be one of {LCP_MODES}, got {mode!r}")
 
 
 class ModelModification:
@@ -270,9 +278,9 @@ class ModelVersioning:
         the root it holds for every version.
 
         The deltas are kept for the fold: ``union`` is the union's node and
-        edge sets; ``cv`` and ``dv`` map each element to the versions that
-        create and delete it (the root creates its elements, and (a, b)
-        marks at b what b adds to a and what it drops)."""
+        edge sets; ``cv`` and ``dv`` map each element to the mask of the
+        versions that create and delete it (the root, bit 0, creates its
+        elements, and (a, b) marks at b what b adds to a and what it drops)."""
         try:
             self._number()
         except CycleDetected:
@@ -296,22 +304,21 @@ class ModelVersioning:
         root = versions[self.root]
         if not all(root.node_set.issuperset(store.endpoint(e)) for e in root.edge_set):
             return False
-        cv = {x: [self.root] for x in root.node_set | root.edge_set}
-        dv: dict[str, list[VersionId]] = {}
+        cv = dict.fromkeys(root.node_set | root.edge_set, 1)
+        dv: dict[str, int] = {}
         for a, b in self.modifications:
-            src, tgt = versions[a], versions[b]
+            src, tgt, bit = versions[a], versions[b], 1 << self.position[b]
             created, deleted = tgt.edge_set - src.edge_set, src.node_set - tgt.node_set
             if not all(tgt.node_set.issuperset(store.endpoint(e)) for e in created):
                 return False
             if not all(tgt.edge_set.isdisjoint(incident.get(n, ())) for n in deleted):
                 return False
             for x in created.union(tgt.node_set - src.node_set):
-                cv.setdefault(x, []).append(b)
+                cv[x] = cv.get(x, 0) | bit
             for x in deleted.union(src.edge_set - tgt.edge_set):
-                dv.setdefault(x, []).append(b)
+                dv[x] = dv.get(x, 0) | bit
         self.union = (nodes, edges)
-        self.cv = {x: frozenset(vs) for x, vs in cv.items()}
-        self.dv = {x: frozenset(vs) for x, vs in dv.items()}
+        self.cv, self.dv = cv, dv
         return True
 
     def _number(self) -> None:
@@ -387,6 +394,17 @@ class ModelVersioning:
         a merge base with."""
         self.latest_common_predecessor_table()
         return self._partners  # type: ignore[return-value]
+
+    def drawn_bases(self, mode: str) -> dict[frozenset[VersionId], int]:
+        """For each distinct merge-base set of the table, the mask of the
+        bases that lcp mode ``mode`` analyses: all of them (``all``) or the
+        least id (``single``)."""
+        check_lcp_mode(mode)
+        return {
+            bases: 1 << self.position[min(bases)] if mode == "single" else self.mask(bases)
+            for bases in set(self.latest_common_predecessor_table().values())
+            if bases
+        }
 
     # -- spans ------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from mvmodel import (
     svm_merge_check,
 )
 
-from mvmodel.reports import check_lcp_mode
+from mvmodel.versioning import check_lcp_mode
 from conftest import build_store, make_pattern, merge_history
 from oracles import latest_common_predecessors
 

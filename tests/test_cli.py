@@ -19,6 +19,7 @@ import mvmodel.cli
 import mvmodel.core
 import mvmodel.reports
 import mvmodel.tasks
+import mvmodel.versioning
 from mvmodel import (
     GeneratorParams,
     ModelVersioning,
@@ -437,7 +438,7 @@ def test_verdicts_build_no_reference_cycles():
             patterns = parse_constraints(constraints, versioning.type_graph)
             mvm = comb(versioning)
             for task in mvmodel.tasks.TASKS.values():
-                for lcp in mvmodel.reports.LCP_MODES:
+                for lcp in mvmodel.versioning.LCP_MODES:
                     for route, subject in ((task.mvm, mvm), (task.svm, versioning)):
                         mvmodel.reports.write_text(route(subject, patterns, lcp), io.StringIO().write)
         assert gc.collect() == 0

@@ -230,6 +230,29 @@ def test_matcher_keeps_node_types_on_an_unvalidated_host():
     assert [m.node_map for m in find_monomorphisms(pattern, host)] == [{"p": "a1", "r": "b1"}]
 
 
+def test_matcher_checks_every_tie_of_a_node():
+    """The last node of a triangle is tied to both placed nodes. Each host
+    neighbour of one image has the node's degrees but no edge from the
+    other image, so a tie filter that checks one tie per node lets it
+    through to a node map without host edges."""
+    pattern = make_pattern(
+        "triangle", CLS_TG, {"a": "Class", "b": "Class", "c": "Class"},
+        {"ab": ("superclass", "a", "b"), "bc": ("superclass", "b", "c"),
+         "ac": ("superclass", "a", "c")},
+    )
+    edges = {"xy": ("superclass", "x", "y"), "xz1": ("superclass", "x", "z1"),
+             "yz2": ("superclass", "y", "z2"), "uz1": ("superclass", "u", "z1"),
+             "uz2": ("superclass", "u", "z2")}
+    nodes = dict.fromkeys(["x", "y", "z1", "z2", "u"], "Class")
+    host = full_model(build_store(CLS_TG, nodes, edges), CLS_TG)
+    assert find_monomorphisms(pattern, host) == []
+    edges["yz1"] = ("superclass", "y", "z1")
+    closed = full_model(build_store(CLS_TG, nodes, edges), CLS_TG)
+    assert [m.node_map for m in find_monomorphisms(pattern, closed)] == [
+        {"a": "x", "b": "y", "c": "z1"}
+    ]
+
+
 def test_pcheck_is_matcher_output(data_dir):
     host_store = build_store(
         CLS_TG,

@@ -1,10 +1,10 @@
 """Arbitrary valid histories: the fold recovers every version, both
 engines agree on every task, the encoding export is a typed graph that
 carries the fold's marks, the fold's union and marks equal the reference
-fold's, the descendant masks and the presence and deletion-reach masks
-decode to what the versions hold, the matcher finds what the exhaustive
-oracle finds in every version, and the streamed text and JSON writers give
-the reference bytes. The same histories with one broken version fail
+fold's, the descendant masks, the presence and deletion-reach masks and
+the drawn merge bases decode to what they stand for, the matcher finds
+what the exhaustive oracle finds in every version, and the streamed text
+and JSON writers give the reference bytes. The same histories with one broken version fail
 validation as the full per-version check does."""
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from mvmodel import (
     pcheck_mv,
     write_mv_encoding,
 )
-from mvmodel.reports import LCP_MODES, write_json, write_text
+from mvmodel.reports import write_json, write_text
+from mvmodel.versioning import LCP_MODES
 from mvmodel.tasks import TASKS
 from conftest import build_store, read_encoding
 from oracles import (
@@ -63,8 +64,9 @@ def test_arbitrary_histories_fold_agree_and_export(versioning):
             assert eid == f"{kind}:{x}:{version}"
             assert edge["type"] == f"{kind}_{doc['nodes'][x]}"
             marks[kind].setdefault(x, set()).add(version)
-    assert marks["cv"] == mvm.cv
-    assert marks["dv"] == mvm.dv
+    ids_of = versioning.ids_of
+    assert marks["cv"] == {x: set(ids_of(vs)) for x, vs in mvm.cv.items()}
+    assert marks["dv"] == {x: set(ids_of(vs)) for x, vs in mvm.dv.items()}
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -80,7 +82,7 @@ def test_presence_and_deletion_reach_are_the_closed_form(versioning):
         holding = {v for v, m in versioning.versions.items() if x in m.node_set | m.edge_set}
         assert ids_of(mvm.presence(x)) == sorted(holding)
         dropped = {v for v in versioning.versions if v not in holding and ancestors[v] & holding}
-        reach = versioning.reach(mask(mvm.dv.get(x, ())), mask(mvm.cv[x]))
+        reach = versioning.reach(mvm.dv.get(x, 0), mvm.cv[x])
         assert ids_of(reach) == sorted(dropped)
         assert ids_of(mask(holding)) == sorted(holding)
 
@@ -91,8 +93,22 @@ def test_fold_wraps_the_reference_union_and_marks(versioning):
     mvm = comb(versioning)
     nodes, edges, cv, dv = fold_marks(versioning)
     assert (mvm.union.node_set, mvm.union.edge_set) == (nodes, edges)
-    assert mvm.cv == cv
-    assert mvm.dv == dv
+    ids_of = versioning.ids_of
+    assert {x: set(ids_of(vs)) for x, vs in mvm.cv.items()} == cv
+    assert {x: set(ids_of(vs)) for x, vs in mvm.dv.items()} == dv
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(histories())
+def test_drawn_bases_are_the_masks_of_the_analysed_bases(versioning):
+    """Each distinct merge-base set draws all its bases or its least id."""
+    ids_of = versioning.ids_of
+    base_sets = {bases for bases in versioning.latest_common_predecessor_table().values() if bases}
+    for mode, want in (("all", sorted), ("single", lambda bases: [min(bases)])):
+        drawn = versioning.drawn_bases(mode)
+        assert drawn.keys() == base_sets
+        for bases, mask in drawn.items():
+            assert ids_of(mask) == want(bases)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
