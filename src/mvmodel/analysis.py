@@ -48,8 +48,7 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
     are paired up.
     """
     versioning = mvm.versioning
-    drawn = versioning.drawn_bases(lcp_mode)
-    table = versioning.latest_common_predecessor_table()
+    draw = versioning.drawn_bases(lcp_mode)
     partners = versioning.merge_partners()
     order = versioning.order
     mergeable = sum(1 << k for k, p in enumerate(partners) if p)
@@ -74,7 +73,7 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
                 for j in bits(dropped & partners[i]):
                     vj = order[j]
                     left, right = (vi, vj) if vi < vj else (vj, vi)
-                    hit = drawn[table[left, right]] & bases_ok
+                    hit = draw(i, j) & bases_ok
                     while hit:  # bits(hit) inlined: a generator per pair costs more
                         low = hit & -hit
                         base = order[low.bit_length() - 1]
@@ -100,8 +99,7 @@ def pcheck_m_mv(
     lies in no presence mask that misses either side of the pair.
     """
     versioning = mvm.versioning
-    drawn = versioning.drawn_bases(lcp_mode)
-    table = versioning.latest_common_predecessor_table()
+    draw = versioning.drawn_bases(lcp_mode)
     partners = versioning.merge_partners()
     order = versioning.order
     mergeable = sum(1 << k for k, p in enumerate(partners) if p)
@@ -122,7 +120,7 @@ def pcheck_m_mv(
                     if not p & bit_b:
                         lacked |= p
                 left, right = (va, vb) if va < vb else (vb, va)
-                hit = drawn[table[left, right]] & ~lacked
+                hit = draw(a, b) & ~lacked
                 while hit:  # bits(hit) inlined, as in mcheck_mv
                     low = hit & -hit
                     out.append(MergeViolationReport(left, right, order[low.bit_length() - 1], m))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from .core import Pattern, pcheck
 from .merge import insert_delete_conflicts, merge_min
 from .reports import MergeConflictReport, MergeViolationReport, VersionedViolation
-from .versioning import ModelVersioning
+from .versioning import ModelVersioning, check_lcp_mode
 
 
 def svm_check(versioning: ModelVersioning, pattern: Pattern) -> list[VersionedViolation]:
@@ -24,9 +24,11 @@ def svm_check(versioning: ModelVersioning, pattern: Pattern) -> list[VersionedVi
 
 
 def _merge_triplets(versioning: ModelVersioning, lcp_mode: str):
-    """Yield (left, right, base) for every mergeable pair, base drawn per mode."""
-    drawn = {b: versioning.ids_of(m) for b, m in versioning.drawn_bases(lcp_mode).items()}
+    """Yield (left, right, base) for every mergeable pair, straight from the
+    merge-base table: every base (``all``) or the least id (``single``)."""
+    check_lcp_mode(lcp_mode)
     table = versioning.latest_common_predecessor_table()
+    drawn = {b: sorted(b) if lcp_mode == "all" else [min(b)] for b in set(table.values()) if b}
     for (i, j), bases in sorted((pair, bases) for pair, bases in table.items() if bases):
         for c in drawn[bases]:
             yield i, j, c

@@ -1,8 +1,8 @@
 """Benchmark harness comparing the folded route against the per-version route.
 
-``time`` covers the analysis alone. Setup work that both routes consume
-is done before the clock starts: corpus generation, folding, merge-base
-table and, through an untimed warm-up run, adjacency indices. The
+``time`` covers the analysis alone. Setup work is done before the clock
+starts: corpus generation, folding and, through an untimed warm-up run,
+adjacency indices and the per-version route's merge-base table. The
 per-version merge-check route builds the merge of every pair
 (``merge_min``) inside the clock, as ``merge-check --mode svm`` does.
 Each repetition re-derives presence from scratch so the folded route
@@ -118,9 +118,9 @@ PHASES = ("generate", "fold", "lcp_table", "analysis", "render")
 
 def _end_to_end(params: BenchParams, task: Task, route: str, patterns: list[Pattern]):
     """A verdict from nothing, timed by phase: generate the history, fold it
-    (mvm only), build the merge-base table (tasks that depend on the lcp
-    mode), run the analysis and render its text with the CLI's writer.
-    Returns the seconds of each of ``PHASES``, and the findings."""
+    (mvm only), build the merge-base table (svm only, for tasks that depend
+    on the lcp mode), run the analysis and render its text with the CLI's
+    writer. Returns the seconds of each of ``PHASES``, and the findings."""
     laps = [time.perf_counter()]
 
     def lap(result):
@@ -129,7 +129,7 @@ def _end_to_end(params: BenchParams, task: Task, route: str, patterns: list[Patt
 
     versioning = lap(generate_versioning(params.corpus))
     subject = lap(comb(versioning) if route == "mvm" else versioning)
-    lap(task.lcp and versioning.latest_common_predecessor_table())
+    lap(task.lcp and route == "svm" and versioning.latest_common_predecessor_table())
     groups = lap(getattr(task, route)(subject, patterns, params.lcp))
     lap(write_text(groups, str.encode))  # encoded as the CLI writes it, then dropped
     return [b - a for a, b in zip(laps, laps[1:])], groups
@@ -149,7 +149,6 @@ def run_bench(params: BenchParams, repeat: int = 5, patterns: list[Pattern] | No
 
     versioning = generate_versioning(params.corpus)
     mvm = comb(versioning)
-    versioning.latest_common_predecessor_table()
 
     results: list[BenchTaskResult] = []
     for name in params.tasks:

@@ -15,7 +15,7 @@ validation keeps, with the union, for the fold in ``mvmodel.mvm``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import ElementStore, Model, TypeGraph
 from .errors import (
@@ -45,7 +45,7 @@ class ModelModification:
     created elements are target-only, deleted elements source-only.
     """
 
-    __slots__ = ("source", "target", "source_id", "target_id", "_preserved")
+    __slots__ = ("source", "target", "source_id", "target_id")
 
     def __init__(self, source: Model, target: Model, source_id: str = "", target_id: str = ""):
         if source.store is not target.store:
@@ -56,18 +56,6 @@ class ModelModification:
         self.target = target
         self.source_id = source_id
         self.target_id = target_id
-        self._preserved: Model | None = None
-
-    @property
-    def preserved(self) -> Model:
-        if self._preserved is None:
-            self._preserved = Model(
-                self.source.store,
-                self.source.type_graph,
-                self.source.node_set & self.target.node_set,
-                self.source.edge_set & self.target.edge_set,
-            )
-        return self._preserved
 
     @property
     def created_nodes(self) -> frozenset[str]:
@@ -125,7 +113,6 @@ class ModelVersioning:
         self._succ = {v: tuple(ws) for v, ws in succ.items()}
         self._pred = {v: tuple(ws) for v, ws in pred.items()}
         self._lcp_table: dict[tuple[VersionId, VersionId], frozenset[VersionId]] | None = None
-        self._partners: list[int] | None = None
         self.validate()
 
     # -- basic access ---------------------------------------------------
@@ -349,62 +336,74 @@ class ModelVersioning:
         self._pre = _closure(order, position, self._pred, range(len(order)))
         self._post = _closure(order, position, self._succ, reversed(range(len(order))))
 
+    def merge_partners(self) -> list[int]:
+        """For each position in ``order``, the mask of the versions it has
+        a merge base with.
+
+        In closed form: validation proves that every version descends from
+        the root, so two versions other than the root always share an
+        ancestor, and they are partners exactly when neither is an ancestor
+        of the other. The root is an ancestor of every other version, so
+        the same expression leaves it no partner."""
+        pre, post = self._pre, self._post
+        full = (1 << len(pre)) - 1
+        return [full & ~(pre[k] | post[k] | 1 << k) for k in range(len(pre))]
+
+    def drawn_bases(self, mode: str) -> Callable[[int, int], int]:
+        """A function of two partner positions that gives the mask of their
+        merge bases that lcp mode ``mode`` analyses: all of them (``all``)
+        or the least id (``single``).
+
+        A pair's merge bases are the maximal members of its common
+        ancestors, so the drawn mask depends on the common mask alone and is
+        memoised on it; a history has few distinct common masks."""
+        check_lcp_mode(mode)
+        pre, position = self._pre, self.position
+        memo: dict[int, int] = {}
+
+        def draw(a: int, b: int) -> int:
+            common = pre[a] & pre[b]
+            drawn = memo.get(common)
+            if drawn is None:
+                drawn = _maxima(common, pre)
+                if mode == "single":
+                    drawn = 1 << position[self.ids_of(drawn)[0]]
+                memo[common] = drawn
+            return drawn
+
+        return draw
+
     def latest_common_predecessor_table(
         self,
     ) -> dict[tuple[VersionId, VersionId], frozenset[VersionId]]:
         """Merge-base sets for every unordered version pair, keyed (i, j) with i < j.
 
-        Built from ancestor bitmasks in one pass over the pairs, which also
-        records each version's mergeable partners (see ``merge_partners``).
-        Pairs with equal merge bases share one frozenset.
+        Read by the per-version route only; the folded analyses use
+        ``merge_partners`` and ``drawn_bases`` instead. One pass over all
+        pairs: a set is non-empty exactly for partners, and holds the maxima
+        of the pair's common ancestors, as ``drawn_bases`` draws them. Pairs
+        with equal common ancestors share one frozenset.
         """
         if self._lcp_table is None:
-            order, pre = self.order, self._pre
+            order, pre, partners = self.order, self._pre, self.merge_partners()
             empty: frozenset[VersionId] = frozenset()
-            # The common ancestors are the down-closure of the merge bases,
-            # so the common mask identifies the base set.
             bases_of: dict[int, frozenset[VersionId]] = {}
-            partners = [0] * len(order)
             table: dict[tuple[VersionId, VersionId], frozenset[VersionId]] = {}
             for a, i in enumerate(order):
-                pre_i, bit_i, mine = pre[a], 1 << a, 0
+                pre_i, mine = pre[a], partners[a]
                 for b in range(a + 1, len(order)):
                     j = order[b]
                     pair = (i, j) if i < j else (j, i)
-                    # b comes after a, so only a can be an ancestor of b
-                    common = pre_i & pre[b]
-                    if not common or pre[b] & bit_i:
+                    if not mine >> b & 1:
                         table[pair] = empty
                         continue
+                    common = pre_i & pre[b]
                     bases = bases_of.get(common)
                     if bases is None:
-                        bases = bases_of[common] = frozenset(
-                            order[k] for k in bits(common & ~_shadow(common, pre))
-                        )
+                        bases = bases_of[common] = frozenset(self.ids_of(_maxima(common, pre)))
                     table[pair] = bases
-                    mine |= 1 << b
-                    partners[b] |= bit_i
-                partners[a] |= mine
-            self._partners = partners
             self._lcp_table = table
         return self._lcp_table
-
-    def merge_partners(self) -> list[int]:
-        """For each position in ``order``, the mask of the versions it has
-        a merge base with."""
-        self.latest_common_predecessor_table()
-        return self._partners  # type: ignore[return-value]
-
-    def drawn_bases(self, mode: str) -> dict[frozenset[VersionId], int]:
-        """For each distinct merge-base set of the table, the mask of the
-        bases that lcp mode ``mode`` analyses: all of them (``all``) or the
-        least id (``single``)."""
-        check_lcp_mode(mode)
-        return {
-            bases: 1 << self.position[min(bases)] if mode == "single" else self.mask(bases)
-            for bases in set(self.latest_common_predecessor_table().values())
-            if bases
-        }
 
     # -- spans ------------------------------------------------------------
 
@@ -427,8 +426,8 @@ def _closure(order: list[VersionId], position: dict, links: dict, ks: Iterable[i
     return masks
 
 
-def _shadow(common: int, pre: list[int]) -> int:
-    """The members of ``common`` that are ancestors of another member.
+def _maxima(common: int, pre: list[int]) -> int:
+    """The members of ``common`` that are ancestors of no other member.
 
     Takes the highest unvisited member, shadows its ancestors, and repeats
     until every member is visited or shadowed; a maximal member is never
@@ -441,7 +440,7 @@ def _shadow(common: int, pre: list[int]) -> int:
         top = rest.bit_length() - 1
         shadow |= pre[top]
         rest &= ~(shadow | (1 << top))
-    return shadow
+    return common & ~shadow
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -17,7 +17,15 @@ from collections import deque
 
 from typing import Any, Mapping
 
-from mvmodel import InvalidVersion, Match, Model, ModelVersioning, Pattern, validate_model
+from mvmodel import (
+    InvalidVersion,
+    Match,
+    Model,
+    ModelModification,
+    ModelVersioning,
+    Pattern,
+    validate_model,
+)
 from mvmodel.reports import MergeConflictReport, MergeViolationReport, VersionedViolation
 
 
@@ -63,6 +71,11 @@ def predecessors(versioning: ModelVersioning, version_id: str) -> frozenset[str]
                 seen.add(w)
                 queue.append(w)
     return frozenset(seen)
+
+
+def preserved(mod: ModelModification) -> tuple[frozenset[str], frozenset[str]]:
+    """The node and edge sets a modification keeps: what both ends hold."""
+    return mod.source.node_set & mod.target.node_set, mod.source.edge_set & mod.target.edge_set
 
 
 def latest_common_predecessors(versioning: ModelVersioning, i: str, j: str) -> frozenset[str]:

@@ -24,7 +24,7 @@ from mvmodel import (
     svm_merge_check,
 )
 
-from mvmodel.versioning import check_lcp_mode
+from mvmodel.versioning import LCP_MODES, check_lcp_mode
 from conftest import build_store, make_pattern, merge_history
 from oracles import latest_common_predecessors
 
@@ -244,3 +244,30 @@ def test_folded_merge_analyses_equal_baseline_off_topological_order(seed, mode):
     assert mcheck_mv(mvm, mode) == svm_conflicts(versioning, mode)
     for pattern in oo_constraint_patterns():
         assert pcheck_m_mv(mvm, pattern, mode) == svm_merge_check(versioning, pattern, mode)
+
+
+@pytest.mark.parametrize("seed", [5, 10, 12, 14])
+def test_folded_merge_analyses_build_no_merge_base_table(monkeypatch, seed):
+    """The folded route reads partners and bases off the ancestor masks:
+    with the pair table made to raise, both merge analyses still give the
+    per-version route's reports, in both lcp modes. These seeds have
+    conflicts and merge violations; on 12 and 14 the two modes differ."""
+    versioning = merge_history(seed)
+    patterns = oo_constraint_patterns()
+    want = {
+        mode: (
+            svm_conflicts(versioning, mode),
+            [svm_merge_check(versioning, p, mode) for p in patterns],
+        )
+        for mode in LCP_MODES
+    }
+    assert all(conflicts and any(violations) for conflicts, violations in want.values())
+
+    def refuse(self):
+        raise AssertionError("the folded route built the merge-base table")
+
+    monkeypatch.setattr(ModelVersioning, "latest_common_predecessor_table", refuse)
+    mvm = comb(versioning)
+    for mode, (conflicts, violations) in want.items():
+        assert mcheck_mv(mvm, mode) == conflicts
+        assert [pcheck_m_mv(mvm, p, mode) for p in patterns] == violations

@@ -28,7 +28,7 @@ from mvmodel import (
     write_mv_encoding,
 )
 from mvmodel.reports import write_json, write_text
-from mvmodel.versioning import LCP_MODES
+from mvmodel.versioning import LCP_MODES, bits
 from mvmodel.tasks import TASKS
 from conftest import build_store, read_encoding
 from oracles import (
@@ -101,14 +101,19 @@ def test_fold_wraps_the_reference_union_and_marks(versioning):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(histories())
 def test_drawn_bases_are_the_masks_of_the_analysed_bases(versioning):
-    """Each distinct merge-base set draws all its bases or its least id."""
-    ids_of = versioning.ids_of
-    base_sets = {bases for bases in versioning.latest_common_predecessor_table().values() if bases}
+    """The closed-form partners are the pairs with a merge base in the
+    table, and each partner pair draws all its bases or their least id."""
+    ids_of, order = versioning.ids_of, versioning.order
+    table = versioning.latest_common_predecessor_table()
+    partners = versioning.merge_partners()
+    pairs = {(a, b) for a, mask in enumerate(partners) for b in bits(mask)}
+    ranked = {tuple(sorted((order[a], order[b]))): (a, b) for a, b in pairs}
+    assert len(ranked) * 2 == len(pairs)
+    assert ranked.keys() == {pair for pair, bases in table.items() if bases}
     for mode, want in (("all", sorted), ("single", lambda bases: [min(bases)])):
-        drawn = versioning.drawn_bases(mode)
-        assert drawn.keys() == base_sets
-        for bases, mask in drawn.items():
-            assert ids_of(mask) == want(bases)
+        draw = versioning.drawn_bases(mode)
+        for pair, (a, b) in ranked.items():
+            assert ids_of(draw(a, b)) == ids_of(draw(b, a)) == want(table[pair])
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

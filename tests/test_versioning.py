@@ -18,7 +18,7 @@ from mvmodel import (
     generate_versioning,
 )
 from conftest import build_store, merge_history, rename_versions
-from oracles import latest_common_predecessors, predecessors
+from oracles import latest_common_predecessors, predecessors, preserved
 
 TG = TypeGraph({"N"}, {"link": ("N", "N")})
 
@@ -161,8 +161,7 @@ def test_max_preserving_mod_is_componentwise_intersection():
     tgt = Model(store, TG, {"n2", "n3"}, {"e23"})
     v = ModelVersioning({"s": src, "t": tgt}, {("s", "t")}, root="s")
     mod = v.max_preserving_mod("s", "t")
-    assert mod.preserved.node_set == {"n2"}
-    assert mod.preserved.edge_set == set()
+    assert preserved(mod) == ({"n2"}, set())
     assert mod.deleted_nodes == {"n1"}
     assert mod.deleted_edges == {"e12"}
     assert mod.created_nodes == {"n3"}
@@ -183,7 +182,7 @@ def test_modification_preserved_edges_keep_their_endpoints():
     src = Model(store, TG, {"n1", "n2"}, {"e12"})
     tgt = Model(store, TG, {"n1", "n2"}, {"e12"})
     mod = ModelModification(src, tgt, "a", "b")
-    assert mod.preserved.edge_set == {"e12"}
+    assert preserved(mod)[1] == {"e12"}
     assert mod.created_edges == set() and mod.deleted_edges == set()
 
 
