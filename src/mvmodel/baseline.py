@@ -46,14 +46,17 @@ def svm_conflicts(versioning: ModelVersioning, lcp_mode: str = "all") -> list[Me
 
 
 def svm_merge_check(
-    versioning: ModelVersioning, pattern: Pattern, lcp_mode: str = "all"
-) -> list[MergeViolationReport]:
-    """Violations of the deletion-prioritising merge of every mergeable pair."""
-    out: set[MergeViolationReport] = set()
+    versioning: ModelVersioning, patterns: list[Pattern], lcp_mode: str = "all"
+) -> list[list[MergeViolationReport]]:
+    """Violations of the deletion-prioritising merge of every mergeable
+    pair: one sorted list per pattern, in pattern order. Each (pair, base)
+    is merged once and the merged model is checked against every pattern."""
+    out: list[set[MergeViolationReport]] = [set() for _ in patterns]
     for i, j, c in _merge_triplets(versioning, lcp_mode):
         m1 = versioning.max_preserving_mod(c, i)
         m2 = versioning.max_preserving_mod(c, j)
         merged = merge_min(m1, m2).merged
-        for m in pcheck(merged, pattern):
-            out.add(MergeViolationReport(i, j, c, m))
-    return sorted(out)
+        for found, pattern in zip(out, patterns):
+            for m in pcheck(merged, pattern):
+                found.add(MergeViolationReport(i, j, c, m))
+    return [sorted(found) for found in out]

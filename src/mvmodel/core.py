@@ -163,7 +163,7 @@ class Model:
         self._index: _ModelIndex | None = None
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return other is self or (
             isinstance(other, Model)
             and self.store is other.store
             and self.type_graph == other.type_graph

@@ -51,7 +51,8 @@ TASKS: dict[str, Task] = {
         lcp=True,
         mvm=lambda mvm, patterns, lcp: [(p.name, pcheck_m_mv(mvm, p, lcp)) for p in patterns],
         svm=lambda versioning, patterns, lcp: [
-            (p.name, svm_merge_check(versioning, p, lcp)) for p in patterns
+            (p.name, reports)
+            for p, reports in zip(patterns, svm_merge_check(versioning, patterns, lcp))
         ],
     ),
 }

@@ -120,7 +120,7 @@ def test_criterion_1_running_example_goldens():
         assert {(r.left, r.right, r.base) for r in merge_reports} == {("M_2", "M_3", "M_1")}
         for report in merge_reports:
             assert dict(report.match.nodes)["cls"] == "c1"
-        assert merge_reports == svm_merge_check(versioning, pattern)
+        assert [merge_reports] == svm_merge_check(versioning, [pattern])
 
         assert pcheck_mv(mvm, pattern) == []
         box["detail"] = "1 conflict, 2 merge violations rooted at c1, 0 version violations"
@@ -182,13 +182,12 @@ def test_criterion_5_merge_check_oracle_and_strategy_floor():
         floor_instances = 0
         for versioning, mvm in suite():
             table = versioning.latest_common_predecessor_table()
+            for mode in ("all", "single"):
+                found = [pcheck_m_mv(mvm, pattern, mode) for pattern in patterns]
+                assert found == svm_merge_check(versioning, patterns, mode)
+                if mode == "all":
+                    report_count += sum(map(len, found))
             for pattern in patterns:
-                for mode in ("all", "single"):
-                    found = pcheck_m_mv(mvm, pattern, mode)
-                    assert found == svm_merge_check(versioning, pattern, mode)
-                    if mode == "all":
-                        report_count += len(found)
-
                 # the all-bases reports per triplet must equal what every
                 # resolution strategy leaves behind, on triplets small
                 # enough to enumerate
@@ -209,10 +208,9 @@ def test_criterion_5_merge_check_oracle_and_strategy_floor():
                         assert by_triplet.get((i, j, c), set()) == (unavoidable or set())
                         floor_instances += 1
         project, project_mvm, project_patterns = shipped()
-        for pattern in project_patterns:
-            for mode in ("all", "single"):
-                found = pcheck_m_mv(project_mvm, pattern, mode)
-                assert found == svm_merge_check(project, pattern, mode)
+        for mode in ("all", "single"):
+            found = [pcheck_m_mv(project_mvm, pattern, mode) for pattern in project_patterns]
+            assert found == svm_merge_check(project, project_patterns, mode)
         box["detail"] = f"{report_count} merge violations, {floor_instances} enumerated triplets"
 
 

@@ -121,7 +121,7 @@ def test_fork_example_merge_violations_root_at_c1():
         ),
     ]
     assert pcheck_m_mv(comb(versioning), pattern) == expected
-    assert svm_merge_check(versioning, pattern) == expected
+    assert svm_merge_check(versioning, [pattern]) == [expected]
 
 
 def test_pcheck_mv_reports_per_version():
@@ -181,7 +181,7 @@ def test_merge_preview_applies_deletions_before_matching():
     versioning.validate()
     # merged result keeps only e13: a deleted e12, b created e13
     assert pcheck_m_mv(comb(versioning), unique_superclass_pattern()) == []
-    assert svm_merge_check(versioning, unique_superclass_pattern()) == []
+    assert svm_merge_check(versioning, [unique_superclass_pattern()]) == [[]]
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -205,10 +205,10 @@ def test_folded_conflicts_equal_pairwise_conflicts(seed, mode):
 def test_folded_merge_check_equals_pairwise_merge_check(seed, mode):
     versioning = generate_versioning(acceptance_params(seed))
     mvm = comb(versioning)
-    for pattern in oo_constraint_patterns():
-        assert pcheck_m_mv(mvm, pattern, mode) == svm_merge_check(
-            versioning, pattern, mode
-        )
+    patterns = oo_constraint_patterns()
+    assert [pcheck_m_mv(mvm, p, mode) for p in patterns] == svm_merge_check(
+        versioning, patterns, mode
+    )
 
 
 def test_single_mode_picks_one_base_in_criss_cross():
@@ -231,7 +231,7 @@ def test_single_mode_picks_one_base_in_criss_cross():
     pattern = unique_superclass_pattern()
     for mode in ("all", "single"):
         got = pcheck_m_mv(mvm, pattern, mode)
-        assert got == svm_merge_check(versioning, pattern, mode)
+        assert [got] == svm_merge_check(versioning, [pattern], mode)
         assert {r.base for r in got} == ({"a", "b"} if mode == "all" else {"a"})
 
 
@@ -242,8 +242,10 @@ def test_folded_merge_analyses_equal_baseline_off_topological_order(seed, mode):
     versioning.validate()
     mvm = comb(versioning)
     assert mcheck_mv(mvm, mode) == svm_conflicts(versioning, mode)
-    for pattern in oo_constraint_patterns():
-        assert pcheck_m_mv(mvm, pattern, mode) == svm_merge_check(versioning, pattern, mode)
+    patterns = oo_constraint_patterns()
+    assert [pcheck_m_mv(mvm, p, mode) for p in patterns] == svm_merge_check(
+        versioning, patterns, mode
+    )
 
 
 @pytest.mark.parametrize("seed", [5, 10, 12, 14])
@@ -257,7 +259,7 @@ def test_folded_merge_analyses_build_no_merge_base_table(monkeypatch, seed):
     want = {
         mode: (
             svm_conflicts(versioning, mode),
-            [svm_merge_check(versioning, p, mode) for p in patterns],
+            svm_merge_check(versioning, patterns, mode),
         )
         for mode in LCP_MODES
     }

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import mvmodel.baseline
 import mvmodel.cli
 import mvmodel.core
 import mvmodel.reports
@@ -889,11 +890,38 @@ def test_routes_call_analyses_through_module_attributes(capsys, monkeypatch, com
         argv += ["--constraints", PROJECT_K]
     code, _, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
-    if mvmodel.tasks.TASKS[command].patterns:
-        patterns = json.loads(Path(PROJECT_K).read_text())["patterns"]
+    patterns = list(json.loads(Path(PROJECT_K).read_text())["patterns"])
+    if (command, mode) == ("merge-check", "svm"):
+        # one call merges each pair once and checks every pattern on it
+        assert [[p.name for p in args[1]] for args in calls] == [patterns]
+    elif mvmodel.tasks.TASKS[command].patterns:
         assert sorted(args[1].name for args in calls) == sorted(patterns)
     else:
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("lcp", mvmodel.versioning.LCP_MODES)
+def test_svm_merge_check_merges_each_triplet_once(capsys, monkeypatch, lcp):
+    """The per-version merge-check builds one merged model per (pair, base)
+    and checks every pattern on it, not one merge per pattern."""
+    patterns = json.loads(Path(PROJECT_K).read_text())["patterns"]
+    assert len(patterns) == 3
+    versioning = parse_corpus(Path(PROJECT).read_bytes())
+    triplets = list(mvmodel.baseline._merge_triplets(versioning, lcp))
+    assert triplets
+    merge_min = mvmodel.baseline.merge_min
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return merge_min(*args)
+
+    monkeypatch.setattr(mvmodel.baseline, "merge_min", counted)
+    code, _, err = run_cli(
+        capsys, "merge-check", PROJECT, "--constraints", PROJECT_K, "--mode", "svm", "--lcp", lcp
+    )
+    assert code == 0 and err == ""
+    assert len(calls) == len(triplets)
 
 
 @pytest.mark.parametrize("command", ["check", "merge-check"])

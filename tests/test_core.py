@@ -81,6 +81,28 @@ def test_model_equality_is_store_identity_plus_id_sets():
     assert m1 != Model(other, AB_TG, {"x", "y"}, {"e"})
 
 
+def test_model_equals_itself_without_comparing_id_sets():
+    """The identity shortcut skips the set comparison; distinct models with
+    equal sets still compare equal, and one over another store does not."""
+    compared = []
+
+    class CountingSet(frozenset):
+        def __eq__(self, other):
+            compared.append(other)
+            return frozenset.__eq__(self, other)
+
+        __hash__ = frozenset.__hash__
+
+    store = build_store(AB_TG, {"x": "A", "y": "A"}, {"e": ("a2a", "x", "y")})
+    m1 = Model(store, AB_TG, {"x", "y"}, {"e"})
+    m1.node_set = CountingSet(m1.node_set)
+    assert m1 == m1 and not compared
+    twin = Model(store, AB_TG, {"x", "y"}, {"e"})
+    assert twin is not m1 and m1 == twin and compared
+    other = build_store(AB_TG, {"x": "A", "y": "A"}, {"e": ("a2a", "x", "y")})
+    assert m1 != Model(other, AB_TG, {"x", "y"}, {"e"})
+
+
 def test_validate_model_accepts_well_typed_graph():
     store = build_store(AB_TG, {"x": "A", "y": "B"}, {"e": ("a2b", "x", "y")})
     validate_model(full_model(store, AB_TG))
