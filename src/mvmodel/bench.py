@@ -5,8 +5,7 @@ starts: corpus generation, folding and, through an untimed warm-up run,
 adjacency indices and the per-version route's merge-base table. The
 per-version merge-check route builds the merge of every (pair, base)
 once (``merge_min``) inside the clock and checks every pattern on it, as
-``merge-check --mode svm`` does; merge-check speedups measured before
-that counted each merge once per pattern.
+``merge-check --mode svm`` does.
 Each repetition re-derives presence from scratch so the folded route
 pays its full analysis cost every time. ``e2e_time`` covers a verdict
 from nothing, split into ``PHASES``. Times are reported as the mean,

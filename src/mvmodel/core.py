@@ -288,12 +288,19 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
     node's ties are the pattern's (type, source, target) edge groups
     whose later end in that order is the node, self-loops included;
     they, the node's type and its per-type degrees are planned once per
-    call. A host node is a candidate when it is unused, has the type,
-    and its per-type degrees and the host edge group of every tie are at
-    least as large as the pattern's. Candidates are drawn from the host
-    neighbours of one tie's placed end, or from all host nodes of the
-    type. Edge images are assigned after the node map is complete,
-    since they are only ambiguous between parallel edges.
+    call. Candidates are drawn from the host neighbours of one tie's
+    placed end, or from all host nodes of the type. One filter, plain
+    loops over the plan, keeps a candidate that is unused, has the type,
+    and whose per-type out- and in-degrees and host edge group of every
+    tie are at least as large as the pattern's.
+
+    Edge images are assigned after the node map is complete, since they
+    are only ambiguous between parallel edges: a group's pattern edges
+    take the host's parallel edges between the mapped ends in any
+    injective way. Each pattern edge has a (group, member) slot, planned
+    once per call, that reads its image from each such choice; a match
+    zips the sorted pattern node ids with their images, and the sorted
+    pattern edge ids with their slots' images.
 
     The matcher leaves no reference cycles: reference counting frees
     its working state on return, even with the cyclic garbage collector
@@ -311,6 +318,7 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
     q_idx = q.index()
     h_idx = host.index()
     h_type = host.store._nodes
+    h_out, h_in, h_edges = h_idx.out_nbrs, h_idx.in_nbrs, h_idx.edges_by_key
 
     q_out = {n: [(t, len(ns)) for t, ns in q_idx.out_nbrs.get(n, {}).items()] for n in q_nodes}
     q_in = {n: [(t, len(ns)) for t, ns in q_idx.in_nbrs.get(n, {}).items()] for n in q_nodes}
@@ -320,24 +328,25 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
     ties: list[list[tuple[str, str, str, int]]] = [[] for _ in order]
     for (t, src, tgt), members in q_idx.edges_by_key.items():
         ties[max(position[src], position[tgt])].append((t, src, tgt, len(members)))
-    # Per position: type, degrees, ties, and the (host neighbour map,
-    # placed end, type) of the first tie that is not a self-loop, whose
-    # host neighbour list is the candidate pool.
+    # Per position: type, degrees as (host neighbour map, type, count),
+    # ties, and the (host neighbour map, placed end, type) of the first
+    # tie that is not a self-loop, whose host neighbour list is the
+    # candidate pool.
     plan = []
     for qv, qv_ties in zip(order, ties):
         seed = next(
-            ((h_idx.in_nbrs, g, t) if s == qv else (h_idx.out_nbrs, s, t)
-             for t, s, g, _ in qv_ties if s != g),
+            ((h_in, g, t) if s == qv else (h_out, s, t) for t, s, g, _ in qv_ties if s != g),
             None,
         )
-        plan.append((q.store.elem_type(qv), q_out[qv], q_in[qv], qv_ties, seed))
+        degrees = [(h_out, t, k) for t, k in q_out[qv]] + [(h_in, t, k) for t, k in q_in[qv]]
+        plan.append((q.store.elem_type(qv), degrees, qv_ties, seed))
 
     assignment: dict[str, str] = {}
     used: set[str] = set()
-    node_maps: list[dict[str, str]] = []
+    node_maps: list[tuple[str, ...]] = []  # the images of q_nodes
 
     def candidates(i: int) -> list[str]:
-        qv_type, out_deg, in_deg, qv_ties, seed = plan[i]
+        qv_type, degrees, qv_ties, seed = plan[i]
         if seed is None:
             pool = h_idx.nodes_by_type.get(qv_type, ())
         else:
@@ -349,14 +358,15 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
         for h in pool:
             if h in used or h_type[h] != qv_type:
                 continue
-            h_out = h_idx.out_nbrs.get(h, {})
-            h_in = h_idx.in_nbrs.get(h, {})
-            if (all(len(h_out.get(t, ())) >= k for t, k in out_deg)
-                    and all(len(h_in.get(t, ())) >= k for t, k in in_deg)
-                    and all(len(h_idx.edges_by_key.get(
-                        (t, assignment.get(s, h), assignment.get(g, h)), ())) >= k
-                        for t, s, g, k in qv_ties)):
-                out.append(h)
+            for nbrs, t, k in degrees:
+                if len(nbrs.get(h, {}).get(t, ())) < k:
+                    break
+            else:
+                for t, s, g, k in qv_ties:
+                    if len(h_edges.get((t, assignment.get(s, h), assignment.get(g, h)), ())) < k:
+                        break
+                else:
+                    out.append(h)
         return out
 
     # Depth-first search, holding one candidate iterator per pattern node
@@ -374,29 +384,28 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
             assignment[qv] = h
             used.add(h)
             if len(stack) == len(order):
-                node_maps.append(dict(assignment))
+                node_maps.append(tuple(map(assignment.__getitem__, q_nodes)))
             else:
                 stack.append(iter(candidates(len(stack))))
 
-    # Assign edge images: within each (type, source, target) group the
-    # pattern's parallel edges may hit the host's parallel edges between
-    # the mapped endpoints in any injective way. The ties already checked
-    # that every group has enough host edges, so every node map yields.
+    # Assign edge images. The ties already checked that every group has
+    # enough host edges, so every node map yields.
+    q_pos = {n: i for i, n in enumerate(q_nodes)}
+    groups = list(q_idx.edges_by_key.items())
+    ends = [(t, q_pos[s], q_pos[g], len(members)) for (t, s, g), members in groups]
+    slot = {e: (gi, mi) for gi, (_, members) in enumerate(groups) for mi, e in enumerate(members)}
+    q_edges = sorted(q.edge_set)
+    slots = [slot[e] for e in q_edges]
     matches: list[Match] = []
-    for nm in node_maps:
-        options: list[list[tuple[tuple[str, str], ...]]] = []
-        for (t, src, tgt), members in q_idx.edges_by_key.items():
-            hosts = h_idx.edges_by_key.get((t, nm[src], nm[tgt]), ())
-            options.append(
-                [tuple(zip(members, perm)) for perm in itertools.permutations(hosts, len(members))]
-            )
+    for images in node_maps:
+        options = [
+            list(itertools.permutations(h_edges.get((t, images[s], images[g]), ()), k))
+            for t, s, g, k in ends
+        ]
         assert all(options), "a node map lacks host edges that its ties checked"
-        node_pairs = tuple(sorted(nm.items()))
+        node_pairs = tuple(zip(q_nodes, images))
         for combo in itertools.product(*options):
-            edge_map: dict[str, str] = {}
-            for part in combo:
-                edge_map.update(part)
-            matches.append(Match(node_pairs, tuple(sorted(edge_map.items()))))
+            matches.append(Match(node_pairs, tuple(zip(q_edges, [combo[g][m] for g, m in slots]))))
     matches.sort()
     return matches
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvmodel import (
@@ -321,10 +321,21 @@ def typed_graph(draw, max_nodes: int, max_edges: int, prefix: str):
 
 @given(host=typed_graph(max_nodes=7, max_edges=12, prefix="h"),
        pat=typed_graph(max_nodes=4, max_edges=5, prefix="q"))
+@example(
+    host=({"hn0": "A", "hn1": "A", "hn2": "B"},
+          {"he0": ("a2a", "hn0", "hn1"), "he1": ("a2a", "hn0", "hn1"),
+           "he2": ("a2a", "hn0", "hn1"), "he3": ("a2b", "hn0", "hn2")}),
+    pat=({"qn0": "A", "qn1": "A", "qn2": "B"},
+         {"qe0": ("a2a", "qn0", "qn1"), "qe1": ("a2b", "qn0", "qn2"),
+          "qe2": ("a2a", "qn0", "qn1")}),
+)
 @settings(max_examples=300, deadline=None)
 def test_matcher_agrees_with_brute_force(host, pat):
     """Up to 4 pattern nodes: a node can be tied to two placed nodes,
-    alongside parallel edges and self-loops."""
+    alongside parallel edges and self-loops. The example interleaves the
+    pattern's edge ids across its edge groups (qe0 and qe2 parallel, qe1
+    apart) over three parallel host edges, so each edge's image must come
+    from its own group and member: 6 matches."""
     host_model = full_model(build_store(AB_TG, *host), AB_TG)
     pattern = Pattern("q", full_model(build_store(AB_TG, *pat), AB_TG))
     assert find_monomorphisms(pattern, host_model) == brute_force_monomorphisms(
