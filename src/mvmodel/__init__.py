@@ -72,7 +72,7 @@ from .merge import (
 from .mvm import MultiVersionModel, comb
 from .oo import oo_constraint_patterns, oo_type_graph
 from .reports import MergeConflictReport, MergeViolationReport, VersionedViolation
-from .versioning import ModelModification, ModelVersioning
+from .versioning import ModelModification, ModelVersioning, VersionDag
 
 __version__ = "0.1.0"
 
@@ -114,6 +114,7 @@ __all__ = [
     "UnknownType",
     "UnknownVersion",
     "ValidationError",
+    "VersionDag",
     "VersionedViolation",
     "comb",
     "enumerate_strategies",

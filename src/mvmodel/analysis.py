@@ -22,9 +22,9 @@ def pcheck_mv(mvm: MultiVersionModel, pattern: Pattern) -> list[VersionedViolati
     element it touches, i.e. the AND of the image's presence masks. Sorted
     matches filed per version and read in id order come in report order.
     """
-    versioning = mvm.versioning
-    everywhere = (1 << len(versioning.order)) - 1
-    held: list[list[Match]] = [[] for _ in versioning.order]
+    dag = mvm.dag
+    everywhere = (1 << len(dag.order)) - 1
+    held: list[list[Match]] = [[] for _ in dag.order]
     for m in find_monomorphisms(pattern, mvm.union):
         shared = everywhere
         for _, image in m.nodes + m.edges:
@@ -33,8 +33,8 @@ def pcheck_mv(mvm: MultiVersionModel, pattern: Pattern) -> list[VersionedViolati
                 break
         for k in bits(shared):
             held[k].append(m)
-    position = versioning.position
-    return [VersionedViolation(v, m) for v in versioning.versions for m in held[position[v]]]
+    position = dag.position
+    return [VersionedViolation(v, m) for v in dag.ids for m in held[position[v]]]
 
 
 def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConflictReport]:
@@ -47,10 +47,10 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
     visited, and only the mergeable partners among the dropping versions
     are paired up.
     """
-    versioning = mvm.versioning
-    draw = versioning.drawn_bases(lcp_mode)
-    partners = versioning.merge_partners()
-    order = versioning.order
+    dag = mvm.dag
+    draw = dag.drawn_bases(lcp_mode)
+    partners = dag.merge_partners()
+    order = dag.order
     mergeable = sum(1 << k for k, p in enumerate(partners) if p)
     store = mvm.union.store
     out: list[MergeConflictReport] = []
@@ -64,8 +64,8 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
             bases_ok = endpoint_presence & ~edge_presence
             if not bases_ok:
                 continue
-            below = versioning.descendants(bases_ok) & mergeable
-            dropped = below & versioning.reach(mvm.dv.get(endpoint, 0), mvm.cv[endpoint])
+            below = dag.descendants(bases_ok) & mergeable
+            dropped = below & dag.reach(mvm.dv.get(endpoint, 0), mvm.cv[endpoint])
             if not dropped:
                 continue
             for i in bits(edge_presence & below):
@@ -98,10 +98,10 @@ def pcheck_m_mv(
     position only, so no report is found twice. A base qualifies when it
     lies in no presence mask that misses either side of the pair.
     """
-    versioning = mvm.versioning
-    draw = versioning.drawn_bases(lcp_mode)
-    partners = versioning.merge_partners()
-    order = versioning.order
+    dag = mvm.dag
+    draw = dag.drawn_bases(lcp_mode)
+    partners = dag.merge_partners()
+    order = dag.order
     mergeable = sum(1 << k for k, p in enumerate(partners) if p)
     out: list[MergeViolationReport] = []
     for m in find_monomorphisms(pattern, mvm.union):

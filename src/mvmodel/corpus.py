@@ -49,6 +49,25 @@ def _canonical(obj: Any) -> bytes:
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _type_graph(node_types, edge_types: dict[str, tuple[str, str]]) -> dict:
+    return {
+        "node_types": sorted(node_types),
+        "edge_types": {t: {"source": s, "target": g} for t, (s, g) in edge_types.items()},
+    }
+
+
+def _graph(store: ElementStore, nodes, edges) -> dict:
+    """The elements ``nodes`` and ``edges`` of ``store``, with their types
+    and endpoints, as the formats write them."""
+    return {
+        "nodes": {n: store.elem_type(n) for n in nodes},
+        "edges": {
+            e: dict(zip(("type", "source", "target"), (store.elem_type(e), *store.endpoint(e))))
+            for e in edges
+        },
+    }
+
+
 def _require(obj: Any, key: str, kind: type, where: str) -> Any:
     if not isinstance(obj, dict):
         raise CorpusSyntaxError(f"expected an object", where)
@@ -135,25 +154,11 @@ def parse_corpus(data: bytes | str) -> ModelVersioning:
 
 def write_corpus(versioning: ModelVersioning) -> bytes:
     """Serialise a versioning canonically."""
-    some_model = next(iter(versioning.versions.values()))
-    store = some_model.store
-    tg = some_model.type_graph
-    node_items, edge_items = store.snapshot()
+    store, tg = versioning.store, versioning.type_graph
     obj = {
         "format": CORPUS_FORMAT,
-        "type_graph": {
-            "node_types": sorted(tg.node_types),
-            "edge_types": {
-                t: {"source": s, "target": g} for t, (s, g) in tg.edge_types.items()
-            },
-        },
-        "elements": {
-            "nodes": {nid: t for nid, t in node_items},
-            "edges": {
-                eid: {"type": t, "source": s, "target": g}
-                for eid, (t, s, g) in edge_items
-            },
-        },
+        "type_graph": _type_graph(tg.node_types, tg.edge_types),
+        "elements": _graph(store, store.node_ids(), store.edge_ids()),
         "root": versioning.root,
         "versions": {
             vid: {"nodes": sorted(m.node_set), "edges": sorted(m.edge_set)}
@@ -189,18 +194,7 @@ def write_constraints(patterns: list[Pattern]) -> bytes:
     obj = {
         "format": CONSTRAINTS_FORMAT,
         "patterns": {
-            p.name: {
-                "nodes": {n: p.graph.store.elem_type(n) for n in sorted(p.graph.node_set)},
-                "edges": {
-                    e: {
-                        "type": p.graph.store.elem_type(e),
-                        "source": p.graph.store.endpoint(e)[0],
-                        "target": p.graph.store.endpoint(e)[1],
-                    }
-                    for e in sorted(p.graph.edge_set)
-                },
-            }
-            for p in patterns
+            p.name: _graph(p.graph.store, p.graph.node_set, p.graph.edge_set) for p in patterns
         },
     }
     return _canonical(obj)
@@ -240,13 +234,13 @@ def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
     names = node_types + list(edge_types)
     if len(set(names)) != len(names):
         raise ValidationError("base type names collide with the reserved mv naming scheme")
-    versioning = mvm.versioning
+    dag = mvm.dag
     elements = (*mvm.node_elements, *mvm.edge_elements)
-    clash = next((x for x in (*elements, *versioning.versions) if ":" in x), None)
+    clash = next((x for x in (*elements, *dag.ids) if ":" in x), None)
     if clash is not None:
         raise ValidationError(f"id {clash!r} contains ':', the encoding's id separator")
     nodes = {x: mv_type[store.elem_type(x)] for x in elements}
-    nodes.update((f"version:{v}", VERSION_NODE_TYPE) for v in versioning.versions)
+    nodes.update((f"version:{v}", VERSION_NODE_TYPE) for v in dag.ids)
     edges: dict[str, dict[str, str]] = {}
 
     def link(eid: str, t: str, source: str, target: str) -> None:
@@ -256,19 +250,16 @@ def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
         t = store.elem_type(e)
         for leg, end in zip(("src", "tgt"), store.endpoint(e)):
             link(f"{leg}:{e}", f"{t}_{leg}", e, end)
-    for a in versioning.versions:
-        for b in versioning.successors(a):
+    for a in dag.ids:
+        for b in dag.successors(a):
             link(f"suc:{a}:{b}", SUC_EDGE_TYPE, f"version:{a}", f"version:{b}")
     for mark, marks in (("cv", mvm.cv), ("dv", mvm.dv)):
         for x, vids in marks.items():
-            for v in versioning.ids_of(vids):
+            for v in dag.ids_of(vids):
                 link(f"{mark}:{x}:{v}", f"{mark}_{nodes[x]}", x, f"version:{v}")
     obj = {
         "format": ENCODING_FORMAT,
-        "type_graph": {
-            "node_types": sorted(node_types),
-            "edge_types": {t: {"source": s, "target": g} for t, (s, g) in edge_types.items()},
-        },
+        "type_graph": _type_graph(node_types, edge_types),
         "nodes": nodes,
         "edges": edges,
         "origin": {x: x for x in elements},
@@ -278,19 +269,7 @@ def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
 
 def write_model(model: Model, label: str | None = None) -> bytes:
     """Canonical rendering of one model, used by projection output."""
-    store = model.store
-    obj = {
-        "format": MODEL_FORMAT,
-        "nodes": {n: store.elem_type(n) for n in sorted(model.node_set)},
-        "edges": {
-            e: {
-                "type": store.elem_type(e),
-                "source": store.endpoint(e)[0],
-                "target": store.endpoint(e)[1],
-            }
-            for e in sorted(model.edge_set)
-        },
-    }
+    obj = {"format": MODEL_FORMAT, **_graph(model.store, model.node_set, model.edge_set)}
     if label is not None:
         obj["version"] = label
     return _canonical(obj)

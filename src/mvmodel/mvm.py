@@ -6,16 +6,17 @@ contain an element is not stored per element but derived from creation
 and deletion marks on the version DAG: an element is present in every
 version that descends from one of its creation versions with none of its
 deletion versions in between. The union and the marks are recorded by
-the history's validation. Every version set, the marks included, is a
-bitmask over the one numbering ``order``; the numbering, the ancestor and
-descendant masks and ``reach`` are owned by ``mvmodel.versioning``.
+the history's validation. The fold reads no version's model, only the
+``VersionDag``: every version set, the marks included, is a bitmask over
+its numbering ``order``, and its ancestor and descendant masks give
+``reach``.
 """
 
 from __future__ import annotations
 
 from .core import Model
 from .errors import NotStructural, UnknownVersion
-from .versioning import ModelModification, ModelVersioning
+from .versioning import ModelModification, ModelVersioning, VersionDag
 
 
 class MultiVersionModel:
@@ -30,12 +31,12 @@ class MultiVersionModel:
     def __init__(
         self,
         union: Model,
-        versioning: ModelVersioning,
+        dag: VersionDag,
         cv: dict[str, int],
         dv: dict[str, int],
     ):
         self.union = union
-        self.versioning = versioning
+        self.dag = dag
         self.cv = cv
         self.dv = dv
         self.node_elements = tuple(sorted(union.node_set))
@@ -50,20 +51,20 @@ class MultiVersionModel:
             return cached
         if element not in self.cv:
             raise NotStructural(element)
-        result = self.versioning.reach(self.cv[element], self.dv.get(element, 0))
+        result = self.dag.reach(self.cv[element], self.dv.get(element, 0))
         self._presence_cache[element] = result
         return result
 
     def reset_presence_cache(self) -> None:
         """Forget the presence masks built so far; the version-set masks
-        belong to the versioning and stay."""
+        belong to the DAG and stay."""
         self._presence_cache = {}
 
     def proj(self, version_id: str) -> Model:
         """Recover one version's model from the folded form."""
-        if version_id not in self.versioning.versions:
+        if version_id not in self.dag.position:
             raise UnknownVersion(version_id)
-        bit = 1 << self.versioning.position[version_id]
+        bit = 1 << self.dag.position[version_id]
         nodes = [x for x in self.node_elements if self.presence(x) & bit]
         edges = [x for x in self.edge_elements if self.presence(x) & bit]
         return Model(self.union.store, self.union.type_graph, nodes, edges)
@@ -80,7 +81,7 @@ def comb(versioning: ModelVersioning) -> MultiVersionModel:
     and the marks (see ``ModelVersioning._valid_by_delta``): the root's
     elements are created at the root, and every modification marks the
     elements it adds as created and those it removes as deleted at its
-    target. The fold only wraps them and visits no version.
+    target. The fold only wraps them, with the versioning as its DAG.
     """
     union = Model(versioning.store, versioning.type_graph, *versioning.union)
     return MultiVersionModel(union, versioning, versioning.cv, versioning.dv)

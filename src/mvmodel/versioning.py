@@ -7,10 +7,14 @@ componentwise intersection (the largest preserved subgraph). That span
 is maximally preserving by construction: an element survives exactly
 when it is in both versions.
 
-This module owns the version sets, each one a bitmask over the numbering
-``order``: the ancestor and descendant masks, ``reach``, the merge bases
-that each lcp mode draws, and the creation and deletion marks that
-validation keeps, with the union, for the fold in ``mvmodel.mvm``.
+``VersionDag`` is the history without its models: the ids, the root and
+the modifications, checked for shape. It owns the version sets, each one
+a bitmask over the numbering ``order``: the ancestor and descendant
+masks, ``reach`` and the merge bases that each lcp mode draws. The fold
+in ``mvmodel.mvm`` and its analyses read only the DAG.
+``ModelVersioning`` is a ``VersionDag`` plus a model per version; its
+validation keeps the union and the creation and deletion marks for the
+fold.
 """
 
 from __future__ import annotations
@@ -89,23 +93,25 @@ class ModelModification:
         return f"ModelModification({self.source_id!r} -> {self.target_id!r})"
 
 
-class ModelVersioning:
-    """A rooted DAG of model versions over one element store; construction
-    validates it (see ``validate``), so every instance is well formed."""
+class VersionDag:
+    """A rooted DAG of version ids: their numbering, the version sets as
+    masks and the merge bases. Construction checks the DAG's shape (see
+    ``validate``). It holds no model; the fold and its analyses read only
+    this."""
 
     def __init__(
         self,
-        versions: Mapping[VersionId, Model],
+        ids: Iterable[VersionId],
         modifications: Iterable[tuple[VersionId, VersionId]],
         root: VersionId,
     ):
-        self.versions: dict[VersionId, Model] = dict(sorted(versions.items()))
+        self.ids: tuple[VersionId, ...] = tuple(sorted(set(ids)))
         self.modifications: frozenset[tuple[VersionId, VersionId]] = frozenset(
             (a, b) for a, b in modifications
         )
         self.root = root
-        succ: dict[VersionId, list[VersionId]] = {v: [] for v in self.versions}
-        pred: dict[VersionId, list[VersionId]] = {v: [] for v in self.versions}
+        succ: dict[VersionId, list[VersionId]] = {v: [] for v in self.ids}
+        pred: dict[VersionId, list[VersionId]] = {v: [] for v in self.ids}
         for a, b in sorted(self.modifications):
             if a in succ and b in pred:
                 succ[a].append(b)
@@ -115,24 +121,16 @@ class ModelVersioning:
         self._lcp_table: dict[tuple[VersionId, VersionId], frozenset[VersionId]] | None = None
         self.validate()
 
-    # -- basic access ---------------------------------------------------
+    def successors(self, version_id: VersionId) -> tuple[VersionId, ...]:
+        if version_id not in self._succ:
+            raise UnknownVersion(version_id)
+        return self._succ[version_id]
 
-    def version(self, version_id: VersionId) -> Model:
-        try:
-            return self.versions[version_id]
-        except KeyError:
-            raise UnknownVersion(version_id) from None
-
-    @property
-    def store(self) -> "ElementStore":
-        return self.version(self.root).store
-
-    @property
-    def type_graph(self) -> "TypeGraph":
-        return self.version(self.root).type_graph
-
-    def version_ids(self) -> list[VersionId]:
-        return list(self.versions)
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({len(self.ids)} versions, "
+            f"{len(self.modifications)} modifications, root={self.root!r})"
+        )
 
     # -- version sets as bitmasks ----------------------------------------
     #
@@ -175,76 +173,18 @@ class ModelVersioning:
             out |= below & ~self.descendants(barriers & below)
         return out
 
-    def successors(self, version_id: VersionId) -> tuple[VersionId, ...]:
-        if version_id not in self.versions:
-            raise UnknownVersion(version_id)
-        return self._succ[version_id]
-
-    def __eq__(self, other: object) -> bool:
-        """Value equality: same shape and same element content.
-
-        Unlike Model equality this does not require store identity, so a
-        versioning equals its serialization round trip.
-        """
-        if not isinstance(other, ModelVersioning):
-            return NotImplemented
-        if (
-            self.root != other.root
-            or self.modifications != other.modifications
-            or list(self.versions) != list(other.versions)
-        ):
-            return False
-        for vid, m in self.versions.items():
-            o = other.versions[vid]
-            if m.node_set != o.node_set or m.edge_set != o.edge_set:
-                return False
-            if m.type_graph != o.type_graph:
-                return False
-        return self.store.snapshot() == other.store.snapshot()
-
-    def __hash__(self):  # pragma: no cover - versionings are not hashed
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return (
-            f"ModelVersioning({len(self.versions)} versions, "
-            f"{len(self.modifications)} modifications, root={self.root!r})"
-        )
-
-    # -- validation -----------------------------------------------------
+    # -- shape ------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check the whole versioning; raises the first violation found.
-        One topological sort decides acyclicity and reachability from the
-        root; it becomes ``order``, with the ancestor and descendant masks
-        that the merge-base table and ``reach`` read. A valid history is
-        proven valid by its deltas, which are kept as the fold's marks
-        (``_valid_by_delta``); only when that fails, as it never does for a
-        valid history, is every version checked in full, in id order, so
-        ``InvalidVersion`` names the first broken one and wins over
-        ``CycleDetected`` and ``NoCommonRoot``."""
-        if not self.versions:
+        """Check the DAG's shape; raises the first violation found. One
+        topological sort decides acyclicity and reachability from the root;
+        it becomes ``order``, with the ancestor and descendant masks that
+        the merge bases and ``reach`` read."""
+        if not self.ids:
             raise ValidationError("a versioning needs at least one version")
-        if self.root not in self.versions:
-            raise UnknownVersion(self.root)
-        for a, b in sorted(self.modifications):
-            if a not in self.versions:
-                raise UnknownVersion(a)
-            if b not in self.versions:
-                raise UnknownVersion(b)
-        ref = next(iter(self.versions.values()))
-        for vid, m in self.versions.items():
-            if m.store is not ref.store:
-                raise StoreMismatch(f"version {vid!r} uses a different element store")
-            if m.type_graph != ref.type_graph:
-                raise InvalidVersion(vid, ValidationError("type graph differs between versions"))
-        if self._valid_by_delta():
-            return
-        for vid in self.versions:
-            try:
-                core.validate_model(self.versions[vid])
-            except Exception as err:
-                raise InvalidVersion(vid, err) from err
+        for v in (self.root, *(v for pair in sorted(self.modifications) for v in pair)):
+            if v not in self._succ:
+                raise UnknownVersion(v)
         self._number()
         root_bit = 1 << self.position[self.root]
         missing = sorted(
@@ -252,61 +192,6 @@ class ModelVersioning:
         )
         if missing:
             raise NoCommonRoot(missing)
-
-    def _valid_by_delta(self) -> bool:
-        """Whether the history is valid, proven without visiting a version
-        in full; False when it has a cycle, a version that does not descend
-        from the root, or an invalid version.
-
-        Types are checked once per element of the union of the versions.
-        Properness holds on the root and carries across a modification
-        (a, b) when every edge created in b has both endpoints in b and no
-        node deleted from a keeps an incident edge in b; by induction from
-        the root it holds for every version.
-
-        The deltas are kept for the fold: ``union`` is the union's node and
-        edge sets; ``cv`` and ``dv`` map each element to the mask of the
-        versions that create and delete it (the root, bit 0, creates its
-        elements, and (a, b) marks at b what b adds to a and what it drops)."""
-        try:
-            self._number()
-        except CycleDetected:
-            return False
-        # All versions descend from the root exactly when it comes first
-        # and is an ancestor of every other version.
-        if self.order[0] != self.root or not all(p & 1 for p in self._pre[1:]):
-            return False
-        store, tg, versions = self.store, self.type_graph, self.versions
-        nodes = frozenset().union(*(m.node_set for m in versions.values()))
-        edges = frozenset().union(*(m.edge_set for m in versions.values()))
-        if not {store.elem_type(n) for n in nodes} <= tg.node_types:
-            return False
-        incident: dict[str, list[str]] = {}
-        for e in edges:
-            t, ends = store.elem_type(e), store.endpoint(e)
-            if t not in tg.edge_types or tuple(map(store.elem_type, ends)) != tg.endpoint_types(t):
-                return False
-            for n in ends:
-                incident.setdefault(n, []).append(e)
-        root = versions[self.root]
-        if not all(root.node_set.issuperset(store.endpoint(e)) for e in root.edge_set):
-            return False
-        cv = dict.fromkeys(root.node_set | root.edge_set, 1)
-        dv: dict[str, int] = {}
-        for a, b in self.modifications:
-            src, tgt, bit = versions[a], versions[b], 1 << self.position[b]
-            created, deleted = tgt.edge_set - src.edge_set, src.node_set - tgt.node_set
-            if not all(tgt.node_set.issuperset(store.endpoint(e)) for e in created):
-                return False
-            if not all(tgt.edge_set.isdisjoint(incident.get(n, ())) for n in deleted):
-                return False
-            for x in created.union(tgt.node_set - src.node_set):
-                cv[x] = cv.get(x, 0) | bit
-            for x in deleted.union(src.edge_set - tgt.edge_set):
-                dv[x] = dv.get(x, 0) | bit
-        self.union = (nodes, edges)
-        self.cv, self.dv = cv, dv
-        return True
 
     def _number(self) -> None:
         """Number the versions in a topological order (``order`` and its
@@ -323,7 +208,7 @@ class ModelVersioning:
                 indegree[w] -= 1
                 if not indegree[w]:
                     ready.append(w)
-        if len(order) < len(self.versions):
+        if len(order) < len(self.ids):
             # Every version left over has a parent left over: walk up
             # parents until one repeats, and report that loop.
             path, v = [], next(v for v, n in indegree.items() if n)
@@ -404,6 +289,139 @@ class ModelVersioning:
                     table[pair] = bases
             self._lcp_table = table
         return self._lcp_table
+
+
+class ModelVersioning(VersionDag):
+    """A version DAG whose versions are models over one element store;
+    construction validates it (see ``validate``), so every instance is well
+    formed."""
+
+    def __init__(
+        self,
+        versions: Mapping[VersionId, Model],
+        modifications: Iterable[tuple[VersionId, VersionId]],
+        root: VersionId,
+    ):
+        self.versions: dict[VersionId, Model] = dict(sorted(versions.items()))
+        super().__init__(self.versions, modifications, root)
+
+    # -- basic access ---------------------------------------------------
+
+    def version(self, version_id: VersionId) -> Model:
+        try:
+            return self.versions[version_id]
+        except KeyError:
+            raise UnknownVersion(version_id) from None
+
+    @property
+    def store(self) -> "ElementStore":
+        return self.version(self.root).store
+
+    @property
+    def type_graph(self) -> "TypeGraph":
+        return self.version(self.root).type_graph
+
+    def version_ids(self) -> list[VersionId]:
+        return list(self.versions)
+
+    def __eq__(self, other: object) -> bool:
+        """Value equality: same shape and same element content.
+
+        Unlike Model equality this does not require store identity, so a
+        versioning equals its serialization round trip.
+        """
+        if not isinstance(other, ModelVersioning):
+            return NotImplemented
+        if (
+            self.root != other.root
+            or self.modifications != other.modifications
+            or list(self.versions) != list(other.versions)
+        ):
+            return False
+        for vid, m in self.versions.items():
+            o = other.versions[vid]
+            if m.node_set != o.node_set or m.edge_set != o.edge_set:
+                return False
+            if m.type_graph != o.type_graph:
+                return False
+        return self.store.snapshot() == other.store.snapshot()
+
+    # -- validation -----------------------------------------------------
+
+    def validate(self) -> None:
+        """Check the whole versioning; raises the first violation found.
+        The DAG checks its shape first (``VersionDag.validate``). A valid
+        history is proven valid by its deltas, which are kept as the fold's
+        marks (``_valid_by_delta``); only when that fails, or the shape is
+        bad, is every version checked in full, in id order, so
+        ``InvalidVersion`` names the first broken one and wins over
+        ``CycleDetected`` and ``NoCommonRoot``."""
+        try:
+            super().validate()
+            shape_error = None
+        except (CycleDetected, NoCommonRoot) as err:
+            shape_error = err
+        ref = next(iter(self.versions.values()))
+        for vid, m in self.versions.items():
+            if m.store is not ref.store:
+                raise StoreMismatch(f"version {vid!r} uses a different element store")
+            if m.type_graph != ref.type_graph:
+                raise InvalidVersion(vid, ValidationError("type graph differs between versions"))
+        if shape_error is None and self._valid_by_delta():
+            return
+        for vid in self.versions:
+            try:
+                core.validate_model(self.versions[vid])
+            except Exception as err:
+                raise InvalidVersion(vid, err) from err
+        if shape_error is not None:
+            raise shape_error
+
+    def _valid_by_delta(self) -> bool:
+        """Whether a history of valid shape is valid, proven without
+        visiting a version in full; False when a version is invalid.
+
+        Types are checked once per element of the union of the versions.
+        Properness holds on the root and carries across a modification
+        (a, b) when every edge created in b has both endpoints in b and no
+        node deleted from a keeps an incident edge in b; by induction from
+        the root it holds for every version.
+
+        The deltas are kept for the fold: ``union`` is the union's node and
+        edge sets; ``cv`` and ``dv`` map each element to the mask of the
+        versions that create and delete it (the root, bit 0, creates its
+        elements, and (a, b) marks at b what b adds to a and what it drops)."""
+        store, tg, versions = self.store, self.type_graph, self.versions
+        nodes = frozenset().union(*(m.node_set for m in versions.values()))
+        edges = frozenset().union(*(m.edge_set for m in versions.values()))
+        if not {store.elem_type(n) for n in nodes} <= tg.node_types:
+            return False
+        incident: dict[str, list[str]] = {}
+        for e in edges:
+            t, ends = store.elem_type(e), store.endpoint(e)
+            if t not in tg.edge_types or tuple(map(store.elem_type, ends)) != tg.endpoint_types(t):
+                return False
+            for n in ends:
+                incident.setdefault(n, []).append(e)
+        root = versions[self.root]
+        if not all(root.node_set.issuperset(store.endpoint(e)) for e in root.edge_set):
+            return False
+        cv = dict.fromkeys(root.node_set | root.edge_set, 1)
+        dv: dict[str, int] = {}
+        for a, b in self.modifications:
+            src, tgt, bit = versions[a], versions[b], 1 << self.position[b]
+            created, deleted = tgt.edge_set - src.edge_set, src.node_set - tgt.node_set
+            if not all(tgt.node_set.issuperset(store.endpoint(e)) for e in created):
+                return False
+            if not all(tgt.edge_set.isdisjoint(incident.get(n, ())) for n in deleted):
+                return False
+            for x in created.union(tgt.node_set - src.node_set):
+                cv[x] = cv.get(x, 0) | bit
+            for x in deleted.union(src.edge_set - tgt.edge_set):
+                dv[x] = dv.get(x, 0) | bit
+        self.union = (nodes, edges)
+        self.cv, self.dv = cv, dv
+        return True
 
     # -- spans ------------------------------------------------------------
 

@@ -19,7 +19,9 @@ from mvmodel import (
     InvalidVersion,
     Model,
     ModelVersioning,
+    MultiVersionModel,
     Pattern,
+    VersionDag,
     comb,
     find_monomorphisms,
     oo_constraint_patterns,
@@ -48,13 +50,24 @@ PATTERNS = oo_constraint_patterns()
 @given(histories())
 def test_arbitrary_histories_fold_agree_and_export(versioning):
     mvm = comb(versioning)
+    # The same fold over a bare DAG, which holds no version's model.
+    over_dag = MultiVersionModel(
+        Model(versioning.store, versioning.type_graph, *versioning.union),
+        VersionDag(versioning.versions, versioning.modifications, versioning.root),
+        versioning.cv,
+        versioning.dv,
+    )
     for vid, model in versioning.versions.items():
         got = mvm.proj(vid)
         assert (got.node_set, got.edge_set) == (model.node_set, model.edge_set)
     for task in TASKS.values():
         for lcp in LCP_MODES if task.lcp else (None,):
-            assert task.mvm(mvm, PATTERNS, lcp) == task.svm(versioning, PATTERNS, lcp)
-    doc = json.loads(write_mv_encoding(mvm))
+            folded = task.mvm(mvm, PATTERNS, lcp)
+            assert folded == task.svm(versioning, PATTERNS, lcp)
+            assert task.mvm(over_dag, PATTERNS, lcp) == folded
+    encoding = write_mv_encoding(mvm)
+    assert write_mv_encoding(over_dag) == encoding
+    doc = json.loads(encoding)
     read_encoding(doc)
     marks: dict[str, dict[str, set[str]]] = {"cv": {}, "dv": {}}
     for eid, edge in doc["edges"].items():

@@ -122,13 +122,13 @@ def test_comb_builds_expected_encoding():
     # 4 classes and 3 superclass edges from the union of all versions
     assert len(s.node_set) == 4
     assert len(s.edge_set) == 3
-    assert mvm.versioning.order[0] == "M_1"
-    assert sorted(mvm.versioning.order) == ["M_1", "M_2", "M_3"]
-    assert mvm.versioning.successors("M_1") == ("M_2", "M_3")
-    assert mvm.versioning.successors("M_2") == ()
+    assert mvm.dag.order[0] == "M_1"
+    assert sorted(mvm.dag.order) == ["M_1", "M_2", "M_3"]
+    assert mvm.dag.successors("M_1") == ("M_2", "M_3")
+    assert mvm.dag.successors("M_2") == ()
     validate_model(s)
     # everything alive at the root is recorded as created there
-    ids_of = mvm.versioning.ids_of
+    ids_of = mvm.dag.ids_of
     for c in ("c1", "c2", "c3", "c4"):
         assert ids_of(mvm.cv[c]) == ["M_1"]
     assert ids_of(mvm.cv["sup_c1_c3"]) == ["M_2"]
@@ -139,7 +139,7 @@ def test_comb_builds_expected_encoding():
 
 def test_presence_walks_succession_and_stops_at_deletion():
     mvm = comb(running_example())
-    ids_of = mvm.versioning.ids_of
+    ids_of = mvm.dag.ids_of
     assert ids_of(mvm.presence("c4")) == ["M_1", "M_3"]
     assert ids_of(mvm.presence("c1")) == ["M_1", "M_2", "M_3"]
     assert ids_of(mvm.presence("sup_c4_c2")) == ["M_3"]
@@ -194,8 +194,8 @@ def test_single_version_history_is_all_root():
     v = ModelVersioning({"r": only}, set(), root="r")
     v.validate()
     mvm = comb(v)
-    assert mvm.versioning.ids_of(mvm.cv["x"]) == ["r"]
-    assert mvm.versioning.ids_of(mvm.presence("x")) == ["r"]
+    assert mvm.dag.ids_of(mvm.cv["x"]) == ["r"]
+    assert mvm.dag.ids_of(mvm.presence("x")) == ["r"]
     assert mvm.proj("r") == only
 
 

@@ -15,6 +15,7 @@ from mvmodel import (
     StoreMismatch,
     TypeGraph,
     UnknownVersion,
+    VersionDag,
     generate_versioning,
 )
 from conftest import build_store, merge_history, rename_versions
@@ -31,13 +32,19 @@ def simple_store():
     )
 
 
-def versioning_from_shape(shape: dict[str, set[str]], mods, root="r"):
-    """All versions share the same content; only the DAG shape matters."""
+# The shape checks hold for a versioning and for a bare DAG of the same ids.
+SHAPE_CHECKED = (ModelVersioning, VersionDag)
+
+
+def versioning_from_shape(shape: dict[str, set[str]], mods, root="r", make=ModelVersioning):
+    """All versions share the same content; only the DAG shape matters.
+    ``make`` is ``ModelVersioning`` or ``VersionDag``: both take the
+    versions, read by the DAG as its ids, the modifications and the root."""
     store = simple_store()
     versions = {
         vid: Model(store, TG, nodes, set()) for vid, nodes in shape.items()
     }
-    return ModelVersioning(versions, mods, root)
+    return make(versions, mods, root)
 
 
 def test_validate_accepts_small_dag():
@@ -50,6 +57,11 @@ def test_validate_accepts_small_dag():
     assert v.successors("r") == ("a", "b")
 
 
+def test_version_dag_takes_each_id_once():
+    dag = VersionDag(["r", "a", "r"], {("r", "a")}, "r")
+    assert (dag.ids, dag.order) == (("a", "r"), ("r", "a"))
+
+
 def test_unknown_version_lookup():
     v = versioning_from_shape({"r": {"n1"}}, set())
     with pytest.raises(UnknownVersion):
@@ -57,36 +69,42 @@ def test_unknown_version_lookup():
 
 
 def test_validate_rejects_unknown_root():
-    with pytest.raises(UnknownVersion):
-        versioning_from_shape({"a": {"n1"}}, set(), root="zzz")
+    for make in SHAPE_CHECKED:
+        with pytest.raises(UnknownVersion):
+            versioning_from_shape({"a": {"n1"}}, set(), root="zzz", make=make)
 
 
 def test_validate_rejects_unknown_modification_endpoint():
-    store = simple_store()
-    with pytest.raises(UnknownVersion):
-        ModelVersioning({"r": Model(store, TG, {"n1"}, set())}, {("r", "ghost")}, root="r")
+    for make in SHAPE_CHECKED:
+        with pytest.raises(UnknownVersion):
+            versioning_from_shape({"r": {"n1"}}, {("r", "ghost")}, make=make)
 
 
 def test_validate_rejects_self_modification():
-    with pytest.raises(CycleDetected):
-        versioning_from_shape({"r": {"n1"}}, {("r", "r")})
+    for make in SHAPE_CHECKED:
+        with pytest.raises(CycleDetected):
+            versioning_from_shape({"r": {"n1"}}, {("r", "r")}, make=make)
 
 
 def test_validate_rejects_cycle():
-    with pytest.raises(CycleDetected):
-        versioning_from_shape(
-            {"r": {"n1"}, "a": {"n1"}, "b": {"n1"}},
-            {("r", "a"), ("a", "b"), ("b", "a")},
-        )
+    for make in SHAPE_CHECKED:
+        with pytest.raises(CycleDetected):
+            versioning_from_shape(
+                {"r": {"n1"}, "a": {"n1"}, "b": {"n1"}},
+                {("r", "a"), ("a", "b"), ("b", "a")},
+                make=make,
+            )
 
 
 def test_validate_rejects_unreachable_version():
-    with pytest.raises(NoCommonRoot) as exc:
-        versioning_from_shape(
-            {"r": {"n1"}, "a": {"n1"}, "island": {"n2"}},
-            {("r", "a")},
-        )
-    assert "island" in exc.value.unreachable
+    for make in SHAPE_CHECKED:
+        with pytest.raises(NoCommonRoot) as exc:
+            versioning_from_shape(
+                {"r": {"n1"}, "a": {"n1"}, "island": {"n2"}},
+                {("r", "a")},
+                make=make,
+            )
+        assert "island" in exc.value.unreachable
 
 
 def test_validate_wraps_broken_version_content():
