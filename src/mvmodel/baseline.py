@@ -1,9 +1,10 @@
 """Per-version analyses computed the straightforward way.
 
 These walk the stored version models directly: check every version on
-its own, check every merge pair on its own. They are the reference
-route; the folded route in ``analysis`` must produce identical reports,
-and the oracle command diffs the two.
+its own, check every merge pair on its own. Merge pairs are taken base
+by base, so each span from a base to a version is built once. They are
+the reference route; the folded route in ``analysis`` must produce
+identical reports, and the oracle command diffs the two.
 """
 
 from __future__ import annotations
@@ -29,17 +30,30 @@ def _merge_triplets(versioning: ModelVersioning, lcp_mode: str):
     check_lcp_mode(lcp_mode)
     table = versioning.latest_common_predecessor_table()
     drawn = {b: sorted(b) if lcp_mode == "all" else [min(b)] for b in set(table.values()) if b}
-    for (i, j), bases in sorted((pair, bases) for pair, bases in table.items() if bases):
-        for c in drawn[bases]:
-            yield i, j, c
+    for (i, j), bases in table.items():
+        if bases:
+            for c in drawn[bases]:
+                yield i, j, c
+
+
+def _spans_by_base(versioning: ModelVersioning, lcp_mode: str):
+    """Yield (left, right, base, left span, right span) for every triplet of
+    ``_merge_triplets``, base by base: each span from a base to a version is
+    built once, and dropped with the base's pairs when the walk moves on."""
+    pairs_of: dict[str, list[tuple[str, str]]] = {}
+    for i, j, c in _merge_triplets(versioning, lcp_mode):
+        pairs_of.setdefault(c, []).append((i, j))
+    while pairs_of:
+        c, pairs = pairs_of.popitem()
+        span = {v: versioning.max_preserving_mod(c, v) for v in set().union(*pairs)}
+        for i, j in pairs:
+            yield i, j, c, span[i], span[j]
 
 
 def svm_conflicts(versioning: ModelVersioning, lcp_mode: str = "all") -> list[MergeConflictReport]:
     """Insert-delete conflicts of every mergeable version pair."""
     out: set[MergeConflictReport] = set()
-    for i, j, c in _merge_triplets(versioning, lcp_mode):
-        m1 = versioning.max_preserving_mod(c, i)
-        m2 = versioning.max_preserving_mod(c, j)
+    for i, j, c, m1, m2 in _spans_by_base(versioning, lcp_mode):
         for conflict in insert_delete_conflicts(m1, m2):
             out.add(MergeConflictReport(i, j, c, conflict.edge, conflict.node))
     return sorted(out)
@@ -52,9 +66,7 @@ def svm_merge_check(
     pair: one sorted list per pattern, in pattern order. Each (pair, base)
     is merged once and the merged model is checked against every pattern."""
     out: list[set[MergeViolationReport]] = [set() for _ in patterns]
-    for i, j, c in _merge_triplets(versioning, lcp_mode):
-        m1 = versioning.max_preserving_mod(c, i)
-        m2 = versioning.max_preserving_mod(c, j)
+    for i, j, c, m1, m2 in _spans_by_base(versioning, lcp_mode):
         merged = merge_min(m1, m2).merged
         for found, pattern in zip(out, patterns):
             for m in pcheck(merged, pattern):

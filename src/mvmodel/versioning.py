@@ -1,11 +1,10 @@
 """Version histories: DAGs of models linked by difference spans.
 
-A modification between two models is stored as nothing more than the
-ordered pair of version ids; because all versions share one element
-store, the span between any two versions is recovered as the
-componentwise intersection (the largest preserved subgraph). That span
-is maximally preserving by construction: an element survives exactly
-when it is in both versions.
+A span, the ``ModelModification`` from one version to another, is
+maximally preserving by construction, as all versions share one element
+store: an element survives exactly when it is in both versions. It holds
+its four deltas (created and deleted nodes and edges), computed once when
+it is built; the delta proof and the merges in ``mvmodel.merge`` read them.
 
 ``VersionDag`` is the history without its models: the ids, the root and
 the modifications, checked for shape. It owns the version sets, each one
@@ -43,13 +42,15 @@ def check_lcp_mode(mode: str) -> None:
 
 
 class ModelModification:
-    """Difference between two models, read as source-to-target evolution.
-
-    The preserved part is the intersection of the two membership sets;
-    created elements are target-only, deleted elements source-only.
+    """A span: the difference between two models, read as source-to-target
+    evolution. The preserved part is the intersection of the two membership
+    sets. Its four deltas are computed once, here, and never go stale, as
+    models are immutable: created elements are target-only, deleted
+    elements source-only.
     """
 
-    __slots__ = ("source", "target", "source_id", "target_id")
+    __slots__ = ("source", "target", "source_id", "target_id",
+                 "created_nodes", "created_edges", "deleted_nodes", "deleted_edges")
 
     def __init__(self, source: Model, target: Model, source_id: str = "", target_id: str = ""):
         if source.store is not target.store:
@@ -60,22 +61,10 @@ class ModelModification:
         self.target = target
         self.source_id = source_id
         self.target_id = target_id
-
-    @property
-    def created_nodes(self) -> frozenset[str]:
-        return self.target.node_set - self.source.node_set
-
-    @property
-    def created_edges(self) -> frozenset[str]:
-        return self.target.edge_set - self.source.edge_set
-
-    @property
-    def deleted_nodes(self) -> frozenset[str]:
-        return self.source.node_set - self.target.node_set
-
-    @property
-    def deleted_edges(self) -> frozenset[str]:
-        return self.source.edge_set - self.target.edge_set
+        self.created_nodes = target.node_set - source.node_set
+        self.created_edges = target.edge_set - source.edge_set
+        self.deleted_nodes = source.node_set - target.node_set
+        self.deleted_edges = source.edge_set - target.edge_set
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -138,10 +127,6 @@ class VersionDag:
     # so every ancestor has a lower position than its descendants, and
     # ``position`` is its inverse. A set of versions is an int whose bit k
     # stands for ``order[k]``.
-
-    def mask(self, ids: Iterable[VersionId]) -> int:
-        """The versions ``ids`` as a bitmask over ``order``."""
-        return sum(1 << k for k in {self.position[v] for v in ids})
 
     def ids_of(self, mask: int) -> list[VersionId]:
         """The versions of a bitmask, in id order."""
@@ -387,10 +372,11 @@ class ModelVersioning(VersionDag):
         node deleted from a keeps an incident edge in b; by induction from
         the root it holds for every version.
 
-        The deltas are kept for the fold: ``union`` is the union's node and
-        edge sets; ``cv`` and ``dv`` map each element to the mask of the
-        versions that create and delete it (the root, bit 0, creates its
-        elements, and (a, b) marks at b what b adds to a and what it drops)."""
+        Each modification's deltas are read from its span, and kept for
+        the fold: ``union`` is the union's node and edge sets; ``cv`` and
+        ``dv`` map each element to the mask of the versions that create and
+        delete it (the root, bit 0, creates its elements, and (a, b) marks
+        at b what b adds to a and what it drops)."""
         store, tg, versions = self.store, self.type_graph, self.versions
         nodes = frozenset().union(*(m.node_set for m in versions.values()))
         edges = frozenset().union(*(m.edge_set for m in versions.values()))
@@ -409,15 +395,15 @@ class ModelVersioning(VersionDag):
         cv = dict.fromkeys(root.node_set | root.edge_set, 1)
         dv: dict[str, int] = {}
         for a, b in self.modifications:
-            src, tgt, bit = versions[a], versions[b], 1 << self.position[b]
-            created, deleted = tgt.edge_set - src.edge_set, src.node_set - tgt.node_set
-            if not all(tgt.node_set.issuperset(store.endpoint(e)) for e in created):
+            span, bit = self.max_preserving_mod(a, b), 1 << self.position[b]
+            tgt = span.target
+            if not all(tgt.node_set.issuperset(store.endpoint(e)) for e in span.created_edges):
                 return False
-            if not all(tgt.edge_set.isdisjoint(incident.get(n, ())) for n in deleted):
+            if not all(tgt.edge_set.isdisjoint(incident.get(n, ())) for n in span.deleted_nodes):
                 return False
-            for x in created.union(tgt.node_set - src.node_set):
+            for x in span.created_edges.union(span.created_nodes):
                 cv[x] = cv.get(x, 0) | bit
-            for x in deleted.union(src.edge_set - tgt.edge_set):
+            for x in span.deleted_nodes.union(span.deleted_edges):
                 dv[x] = dv.get(x, 0) | bit
         self.union = (nodes, edges)
         self.cv, self.dv = cv, dv

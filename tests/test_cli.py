@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -922,6 +923,42 @@ def test_svm_merge_check_merges_each_triplet_once(capsys, monkeypatch, lcp):
     )
     assert code == 0 and err == ""
     assert len(calls) == len(triplets)
+
+
+@pytest.mark.parametrize("lcp", mvmodel.versioning.LCP_MODES)
+@pytest.mark.parametrize("shape", ["project", "chain"])
+def test_svm_merge_routes_build_each_span_once(monkeypatch, tmp_path, shape, lcp):
+    """The per-version merge routes walk their triplets base by base and
+    build at most one span per distinct (base, version); merge-check also
+    builds each merge's result. A linear chain has no mergeable pair, so
+    neither route builds a span there."""
+    if shape == "project":
+        versioning = parse_corpus(Path(PROJECT).read_bytes())
+    else:
+        params = GeneratorParams(seed=0, base_size=20, branch_factor=1, version_count=30)
+        versioning = parse_corpus(write_corpus(generate_versioning(params)))
+    patterns = parse_constraints(Path(PROJECT_K).read_bytes(), versioning.type_graph)
+    triplets = list(mvmodel.baseline._merge_triplets(versioning, lcp))
+    assert bool(triplets) == (shape == "project")
+    spans = {(c, v) for i, j, c in triplets for v in (i, j)}
+    results = Counter((c, f"merge({i},{j})") for i, j, c in triplets)
+    init = mvmodel.versioning.ModelModification.__init__
+    built: list[tuple[str, str]] = []
+
+    def counted(self, source, target, source_id="", target_id=""):
+        built.append((source_id, target_id))
+        init(self, source, target, source_id, target_id)
+
+    monkeypatch.setattr(mvmodel.versioning.ModelModification, "__init__", counted)
+    for verdict, merges in (
+        (lambda: mvmodel.baseline.svm_conflicts(versioning, lcp), Counter()),
+        (lambda: mvmodel.baseline.svm_merge_check(versioning, patterns, lcp), results),
+    ):
+        built.clear()
+        verdict()
+        per_span = Counter(key for key in built if key in spans)
+        assert all(n == 1 for n in per_span.values())
+        assert Counter(key for key in built if key not in spans) == merges
 
 
 @pytest.mark.parametrize("command", ["check", "merge-check"])

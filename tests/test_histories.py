@@ -89,7 +89,7 @@ def test_presence_and_deletion_reach_are_the_closed_form(versioning):
     with the element, and the deletion reach is the versions without it
     that have a strict ancestor with it."""
     mvm = comb(versioning)
-    mask, ids_of = versioning.mask, versioning.ids_of
+    ids_of, position = versioning.ids_of, versioning.position
     ancestors = {v: predecessors(versioning, v) for v in versioning.versions}
     for x in mvm.node_elements + mvm.edge_elements:
         holding = {v for v, m in versioning.versions.items() if x in m.node_set | m.edge_set}
@@ -97,7 +97,7 @@ def test_presence_and_deletion_reach_are_the_closed_form(versioning):
         dropped = {v for v in versioning.versions if v not in holding and ancestors[v] & holding}
         reach = versioning.reach(mvm.dv.get(x, 0), mvm.cv[x])
         assert ids_of(reach) == sorted(dropped)
-        assert ids_of(mask(holding)) == sorted(holding)
+        assert ids_of(sum(1 << position[v] for v in holding)) == sorted(holding)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
