@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .core import Model
 from .errors import (
@@ -65,19 +65,14 @@ class Resolution:
 
 @dataclass(frozen=True)
 class MergeResult:
-    modification: ModelModification
     merged: Model
     applied: Resolution
 
 
-def _check_sources(m1: ModelModification, m2: ModelModification) -> None:
-    if m1.source.store is not m2.source.store or m1.source != m2.source:
-        raise SourceMismatch("modifications do not share a source model")
-
-
 def insert_delete_conflicts(m1: ModelModification, m2: ModelModification) -> list[Conflict]:
     """Just the conflicts that require a decision: ``mcheck``'s insert-delete entries."""
-    _check_sources(m1, m2)
+    if m1.source.store is not m2.source.store or m1.source != m2.source:
+        raise SourceMismatch("modifications do not share a source model")
     store = m1.source.store
     found: set[tuple[str, str]] = set()
     for a, b in ((m1, m2), (m2, m1)):
@@ -103,64 +98,67 @@ def mcheck(m1: ModelModification, m2: ModelModification) -> list[Conflict]:
     return out
 
 
-def merge(m1: ModelModification, m2: ModelModification, strategy: Resolution) -> MergeResult:
-    """Merge two modifications under the given per-conflict decisions.
-
-    The strategy must decide exactly the insert-delete conflicts of the
-    pair. Reverting an edge creation removes that edge from the result;
-    reverting a node deletion restores the node (and nothing else, so
-    edges dropped alongside the node stay dropped). The source and both
-    targets must be valid models: then the result conforms to the type
-    graph, and only a dangling edge (the first in id order) can fail it.
-    """
-    _check_sources(m1, m2)
+def _merged(
+    m1: ModelModification, m2: ModelModification, decided: Mapping[tuple[str, str], Decision]
+) -> Model:
+    """The union of both spans' deltas over their shared source, without the
+    reverted edge creations and with the reverted node deletions restored;
+    the one builder behind every merge."""
     source = m1.source
-    conflicts = insert_delete_conflicts(m1, m2)
-    keys = {(c.edge, c.node) for c in conflicts}
-    decided = strategy.as_dict()
-    if set(decided) != keys:
-        missing = sorted(keys - set(decided))
-        extra = sorted(set(decided) - keys)
-        raise IncompleteStrategy(
-            f"strategy must decide exactly the detected conflicts; missing={missing} extra={extra}"
-        )
     nodes = (
         (source.node_set - m1.deleted_nodes - m2.deleted_nodes)
         | m1.created_nodes
         | m2.created_nodes
+        | {node for (_, node), d in decided.items() if d is Decision.REVERT_NODE_DELETION}
     )
     edges = (
         (source.edge_set - m1.deleted_edges - m2.deleted_edges)
         | m1.created_edges
         | m2.created_edges
-    )
-    nodes, edges = set(nodes), set(edges)
-    for (edge, node), decision in decided.items():
-        if decision is Decision.REVERT_EDGE_CREATION:
-            edges.discard(edge)
-        else:
-            nodes.add(node)
+    ) - {edge for (edge, _), d in decided.items() if d is Decision.REVERT_EDGE_CREATION}
     merged = Model(source.store, source.type_graph, nodes, edges)
     node_set, endpoint = merged.node_set, source.store.endpoint
     if not all(node_set.issuperset(endpoint(e)) for e in edges):
         dangling = next(e for e in sorted(edges) if not node_set.issuperset(endpoint(e)))
         raise ImproperResult(f"merge produced a dangling edge: {dangling!r}")
-    target_id = f"merge({m1.target_id},{m2.target_id})"
-    result_mod = ModelModification(source, merged, m1.source_id, target_id)
-    return MergeResult(result_mod, merged, strategy)
+    return merged
+
+
+def merge(m1: ModelModification, m2: ModelModification, strategy: Resolution) -> MergeResult:
+    """Merge two modifications under the given per-conflict decisions.
+
+    The strategy must decide exactly the insert-delete conflicts of the
+    pair, which are detected once. Reverting an edge creation removes that
+    edge from the result; reverting a node deletion restores the node (and
+    nothing else, so edges dropped alongside the node stay dropped). The
+    result holds the merged model and the strategy as ``applied``. The
+    source and both targets must be valid models: then the merged model
+    conforms to the type graph, and only a dangling edge (the first in id
+    order) can fail it.
+    """
+    keys = {(c.edge, c.node) for c in insert_delete_conflicts(m1, m2)}
+    decided = strategy.as_dict()
+    if decided.keys() != keys:
+        missing = sorted(keys - decided.keys())
+        extra = sorted(decided.keys() - keys)
+        raise IncompleteStrategy(
+            f"strategy must decide exactly the detected conflicts; missing={missing} extra={extra}"
+        )
+    return MergeResult(_merged(m1, m2, decided), strategy)
 
 
 def merge_min(m1: ModelModification, m2: ModelModification) -> MergeResult:
     """The deletion-prioritising merge: revert every conflicting edge creation.
 
-    Always succeeds, and its result is contained in the result of every
-    other valid strategy.
+    Detects the pair's conflicts once and builds the merge with every
+    conflicting edge dropped; ``applied`` holds that all-revert strategy.
+    Always succeeds on valid targets, and its result is contained in the
+    result of every other valid strategy.
     """
-    conflicts = insert_delete_conflicts(m1, m2)
-    strategy = Resolution.from_dict(
-        {(c.edge, c.node): Decision.REVERT_EDGE_CREATION for c in conflicts}
-    )
-    return merge(m1, m2, strategy)
+    decided = {
+        (c.edge, c.node): Decision.REVERT_EDGE_CREATION for c in insert_delete_conflicts(m1, m2)
+    }
+    return MergeResult(_merged(m1, m2, decided), Resolution.from_dict(decided))
 
 
 def enumerate_strategies(
@@ -170,7 +168,8 @@ def enumerate_strategies(
 
     The decision space is two-valued per conflict, so the output has up
     to 2**k entries; k above the bound raises TooManyConflicts rather
-    than silently expanding.
+    than silently expanding. The conflicts are detected once, not once
+    per strategy.
     """
     conflicts = insert_delete_conflicts(m1, m2)
     if len(conflicts) > bound:
@@ -180,10 +179,10 @@ def enumerate_strategies(
     for combo in itertools.product(
         (Decision.REVERT_EDGE_CREATION, Decision.REVERT_NODE_DELETION), repeat=len(keys)
     ):
-        strategy = Resolution.from_dict(dict(zip(keys, combo)))
+        decided = dict(zip(keys, combo))
         try:
-            merge(m1, m2, strategy)
+            _merged(m1, m2, decided)
         except ImproperResult:
             continue
-        out.append(strategy)
+        out.append(Resolution.from_dict(decided))
     return out

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -904,7 +905,8 @@ def test_routes_call_analyses_through_module_attributes(capsys, monkeypatch, com
 @pytest.mark.parametrize("lcp", mvmodel.versioning.LCP_MODES)
 def test_svm_merge_check_merges_each_triplet_once(capsys, monkeypatch, lcp):
     """The per-version merge-check builds one merged model per (pair, base)
-    and checks every pattern on it, not one merge per pattern."""
+    and checks every pattern on it, not one merge per pattern, and each
+    merge detects its pair's conflicts once."""
     patterns = json.loads(Path(PROJECT_K).read_text())["patterns"]
     assert len(patterns) == 3
     versioning = parse_corpus(Path(PROJECT).read_bytes())
@@ -918,20 +920,30 @@ def test_svm_merge_check_merges_each_triplet_once(capsys, monkeypatch, lcp):
         return merge_min(*args)
 
     monkeypatch.setattr(mvmodel.baseline, "merge_min", counted)
+    merge_module = importlib.import_module("mvmodel.merge")
+    detect = merge_module.insert_delete_conflicts
+    detections = []
+
+    def detected(*args):
+        detections.append(args)
+        return detect(*args)
+
+    monkeypatch.setattr(merge_module, "insert_delete_conflicts", detected)
     code, _, err = run_cli(
         capsys, "merge-check", PROJECT, "--constraints", PROJECT_K, "--mode", "svm", "--lcp", lcp
     )
     assert code == 0 and err == ""
     assert len(calls) == len(triplets)
+    assert len(detections) == len(triplets)
 
 
 @pytest.mark.parametrize("lcp", mvmodel.versioning.LCP_MODES)
 @pytest.mark.parametrize("shape", ["project", "chain"])
 def test_svm_merge_routes_build_each_span_once(monkeypatch, tmp_path, shape, lcp):
     """The per-version merge routes walk their triplets base by base and
-    build at most one span per distinct (base, version); merge-check also
-    builds each merge's result. A linear chain has no mergeable pair, so
-    neither route builds a span there."""
+    build at most one span per distinct (base, version), and no other span:
+    a merge builds no span of its result. A linear chain has no mergeable
+    pair, so neither route builds a span there."""
     if shape == "project":
         versioning = parse_corpus(Path(PROJECT).read_bytes())
     else:
@@ -941,7 +953,6 @@ def test_svm_merge_routes_build_each_span_once(monkeypatch, tmp_path, shape, lcp
     triplets = list(mvmodel.baseline._merge_triplets(versioning, lcp))
     assert bool(triplets) == (shape == "project")
     spans = {(c, v) for i, j, c in triplets for v in (i, j)}
-    results = Counter((c, f"merge({i},{j})") for i, j, c in triplets)
     init = mvmodel.versioning.ModelModification.__init__
     built: list[tuple[str, str]] = []
 
@@ -950,15 +961,15 @@ def test_svm_merge_routes_build_each_span_once(monkeypatch, tmp_path, shape, lcp
         init(self, source, target, source_id, target_id)
 
     monkeypatch.setattr(mvmodel.versioning.ModelModification, "__init__", counted)
-    for verdict, merges in (
-        (lambda: mvmodel.baseline.svm_conflicts(versioning, lcp), Counter()),
-        (lambda: mvmodel.baseline.svm_merge_check(versioning, patterns, lcp), results),
+    for verdict in (
+        lambda: mvmodel.baseline.svm_conflicts(versioning, lcp),
+        lambda: mvmodel.baseline.svm_merge_check(versioning, patterns, lcp),
     ):
         built.clear()
         verdict()
         per_span = Counter(key for key in built if key in spans)
         assert all(n == 1 for n in per_span.values())
-        assert Counter(key for key in built if key not in spans) == merges
+        assert [key for key in built if key not in spans] == []
 
 
 @pytest.mark.parametrize("command", ["check", "merge-check"])

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from mvmodel import (
     Conflict,
@@ -28,6 +30,7 @@ from mvmodel import (
     validate_model,
 )
 from conftest import build_store, make_pattern
+from strategies import histories
 
 TG = TypeGraph({"N"}, {"link": ("N", "N")})
 
@@ -143,8 +146,6 @@ def test_merge_without_conflicts_unions_changes():
     result = merge(m1, m2, Resolution.from_dict({}))
     assert result.merged.node_set == {"n1", "n2", "n4"}
     assert result.merged.edge_set == {"e12"}
-    assert result.modification.source_id == "base"
-    assert result.modification.target_id == "merge(left,right)"
     validate_model(result.merged)
 
 
@@ -204,6 +205,23 @@ def test_merge_min_reverts_every_conflicting_creation():
     )
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(histories())
+def test_merge_min_is_merge_under_its_applied_strategy(versioning):
+    """merge_min builds its model without calling merge; on every merge
+    triplet both give the same model, and merge_min reverts every
+    conflicting edge creation."""
+    for (i, j), bases in versioning.latest_common_predecessor_table().items():
+        for c in bases:
+            m1 = versioning.max_preserving_mod(c, i)
+            m2 = versioning.max_preserving_mod(c, j)
+            result = merge_min(m1, m2)
+            assert merge(m1, m2, result.applied).merged == result.merged
+            assert all(
+                d is Decision.REVERT_EDGE_CREATION for _, d in result.applied.decisions
+            )
+
+
 def test_merge_min_is_contained_in_every_strategy_result():
     _, m1, m2 = fork()
     low = merge_min(m1, m2).merged
@@ -222,7 +240,7 @@ def test_enumerate_strategies_spans_the_decision_space():
         validate_model(merge(m1, m2, s).merged)
 
 
-def test_enumerate_strategies_bound():
+def test_enumerate_strategies_bound(monkeypatch):
     store = build_store(
         TG,
         {f"n{i}": "N" for i in range(6)},
@@ -237,7 +255,16 @@ def test_enumerate_strategies_bound():
     )
     dropper = ModelModification(base, Model(store, TG, {"n5"}, set()), "base", "d")
     assert len(insert_delete_conflicts(creator, dropper)) == 5
+    detections = []
+
+    def detected(*args):
+        detections.append(args)
+        return insert_delete_conflicts(*args)
+
+    merge_module = importlib.import_module("mvmodel.merge")
+    monkeypatch.setattr(merge_module, "insert_delete_conflicts", detected)
     assert len(enumerate_strategies(creator, dropper)) == 32
+    assert len(detections) == 1
     with pytest.raises(TooManyConflicts):
         enumerate_strategies(creator, dropper, bound=4)
 
