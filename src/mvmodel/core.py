@@ -153,7 +153,7 @@ class Model:
         self.type_graph = type_graph
         self.node_set: frozenset[NodeId] = frozenset(nodes)
         self.edge_set: frozenset[EdgeId] = frozenset(edges)
-        if not (store._nodes.keys() >= self.node_set and store._edges.keys() >= self.edge_set):
+        if self.node_set.difference(store._nodes) or self.edge_set.difference(store._edges):
             for n in self.node_set:
                 if not store.is_node(n):
                     raise ValueError(f"{n!r} is not a registered node")

@@ -137,11 +137,13 @@ def parse_corpus(data: bytes | str) -> ModelVersioning:
         where = f"versions.{vid}"
         nodes = _require(versions_obj[vid], "nodes", list, where)
         edges = _require(versions_obj[vid], "edges", list, where)
-        if not {*map(type, nodes), *map(type, edges)} <= {str}:  # JSON gives exact types
-            raise CorpusSyntaxError("element ids must be strings", where)
         try:
             versions[vid] = Model(store, tg, nodes, edges)
-        except ValueError as err:
+        except (TypeError, ValueError) as err:
+            # Every registered id is a string, so a non-string id always
+            # fails here (unhashable: TypeError; else unregistered).
+            if not {*map(type, nodes), *map(type, edges)} <= {str}:  # JSON gives exact types
+                raise CorpusSyntaxError("element ids must be strings", where) from None
             raise ValidationError(f"{where}: {err}") from err
     mods_obj = _require(obj, "modifications", list, "corpus")
     mods = []

@@ -35,6 +35,8 @@ VersionId = str
 
 LCP_MODES = ("all", "single")
 
+_EMPTY: frozenset[str] = frozenset()
+
 
 def check_lcp_mode(mode: str) -> None:
     if mode not in LCP_MODES:
@@ -46,7 +48,9 @@ class ModelModification:
     evolution. The preserved part is the intersection of the two membership
     sets. Its four deltas are computed once, here, and never go stale, as
     models are immutable: created elements are target-only, deleted
-    elements source-only.
+    elements source-only. Per kind, |created| - |deleted| = |target| -
+    |source|: the difference that the sizes prove non-empty is taken first,
+    and the other only when the size derived from it is not 0.
     """
 
     __slots__ = ("source", "target", "source_id", "target_id",
@@ -61,10 +65,23 @@ class ModelModification:
         self.target = target
         self.source_id = source_id
         self.target_id = target_id
-        self.created_nodes = target.node_set - source.node_set
-        self.created_edges = target.edge_set - source.edge_set
-        self.deleted_nodes = source.node_set - target.node_set
-        self.deleted_edges = source.edge_set - target.edge_set
+        # Inline, not a helper call: the per-version routes build thousands.
+        s, t = source.node_set, target.node_set
+        grow = len(t) - len(s)
+        if grow >= 0:
+            self.created_nodes = t - s
+            self.deleted_nodes = s - t if len(self.created_nodes) > grow else _EMPTY
+        else:
+            self.deleted_nodes = s - t
+            self.created_nodes = t - s if len(self.deleted_nodes) > -grow else _EMPTY
+        s, t = source.edge_set, target.edge_set
+        grow = len(t) - len(s)
+        if grow >= 0:
+            self.created_edges = t - s
+            self.deleted_edges = s - t if len(self.created_edges) > grow else _EMPTY
+        else:
+            self.deleted_edges = s - t
+            self.created_edges = t - s if len(self.deleted_edges) > -grow else _EMPTY
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -367,19 +384,27 @@ class ModelVersioning(VersionDag):
         visiting a version in full; False when a version is invalid.
 
         Types are checked once per element of the union of the versions.
+        That union is the root's elements plus every modification's created
+        ones, which is exact because the shape check has proven that every
+        version descends from the root: on a path from the root to a
+        version that holds an element the root lacks, the first
+        modification whose target holds it creates it.
+
         Properness holds on the root and carries across a modification
         (a, b) when every edge created in b has both endpoints in b and no
         node deleted from a keeps an incident edge in b; by induction from
         the root it holds for every version.
 
-        Each modification's deltas are read from its span, and kept for
+        Each modification's span is built once and its deltas are kept for
         the fold: ``union`` is the union's node and edge sets; ``cv`` and
         ``dv`` map each element to the mask of the versions that create and
         delete it (the root, bit 0, creates its elements, and (a, b) marks
         at b what b adds to a and what it drops)."""
-        store, tg, versions = self.store, self.type_graph, self.versions
-        nodes = frozenset().union(*(m.node_set for m in versions.values()))
-        edges = frozenset().union(*(m.edge_set for m in versions.values()))
+        store, tg = self.store, self.type_graph
+        root = self.versions[self.root]
+        spans = [self.max_preserving_mod(a, b) for a, b in self.modifications]
+        nodes = root.node_set.union(*(span.created_nodes for span in spans))
+        edges = root.edge_set.union(*(span.created_edges for span in spans))
         if not {store.elem_type(n) for n in nodes} <= tg.node_types:
             return False
         incident: dict[str, list[str]] = {}
@@ -389,14 +414,13 @@ class ModelVersioning(VersionDag):
                 return False
             for n in ends:
                 incident.setdefault(n, []).append(e)
-        root = versions[self.root]
         if not all(root.node_set.issuperset(store.endpoint(e)) for e in root.edge_set):
             return False
         cv = dict.fromkeys(root.node_set | root.edge_set, 1)
         dv: dict[str, int] = {}
-        for a, b in self.modifications:
-            span, bit = self.max_preserving_mod(a, b), 1 << self.position[b]
-            tgt = span.target
+        position = self.position
+        for span in spans:
+            tgt, bit = span.target, 1 << position[span.target_id]
             if not all(tgt.node_set.issuperset(store.endpoint(e)) for e in span.created_edges):
                 return False
             if not all(tgt.edge_set.isdisjoint(incident.get(n, ())) for n in span.deleted_nodes):

@@ -1000,7 +1000,12 @@ def test_valid_histories_are_validated_by_delta_alone(capsys, monkeypatch, tmp_p
     monkeypatch.setattr(mvmodel.core, "validate_model", counted)
     for path in (RUNNING, PROJECT):
         parse_corpus(Path(path).read_bytes())
-    generate_versioning(GeneratorParams(seed=3, base_size=100, version_count=120))
+    # The default mix, then deletion-only spans (wide-rare's bias) and
+    # creation-only spans: each size-derived branch of the span deltas.
+    for bias in (0.3, 0.95, 0.0):
+        generate_versioning(
+            GeneratorParams(seed=3, base_size=100, version_count=120, deletion_bias=bias)
+        )
     assert calls == []
     doc = json.loads(Path(RUNNING).read_text())
     doc["versions"]["M_3"]["nodes"].remove("c2")

@@ -25,6 +25,7 @@ from mvmodel import (
     write_mv_encoding,
     oo_type_graph,
 )
+from mvmodel.cli import main
 
 
 def small_params(seed: int = 1) -> GeneratorParams:
@@ -107,6 +108,43 @@ def test_corpus_rejects_unknown_element_in_version():
     obj["versions"]["v"]["nodes"].append("ghost")
     with pytest.raises(ValidationError):
         parse_corpus(json.dumps(obj).encode())
+
+
+NOT_STRINGS = (CorpusSyntaxError, "versions.v: element ids must be strings")
+
+
+@pytest.mark.parametrize("key", ["nodes", "edges"])
+@pytest.mark.parametrize("bad, expected", [
+    ([1], NOT_STRINGS),
+    ([True], NOT_STRINGS),
+    ([None], NOT_STRINGS),
+    ([[]], NOT_STRINGS),
+    ([{}], NOT_STRINGS),
+    (["ghost"], (ValidationError, "versions.v: 'ghost' is not a registered {kind}")),
+    (["ghost", 1], NOT_STRINGS),
+    ([[], "ghost"], NOT_STRINGS),
+], ids=["int", "true", "null", "list", "object", "unregistered", "int-and-unregistered",
+        "list-and-unregistered"])
+def test_corpus_pins_the_error_for_each_bad_element_id(key, bad, expected):
+    # A non-string id is a syntax error, whatever else the list holds; an
+    # unregistered string id is a validation error naming it.
+    obj = corpus_obj()
+    obj["versions"]["v"][key] += bad
+    kind, message = expected
+    with pytest.raises(kind) as err:
+        parse_corpus(json.dumps(obj).encode())
+    assert type(err.value) is kind
+    assert str(err.value) == message.format(kind=key[:-1])
+
+
+def test_validate_reports_a_non_string_element_id_on_one_line(capsys, tmp_path):
+    obj = corpus_obj()
+    obj["versions"]["v"]["edges"].append(7)
+    path = tmp_path / "bad.corpus.json"
+    path.write_text(json.dumps(obj))
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: versions.v: element ids must be strings\n")
 
 
 def test_corpus_rejects_edge_with_unknown_endpoint():

@@ -2,7 +2,8 @@
 engines agree on every task, the encoding export is a typed graph that
 carries the fold's marks, the fold's union and marks equal the reference
 fold's, the descendant masks, the presence and deletion-reach masks and
-the drawn merge bases decode to what they stand for, the matcher finds
+the drawn merge bases decode to what they stand for, every span's
+deltas are the plain set differences, the matcher finds
 what the exhaustive oracle finds in every version, and the streamed text
 and JSON writers give the reference bytes. The same histories with one broken version fail
 validation as the full per-version check does."""
@@ -10,6 +11,7 @@ validation as the full per-version check does."""
 from __future__ import annotations
 
 import json
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from mvmodel import (
     ElementStore,
     InvalidVersion,
     Model,
+    ModelModification,
     ModelVersioning,
     MultiVersionModel,
     Pattern,
@@ -252,6 +255,19 @@ def assert_fails_like_the_full_check(args: dict) -> None:
     assert (type(err.cause), str(err), err.version_id) == (
         type(want.cause), str(want), want.version_id
     )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(histories())
+def test_span_deltas_are_the_plain_set_differences(versioning):
+    # Every ordered pair, not only the modifications: the span derives one
+    # delta's size from the other's and may skip the second difference.
+    for (a, source), (b, target) in product(versioning.versions.items(), repeat=2):
+        span = ModelModification(source, target, a, b)
+        assert span.created_nodes == target.node_set - source.node_set
+        assert span.created_edges == target.edge_set - source.edge_set
+        assert span.deleted_nodes == source.node_set - target.node_set
+        assert span.deleted_edges == source.edge_set - target.edge_set
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -186,6 +186,24 @@ def test_max_preserving_mod_is_componentwise_intersection():
     assert mod.created_edges == {"e23"}
 
 
+@pytest.mark.parametrize("source, target", [
+    (({"n1", "n2"}, {"e12"}), ({"n1", "n2"}, {"e12"})),  # identical
+    (({"n1"}, set()), ({"n1", "n2", "n3"}, {"e12", "e23"})),  # creation only
+    (({"n1", "n2", "n3"}, {"e12", "e23"}), ({"n2"}, set())),  # deletion only
+    (({"n1", "n2"}, set()), ({"n2", "n3"}, set())),  # equal sizes: one node swapped
+    (({"n1", "n2", "n3"}, {"e12"}), ({"n1", "n2", "n3"}, {"e23"})),  # one edge swapped
+    (({"n1", "n2"}, {"e12"}), ({"n3"}, set())),  # shrinks, and creates too
+    (({"n1"}, set()), ({"n2", "n3"}, {"e23"})),  # grows, and deletes too
+], ids=["identical", "creation-only", "deletion-only", "node-swap", "edge-swap",
+        "shrink-and-create", "grow-and-delete"])
+def test_modification_deltas_are_the_plain_set_differences(source, target):
+    store = simple_store()
+    src, tgt = Model(store, TG, *source), Model(store, TG, *target)
+    mod = ModelModification(src, tgt, "a", "b")
+    assert (mod.created_nodes, mod.created_edges) == (target[0] - source[0], target[1] - source[1])
+    assert (mod.deleted_nodes, mod.deleted_edges) == (source[0] - target[0], source[1] - target[1])
+
+
 def test_modification_rejects_mixed_stores():
     s1, s2 = simple_store(), simple_store()
     with pytest.raises(StoreMismatch):
