@@ -16,12 +16,13 @@ from .versioning import ModelVersioning, check_lcp_mode
 
 
 def svm_check(versioning: ModelVersioning, pattern: Pattern) -> list[VersionedViolation]:
-    """Pattern embeddings of every version, checked one model at a time."""
+    """Pattern embeddings of every version, checked one model at a time.
+    The versions come in id order and ``pcheck`` sorts each one's
+    matches, so the list is sorted as built."""
     out: list[VersionedViolation] = []
-    for vid in versioning.versions:
-        for m in pcheck(versioning.versions[vid], pattern):
-            out.append(VersionedViolation(vid, m))
-    return sorted(out)
+    for vid, model in versioning.versions.items():
+        out += (VersionedViolation(vid, m) for m in pcheck(model, pattern))
+    return out
 
 
 def _merge_triplets(versioning: ModelVersioning, lcp_mode: str):
@@ -51,11 +52,13 @@ def _spans_by_base(versioning: ModelVersioning, lcp_mode: str):
 
 
 def svm_conflicts(versioning: ModelVersioning, lcp_mode: str = "all") -> list[MergeConflictReport]:
-    """Insert-delete conflicts of every mergeable version pair."""
-    out: set[MergeConflictReport] = set()
+    """Insert-delete conflicts of every mergeable version pair. Each
+    triplet is visited once and its conflicts are distinct, so the list
+    holds no duplicate."""
+    out: list[MergeConflictReport] = []
     for i, j, c, m1, m2 in _spans_by_base(versioning, lcp_mode):
-        for conflict in insert_delete_conflicts(m1, m2):
-            out.add(MergeConflictReport(i, j, c, conflict.edge, conflict.node))
+        for x in insert_delete_conflicts(m1, m2):
+            out.append(MergeConflictReport(i, j, c, x.edge, x.node))
     return sorted(out)
 
 
@@ -64,11 +67,11 @@ def svm_merge_check(
 ) -> list[list[MergeViolationReport]]:
     """Violations of the deletion-prioritising merge of every mergeable
     pair: one sorted list per pattern, in pattern order. Each (pair, base)
-    is merged once and the merged model is checked against every pattern."""
-    out: list[set[MergeViolationReport]] = [set() for _ in patterns]
+    is merged once and the merged model is checked against every pattern,
+    whose matches are distinct, so no list holds a duplicate."""
+    out: list[list[MergeViolationReport]] = [[] for _ in patterns]
     for i, j, c, m1, m2 in _spans_by_base(versioning, lcp_mode):
         merged = merge_min(m1, m2).merged
         for found, pattern in zip(out, patterns):
-            for m in pcheck(merged, pattern):
-                found.add(MergeViolationReport(i, j, c, m))
+            found += (MergeViolationReport(i, j, c, m) for m in pcheck(merged, pattern))
     return [sorted(found) for found in out]

@@ -15,14 +15,13 @@ if the two routes ever disagree on their results.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
 from statistics import fmean, median
 
 from .core import Pattern
-from .corpus import load_json
+from .corpus import canonical_json, check_format, load_json
 from .errors import BenchMismatch, CorpusSyntaxError, ParamError
 from .generate import GeneratorParams, generate_versioning, generator_params
 from .mvm import comb
@@ -43,8 +42,7 @@ class BenchParams:
 
 def parse_bench_params(data: bytes | str) -> BenchParams:
     obj = load_json(data, "bench-params")
-    if not isinstance(obj, dict) or obj.get("format") != BENCH_FORMAT:
-        raise CorpusSyntaxError(f"expected format {BENCH_FORMAT!r}", "bench-params")
+    check_format(obj, BENCH_FORMAT, "bench-params")
     corpus_obj = obj.get("corpus")
     if not isinstance(corpus_obj, dict):
         raise CorpusSyntaxError("missing corpus parameters", "bench-params")
@@ -111,7 +109,7 @@ class BenchReport:
                 for t in self.tasks
             ],
         }
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        return canonical_json(obj).decode("utf-8")
 
 
 PHASES = ("generate", "fold", "lcp_table", "analysis", "render")

@@ -103,9 +103,6 @@ class ElementStore:
     def is_node(self, elem_id: str) -> bool:
         return elem_id in self._nodes
 
-    def is_edge(self, elem_id: str) -> bool:
-        return elem_id in self._edges
-
     def elem_type(self, elem_id: str) -> TypeId:
         if elem_id in self._nodes:
             return self._nodes[elem_id]
@@ -153,13 +150,10 @@ class Model:
         self.type_graph = type_graph
         self.node_set: frozenset[NodeId] = frozenset(nodes)
         self.edge_set: frozenset[EdgeId] = frozenset(edges)
-        if self.node_set.difference(store._nodes) or self.edge_set.difference(store._edges):
-            for n in self.node_set:
-                if not store.is_node(n):
-                    raise ValueError(f"{n!r} is not a registered node")
-            for e in self.edge_set:
-                if not store.is_edge(e):
-                    raise ValueError(f"{e!r} is not a registered edge")
+        for kind, missing in (("node", self.node_set.difference(store._nodes)),
+                              ("edge", self.edge_set.difference(store._edges))):
+            if missing:  # the least id, so that the message is the same under any hash seed
+                raise ValueError(f"{min(missing, key=str)!r} is not a registered {kind}")
         self._index: _ModelIndex | None = None
 
     def __eq__(self, other: object) -> bool:

@@ -1,8 +1,8 @@
 """Reading and writing the on-disk formats.
 
-All formats are JSON rendered canonically: two-space indent, keys
-sorted, one trailing newline, UTF-8. Writing what parsing produced gives
-back the identical bytes, which the test suite pins.
+All formats are JSON rendered by ``canonical_json``: two-space indent,
+keys sorted, one trailing newline, UTF-8. Writing what parsing produced
+gives back the identical bytes, which the test suite pins.
 
 Corpus files hold one versioning: the type graph, the element registry
 (with fixed endpoints), per-version membership lists, the modification
@@ -45,7 +45,8 @@ def load_json(data: bytes | str, what: str) -> Any:
         raise CorpusSyntaxError(str(err), what) from err
 
 
-def _canonical(obj: Any) -> bytes:
+def canonical_json(obj: Any) -> bytes:
+    """``obj`` in the canonical form that every format is written in."""
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -79,7 +80,9 @@ def _require(obj: Any, key: str, kind: type, where: str) -> Any:
     return value
 
 
-def _check_format(obj: Any, expected: str, where: str) -> None:
+def check_format(obj: Any, expected: str, where: str) -> None:
+    """Require ``obj`` to be an object whose ``format`` marker is
+    ``expected``; every parser of an ``mv-*`` input starts here."""
     fmt = _require(obj, "format", str, where)
     if fmt != expected:
         raise CorpusSyntaxError(f"expected format {expected!r}, found {fmt!r}", where)
@@ -126,7 +129,7 @@ def _fill_store(store: ElementStore, obj: Any, where: str) -> None:
 def parse_corpus(data: bytes | str) -> ModelVersioning:
     """Parse and fully validate one corpus file."""
     obj = load_json(data, "corpus")
-    _check_format(obj, CORPUS_FORMAT, "corpus")
+    check_format(obj, CORPUS_FORMAT, "corpus")
     tg = _parse_type_graph(_require(obj, "type_graph", dict, "corpus"), "type_graph")
     store = ElementStore()
     _fill_store(store, _require(obj, "elements", dict, "corpus"), "elements")
@@ -168,13 +171,13 @@ def write_corpus(versioning: ModelVersioning) -> bytes:
         },
         "modifications": [list(pair) for pair in sorted(versioning.modifications)],
     }
-    return _canonical(obj)
+    return canonical_json(obj)
 
 
 def parse_constraints(data: bytes | str, type_graph: TypeGraph) -> list[Pattern]:
     """Parse a constraint file; patterns are validated against the corpus types."""
     obj = load_json(data, "constraints")
-    _check_format(obj, CONSTRAINTS_FORMAT, "constraints")
+    check_format(obj, CONSTRAINTS_FORMAT, "constraints")
     patterns_obj = _require(obj, "patterns", dict, "constraints")
     out = []
     for name in sorted(patterns_obj):
@@ -199,7 +202,7 @@ def write_constraints(patterns: list[Pattern]) -> bytes:
             p.name: _graph(p.graph.store, p.graph.node_set, p.graph.edge_set) for p in patterns
         },
     }
-    return _canonical(obj)
+    return canonical_json(obj)
 
 
 VERSION_NODE_TYPE = "version"
@@ -266,7 +269,7 @@ def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
         "edges": edges,
         "origin": {x: x for x in elements},
     }
-    return _canonical(obj)
+    return canonical_json(obj)
 
 
 def write_model(model: Model, label: str | None = None) -> bytes:
@@ -274,4 +277,4 @@ def write_model(model: Model, label: str | None = None) -> bytes:
     obj = {"format": MODEL_FORMAT, **_graph(model.store, model.node_set, model.edge_set)}
     if label is not None:
         obj["version"] = label
-    return _canonical(obj)
+    return canonical_json(obj)

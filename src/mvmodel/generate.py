@@ -10,13 +10,12 @@ distinguish the versions.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .core import ElementStore, Model
-from .corpus import load_json
-from .errors import CorpusSyntaxError, ParamError
+from .corpus import canonical_json, check_format, load_json
+from .errors import ParamError
 from .oo import CLASS, METHOD, OVERRIDES, OWNS, RETURN_TYPE, SUPERCLASS, TYPEREF, oo_type_graph
 from .versioning import ModelVersioning
 
@@ -54,12 +53,7 @@ class GeneratorParams:
 
 def parse_generator_params(data: bytes | str) -> GeneratorParams:
     obj = load_json(data, "generator-params")
-    if not isinstance(obj, dict):
-        raise CorpusSyntaxError("expected an object", "generator-params")
-    if obj.get("format") != GENERATOR_FORMAT:
-        raise CorpusSyntaxError(
-            f"expected format {GENERATOR_FORMAT!r}", "generator-params"
-        )
+    check_format(obj, GENERATOR_FORMAT, "generator-params")
     return generator_params({k: v for k, v in obj.items() if k != "format"})
 
 
@@ -76,10 +70,7 @@ def generator_params(values: dict) -> GeneratorParams:
 
 
 def write_generator_params(params: GeneratorParams) -> bytes:
-    obj = {"format": GENERATOR_FORMAT}
-    for f in fields(GeneratorParams):
-        obj[f.name] = getattr(params, f.name)
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return canonical_json({"format": GENERATOR_FORMAT, **asdict(params)})
 
 
 class _Builder:

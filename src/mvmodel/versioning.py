@@ -383,28 +383,28 @@ class ModelVersioning(VersionDag):
         """Whether a history of valid shape is valid, proven without
         visiting a version in full; False when a version is invalid.
 
-        Types are checked once per element of the union of the versions.
-        That union is the root's elements plus every modification's created
-        ones, which is exact because the shape check has proven that every
-        version descends from the root: on a path from the root to a
-        version that holds an element the root lacks, the first
-        modification whose target holds it creates it.
+        The history's first span runs from the empty model to the root,
+        and then one span per modification. Types are checked once per
+        element of the union of the versions. That union is every span's
+        created elements, which is exact because the shape check has proven
+        that every version descends from the root: on a path from the root
+        to a version that holds an element, the first span whose target
+        holds it creates it.
 
-        Properness holds on the root and carries across a modification
+        Properness holds on the empty model and carries across a span
         (a, b) when every edge created in b has both endpoints in b and no
         node deleted from a keeps an incident edge in b; by induction from
-        the root it holds for every version.
+        the empty model it holds for every version.
 
-        Each modification's span is built once and its deltas are kept for
-        the fold: ``union`` is the union's node and edge sets; ``cv`` and
-        ``dv`` map each element to the mask of the versions that create and
-        delete it (the root, bit 0, creates its elements, and (a, b) marks
-        at b what b adds to a and what it drops)."""
+        Each span is built once and its deltas are kept for the fold:
+        ``union`` is the union's node and edge sets; ``cv`` and ``dv`` map
+        each element to the mask of the versions that create and delete it
+        (span (a, b) marks at b what b adds to a and what it drops)."""
         store, tg = self.store, self.type_graph
-        root = self.versions[self.root]
-        spans = [self.max_preserving_mod(a, b) for a, b in self.modifications]
-        nodes = root.node_set.union(*(span.created_nodes for span in spans))
-        edges = root.edge_set.union(*(span.created_edges for span in spans))
+        spans = [ModelModification(Model(store, tg), self.versions[self.root], "", self.root)]
+        spans += (self.max_preserving_mod(a, b) for a, b in self.modifications)
+        nodes = frozenset().union(*(span.created_nodes for span in spans))
+        edges = frozenset().union(*(span.created_edges for span in spans))
         if not {store.elem_type(n) for n in nodes} <= tg.node_types:
             return False
         incident: dict[str, list[str]] = {}
@@ -414,9 +414,7 @@ class ModelVersioning(VersionDag):
                 return False
             for n in ends:
                 incident.setdefault(n, []).append(e)
-        if not all(root.node_set.issuperset(store.endpoint(e)) for e in root.edge_set):
-            return False
-        cv = dict.fromkeys(root.node_set | root.edge_set, 1)
+        cv: dict[str, int] = {}
         dv: dict[str, int] = {}
         position = self.position
         for span in spans:

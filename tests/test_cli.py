@@ -366,6 +366,33 @@ def test_output_does_not_depend_on_string_hashing(command, mode):
     assert outputs[0] == outputs[1] and b"violation pattern=" in outputs[0]
 
 
+def test_unregistered_id_error_does_not_depend_on_string_hashing(tmp_path):
+    """Of two unregistered ids in one version, the error names the least,
+    whatever order the version's id set iterates in."""
+    corpus = json.loads(Path(RUNNING).read_text())
+    corpus["versions"]["M_3"]["edges"] += ["M_1", "c1"]
+    path = tmp_path / "two-unregistered.corpus.json"
+    path.write_text(json.dumps(corpus))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for hash_seed in range(1, 9):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(hash_seed)}
+        proc = subprocess.run([sys.executable, "-m", "mvmodel", "validate", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: versions.M_3: 'M_1' is not a registered edge\n"
+
+
+def test_dangling_edge_in_the_root_is_named(capsys, tmp_path):
+    # The root's properness is proven by the history's first span, from the
+    # empty model to the root; the full check then names the root.
+    corpus = json.loads(Path(RUNNING).read_text())
+    corpus["versions"]["M_1"] = {"nodes": ["c1", "c2", "c4"], "edges": ["sup_c1_c3"]}
+    path = tmp_path / "dangling-root.corpus.json"
+    path.write_text(json.dumps(corpus))
+    err = assert_one_error_line(capsys, "validate", str(path))
+    assert err == "error: version 'M_1' is invalid: edge 'sup_c1_c3' lacks an endpoint node in the graph\n"
+
+
 @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
 @pytest.mark.parametrize("command", ["check", "merge-check", "project", "export-mvm"])
 def test_stdout_gets_utf8_whatever_its_encoding(tmp_path, encoding, command):
@@ -799,6 +826,17 @@ def test_huge_integer_literal_is_one_error(capsys, tmp_path, command):
     path = tmp_path / "huge.json"
     path.write_text('{"format": ' + HUGE_INT + "}")
     assert_one_error_line(capsys, *(str(path) if a == "{}" else a for a in command))
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    (["generate", "--params"], {"format": 1}, "generator-params: key 'format' must be a str"),
+    (["bench", "--repeat", "1", "--params"], {"format": "mv-bench/0"},
+     "bench-params: expected format 'mv-bench/1', found 'mv-bench/0'"),
+], ids=["generator-params", "bench-params"])
+def test_parameter_file_with_a_bad_format_marker_is_one_error(capsys, tmp_path, command, doc, message):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(doc))
+    assert assert_one_error_line(capsys, *command, str(params)) == f"error: {message}\n"
 
 
 def test_bench_params_that_are_not_utf8_are_one_error(capsys, tmp_path):

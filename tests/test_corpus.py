@@ -25,6 +25,7 @@ from mvmodel import (
     write_mv_encoding,
     oo_type_graph,
 )
+from mvmodel.bench import parse_bench_params
 from mvmodel.cli import main
 
 
@@ -272,6 +273,29 @@ def test_generator_params_reject_wrong_format():
     doc["format"] = "mv-generator/0"
     with pytest.raises(CorpusSyntaxError):
         parse_generator_params(json.dumps(doc).encode())
+
+
+PARAM_FILES = {
+    "generator-params": ("mv-generator/1", parse_generator_params),
+    "bench-params": ("mv-bench/1", parse_bench_params),
+}
+MALFORMED_MARKERS = [
+    ([], "expected an object"),
+    ({}, "missing key 'format'"),
+    ({"format": 1}, "key 'format' must be a str"),
+    ({"format": "mv-corpus/1"}, "expected format '{marker}', found 'mv-corpus/1'"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_MARKERS,
+                         ids=["not-an-object", "no-format", "non-string-format", "wrong-format"])
+@pytest.mark.parametrize("what", sorted(PARAM_FILES))
+def test_parameter_files_share_the_corpus_format_check(what, doc, message):
+    # The texts are the corpus parser's, from the one check_format.
+    marker, parse = PARAM_FILES[what]
+    with pytest.raises(CorpusSyntaxError) as err:
+        parse(json.dumps(doc).encode())
+    assert str(err.value) == f"{what}: " + message.format(marker=marker)
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -4,8 +4,9 @@ carries the fold's marks, the fold's union and marks equal the reference
 fold's, the descendant masks, the presence and deletion-reach masks and
 the drawn merge bases decode to what they stand for, every span's
 deltas are the plain set differences, the matcher finds
-what the exhaustive oracle finds in every version, and the streamed text
-and JSON writers give the reference bytes. The same histories with one broken version fail
+what the exhaustive oracle finds in every version, the streamed text
+and JSON writers give the reference bytes, and the reference routes
+return sorted lists without duplicates. The same histories with one broken version fail
 validation as the full per-version check does."""
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from mvmodel import (
     pcheck_mv,
     write_mv_encoding,
 )
+from mvmodel.baseline import svm_check, svm_conflicts, svm_merge_check
 from mvmodel.reports import write_json, write_text
 from mvmodel.versioning import LCP_MODES, bits
 from mvmodel.tasks import TASKS
@@ -292,3 +294,14 @@ def test_an_invalid_version_wins_over_a_bad_shape(modifications):
     broken = Model(store, type_graph, {"c1"}, {"sup12"})
     args = {"versions": {"r": good, "a": good, "b": broken}, "modifications": modifications, "root": "r"}
     assert_fails_like_the_full_check(args)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(histories())
+def test_svm_routes_return_sorted_lists_without_duplicates(versioning):
+    # What lets the reference routes collect their reports in lists, not sets.
+    found = [svm_check(versioning, p) for p in PATTERNS]
+    for mode in LCP_MODES:
+        found += [svm_conflicts(versioning, mode), *svm_merge_check(versioning, PATTERNS, mode)]
+    for reports in found:
+        assert reports == sorted(set(reports))

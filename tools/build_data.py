@@ -9,8 +9,8 @@ tests have drifted apart.
 
 from __future__ import annotations
 
-import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from mvmodel import (
@@ -30,6 +30,7 @@ from mvmodel import (
     write_corpus,
 )
 from mvmodel.bench import BENCH_FORMAT
+from mvmodel.corpus import canonical_json
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -160,27 +161,16 @@ def check_oo_project(versioning: ModelVersioning) -> None:
     }, per_triplet
 
 
-def canonical(obj: dict) -> bytes:
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
 def bench_params(corpus: GeneratorParams, tasks: list[str], constraints: str | None, lcp: str = "all") -> bytes:
     obj = {
         "format": BENCH_FORMAT,
-        "corpus": {
-            "seed": corpus.seed,
-            "base_size": corpus.base_size,
-            "branch_factor": corpus.branch_factor,
-            "version_count": corpus.version_count,
-            "edits_per_modification": corpus.edits_per_modification,
-            "deletion_bias": corpus.deletion_bias,
-        },
+        "corpus": asdict(corpus),
         "tasks": tasks,
         "lcp": lcp,
     }
     if constraints is not None:
         obj["constraints"] = constraints
-    return canonical(obj)
+    return canonical_json(obj)
 
 
 def main() -> int:
