@@ -61,8 +61,6 @@ from .merge import (
     Conflict,
     ConflictKind,
     Decision,
-    MergeResult,
-    Resolution,
     enumerate_strategies,
     insert_delete_conflicts,
     mcheck,
@@ -93,7 +91,6 @@ __all__ = [
     "InvalidVersion",
     "Match",
     "MergeConflictReport",
-    "MergeResult",
     "MergeViolationReport",
     "Model",
     "ModelError",
@@ -104,7 +101,6 @@ __all__ = [
     "NotStructural",
     "ParamError",
     "Pattern",
-    "Resolution",
     "SourceMismatch",
     "StoreMismatch",
     "TooManyConflicts",

@@ -57,8 +57,7 @@ def svm_conflicts(versioning: ModelVersioning, lcp_mode: str = "all") -> list[Me
     holds no duplicate."""
     out: list[MergeConflictReport] = []
     for i, j, c, m1, m2 in _spans_by_base(versioning, lcp_mode):
-        for x in insert_delete_conflicts(m1, m2):
-            out.append(MergeConflictReport(i, j, c, x.edge, x.node))
+        out += (MergeConflictReport(i, j, c, e, v) for e, v in insert_delete_conflicts(m1, m2))
     return sorted(out)
 
 
@@ -71,7 +70,7 @@ def svm_merge_check(
     whose matches are distinct, so no list holds a duplicate."""
     out: list[list[MergeViolationReport]] = [[] for _ in patterns]
     for i, j, c, m1, m2 in _spans_by_base(versioning, lcp_mode):
-        merged = merge_min(m1, m2).merged
+        merged = merge_min(m1, m2)
         for found, pattern in zip(out, patterns):
             found += (MergeViolationReport(i, j, c, m) for m in pcheck(merged, pattern))
     return [sorted(found) for found in out]

@@ -17,7 +17,7 @@ import json
 from typing import Any
 
 from .core import ElementStore, Model, Pattern, TypeGraph, validate_pattern
-from .errors import CorpusSyntaxError, ValidationError
+from .errors import CorpusSyntaxError, ModelError, ValidationError
 from .mvm import MultiVersionModel
 from .versioning import ModelVersioning
 
@@ -189,7 +189,7 @@ def parse_constraints(data: bytes | str, type_graph: TypeGraph) -> list[Pattern]
         try:
             pattern = Pattern(name, Model(store, type_graph, nodes, edges))
             validate_pattern(pattern)
-        except ValueError as err:
+        except ModelError as err:
             raise ValidationError(f"{where}: {err}") from err
         out.append(pattern)
     return out

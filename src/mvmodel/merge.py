@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .core import Model
@@ -49,28 +48,9 @@ class Decision(str, enum.Enum):
     REVERT_NODE_DELETION = "revert-node-deletion"
 
 
-@dataclass(frozen=True)
-class Resolution:
-    """Per-conflict decisions for the insert-delete conflicts of a merge."""
-
-    decisions: tuple[tuple[tuple[str, str], Decision], ...]
-
-    @classmethod
-    def from_dict(cls, decisions: Mapping[tuple[str, str], Decision]) -> "Resolution":
-        return cls(tuple(sorted(decisions.items())))
-
-    def as_dict(self) -> dict[tuple[str, str], Decision]:
-        return dict(self.decisions)
-
-
-@dataclass(frozen=True)
-class MergeResult:
-    merged: Model
-    applied: Resolution
-
-
-def insert_delete_conflicts(m1: ModelModification, m2: ModelModification) -> list[Conflict]:
-    """Just the conflicts that require a decision: ``mcheck``'s insert-delete entries."""
+def insert_delete_conflicts(m1: ModelModification, m2: ModelModification) -> list[tuple[str, str]]:
+    """The conflicts that require a decision, as sorted (edge, node) keys:
+    each created edge paired with an endpoint that the other side deleted."""
     if m1.source.store is not m2.source.store or m1.source != m2.source:
         raise SourceMismatch("modifications do not share a source model")
     store = m1.source.store
@@ -82,7 +62,7 @@ def insert_delete_conflicts(m1: ModelModification, m2: ModelModification) -> lis
             for v in {src, tgt}:
                 if v in dropped:
                     found.add((e, v))
-    return [Conflict(ConflictKind.INSERT_DELETE, e, v) for e, v in sorted(found)]
+    return sorted(found)
 
 
 def mcheck(m1: ModelModification, m2: ModelModification) -> list[Conflict]:
@@ -92,7 +72,7 @@ def mcheck(m1: ModelModification, m2: ModelModification) -> list[Conflict]:
     with both endpoints deleted by the other side yields one entry per
     endpoint. Delete-delete entries follow, sorted by element id.
     """
-    out = insert_delete_conflicts(m1, m2)
+    out = [Conflict(ConflictKind.INSERT_DELETE, e, v) for e, v in insert_delete_conflicts(m1, m2)]
     both = (m1.deleted_nodes | m1.deleted_edges) & (m2.deleted_nodes | m2.deleted_edges)
     out.extend(Conflict(ConflictKind.DELETE_DELETE, "", x) for x in sorted(both))
     return out
@@ -124,58 +104,58 @@ def _merged(
     return merged
 
 
-def merge(m1: ModelModification, m2: ModelModification, strategy: Resolution) -> MergeResult:
-    """Merge two modifications under the given per-conflict decisions.
+def merge(
+    m1: ModelModification, m2: ModelModification, strategy: Mapping[tuple[str, str], Decision]
+) -> Model:
+    """The merged model under the given per-conflict decisions.
 
-    The strategy must decide exactly the insert-delete conflicts of the
-    pair, which are detected once. Reverting an edge creation removes that
-    edge from the result; reverting a node deletion restores the node (and
-    nothing else, so edges dropped alongside the node stay dropped). The
-    result holds the merged model and the strategy as ``applied``. The
-    source and both targets must be valid models: then the merged model
-    conforms to the type graph, and only a dangling edge (the first in id
-    order) can fail it.
+    The strategy maps each (edge, node) key of the pair's insert-delete
+    conflicts, which are detected once, to a decision, and must decide
+    exactly those. Reverting an edge creation removes that edge from the
+    result; reverting a node deletion restores the node (and nothing
+    else, so edges dropped alongside the node stay dropped). The source
+    and both targets must be valid models: then the merged model conforms
+    to the type graph, and only a dangling edge (the first in id order)
+    can fail it.
     """
-    keys = {(c.edge, c.node) for c in insert_delete_conflicts(m1, m2)}
-    decided = strategy.as_dict()
-    if decided.keys() != keys:
-        missing = sorted(keys - decided.keys())
-        extra = sorted(decided.keys() - keys)
+    keys = set(insert_delete_conflicts(m1, m2))
+    if strategy.keys() != keys:
+        missing = sorted(keys - strategy.keys())
+        extra = sorted(strategy.keys() - keys)
         raise IncompleteStrategy(
             f"strategy must decide exactly the detected conflicts; missing={missing} extra={extra}"
         )
-    return MergeResult(_merged(m1, m2, decided), strategy)
+    return _merged(m1, m2, strategy)
 
 
-def merge_min(m1: ModelModification, m2: ModelModification) -> MergeResult:
+def merge_min(m1: ModelModification, m2: ModelModification) -> Model:
     """The deletion-prioritising merge: revert every conflicting edge creation.
 
-    Detects the pair's conflicts once and builds the merge with every
-    conflicting edge dropped; ``applied`` holds that all-revert strategy.
-    Always succeeds on valid targets, and its result is contained in the
-    result of every other valid strategy.
+    Detects the pair's conflicts once and builds the merge under the
+    all-revert strategy, ``dict.fromkeys(insert_delete_conflicts(m1, m2),
+    Decision.REVERT_EDGE_CREATION)``. Always succeeds on valid targets,
+    and its result is contained in the result of every other valid
+    strategy.
     """
-    decided = {
-        (c.edge, c.node): Decision.REVERT_EDGE_CREATION for c in insert_delete_conflicts(m1, m2)
-    }
-    return MergeResult(_merged(m1, m2, decided), Resolution.from_dict(decided))
+    keys = insert_delete_conflicts(m1, m2)
+    return _merged(m1, m2, dict.fromkeys(keys, Decision.REVERT_EDGE_CREATION))
 
 
 def enumerate_strategies(
     m1: ModelModification, m2: ModelModification, bound: int = 16
-) -> list[Resolution]:
-    """All resolutions whose merge yields a proper graph.
+) -> list[dict[tuple[str, str], Decision]]:
+    """All strategies whose merge yields a proper graph, as decision maps.
 
     The decision space is two-valued per conflict, so the output has up
-    to 2**k entries; k above the bound raises TooManyConflicts rather
-    than silently expanding. The conflicts are detected once, not once
-    per strategy.
+    to 2**k entries, in product order over the sorted keys; on valid
+    targets the first is ``merge_min``'s all-revert strategy. k above
+    the bound raises TooManyConflicts rather than silently expanding.
+    The conflicts are detected once, not once per strategy.
     """
-    conflicts = insert_delete_conflicts(m1, m2)
-    if len(conflicts) > bound:
-        raise TooManyConflicts(len(conflicts), bound)
-    keys = [(c.edge, c.node) for c in conflicts]
-    out: list[Resolution] = []
+    keys = insert_delete_conflicts(m1, m2)
+    if len(keys) > bound:
+        raise TooManyConflicts(len(keys), bound)
+    out: list[dict[tuple[str, str], Decision]] = []
     for combo in itertools.product(
         (Decision.REVERT_EDGE_CREATION, Decision.REVERT_NODE_DELETION), repeat=len(keys)
     ):
@@ -184,5 +164,5 @@ def enumerate_strategies(
             _merged(m1, m2, decided)
         except ImproperResult:
             continue
-        out.append(Resolution.from_dict(decided))
+        out.append(decided)
     return out

@@ -203,7 +203,7 @@ def test_criterion_5_merge_check_oracle_and_strategy_floor():
                             continue
                         unavoidable = None
                         for strategy in enumerate_strategies(m1, m2):
-                            left = set(pcheck(merge(m1, m2, strategy).merged, pattern))
+                            left = set(pcheck(merge(m1, m2, strategy), pattern))
                             unavoidable = left if unavoidable is None else unavoidable & left
                         assert by_triplet.get((i, j, c), set()) == (unavoidable or set())
                         floor_instances += 1
@@ -237,13 +237,13 @@ def test_criterion_6_minimal_merge_is_violation_floor():
                     if not 1 <= len(insert_delete_conflicts(m1, m2)) <= 8:
                         continue
                     qualifying += 1
-                    floor_model = merge_min(m1, m2).merged
+                    floor_model = merge_min(m1, m2)
                     strategies = enumerate_strategies(m1, m2)
                     for pattern in patterns:
                         floor = set(pcheck(floor_model, pattern))
                         unavoidable = None
                         for strategy in strategies:
-                            left = set(pcheck(merge(m1, m2, strategy).merged, pattern))
+                            left = set(pcheck(merge(m1, m2, strategy), pattern))
                             unavoidable = left if unavoidable is None else unavoidable & left
                         assert floor == unavoidable
                         nonempty_floors += bool(floor)

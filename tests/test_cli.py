@@ -839,6 +839,33 @@ def test_parameter_file_with_a_bad_format_marker_is_one_error(capsys, tmp_path, 
     assert assert_one_error_line(capsys, *command, str(params)) == f"error: {message}\n"
 
 
+BAD_PATTERNS = {
+    "unknown-node-type": ({"a": "Nope"}, {}),
+    "unknown-edge-type": (
+        {"a": "Class", "b": "Class"},
+        {"x": {"type": "nope", "source": "a", "target": "b"}},
+    ),
+    "type-mismatch": (
+        {"a": "Method", "b": "Method"},
+        {"x": {"type": "superclass", "source": "a", "target": "b"}},
+    ),
+    "empty": ({}, {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PATTERNS))
+def test_an_invalid_pattern_is_named_in_its_error(capsys, tmp_path, name):
+    """A pattern that the corpus's type graph rejects, or that is empty,
+    fails with one error line that starts with the pattern's key."""
+    nodes, edges = BAD_PATTERNS[name]
+    constraints = tmp_path / "bad.constraints.json"
+    constraints.write_text(json.dumps(
+        {"format": "mv-constraints/1", "patterns": {name: {"nodes": nodes, "edges": edges}}}
+    ))
+    err = assert_one_error_line(capsys, "check", PROJECT, "--constraints", str(constraints))
+    assert err.startswith(f"error: patterns.{name}: ")
+
+
 def test_bench_params_that_are_not_utf8_are_one_error(capsys, tmp_path):
     params = tmp_path / "bench.json"
     params.write_bytes(b'{"format": "mv-bench/1", "note": "\xe9"}')

@@ -16,7 +16,6 @@ from mvmodel import (
     IncompleteStrategy,
     Model,
     ModelModification,
-    Resolution,
     SourceMismatch,
     TooManyConflicts,
     TypeGraph,
@@ -95,10 +94,10 @@ def test_mcheck_lists_insert_delete_conflicts_first():
     right = Model(store, TG, {"n1", "n2", "n4"}, {"e42"})
     m1 = ModelModification(base, left, "base", "left")
     m2 = ModelModification(base, right, "base", "right")
-    insert_delete = insert_delete_conflicts(m1, m2)
-    assert insert_delete == [Conflict(ConflictKind.INSERT_DELETE, "e42", "n4")]
+    assert insert_delete_conflicts(m1, m2) == [("e42", "n4")]
     hits = mcheck(m1, m2)
-    assert hits == insert_delete + [
+    assert hits == [
+        Conflict(ConflictKind.INSERT_DELETE, "e42", "n4"),
         Conflict(ConflictKind.DELETE_DELETE, "", "e13"),
         Conflict(ConflictKind.DELETE_DELETE, "", "n3"),
     ]
@@ -117,8 +116,8 @@ def test_mcheck_reports_one_entry_per_deleted_endpoint():
         base, Model(store, TG, {"n1", "n2"}, {"e"}), "base", "c"
     )
     dropper = ModelModification(base, Model(store, TG, set(), set()), "base", "d")
-    hits = insert_delete_conflicts(creator, dropper)
-    assert hits == [
+    assert insert_delete_conflicts(creator, dropper) == [("e", "n1"), ("e", "n2")]
+    assert mcheck(creator, dropper) == [
         Conflict(ConflictKind.INSERT_DELETE, "e", "n1"),
         Conflict(ConflictKind.INSERT_DELETE, "e", "n2"),
     ]
@@ -143,45 +142,39 @@ def test_merge_without_conflicts_unions_changes():
     right = Model(store, TG, {"n1", "n2", "n4"}, set())
     m1 = ModelModification(base, left, "base", "left")
     m2 = ModelModification(base, right, "base", "right")
-    result = merge(m1, m2, Resolution.from_dict({}))
-    assert result.merged.node_set == {"n1", "n2", "n4"}
-    assert result.merged.edge_set == {"e12"}
-    validate_model(result.merged)
+    merged = merge(m1, m2, {})
+    assert merged.node_set == {"n1", "n2", "n4"}
+    assert merged.edge_set == {"e12"}
+    validate_model(merged)
 
 
 def test_merge_strategy_must_cover_conflicts_exactly():
     _, m1, m2 = fork()
     with pytest.raises(IncompleteStrategy):
-        merge(m1, m2, Resolution.from_dict({}))
+        merge(m1, m2, {})
     with pytest.raises(IncompleteStrategy):
         merge(
             m1,
             m2,
-            Resolution.from_dict(
-                {
-                    ("e42", "n4"): Decision.REVERT_EDGE_CREATION,
-                    ("e13", "n1"): Decision.REVERT_EDGE_CREATION,
-                }
-            ),
+            {
+                ("e42", "n4"): Decision.REVERT_EDGE_CREATION,
+                ("e13", "n1"): Decision.REVERT_EDGE_CREATION,
+            },
         )
 
 
 def test_revert_edge_creation_drops_the_edge():
     _, m1, m2 = fork()
-    result = merge(
-        m1, m2, Resolution.from_dict({("e42", "n4"): Decision.REVERT_EDGE_CREATION})
-    )
-    assert result.merged.node_set == {"n1", "n2", "n3"}
-    assert result.merged.edge_set == {"e12", "e13"}
+    merged = merge(m1, m2, {("e42", "n4"): Decision.REVERT_EDGE_CREATION})
+    assert merged.node_set == {"n1", "n2", "n3"}
+    assert merged.edge_set == {"e12", "e13"}
 
 
 def test_revert_node_deletion_restores_only_the_node():
     _, m1, m2 = fork()
-    result = merge(
-        m1, m2, Resolution.from_dict({("e42", "n4"): Decision.REVERT_NODE_DELETION})
-    )
-    assert result.merged.node_set == {"n1", "n2", "n3", "n4"}
-    assert result.merged.edge_set == {"e12", "e13", "e42"}
+    merged = merge(m1, m2, {("e42", "n4"): Decision.REVERT_NODE_DELETION})
+    assert merged.node_set == {"n1", "n2", "n3", "n4"}
+    assert merged.edge_set == {"e12", "e13", "e42"}
 
 
 def test_a_dangling_target_edge_makes_an_improper_result():
@@ -198,35 +191,34 @@ def test_a_dangling_target_edge_makes_an_improper_result():
 
 def test_merge_min_reverts_every_conflicting_creation():
     _, m1, m2 = fork()
-    result = merge_min(m1, m2)
-    assert result.merged.edge_set == {"e12", "e13"}
-    assert all(
-        d is Decision.REVERT_EDGE_CREATION for _, d in result.applied.decisions
-    )
+    merged = merge_min(m1, m2)
+    assert merged.edge_set == {"e12", "e13"}
+    assert merged == merge(m1, m2, {("e42", "n4"): Decision.REVERT_EDGE_CREATION})
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(histories())
 def test_merge_min_is_merge_under_its_applied_strategy(versioning):
     """merge_min builds its model without calling merge; on every merge
-    triplet both give the same model, and merge_min reverts every
-    conflicting edge creation."""
+    triplet it equals merge under the strategy that reverts every
+    conflicting edge creation, and that strategy is the first one
+    enumerate_strategies yields wherever the conflicts can be enumerated."""
     for (i, j), bases in versioning.latest_common_predecessor_table().items():
         for c in bases:
             m1 = versioning.max_preserving_mod(c, i)
             m2 = versioning.max_preserving_mod(c, j)
-            result = merge_min(m1, m2)
-            assert merge(m1, m2, result.applied).merged == result.merged
-            assert all(
-                d is Decision.REVERT_EDGE_CREATION for _, d in result.applied.decisions
-            )
+            keys = insert_delete_conflicts(m1, m2)
+            all_revert = dict.fromkeys(keys, Decision.REVERT_EDGE_CREATION)
+            assert merge(m1, m2, all_revert) == merge_min(m1, m2)
+            if len(keys) <= 16:
+                assert enumerate_strategies(m1, m2)[0] == all_revert
 
 
 def test_merge_min_is_contained_in_every_strategy_result():
     _, m1, m2 = fork()
-    low = merge_min(m1, m2).merged
+    low = merge_min(m1, m2)
     for strategy in enumerate_strategies(m1, m2):
-        other = merge(m1, m2, strategy).merged
+        other = merge(m1, m2, strategy)
         assert low.node_set <= other.node_set
         assert low.edge_set <= other.edge_set
 
@@ -235,9 +227,12 @@ def test_enumerate_strategies_spans_the_decision_space():
     _, m1, m2 = fork()
     strategies = enumerate_strategies(m1, m2)
     assert len(strategies) == 2
-    assert strategies[0] == merge_min(m1, m2).applied
+    assert strategies == [
+        {("e42", "n4"): Decision.REVERT_EDGE_CREATION},
+        {("e42", "n4"): Decision.REVERT_NODE_DELETION},
+    ]
     for s in strategies:
-        validate_model(merge(m1, m2, s).merged)
+        validate_model(merge(m1, m2, s))
 
 
 def test_enumerate_strategies_bound(monkeypatch):
@@ -283,10 +278,10 @@ def test_minimal_merge_violations_are_strategy_independent():
         {"a": "N", "b": "N", "c": "N"},
         {"x": ("link", "a", "b"), "y": ("link", "a", "c")},
     )
-    floor = pcheck(merge_min(m1, m2).merged, pattern)
+    floor = pcheck(merge_min(m1, m2), pattern)
     assert floor  # n1 links to both n2 and n3 in every outcome
     results = [
-        set(pcheck(merge(m1, m2, s).merged, pattern))
+        set(pcheck(merge(m1, m2, s), pattern))
         for s in enumerate_strategies(m1, m2)
     ]
     assert set(floor) == set.intersection(*results)
