@@ -25,25 +25,20 @@ def svm_check(versioning: ModelVersioning, pattern: Pattern) -> list[VersionedVi
     return out
 
 
-def _merge_triplets(versioning: ModelVersioning, lcp_mode: str):
-    """Yield (left, right, base) for every mergeable pair, straight from the
-    merge-base table: every base (``all``) or the least id (``single``)."""
-    check_lcp_mode(lcp_mode)
-    table = versioning.latest_common_predecessor_table()
-    drawn = {b: sorted(b) if lcp_mode == "all" else [min(b)] for b in set(table.values()) if b}
-    for (i, j), bases in table.items():
-        if bases:
-            for c in drawn[bases]:
-                yield i, j, c
-
-
 def _spans_by_base(versioning: ModelVersioning, lcp_mode: str):
-    """Yield (left, right, base, left span, right span) for every triplet of
-    ``_merge_triplets``, base by base: each span from a base to a version is
-    built once, and dropped with the base's pairs when the walk moves on."""
+    """Yield (left, right, base, left span, right span) for every mergeable
+    pair and each of its merge bases that ``lcp_mode`` draws: every base
+    (``all``) or the least id (``single``). One pass over the merge-base
+    table files each pair under its drawn bases; the walk then goes base by
+    base, so each span from a base to a version is built once, and dropped
+    with the base's pairs when the walk moves on."""
+    check_lcp_mode(lcp_mode)
+    single = lcp_mode == "single"
     pairs_of: dict[str, list[tuple[str, str]]] = {}
-    for i, j, c in _merge_triplets(versioning, lcp_mode):
-        pairs_of.setdefault(c, []).append((i, j))
+    for pair, bases in versioning.latest_common_predecessor_table().items():
+        if bases:
+            for c in (min(bases),) if single else bases:
+                pairs_of.setdefault(c, []).append(pair)
     while pairs_of:
         c, pairs = pairs_of.popitem()
         span = {v: versioning.max_preserving_mod(c, v) for v in set().union(*pairs)}

@@ -49,7 +49,8 @@ def parse_bench_params(data: bytes | str) -> BenchParams:
     corpus = generator_params(corpus_obj)
     tasks = obj.get("tasks")
     names = tuple(TASKS)  # tuple membership is equality, so no entry can raise
-    if not isinstance(tasks, list) or not tasks or any(t not in names for t in tasks):
+    if (not isinstance(tasks, list) or not tasks or any(t not in names for t in tasks)
+            or len(set(tasks)) < len(tasks)):  # hashable: every entry is a name
         raise ParamError(f"tasks must be a non-empty subset of {names}")
     constraints = obj.get("constraints")
     if constraints is not None and not isinstance(constraints, str):

@@ -115,8 +115,9 @@ def merge(
     result; reverting a node deletion restores the node (and nothing
     else, so edges dropped alongside the node stay dropped). The source
     and both targets must be valid models: then the merged model conforms
-    to the type graph, and only a dangling edge (the first in id order)
-    can fail it.
+    to the type graph and no decision fails (see ``enumerate_strategies``).
+    On improper targets a dangling edge, the first in id order, raises
+    ImproperResult.
     """
     keys = set(insert_delete_conflicts(m1, m2))
     if strategy.keys() != keys:
@@ -134,8 +135,7 @@ def merge_min(m1: ModelModification, m2: ModelModification) -> Model:
     Detects the pair's conflicts once and builds the merge under the
     all-revert strategy, ``dict.fromkeys(insert_delete_conflicts(m1, m2),
     Decision.REVERT_EDGE_CREATION)``. Always succeeds on valid targets,
-    and its result is contained in the result of every other valid
-    strategy.
+    and its result is contained in the result of every other strategy.
     """
     keys = insert_delete_conflicts(m1, m2)
     return _merged(m1, m2, dict.fromkeys(keys, Decision.REVERT_EDGE_CREATION))
@@ -144,25 +144,22 @@ def merge_min(m1: ModelModification, m2: ModelModification) -> Model:
 def enumerate_strategies(
     m1: ModelModification, m2: ModelModification, bound: int = 16
 ) -> list[dict[tuple[str, str], Decision]]:
-    """All strategies whose merge yields a proper graph, as decision maps.
+    """Every decision map over the pair's insert-delete conflicts.
 
-    The decision space is two-valued per conflict, so the output has up
-    to 2**k entries, in product order over the sorted keys; on valid
-    targets the first is ``merge_min``'s all-revert strategy. k above
-    the bound raises TooManyConflicts rather than silently expanding.
-    The conflicts are detected once, not once per strategy.
+    The decision space is two-valued per conflict, so the output has 2**k
+    entries, in product order over the sorted keys; the first is
+    ``merge_min``'s all-revert strategy. k above the bound raises
+    TooManyConflicts rather than silently expanding. The conflicts are
+    detected once, and no trial merge is built, because on valid spans
+    every map merges properly: an edge that survives from the source is
+    kept by both targets, and proper targets keep its endpoints; a
+    created edge either gets reverted, or each of its endpoints that the
+    other side deleted is a conflict key whose node is restored. On
+    improper targets ``merge`` raises ImproperResult for each map whose
+    result dangles.
     """
     keys = insert_delete_conflicts(m1, m2)
     if len(keys) > bound:
         raise TooManyConflicts(len(keys), bound)
-    out: list[dict[tuple[str, str], Decision]] = []
-    for combo in itertools.product(
-        (Decision.REVERT_EDGE_CREATION, Decision.REVERT_NODE_DELETION), repeat=len(keys)
-    ):
-        decided = dict(zip(keys, combo))
-        try:
-            _merged(m1, m2, decided)
-        except ImproperResult:
-            continue
-        out.append(decided)
-    return out
+    choices = (Decision.REVERT_EDGE_CREATION, Decision.REVERT_NODE_DELETION)
+    return [dict(zip(keys, combo)) for combo in itertools.product(choices, repeat=len(keys))]

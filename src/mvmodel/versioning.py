@@ -43,14 +43,24 @@ def check_lcp_mode(mode: str) -> None:
         raise ValueError(f"lcp mode must be one of {LCP_MODES}, got {mode!r}")
 
 
+def _deltas(source: frozenset[str], target: frozenset[str]) -> tuple[frozenset, frozenset]:
+    """(created, deleted): the target-only and the source-only members.
+    |created| - |deleted| = |target| - |source|, so the difference that the
+    sizes prove non-empty is taken first, and the other only when the size
+    derived from it is not 0."""
+    grow = len(target) - len(source)
+    if grow >= 0:
+        created = target - source
+        return created, (source - target if len(created) > grow else _EMPTY)
+    deleted = source - target
+    return (target - source if len(deleted) > -grow else _EMPTY), deleted
+
+
 class ModelModification:
     """A span: the difference between two models, read as source-to-target
     evolution. The preserved part is the intersection of the two membership
-    sets. Its four deltas are computed once, here, and never go stale, as
-    models are immutable: created elements are target-only, deleted
-    elements source-only. Per kind, |created| - |deleted| = |target| -
-    |source|: the difference that the sizes prove non-empty is taken first,
-    and the other only when the size derived from it is not 0.
+    sets. Its four deltas are computed here, once per kind by ``_deltas``,
+    and never go stale, as models are immutable.
     """
 
     __slots__ = ("source", "target", "source_id", "target_id",
@@ -65,23 +75,8 @@ class ModelModification:
         self.target = target
         self.source_id = source_id
         self.target_id = target_id
-        # Inline, not a helper call: the per-version routes build thousands.
-        s, t = source.node_set, target.node_set
-        grow = len(t) - len(s)
-        if grow >= 0:
-            self.created_nodes = t - s
-            self.deleted_nodes = s - t if len(self.created_nodes) > grow else _EMPTY
-        else:
-            self.deleted_nodes = s - t
-            self.created_nodes = t - s if len(self.deleted_nodes) > -grow else _EMPTY
-        s, t = source.edge_set, target.edge_set
-        grow = len(t) - len(s)
-        if grow >= 0:
-            self.created_edges = t - s
-            self.deleted_edges = s - t if len(self.created_edges) > grow else _EMPTY
-        else:
-            self.deleted_edges = s - t
-            self.created_edges = t - s if len(self.deleted_edges) > -grow else _EMPTY
+        self.created_nodes, self.deleted_nodes = _deltas(source.node_set, target.node_set)
+        self.created_edges, self.deleted_edges = _deltas(source.edge_set, target.edge_set)
 
     def __eq__(self, other: object) -> bool:
         return (

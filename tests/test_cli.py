@@ -898,6 +898,15 @@ def test_bench_rejects_unhashable_task_entries(capsys, tmp_path, tasks):
     assert err.startswith("error: tasks must be a non-empty subset of ")
 
 
+def test_bench_rejects_repeated_tasks(capsys, tmp_path):
+    params = tmp_path / "bench.json"
+    corpus = {k: v for k, v in GENERATOR_PARAMS.items() if k != "format"}
+    tasks = ["conflicts", "conflicts"]
+    params.write_text(json.dumps({"format": "mv-bench/1", "corpus": corpus, "tasks": tasks}))
+    err = assert_one_error_line(capsys, "bench", "--params", str(params), "--repeat", "1")
+    assert err.startswith("error: tasks must be a non-empty subset of ")
+
+
 @pytest.fixture
 def folded_conflicts_drop_one(monkeypatch):
     """The folded conflicts route loses the last report of its last group."""
@@ -967,6 +976,16 @@ def test_routes_call_analyses_through_module_attributes(capsys, monkeypatch, com
         assert len(calls) == 1
 
 
+def merge_triplets(versioning, lcp):
+    """(left, right, base) for every mergeable pair and each of its merge
+    bases that lcp mode ``lcp`` draws: all of them, or the least id."""
+    return [
+        (i, j, c)
+        for (i, j), bases in versioning.latest_common_predecessor_table().items()
+        for c in (sorted(bases) if lcp == "all" else sorted(bases)[:1])
+    ]
+
+
 @pytest.mark.parametrize("lcp", mvmodel.versioning.LCP_MODES)
 def test_svm_merge_check_merges_each_triplet_once(capsys, monkeypatch, lcp):
     """The per-version merge-check builds one merged model per (pair, base)
@@ -975,7 +994,7 @@ def test_svm_merge_check_merges_each_triplet_once(capsys, monkeypatch, lcp):
     patterns = json.loads(Path(PROJECT_K).read_text())["patterns"]
     assert len(patterns) == 3
     versioning = parse_corpus(Path(PROJECT).read_bytes())
-    triplets = list(mvmodel.baseline._merge_triplets(versioning, lcp))
+    triplets = merge_triplets(versioning, lcp)
     assert triplets
     merge_min = mvmodel.baseline.merge_min
     calls = []
@@ -1015,7 +1034,7 @@ def test_svm_merge_routes_build_each_span_once(monkeypatch, tmp_path, shape, lcp
         params = GeneratorParams(seed=0, base_size=20, branch_factor=1, version_count=30)
         versioning = parse_corpus(write_corpus(generate_versioning(params)))
     patterns = parse_constraints(Path(PROJECT_K).read_bytes(), versioning.type_graph)
-    triplets = list(mvmodel.baseline._merge_triplets(versioning, lcp))
+    triplets = merge_triplets(versioning, lcp)
     assert bool(triplets) == (shape == "project")
     spans = {(c, v) for i, j, c in triplets for v in (i, j)}
     init = mvmodel.versioning.ModelModification.__init__

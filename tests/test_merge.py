@@ -177,16 +177,32 @@ def test_revert_node_deletion_restores_only_the_node():
     assert merged.edge_set == {"e12", "e13", "e42"}
 
 
-def test_a_dangling_target_edge_makes_an_improper_result():
-    """Only properness is checked on the merged model; the first dangling
-    edge in id order is named."""
+def improper_fork():
+    """Left keeps n1 and both its edges, but drops their other endpoints: an
+    improper target. Right changes nothing, so there is no conflict."""
     store = four_node_store()
     base = Model(store, TG, {"n1", "n2", "n3", "n4"}, set())
     broken = Model(store, TG, {"n1"}, {"e13", "e12"})
     m1 = ModelModification(base, broken, "base", "broken")
     m2 = ModelModification(base, base, "base", "same")
+    return m1, m2
+
+
+def test_a_dangling_target_edge_makes_an_improper_result():
+    """Only properness is checked on the merged model; the first dangling
+    edge in id order is named."""
+    m1, m2 = improper_fork()
     with pytest.raises(ImproperResult, match=r"^merge produced a dangling edge: 'e12'$"):
         merge_min(m1, m2)
+
+
+def test_improper_targets_get_every_decision_map():
+    """enumerate_strategies builds no trial merge: improper targets get
+    every decision map too, and merge raises on each one that dangles."""
+    m1, m2 = improper_fork()
+    assert enumerate_strategies(m1, m2) == [{}]
+    with pytest.raises(ImproperResult):
+        merge(m1, m2, {})
 
 
 def test_merge_min_reverts_every_conflicting_creation():
@@ -212,6 +228,24 @@ def test_merge_min_is_merge_under_its_applied_strategy(versioning):
             assert merge(m1, m2, all_revert) == merge_min(m1, m2)
             if len(keys) <= 16:
                 assert enumerate_strategies(m1, m2)[0] == all_revert
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(histories())
+def test_every_decision_map_merges_properly(versioning):
+    """On valid spans every decision map gives a proper merge, so
+    enumerate_strategies returns all 2**k of them, and each merged model
+    is valid."""
+    for (i, j), bases in versioning.latest_common_predecessor_table().items():
+        for c in bases:
+            m1 = versioning.max_preserving_mod(c, i)
+            m2 = versioning.max_preserving_mod(c, j)
+            k = len(insert_delete_conflicts(m1, m2))
+            if k <= 8:
+                strategies = enumerate_strategies(m1, m2)
+                assert len(strategies) == 2**k
+                for strategy in strategies:
+                    validate_model(merge(m1, m2, strategy))
 
 
 def test_merge_min_is_contained_in_every_strategy_result():
