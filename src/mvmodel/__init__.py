@@ -58,12 +58,9 @@ from .generate import (
     write_generator_params,
 )
 from .merge import (
-    Conflict,
-    ConflictKind,
     Decision,
     enumerate_strategies,
     insert_delete_conflicts,
-    mcheck,
     merge,
     merge_min,
 )
@@ -78,8 +75,6 @@ __all__ = [
     "BenchMismatch",
     "BenchParams",
     "BenchReport",
-    "Conflict",
-    "ConflictKind",
     "CorpusSyntaxError",
     "CycleDetected",
     "DanglingEdge",
@@ -117,7 +112,6 @@ __all__ = [
     "find_monomorphisms",
     "generate_versioning",
     "insert_delete_conflicts",
-    "mcheck",
     "mcheck_mv",
     "merge",
     "merge_min",

@@ -3,17 +3,16 @@
 The default merge rules are: keep what both sides keep, drop what either
 side drops, add what either side adds. The one genuinely problematic
 situation is an edge added by one side whose endpoint node the other
-side dropped; every such conflict is resolved per conflict, either by
-reverting the edge creation or by reverting the node deletion. Elements
-dropped by both sides are reported too, but only as information: both
-sides already agree.
+side dropped. Each such conflict is a sorted (edge, node) key from
+``insert_delete_conflicts``, and is resolved per key, either by
+reverting the edge creation or by reverting the node deletion.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .core import Model
 from .errors import (
@@ -25,24 +24,6 @@ from .errors import (
 from .versioning import ModelModification
 
 
-class ConflictKind(str, enum.Enum):
-    INSERT_DELETE = "insert-delete"
-    DELETE_DELETE = "delete-delete"
-
-
-class Conflict(NamedTuple):
-    """One conflict between two modifications.
-
-    For insert-delete entries, ``edge`` is the created edge and ``node``
-    the deleted endpoint. For delete-delete entries ``edge`` is empty and
-    ``node`` holds the element both sides deleted (which may be an edge).
-    """
-
-    kind: ConflictKind
-    edge: str
-    node: str
-
-
 class Decision(str, enum.Enum):
     REVERT_EDGE_CREATION = "revert-edge-creation"
     REVERT_NODE_DELETION = "revert-node-deletion"
@@ -50,7 +31,7 @@ class Decision(str, enum.Enum):
 
 def insert_delete_conflicts(m1: ModelModification, m2: ModelModification) -> list[tuple[str, str]]:
     """The conflicts that require a decision, as sorted (edge, node) keys:
-    each created edge paired with an endpoint that the other side deleted."""
+    each created edge paired with each endpoint that the other side deleted."""
     if m1.source.store is not m2.source.store or m1.source != m2.source:
         raise SourceMismatch("modifications do not share a source model")
     store = m1.source.store
@@ -63,19 +44,6 @@ def insert_delete_conflicts(m1: ModelModification, m2: ModelModification) -> lis
                 if v in dropped:
                     found.add((e, v))
     return sorted(found)
-
-
-def mcheck(m1: ModelModification, m2: ModelModification) -> list[Conflict]:
-    """Conflicts between two modifications of one source model.
-
-    Insert-delete entries come first, sorted by (edge, node); an edge
-    with both endpoints deleted by the other side yields one entry per
-    endpoint. Delete-delete entries follow, sorted by element id.
-    """
-    out = [Conflict(ConflictKind.INSERT_DELETE, e, v) for e, v in insert_delete_conflicts(m1, m2)]
-    both = (m1.deleted_nodes | m1.deleted_edges) & (m2.deleted_nodes | m2.deleted_edges)
-    out.extend(Conflict(ConflictKind.DELETE_DELETE, "", x) for x in sorted(both))
-    return out
 
 
 def _merged(

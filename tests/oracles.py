@@ -91,6 +91,17 @@ def latest_common_predecessors(versioning: ModelVersioning, i: str, j: str) -> f
     return frozenset(common - shadowed)
 
 
+def merge_triplets(versioning: ModelVersioning, lcp_mode: str) -> list[tuple[str, str, str]]:
+    """Sorted (left, right, base) for every version pair i < j and each of
+    its merge bases that lcp mode ``lcp_mode`` draws: all of them (``all``)
+    or the least id (``single``)."""
+    triplets = []
+    for i, j in itertools.combinations(sorted(versioning.versions), 2):
+        bases = sorted(latest_common_predecessors(versioning, i, j))
+        triplets += ((i, j, c) for c in (bases if lcp_mode == "all" else bases[:1]))
+    return triplets
+
+
 def fold_marks(versioning: ModelVersioning):
     """The union's node and edge sets and the creation and deletion marks,
     read off every version and modification: the root creates its

@@ -40,6 +40,7 @@ from mvmodel import (
     svm_merge_check,
 )
 from mvmodel.cli import main
+from oracles import merge_triplets
 
 
 def _record(num: int, name: str, status: str) -> None:
@@ -181,7 +182,7 @@ def test_criterion_5_merge_check_oracle_and_strategy_floor():
         report_count = 0
         floor_instances = 0
         for versioning, mvm in suite():
-            table = versioning.latest_common_predecessor_table()
+            triplets = merge_triplets(versioning, "all")
             for mode in ("all", "single"):
                 found = [pcheck_m_mv(mvm, pattern, mode) for pattern in patterns]
                 assert found == svm_merge_check(versioning, patterns, mode)
@@ -195,18 +196,17 @@ def test_criterion_5_merge_check_oracle_and_strategy_floor():
                 for report in pcheck_m_mv(mvm, pattern):
                     key = (report.left, report.right, report.base)
                     by_triplet.setdefault(key, set()).add(report.match)
-                for (i, j), bases in sorted(table.items()):
-                    for c in sorted(bases):
-                        m1 = versioning.max_preserving_mod(c, i)
-                        m2 = versioning.max_preserving_mod(c, j)
-                        if len(insert_delete_conflicts(m1, m2)) > 16:
-                            continue
-                        unavoidable = None
-                        for strategy in enumerate_strategies(m1, m2):
-                            left = set(pcheck(merge(m1, m2, strategy), pattern))
-                            unavoidable = left if unavoidable is None else unavoidable & left
-                        assert by_triplet.get((i, j, c), set()) == (unavoidable or set())
-                        floor_instances += 1
+                for i, j, c in triplets:
+                    m1 = versioning.max_preserving_mod(c, i)
+                    m2 = versioning.max_preserving_mod(c, j)
+                    if len(insert_delete_conflicts(m1, m2)) > 16:
+                        continue
+                    unavoidable = None
+                    for strategy in enumerate_strategies(m1, m2):
+                        left = set(pcheck(merge(m1, m2, strategy), pattern))
+                        unavoidable = left if unavoidable is None else unavoidable & left
+                    assert by_triplet.get((i, j, c), set()) == (unavoidable or set())
+                    floor_instances += 1
         project, project_mvm, project_patterns = shipped()
         for mode in ("all", "single"):
             found = [pcheck_m_mv(project_mvm, pattern, mode) for pattern in project_patterns]
@@ -230,23 +230,22 @@ def test_criterion_6_minimal_merge_is_violation_floor():
                 deletion_bias=0.6,
             )
             versioning = generate_versioning(params)
-            for (i, j), bases in sorted(versioning.latest_common_predecessor_table().items()):
-                for c in sorted(bases):
-                    m1 = versioning.max_preserving_mod(c, i)
-                    m2 = versioning.max_preserving_mod(c, j)
-                    if not 1 <= len(insert_delete_conflicts(m1, m2)) <= 8:
-                        continue
-                    qualifying += 1
-                    floor_model = merge_min(m1, m2)
-                    strategies = enumerate_strategies(m1, m2)
-                    for pattern in patterns:
-                        floor = set(pcheck(floor_model, pattern))
-                        unavoidable = None
-                        for strategy in strategies:
-                            left = set(pcheck(merge(m1, m2, strategy), pattern))
-                            unavoidable = left if unavoidable is None else unavoidable & left
-                        assert floor == unavoidable
-                        nonempty_floors += bool(floor)
+            for i, j, c in merge_triplets(versioning, "all"):
+                m1 = versioning.max_preserving_mod(c, i)
+                m2 = versioning.max_preserving_mod(c, j)
+                if not 1 <= len(insert_delete_conflicts(m1, m2)) <= 8:
+                    continue
+                qualifying += 1
+                floor_model = merge_min(m1, m2)
+                strategies = enumerate_strategies(m1, m2)
+                for pattern in patterns:
+                    floor = set(pcheck(floor_model, pattern))
+                    unavoidable = None
+                    for strategy in strategies:
+                        left = set(pcheck(merge(m1, m2, strategy), pattern))
+                        unavoidable = left if unavoidable is None else unavoidable & left
+                    assert floor == unavoidable
+                    nonempty_floors += bool(floor)
             seed += 1
         assert qualifying >= 100
         box["detail"] = (

@@ -33,6 +33,7 @@ from mvmodel import (
     write_corpus,
 )
 from mvmodel.cli import main
+from oracles import merge_triplets
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 RUNNING = str(DATA_DIR / "running.corpus.json")
@@ -974,16 +975,6 @@ def test_routes_call_analyses_through_module_attributes(capsys, monkeypatch, com
         assert sorted(args[1].name for args in calls) == sorted(patterns)
     else:
         assert len(calls) == 1
-
-
-def merge_triplets(versioning, lcp):
-    """(left, right, base) for every mergeable pair and each of its merge
-    bases that lcp mode ``lcp`` draws: all of them, or the least id."""
-    return [
-        (i, j, c)
-        for (i, j), bases in versioning.latest_common_predecessor_table().items()
-        for c in (sorted(bases) if lcp == "all" else sorted(bases)[:1])
-    ]
 
 
 @pytest.mark.parametrize("lcp", mvmodel.versioning.LCP_MODES)

@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, settings
 
 from mvmodel import (
-    Conflict,
-    ConflictKind,
     Decision,
     ImproperResult,
     IncompleteStrategy,
@@ -22,13 +20,13 @@ from mvmodel import (
     enumerate_strategies,
     find_monomorphisms,
     insert_delete_conflicts,
-    mcheck,
     merge,
     merge_min,
     pcheck,
     validate_model,
 )
 from conftest import build_store, make_pattern
+from oracles import merge_triplets
 from strategies import histories
 
 TG = TypeGraph({"N"}, {"link": ("N", "N")})
@@ -57,23 +55,11 @@ def fork():
     return store, m1, m2
 
 
-def test_mcheck_finds_the_insert_delete_clash():
+def test_insert_delete_conflicts_finds_the_fork_clash():
     _, m1, m2 = fork()
-    assert mcheck(m1, m2) == [Conflict(ConflictKind.INSERT_DELETE, "e42", "n4")]
+    assert insert_delete_conflicts(m1, m2) == [("e42", "n4")]
     # symmetric in the argument order
-    assert mcheck(m2, m1) == mcheck(m1, m2)
-
-
-def test_mcheck_requires_shared_source():
-    store = four_node_store()
-    base_a = Model(store, TG, {"n1"}, set())
-    base_b = Model(store, TG, {"n2"}, set())
-    tgt = Model(store, TG, {"n1", "n2"}, set())
-    with pytest.raises(SourceMismatch):
-        mcheck(
-            ModelModification(base_a, tgt, "a", "t"),
-            ModelModification(base_b, tgt, "b", "t"),
-        )
+    assert insert_delete_conflicts(m2, m1) == [("e42", "n4")]
 
 
 def test_insert_delete_conflicts_requires_shared_source():
@@ -86,7 +72,7 @@ def test_insert_delete_conflicts_requires_shared_source():
         )
 
 
-def test_mcheck_lists_insert_delete_conflicts_first():
+def test_elements_both_sides_delete_are_no_conflict():
     store = four_node_store()
     base = Model(store, TG, {"n1", "n2", "n3", "n4"}, {"e13"})
     # Both sides drop n3 and e13; left also drops n4, which right links to n2.
@@ -95,17 +81,9 @@ def test_mcheck_lists_insert_delete_conflicts_first():
     m1 = ModelModification(base, left, "base", "left")
     m2 = ModelModification(base, right, "base", "right")
     assert insert_delete_conflicts(m1, m2) == [("e42", "n4")]
-    hits = mcheck(m1, m2)
-    assert hits == [
-        Conflict(ConflictKind.INSERT_DELETE, "e42", "n4"),
-        Conflict(ConflictKind.DELETE_DELETE, "", "e13"),
-        Conflict(ConflictKind.DELETE_DELETE, "", "n3"),
-    ]
-    # A kind-first order, not tuple order: "delete-delete" < "insert-delete".
-    assert sorted(hits) != hits
 
 
-def test_mcheck_reports_one_entry_per_deleted_endpoint():
+def test_insert_delete_conflicts_gives_one_key_per_deleted_endpoint():
     store = build_store(
         TG,
         {"n1": "N", "n2": "N"},
@@ -117,21 +95,13 @@ def test_mcheck_reports_one_entry_per_deleted_endpoint():
     )
     dropper = ModelModification(base, Model(store, TG, set(), set()), "base", "d")
     assert insert_delete_conflicts(creator, dropper) == [("e", "n1"), ("e", "n2")]
-    assert mcheck(creator, dropper) == [
-        Conflict(ConflictKind.INSERT_DELETE, "e", "n1"),
-        Conflict(ConflictKind.INSERT_DELETE, "e", "n2"),
-    ]
 
 
-def test_mcheck_delete_delete_is_informational():
+def test_a_span_merged_with_itself_has_no_conflict():
     store = four_node_store()
     base = Model(store, TG, {"n1", "n2", "n3"}, {"e12"})
     both = Model(store, TG, {"n1", "n3"}, set())
     m = ModelModification(base, both, "base", "t")
-    hits = mcheck(m, m)
-    assert all(c.kind is ConflictKind.DELETE_DELETE for c in hits)
-    # the shared element may be an edge; it still lands in the node field
-    assert [c.node for c in hits] == ["e12", "n2"]
     assert insert_delete_conflicts(m, m) == []
 
 
@@ -219,15 +189,14 @@ def test_merge_min_is_merge_under_its_applied_strategy(versioning):
     triplet it equals merge under the strategy that reverts every
     conflicting edge creation, and that strategy is the first one
     enumerate_strategies yields wherever the conflicts can be enumerated."""
-    for (i, j), bases in versioning.latest_common_predecessor_table().items():
-        for c in bases:
-            m1 = versioning.max_preserving_mod(c, i)
-            m2 = versioning.max_preserving_mod(c, j)
-            keys = insert_delete_conflicts(m1, m2)
-            all_revert = dict.fromkeys(keys, Decision.REVERT_EDGE_CREATION)
-            assert merge(m1, m2, all_revert) == merge_min(m1, m2)
-            if len(keys) <= 16:
-                assert enumerate_strategies(m1, m2)[0] == all_revert
+    for i, j, c in merge_triplets(versioning, "all"):
+        m1 = versioning.max_preserving_mod(c, i)
+        m2 = versioning.max_preserving_mod(c, j)
+        keys = insert_delete_conflicts(m1, m2)
+        all_revert = dict.fromkeys(keys, Decision.REVERT_EDGE_CREATION)
+        assert merge(m1, m2, all_revert) == merge_min(m1, m2)
+        if len(keys) <= 16:
+            assert enumerate_strategies(m1, m2)[0] == all_revert
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -236,16 +205,15 @@ def test_every_decision_map_merges_properly(versioning):
     """On valid spans every decision map gives a proper merge, so
     enumerate_strategies returns all 2**k of them, and each merged model
     is valid."""
-    for (i, j), bases in versioning.latest_common_predecessor_table().items():
-        for c in bases:
-            m1 = versioning.max_preserving_mod(c, i)
-            m2 = versioning.max_preserving_mod(c, j)
-            k = len(insert_delete_conflicts(m1, m2))
-            if k <= 8:
-                strategies = enumerate_strategies(m1, m2)
-                assert len(strategies) == 2**k
-                for strategy in strategies:
-                    validate_model(merge(m1, m2, strategy))
+    for i, j, c in merge_triplets(versioning, "all"):
+        m1 = versioning.max_preserving_mod(c, i)
+        m2 = versioning.max_preserving_mod(c, j)
+        k = len(insert_delete_conflicts(m1, m2))
+        if k <= 8:
+            strategies = enumerate_strategies(m1, m2)
+            assert len(strategies) == 2**k
+            for strategy in strategies:
+                validate_model(merge(m1, m2, strategy))
 
 
 def test_merge_min_is_contained_in_every_strategy_result():
