@@ -33,8 +33,8 @@ def pcheck_mv(mvm: MultiVersionModel, pattern: Pattern) -> list[VersionedViolati
                 break
         for k in bits(shared):
             held[k].append(m)
-    position = dag.position
-    return [VersionedViolation(v, m) for v in dag.ids for m in held[position[v]]]
+    position, new = dag.position, tuple.__new__
+    return [new(VersionedViolation, (v, m)) for v in dag.ids for m in held[position[v]]]
 
 
 def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConflictReport]:
@@ -50,7 +50,7 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
     dag = mvm.dag
     draw = dag.drawn_bases(lcp_mode)
     partners = dag.merge_partners()
-    order = dag.order
+    order, new = dag.order, tuple.__new__  # new builds a report without a Python frame
     mergeable = sum(1 << k for k, p in enumerate(partners) if p)
     store = mvm.union.store
     out: list[MergeConflictReport] = []
@@ -69,17 +69,22 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
             if not dropped:
                 continue
             for i in bits(edge_presence & below):
-                vi = order[i]
-                for j in bits(dropped & partners[i]):
+                vi, js = order[i], dropped & partners[i]
+                while js:  # bits(js) inlined: a generator per version costs more
+                    low = js & -js
+                    j, js = low.bit_length() - 1, js ^ low
+                    hit = draw(i, j) & bases_ok
+                    if not hit:
+                        continue
                     vj = order[j]
                     left, right = (vi, vj) if vi < vj else (vj, vi)
-                    hit = draw(i, j) & bases_ok
-                    while hit:  # bits(hit) inlined: a generator per pair costs more
+                    while hit:  # bits(hit) inlined, likewise
                         low = hit & -hit
                         base = order[low.bit_length() - 1]
-                        out.append(MergeConflictReport(left, right, base, edge_elem, endpoint))
+                        out.append(new(MergeConflictReport, (left, right, base, edge_elem, endpoint)))
                         hit ^= low
-    return sorted(out)
+    out.sort()
+    return out
 
 
 def pcheck_m_mv(
@@ -101,7 +106,7 @@ def pcheck_m_mv(
     dag = mvm.dag
     draw = dag.drawn_bases(lcp_mode)
     partners = dag.merge_partners()
-    order = dag.order
+    order, new = dag.order, tuple.__new__
     mergeable = sum(1 << k for k, p in enumerate(partners) if p)
     out: list[MergeViolationReport] = []
     for m in find_monomorphisms(pattern, mvm.union):
@@ -114,15 +119,20 @@ def pcheck_m_mv(
                 if not p & bit_a:
                     counterparts &= p
                     lacked_a |= p
-            for b in bits(counterparts):
-                bit_b, vb, lacked = 1 << b, order[b], lacked_a
+            while counterparts:  # bits(counterparts) inlined, as in mcheck_mv
+                bit_b = counterparts & -counterparts
+                b, counterparts, lacked = bit_b.bit_length() - 1, counterparts ^ bit_b, lacked_a
                 for p in presences:
                     if not p & bit_b:
                         lacked |= p
-                left, right = (va, vb) if va < vb else (vb, va)
                 hit = draw(a, b) & ~lacked
-                while hit:  # bits(hit) inlined, as in mcheck_mv
+                if not hit:
+                    continue
+                vb = order[b]
+                left, right = (va, vb) if va < vb else (vb, va)
+                while hit:
                     low = hit & -hit
-                    out.append(MergeViolationReport(left, right, order[low.bit_length() - 1], m))
+                    out.append(new(MergeViolationReport, (left, right, order[low.bit_length() - 1], m)))
                     hit ^= low
-    return sorted(out)
+    out.sort()
+    return out

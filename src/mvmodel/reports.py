@@ -66,48 +66,53 @@ def total(groups: Groups) -> int:
 
 
 def _chunks(groups: Groups, template, render, encode) -> Iterable[list[str]]:
-    """Every report as a row, in lists of at most ``_CHUNK``, filled column
-    by column into one ``str.format`` template per group. ``template(kind,
-    keys)`` gets each output key with its field: ``{0}`` for the pattern
-    name, ``{k}`` for value k and ``{k[j]}`` for part j of a Match. Names
-    and values are arguments, never pasted into the template; each distinct
-    Match's parts are ``render``ed once, and other values ``encode``d."""
+    """Every report as a row, in lists of at most ``_CHUNK``: one ``%``-template
+    per group applied to a tuple of strings. ``template(kind, keys)`` gets
+    ``(key, field, part)`` per output key (field None for the pattern name,
+    part j of a Match, else None) and returns the template and the keys in
+    its order. Names and values are arguments, never pasted into the
+    template; each distinct Match's parts are ``render``ed once, and other
+    values ``encode``d. A report the template takes as it is (a text conflict
+    line) is its own row's tuple; other rows are zipped from columns."""
     for name, reports in groups:
         if not reports:
             continue
         first = reports[0]
         done: dict[Match, tuple[str, ...]] = {}
         cell = lambda m: done.get(m) or done.setdefault(m, tuple(map(render, m)))
-        keys, cells = [("pattern", "{0}")] * (name is not None), []
-        for k, (field, value) in enumerate(zip(first._fields, first), 1):
-            if isinstance(value, Match):
-                keys += [(part, f"{{{k}[{j}]}}") for j, part in enumerate(value._fields)]
-                cells.append(cell)
-            else:
-                keys.append((field, f"{{{k}}}"))
-                cells.append(encode)
-        row = template(_KINDS[type(first)], keys).format
+        keys = [("pattern", None, None)] * (name is not None)
+        for k, (field, value) in enumerate(zip(first._fields, first)):
+            parts = enumerate(value._fields) if isinstance(value, Match) else [(None, field)]
+            keys += [(key, k, j) for j, key in parts]
+        row, keys = template(_KINDS[type(first)], keys)
+        as_is = encode is None and keys == [(f, k, None) for k, f in enumerate(first._fields)]
+        matched = {k for _, k, j in keys if j is not None}
         name = encode(name) if encode and name is not None else name
         for start in range(0, len(reports), _CHUNK):
-            columns = list(zip(*reports[start : start + _CHUNK]))
-            for k, f in enumerate(cells):
-                if f:
-                    columns[k] = map(f, columns[k])
-            yield list(map(row, repeat(name), *columns))
+            chunk = reports[start : start + _CHUNK]
+            if as_is:
+                yield list(map(row.__mod__, chunk))
+                continue
+            fields = list(zip(*chunk))
+            rendered = {k: list(zip(*map(cell, fields[k]))) for k in matched}
+            columns = [repeat(name) if k is None else rendered[k][j] if j is not None
+                       else map(encode, fields[k]) if encode else fields[k] for _, k, j in keys]
+            yield list(map(row.__mod__, zip(*columns)))
 
 
 def write_text(groups: Groups, write: Callable[[str], object]) -> None:
     """Text lines: the kind, then ``key=value`` for the pattern name when
     there is one and for each field, a Match as ``nodes=`` and ``edges=``
     lists of ``pattern id:host id``; then ``total N``."""
-    text_row = lambda kind, keys: " ".join([kind] + [f"{k}={f}" for k, f in keys])
+    text_row = lambda kind, keys: (" ".join([kind] + [f"{k}=%s" for k, *_ in keys]), keys)
     for lines in _chunks(groups, text_row, lambda pairs: ",".join(map(":".join, pairs)), None):
         write("\n".join(lines) + "\n")
     write(f"total {total(groups)}\n")
 
 
-def _json_row(kind: str, keys: list[tuple[str, str]]) -> str:
-    return "    {{\n" + ",\n".join(f'      "{k}": {f}' for k, f in sorted(keys)) + "\n    }}"
+def _json_row(kind: str, keys: list[tuple]) -> tuple[str, list[tuple]]:
+    keys = sorted(keys)  # by key: no two keys of a row share a name
+    return "    {\n" + ",\n".join(f'      "{k}": %s' for k, *_ in keys) + "\n    }", keys
 
 
 def _json_object(pairs: tuple[tuple[str, str], ...]) -> str:

@@ -5,9 +5,10 @@ fold's, the descendant masks, the presence and deletion-reach masks and
 the drawn merge bases decode to what they stand for, every span's
 deltas are the plain set differences, the matcher finds
 what the exhaustive oracle finds in every version, the streamed text
-and JSON writers give the reference bytes, and the reference routes
-return sorted lists without duplicates. The same histories with one broken version fail
-validation as the full per-version check does."""
+and JSON writers give the reference bytes, and both routes return
+sorted lists without duplicates, the folded ones of their report types.
+The same histories with one broken version fail validation as the full
+per-version check does."""
 
 from __future__ import annotations
 
@@ -28,13 +29,21 @@ from mvmodel import (
     VersionDag,
     comb,
     find_monomorphisms,
+    mcheck_mv,
     oo_constraint_patterns,
     oo_type_graph,
+    pcheck_m_mv,
     pcheck_mv,
     write_mv_encoding,
 )
 from mvmodel.baseline import svm_check, svm_conflicts, svm_merge_check
-from mvmodel.reports import write_json, write_text
+from mvmodel.reports import (
+    MergeConflictReport,
+    MergeViolationReport,
+    VersionedViolation,
+    write_json,
+    write_text,
+)
 from mvmodel.versioning import LCP_MODES, bits
 from mvmodel.tasks import TASKS
 from conftest import build_store, read_encoding
@@ -153,9 +162,9 @@ def test_matcher_agrees_with_brute_force_on_every_version(versioning):
             assert find_monomorphisms(pattern, model) == brute_force_monomorphisms(pattern, model)
 
 
-# Appended to every id and pattern name: a format field, braces, a quote,
-# a backslash and non-ASCII characters.
-ODD = '{0}"\\é€}'
+# Appended to every id and pattern name: a format field, a %-conversion,
+# braces, a quote, a backslash and non-ASCII characters.
+ODD = '{0}%s"\\é€}'
 
 
 def odd_model(model: Model, store: ElementStore) -> Model:
@@ -305,3 +314,22 @@ def test_svm_routes_return_sorted_lists_without_duplicates(versioning):
         found += [svm_conflicts(versioning, mode), *svm_merge_check(versioning, PATTERNS, mode)]
     for reports in found:
         assert reports == sorted(set(reports))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(histories(), st.booleans())
+def test_folded_routes_return_sorted_lists_of_their_report_type(versioning, odd):
+    """In both lcp modes, with plain and odd ids, each folded analysis
+    returns a sorted list without duplicates whose every element has its
+    report type (a plain tuple would compare equal to the named one), and
+    every merge report orders its pair by id."""
+    patterns = odd_patterns() if odd else PATTERNS
+    mvm = comb(odd_history(versioning) if odd else versioning)
+    found = [(VersionedViolation, pcheck_mv(mvm, p)) for p in patterns]
+    for mode in LCP_MODES:
+        found.append((MergeConflictReport, mcheck_mv(mvm, mode)))
+        found += [(MergeViolationReport, pcheck_m_mv(mvm, p, mode)) for p in patterns]
+    for kind, reports in found:
+        assert reports == sorted(set(reports))
+        assert all(type(r) is kind for r in reports)
+        assert kind is VersionedViolation or all(r.left < r.right for r in reports)

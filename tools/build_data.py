@@ -208,6 +208,14 @@ def main() -> int:
         bench_params(small, ["check", "conflicts", "merge-check"], "oo_constraints.json")
     )
 
+    # Merge-heavy branching history: many concurrent pairs, each merged and
+    # checked by the per-version route, which still finishes in seconds.
+    merge_heavy = GeneratorParams(seed=0, base_size=200, branch_factor=3, version_count=100,
+                                  edits_per_modification=4, deletion_bias=0.5)
+    (DATA / "bench_merge.params.json").write_bytes(
+        bench_params(merge_heavy, ["conflicts", "merge-check"], "oo_constraints.json")
+    )
+
     for f in sorted(DATA.iterdir()):
         print(f"{f.relative_to(DATA.parent)}  {f.stat().st_size} bytes")
     return 0
