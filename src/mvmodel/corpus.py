@@ -14,6 +14,8 @@ a fold as one graph in edge-as-node form; the analyses never build it.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any
 
 from .core import ElementStore, Model, Pattern, TypeGraph, validate_pattern
@@ -46,8 +48,46 @@ def load_json(data: bytes | str, what: str) -> Any:
 
 
 def canonical_json(obj: Any) -> bytes:
-    """``obj`` in the canonical form that every format is written in."""
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """``obj`` in the canonical form that every format is written in: the
+    bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline.
+
+    json writes an indented document with its pure-Python encoder, one
+    call per value; this writer joins each list of strings, and each
+    object whose values are all strings, in one go, and leaves every
+    other scalar to ``json.dumps``, with its texts and its ``TypeError``.
+    """
+    return (_render(obj, "\n") + "\n").encode("utf-8")
+
+
+def _render(obj: Any, nl: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it
+    where ``nl``, a newline and the indent, ends the lines around it."""
+    if isinstance(obj, str):
+        return _json_str(obj)
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            body = sep.join(map(_json_str, obj))
+        except TypeError:  # a member that is not a string
+            body = sep.join([_render(x, inner) for x in obj])
+        return f"[{inner}{body}{nl}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        keys = sorted(obj)
+        try:
+            body = sep.join([f"{_json_str(k)}: {_json_str(obj[k])}" for k in keys])
+        except TypeError:  # a key or a value that is not a string
+            if not all(isinstance(k, str) for k in keys):
+                # json converts such keys; its text has no newline but those
+                # that end its lines, so replacing them indents it.
+                return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
+            body = sep.join([f"{_json_str(k)}: {_render(obj[k], inner)}" for k in keys])
+        return f"{{{inner}{body}{nl}}}"
+    return json.dumps(obj)
 
 
 def _type_graph(node_types, edge_types: dict[str, tuple[str, str]]) -> dict:
@@ -166,12 +206,43 @@ def write_corpus(versioning: ModelVersioning) -> bytes:
         "elements": _graph(store, store.node_ids(), store.edge_ids()),
         "root": versioning.root,
         "versions": {
-            vid: {"nodes": sorted(m.node_set), "edges": sorted(m.edge_set)}
-            for vid, m in versioning.versions.items()
+            vid: {"nodes": nodes, "edges": edges}
+            for vid, (nodes, edges) in _sorted_members(versioning).items()
         },
         "modifications": [list(pair) for pair in sorted(versioning.modifications)],
     }
     return canonical_json(obj)
+
+
+def _sorted_members(versioning: ModelVersioning) -> dict[str, tuple[list[str], list[str]]]:
+    """Each version's node and edge ids in id order. The root's are
+    sorted; every other version's are derived from the lists of its first
+    parent in ``order``, by the deltas of the span between them."""
+    root = versioning.versions[versioning.root]
+    out = {versioning.root: (sorted(root.node_set), sorted(root.edge_set))}
+    for v in versioning.order:
+        nodes, edges = out[v]
+        for w in versioning.successors(v):
+            if w not in out:
+                span = versioning.max_preserving_mod(v, w)
+                out[w] = (
+                    _edited(nodes, span.deleted_nodes, span.created_nodes),
+                    _edited(edges, span.deleted_edges, span.created_edges),
+                )
+    return out
+
+
+def _edited(ids: list[str], deleted, created) -> list[str]:
+    """The sorted list ``ids`` without ``deleted``, which it holds, and
+    with ``created``, which it lacks. Each deletion is a bisect; the
+    created ids go on the end, and one sort merges that short run into
+    the long sorted one."""
+    out = ids.copy()
+    for x in deleted:
+        del out[bisect_left(out, x)]
+    out += created
+    out.sort()
+    return out
 
 
 def parse_constraints(data: bytes | str, type_graph: TypeGraph) -> list[Pattern]:

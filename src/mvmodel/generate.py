@@ -2,6 +2,8 @@
 
 The same parameters always produce the identical versioning: every
 random draw happens over a sorted sequence with one seeded generator.
+Each version's members are sorted lists, edited in place, so no draw
+sorts anything.
 Base models are wired to be well formed (single inheritance, one return
 type per method, overrides only between methods agreeing on their return
 type); violations and conflicts then arise from the random edits that
@@ -11,6 +13,7 @@ distinguish the versions.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import asdict, dataclass, fields
 
 from .core import ElementStore, Model
@@ -75,27 +78,46 @@ def write_generator_params(params: GeneratorParams) -> bytes:
 
 class _Builder:
     """Mutable generation state: the growing store, whose sizes number the
-    next node and edge ids."""
+    next node and edge ids; its node and edge ids in id order, which is
+    not creation order (``n10000`` sorts before ``n9999``); and each
+    node's incident edges, in creation order."""
 
     def __init__(self, rng: random.Random):
         self.rng = rng
         self.store = ElementStore()
+        self.type_graph = oo_type_graph()
+        self.edge_types = sorted(self.type_graph.edge_types)
+        self.node_ids: list[str] = []
+        self.edge_ids: list[str] = []
+        self.incident: dict[str, list[str]] = {}
 
     def new_node(self, node_type: str) -> str:
         nid = f"n{len(self.store._nodes):04d}"
         self.store.add_node(nid, node_type)
+        insort(self.node_ids, nid)
+        self.incident[nid] = []
         return nid
 
     def new_edge(self, edge_type: str, src: str, tgt: str) -> str:
         eid = f"e{len(self.store._edges):04d}"
         self.store.add_edge(eid, edge_type, src, tgt)
+        insort(self.edge_ids, eid)
+        self.incident[src].append(eid)
+        self.incident[tgt].append(eid)  # twice for a loop; deleting it twice is harmless
         return eid
 
 
-def _build_base(b: _Builder, size: int) -> tuple[set[str], set[str]]:
+def _discard(ids: list[str], x: str) -> None:
+    """Remove ``x`` from the sorted list ``ids`` if it is there."""
+    k = bisect_left(ids, x)
+    if k < len(ids) and ids[k] == x:
+        del ids[k]
+
+
+def _build_base(b: _Builder, size: int) -> tuple[list[str], list[str]]:
+    """The root model, wired well formed; it holds every element
+    registered so far, so its members are the builder's sorted ids."""
     rng = b.rng
-    nodes: set[str] = set()
-    edges: set[str] = set()
     classes: list[str] = []
     methods: list[str] = []
     typerefs: list[str] = []
@@ -103,74 +125,68 @@ def _build_base(b: _Builder, size: int) -> tuple[set[str], set[str]]:
         r = rng.random()
         t = CLASS if r < 0.4 else METHOD if r < 0.8 else TYPEREF
         nid = b.new_node(t)
-        nodes.add(nid)
         (classes if t == CLASS else methods if t == METHOD else typerefs).append(nid)
     returns: dict[str, str | None] = {}
     for k, cls in enumerate(classes):
         if k > 0 and rng.random() < 0.75:
-            edges.add(b.new_edge(SUPERCLASS, cls, rng.choice(classes[:k])))
+            b.new_edge(SUPERCLASS, cls, rng.choice(classes[:k]))
     for m in methods:
         if classes and rng.random() < 0.9:
-            edges.add(b.new_edge(OWNS, rng.choice(classes), m))
+            b.new_edge(OWNS, rng.choice(classes), m)
         returns[m] = None
         if typerefs and rng.random() < 0.85:
             ret = rng.choice(typerefs)
-            edges.add(b.new_edge(RETURN_TYPE, m, ret))
+            b.new_edge(RETURN_TYPE, m, ret)
             returns[m] = ret
     for k, m in enumerate(methods):
         if k > 0 and rng.random() < 0.2:
             compatible = [m2 for m2 in methods[:k] if returns[m2] == returns[m]]
             if compatible:
-                edges.add(b.new_edge(OVERRIDES, m, rng.choice(compatible)))
-    return nodes, edges
-
-
-def _present_by_type(b: _Builder, nodes: set[str], wanted: str) -> list[str]:
-    return sorted(n for n in nodes if b.store._nodes[n] == wanted)
+                b.new_edge(OVERRIDES, m, rng.choice(compatible))
+    return list(b.node_ids), list(b.edge_ids)
 
 
 def _apply_edits(
-    b: _Builder, nodes: set[str], edges: set[str], count: int, deletion_bias: float
+    b: _Builder, nodes: list[str], edges: list[str], count: int, deletion_bias: float
 ) -> None:
-    rng = b.rng
-    tg = oo_type_graph()
-    edge_types = sorted(tg.edge_types)
-    node_types = [CLASS, METHOD, TYPEREF]
+    """Edit one version's sorted node and edge lists in place; every draw
+    is over a sorted list."""
+    rng, store = b.rng, b.store
+    node_type = store._nodes
     for _ in range(count):
         if rng.random() < deletion_bias and (nodes or edges):
             # A node takes its incident edges with it; an edge goes alone.
             if edges and (not nodes or rng.random() < 0.5):
-                edges.discard(rng.choice(sorted(edges)))
+                _discard(edges, rng.choice(edges))
             elif nodes:
-                victim = rng.choice(sorted(nodes))
-                nodes.discard(victim)
-                for e in sorted(edges):
-                    if victim in b.store.endpoint(e):
-                        edges.discard(e)
+                victim = rng.choice(nodes)
+                _discard(nodes, victim)
+                for e in b.incident[victim]:
+                    _discard(edges, e)
             continue
         q = rng.random()
         if q < 0.15:
             # Try to readopt something registered earlier but absent here.
-            absent_nodes = sorted(b.store._nodes.keys() - nodes)
-            absent_edges = [
+            present_nodes, present_edges = set(nodes), set(edges)
+            pool = [n for n in b.node_ids if n not in present_nodes]
+            pool += [
                 e
-                for e in sorted(b.store._edges.keys() - edges)
-                if nodes.issuperset(b.store.endpoint(e))
+                for e in b.edge_ids
+                if e not in present_edges and present_nodes.issuperset(store.endpoint(e))
             ]
-            pool = absent_nodes + absent_edges
             if pool:
                 pick = rng.choice(pool)
-                (nodes if b.store.is_node(pick) else edges).add(pick)
+                insort(nodes if store.is_node(pick) else edges, pick)
                 continue
         if q < 0.70:
-            t = rng.choice(edge_types)
-            src_t, tgt_t = tg.endpoint_types(t)
-            src_pool = _present_by_type(b, nodes, src_t)
-            tgt_pool = _present_by_type(b, nodes, tgt_t)
+            t = rng.choice(b.edge_types)
+            src_t, tgt_t = b.type_graph.endpoint_types(t)
+            src_pool = [n for n in nodes if node_type[n] == src_t]
+            tgt_pool = src_pool if tgt_t == src_t else [n for n in nodes if node_type[n] == tgt_t]
             if src_pool and tgt_pool:
-                edges.add(b.new_edge(t, rng.choice(src_pool), rng.choice(tgt_pool)))
+                insort(edges, b.new_edge(t, rng.choice(src_pool), rng.choice(tgt_pool)))
                 continue
-        nodes.add(b.new_node(rng.choice(node_types)))
+        insort(nodes, b.new_node(rng.choice((CLASS, METHOD, TYPEREF))))
 
 
 def generate_versioning(params: GeneratorParams) -> ModelVersioning:
@@ -178,36 +194,35 @@ def generate_versioning(params: GeneratorParams) -> ModelVersioning:
     params.validate()
     rng = random.Random(params.seed)
     b = _Builder(rng)
-    base_nodes, base_edges = _build_base(b, params.base_size)
-
-    membership: dict[str, tuple[set[str], set[str]]] = {}
-    order: list[str] = []
-    children: dict[str, int] = {}
-    mods: list[tuple[str, str]] = []
 
     root = "v000"
-    membership[root] = (base_nodes, base_edges)
-    order.append(root)
-    children[root] = 0
+    membership: dict[str, tuple[list[str], list[str]]] = {root: _build_base(b, params.base_size)}
+    children: dict[str, int] = {root: 0}
+    mods: list[tuple[str, str]] = []
+    # Every version so far, and those with fewer than branch_factor
+    # children, each in id order, which is not creation order past v999.
+    ids = [root]
+    eligible = [root]
 
     for k in range(1, params.version_count):
         vid = f"v{k:03d}"
-        eligible = sorted(v for v in order if children[v] < params.branch_factor)
         parent = rng.choice(eligible)
         children[parent] += 1
+        if children[parent] == params.branch_factor:
+            _discard(eligible, parent)
         p_nodes, p_edges = membership[parent]
-        nodes, edges = set(p_nodes), set(p_edges)
+        nodes, edges = p_nodes.copy(), p_edges.copy()
         _apply_edits(b, nodes, edges, params.edits_per_modification, params.deletion_bias)
         membership[vid] = (nodes, edges)
         mods.append((parent, vid))
-        if params.branch_factor >= 2 and len(order) >= 2 and rng.random() < 0.25:
-            second = rng.choice(sorted(set(order) - {parent}))
+        if params.branch_factor >= 2 and len(ids) >= 2 and rng.random() < 0.25:
+            second = rng.choice([v for v in ids if v != parent])
             mods.append((second, vid))
-        order.append(vid)
+        insort(ids, vid)
+        insort(eligible, vid)
         children[vid] = 0
 
-    tg = oo_type_graph()
     versions = {
-        vid: Model(b.store, tg, nodes, edges) for vid, (nodes, edges) in membership.items()
+        vid: Model(b.store, b.type_graph, nodes, edges) for vid, (nodes, edges) in membership.items()
     }
     return ModelVersioning(versions, mods, root)

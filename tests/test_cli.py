@@ -367,6 +367,25 @@ def test_output_does_not_depend_on_string_hashing(command, mode):
     assert outputs[0] == outputs[1] and b"violation pattern=" in outputs[0]
 
 
+def test_generated_corpus_does_not_depend_on_string_hashing(tmp_path):
+    """Every random draw of the generator is over a sorted list; a draw
+    from a set would follow the hash seed, which one process cannot see."""
+    params = tmp_path / "branchy.params.json"
+    params.write_text(json.dumps({
+        "format": "mv-generator/1", "seed": 1, "base_size": 60, "branch_factor": 3,
+        "version_count": 60, "edits_per_modification": 4, "deletion_bias": 0.4,
+    }))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run([sys.executable, "-m", "mvmodel", "generate", "--params", str(params)],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0 and proc.stderr == b""
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and b'"format": "mv-corpus/1"' in outputs[0]
+
+
 def test_unregistered_id_error_does_not_depend_on_string_hashing(tmp_path):
     """Of two unregistered ids in one version, the error names the least,
     whatever order the version's id set iterates in."""

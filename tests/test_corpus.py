@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvmodel import (
     CorpusSyntaxError,
+    ElementStore,
     GeneratorParams,
+    Model,
+    ModelVersioning,
     ParamError,
     UnknownVersion,
     ValidationError,
@@ -27,6 +36,10 @@ from mvmodel import (
 )
 from mvmodel.bench import parse_bench_params
 from mvmodel.cli import main
+from mvmodel.corpus import canonical_json
+from strategies import histories
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_params(seed: int = 1) -> GeneratorParams:
@@ -46,6 +59,39 @@ def test_corpus_round_trip_is_byte_stable():
     back = parse_corpus(data)
     assert back == versioning
     assert write_corpus(back) == data
+
+
+def _members_by_sorting(versioning: ModelVersioning) -> dict:
+    return {vid: {"nodes": sorted(m.node_set), "edges": sorted(m.edge_set)}
+            for vid, m in versioning.versions.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(histories())
+def test_corpus_lists_each_version_in_id_order(versioning):
+    # Ids are shuffled, so id order is not the order the history was built in.
+    assert json.loads(write_corpus(versioning))["versions"] == _members_by_sorting(versioning)
+
+
+def test_corpus_lists_versions_in_id_order_across_long_deltas():
+    # Spans from one edit to 80, each applied to the parent's sorted list;
+    # c10 sorts before c9.
+    tg = oo_type_graph()
+    store = ElementStore()
+    for k in range(120):
+        store.add_node(f"c{k}", "Class")
+    members = {
+        "root": range(10),
+        "wide": range(90),              # 80 created
+        "narrow": [*range(20, 90), 95], # 20 deleted, 1 created from wide
+        "small": [*range(10), 100],
+        "both": range(100, 120),        # merge of wide and small
+    }
+    versions = {v: Model(store, tg, [f"c{k}" for k in ks]) for v, ks in members.items()}
+    mods = [("root", "wide"), ("wide", "narrow"), ("root", "small"), ("wide", "both"),
+            ("small", "both")]
+    versioning = ModelVersioning(versions, mods, "root")
+    assert json.loads(write_corpus(versioning))["versions"] == _members_by_sorting(versioning)
 
 
 def test_shipped_corpora_are_canonical(data_dir):
@@ -214,6 +260,69 @@ def parse_corpus_file():
     return parse_corpus((DATA_DIR / "running.corpus.json").read_bytes())
 
 
+# Characters json escapes, and lone surrogates, which only an ASCII
+# writer can write at all.
+JSON_CHARS = st.one_of(
+    st.characters(exclude_categories=()),
+    st.characters(categories=["Cs"]),
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€\U0001f600'),
+)
+JSON_TEXT = st.text(JSON_CHARS, max_size=8)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(),
+    st.sampled_from([True, False, 1, 0, float("nan"), float("inf"), float("-inf"), -0.0, 1e16]),
+    JSON_TEXT,
+    st.sampled_from([[], {}, ()]),
+)
+# json converts these keys to strings: bools and None to their JSON
+# texts, numbers as float.__repr__ and int.__repr__ write them. One kind
+# per object, or the sort by key fails.
+JSON_OTHER_KEYS = st.one_of(
+    st.dictionaries(st.one_of(st.integers(), st.booleans(), st.floats()), st.none(), max_size=4),
+    st.dictionaries(st.none(), JSON_TEXT, max_size=1),
+)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_SCALARS, JSON_OTHER_KEYS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_TEXT, children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4),
+        # All strings: the writer joins these in one go.
+        st.lists(JSON_TEXT, max_size=4),
+        st.dictionaries(JSON_TEXT, JSON_TEXT, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_json_is_json_dumps_with_two_space_indent_and_sorted_keys(obj):
+    assert canonical_json(obj) == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("obj", [
+    {1, 2},
+    ["a", {"x"}],
+    {"a": "b", "c": {"d"}},
+    [{"a": [[], {"b": frozenset()}]}],
+    {"a": {1: "b", "c": "d"}},
+    {(1,): "a"},
+], ids=["set", "in-a-list-of-strings", "in-an-object-of-strings", "nested", "mixed-keys",
+        "tuple-key"])
+def test_canonical_json_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as err:
+        canonical_json(obj)
+    assert str(err.value) == str(expected.value)
+
+
 def test_write_model_is_canonical():
     versioning = parse_corpus_file()
     rendered = write_model(versioning.version("M_2"), "M_2")
@@ -233,6 +342,84 @@ def test_generator_is_deterministic():
     b = generate_versioning(small_params())
     assert a == b
     assert write_corpus(a) == write_corpus(b)
+
+
+def _perfbench_run():
+    """perfbench/run.py as a module, for its SHAPES and EXPECTED tables."""
+    here = ROOT / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_run", here / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(here))  # run.py imports its tracer module by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(here))
+    return module
+
+
+def _bench_corpus_params(name: str) -> dict:
+    return json.loads((ROOT / "data" / f"bench_{name}.params.json").read_text())["corpus"]
+
+
+# Name -> (generator parameters, sha256 of write_corpus(generate_versioning(...))):
+# generation and the writer may get faster, never different. Ids do not
+# sort in creation order past 9,999 elements (n10000 < n9999) and past
+# 999 versions (v1000 < v101). data/bench_check.params.json's corpus is
+# the wide-rare shape, pinned with the other shapes below.
+GENERATED = {
+    "bench_conflicts": (_bench_corpus_params("conflicts"),
+                        "6b051dc54d01a0d493abb24209f3f93b09b02087d1c17472ed0fb5d4737b2c04"),
+    "bench_merge": (_bench_corpus_params("merge"),
+                    "5f4f34c72c3900d2e9aa85137c23c2ab34d86e14f5dc5e4c35dd3988126808cf"),
+    "bench_small_all": (_bench_corpus_params("small_all"),
+                        "2610d9cd82bca8d51a105f0fb060a33340f9bf190a814ad496740bbc484280b4"),
+    "one-version": (dict(seed=4, base_size=30, version_count=1),
+                    "8e42e290533f3111276ca9de9e9fccc484bd935296c15965e49f040a3fa8b548"),
+    "empty-base": (dict(seed=5, base_size=0, branch_factor=2, version_count=40,
+                        edits_per_modification=5, deletion_bias=0.3),
+                   "77cc3fa457375113d78be638bb0b6d1fa50f5c626387b6f15decc73cd00d9ada"),
+    "no-edits": (dict(seed=6, base_size=30, branch_factor=3, version_count=20,
+                      edits_per_modification=0),
+                 "e0f1a3822c9e4938f025069c0c2d5b262101ba8d766dd65ca668429a92439167"),
+    "never-delete": (dict(seed=7, base_size=30, branch_factor=2, version_count=40,
+                          edits_per_modification=6, deletion_bias=0.0),
+                     "22056ddeb693a9e8841b3a2bb45acc46f7fe83627f89f4c519be089c1ec96b35"),
+    "always-delete": (dict(seed=8, base_size=60, branch_factor=2, version_count=40,
+                           edits_per_modification=6, deletion_bias=1.0),
+                      "2c7736975b5acb2b75ea997cbfadb6bb3649a2aa307b5a4c967ebcd1dba0be04"),
+    "chain": (dict(seed=9, base_size=30, branch_factor=1, version_count=40,
+                   edits_per_modification=5, deletion_bias=0.4),
+              "00b2745d28f718182a0a09e2919e801bff01417e7bdf540011c63ed69a164c2b"),
+    "past-n9999": (dict(seed=10, base_size=10050, branch_factor=2, version_count=8,
+                        edits_per_modification=40, deletion_bias=0.3),
+                   "cd1be7e2e4a624b43d87592d2924c2aef2d844080e5b40952df0e505534744a0"),
+    "past-v999": (dict(seed=11, base_size=8, branch_factor=3, version_count=1020,
+                       edits_per_modification=2, deletion_bias=0.4),
+                  "555b9efcdefe4d4aaefdc256d52d02516cde0fdf000587ffeb72c65f7caf8a2d"),
+}
+
+
+def _generated(params: dict) -> tuple[ModelVersioning, str]:
+    versioning = generate_versioning(GeneratorParams(**params))
+    return versioning, hashlib.sha256(write_corpus(versioning)).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_corpus_bytes_are_pinned(name):
+    params, digest = GENERATED[name]
+    versioning, got = _generated(params)
+    assert got == digest
+    if name == "past-n9999":
+        assert {"n10000", "e10000"} <= {*versioning.store.node_ids(), *versioning.store.edge_ids()}
+    if name == "past-v999":
+        assert "v1000" in versioning.versions
+
+
+def test_generated_corpus_bytes_match_the_benchmark_shapes():
+    run = _perfbench_run()
+    assert _bench_corpus_params("check") == run.SHAPES["wide-rare"]
+    for shape, params in run.SHAPES.items():
+        assert _generated(params)[1] == run.EXPECTED[shape]["sha256"], shape
 
 
 def test_generator_seeds_differ():
