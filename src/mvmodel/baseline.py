@@ -19,9 +19,10 @@ def svm_check(versioning: ModelVersioning, pattern: Pattern) -> list[VersionedVi
     """Pattern embeddings of every version, checked one model at a time.
     The versions come in id order and ``pcheck`` sorts each one's
     matches, so the list is sorted as built."""
+    new = tuple.__new__
     out: list[VersionedViolation] = []
     for vid, model in versioning.versions.items():
-        out += (VersionedViolation(vid, m) for m in pcheck(model, pattern))
+        out += [new(VersionedViolation, (vid, m)) for m in pcheck(model, pattern)]
     return out
 
 
@@ -50,10 +51,12 @@ def svm_conflicts(versioning: ModelVersioning, lcp_mode: str = "all") -> list[Me
     """Insert-delete conflicts of every mergeable version pair. Each
     triplet is visited once and its conflicts are distinct, so the list
     holds no duplicate."""
+    new = tuple.__new__  # builds a report without a Python frame
     out: list[MergeConflictReport] = []
     for i, j, c, m1, m2 in _spans_by_base(versioning, lcp_mode):
-        out += (MergeConflictReport(i, j, c, e, v) for e, v in insert_delete_conflicts(m1, m2))
-    return sorted(out)
+        out += [new(MergeConflictReport, (i, j, c, e, v)) for e, v in insert_delete_conflicts(m1, m2)]
+    out.sort()
+    return out
 
 
 def svm_merge_check(
@@ -63,9 +66,12 @@ def svm_merge_check(
     pair: one sorted list per pattern, in pattern order. Each (pair, base)
     is merged once and the merged model is checked against every pattern,
     whose matches are distinct, so no list holds a duplicate."""
+    new = tuple.__new__
     out: list[list[MergeViolationReport]] = [[] for _ in patterns]
     for i, j, c, m1, m2 in _spans_by_base(versioning, lcp_mode):
         merged = merge_min(m1, m2)
         for found, pattern in zip(out, patterns):
-            found += (MergeViolationReport(i, j, c, m) for m in pcheck(merged, pattern))
-    return [sorted(found) for found in out]
+            found += [new(MergeViolationReport, (i, j, c, m)) for m in pcheck(merged, pattern)]
+    for found in out:
+        found.sort()
+    return out

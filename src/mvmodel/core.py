@@ -185,10 +185,11 @@ class _ModelIndex:
     ``in_nbrs[n][t]`` the sources of its incoming ones, once per edge, so
     their lengths are n's per-type degrees; only nodes with edges have
     entries. ``edges_by_key[(t, s, g)]`` lists the parallel t-edges from s
-    to g. No list is in any particular order.
+    to g. No list is in any particular order. ``plan`` is the matcher's
+    plan for this model as a pattern, made by ``_match_plan`` on first use.
     """
 
-    __slots__ = ("nodes_by_type", "out_nbrs", "in_nbrs", "edges_by_key")
+    __slots__ = ("nodes_by_type", "out_nbrs", "in_nbrs", "edges_by_key", "plan")
 
     def __init__(self, model: Model):
         node_type, edge_decl = model.store._nodes, model.store._edges
@@ -207,6 +208,7 @@ class _ModelIndex:
         self.out_nbrs = out_nbrs
         self.in_nbrs = in_nbrs
         self.edges_by_key = by_key
+        self.plan: tuple | None = None
 
 
 def validate_model(model: Model) -> None:
@@ -270,6 +272,39 @@ class Match(NamedTuple):
         return dict(self.edges)
 
 
+def _match_plan(q: Model) -> tuple:
+    """The pattern-only part of ``find_monomorphisms``'s search, which
+    holds no host object: the sorted node ids, the static order, one step
+    per position in that order, each edge group's type, the indices of its
+    source and target among the sorted node ids and its size, and the
+    sorted edge ids with their (group, member) slots. A step is the node's
+    type, its per-type degrees as (side, type, count), its ties, and the
+    (side, placed end, type) of its first tie that is not a self-loop, or
+    None; side 0 reads a host node's outgoing neighbours and side 1 its
+    incoming ones."""
+    q_idx = q.index()
+    q_nodes = sorted(q.node_set)
+    q_out = {n: [(t, len(ns)) for t, ns in q_idx.out_nbrs.get(n, {}).items()] for n in q_nodes}
+    q_in = {n: [(t, len(ns)) for t, ns in q_idx.in_nbrs.get(n, {}).items()] for n in q_nodes}
+    # Static order: highest total degree first, id as tie-break.
+    order = sorted(q_nodes, key=lambda n: (-sum(k for _, k in q_out[n] + q_in[n]), n))
+    position = {n: i for i, n in enumerate(order)}
+    ties: list[list[tuple[str, str, str, int]]] = [[] for _ in order]
+    for (t, src, tgt), members in q_idx.edges_by_key.items():
+        ties[max(position[src], position[tgt])].append((t, src, tgt, len(members)))
+    steps = []
+    for qv, qv_ties in zip(order, ties):
+        seed = next(((1, g, t) if s == qv else (0, s, t) for t, s, g, _ in qv_ties if s != g), None)
+        degrees = [(0, t, k) for t, k in q_out[qv]] + [(1, t, k) for t, k in q_in[qv]]
+        steps.append((q.store.elem_type(qv), degrees, qv_ties, seed))
+    q_pos = {n: i for i, n in enumerate(q_nodes)}
+    groups = list(q_idx.edges_by_key.items())
+    ends = [(t, q_pos[s], q_pos[g], len(members)) for (t, s, g), members in groups]
+    slot = {e: (gi, mi) for gi, (_, members) in enumerate(groups) for mi, e in enumerate(members)}
+    q_edges = sorted(q.edge_set)
+    return q_nodes, order, steps, ends, q_edges, [slot[e] for e in q_edges]
+
+
 def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
     """Enumerate all embeddings of the pattern into the host.
 
@@ -282,58 +317,48 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
     node's ties are the pattern's (type, source, target) edge groups
     whose later end in that order is the node, self-loops included;
     they, the node's type and its per-type degrees are planned once per
-    call. Candidates are drawn from the host neighbours of one tie's
-    placed end, or from all host nodes of the type. One filter, plain
-    loops over the plan, keeps a candidate that is unused, has the type,
-    and whose per-type out- and in-degrees and host edge group of every
-    tie are at least as large as the pattern's.
+    pattern, kept on the pattern's index. Candidates are drawn from the
+    host neighbours of one tie's placed end, or from all host nodes of
+    the type. One filter, plain loops over the plan, keeps a candidate
+    that is unused, has the type, and whose per-type out- and in-degrees
+    and host edge group of every tie are at least as large as the
+    pattern's.
 
     Edge images are assigned after the node map is complete, since they
     are only ambiguous between parallel edges: a group's pattern edges
     take the host's parallel edges between the mapped ends in any
     injective way. Each pattern edge has a (group, member) slot, planned
-    once per call, that reads its image from each such choice; a match
-    zips the sorted pattern node ids with their images, and the sorted
-    pattern edge ids with their slots' images.
+    once per pattern, kept on the pattern's index, that reads its image
+    from each such choice; a match zips the sorted pattern node ids with
+    their images, and the sorted pattern edge ids with their slots'
+    images.
 
     The matcher leaves no reference cycles: reference counting frees
     its working state on return, even with the cyclic garbage collector
-    off. Only the indices it caches on the two models outlive the call.
+    off. Only the indices it caches on the two models, and the plan on
+    the pattern's index, outlive the call; the plan holds no host object.
     """
     q = pattern.graph
     if q.type_graph != host.type_graph:
         raise TypeGraphMismatch("pattern and host use different type graphs")
-    q_nodes = sorted(q.node_set)
-    if not q_nodes:
+    if not q.node_set:
         return [Match((), ())] if not q.edge_set else []
-    if len(q_nodes) > len(host.node_set):
+    if len(q.node_set) > len(host.node_set):
         return []
 
     q_idx = q.index()
+    if q_idx.plan is None:
+        q_idx.plan = _match_plan(q)
+    q_nodes, order, steps, ends, q_edges, slots = q_idx.plan
     h_idx = host.index()
     h_type = host.store._nodes
     h_out, h_in, h_edges = h_idx.out_nbrs, h_idx.in_nbrs, h_idx.edges_by_key
-
-    q_out = {n: [(t, len(ns)) for t, ns in q_idx.out_nbrs.get(n, {}).items()] for n in q_nodes}
-    q_in = {n: [(t, len(ns)) for t, ns in q_idx.in_nbrs.get(n, {}).items()] for n in q_nodes}
-    # Static order: highest total degree first, id as tie-break.
-    order = sorted(q_nodes, key=lambda n: (-sum(k for _, k in q_out[n] + q_in[n]), n))
-    position = {n: i for i, n in enumerate(order)}
-    ties: list[list[tuple[str, str, str, int]]] = [[] for _ in order]
-    for (t, src, tgt), members in q_idx.edges_by_key.items():
-        ties[max(position[src], position[tgt])].append((t, src, tgt, len(members)))
-    # Per position: type, degrees as (host neighbour map, type, count),
-    # ties, and the (host neighbour map, placed end, type) of the first
-    # tie that is not a self-loop, whose host neighbour list is the
-    # candidate pool.
-    plan = []
-    for qv, qv_ties in zip(order, ties):
-        seed = next(
-            ((h_in, g, t) if s == qv else (h_out, s, t) for t, s, g, _ in qv_ties if s != g),
-            None,
-        )
-        degrees = [(h_out, t, k) for t, k in q_out[qv]] + [(h_in, t, k) for t, k in q_in[qv]]
-        plan.append((q.store.elem_type(qv), degrees, qv_ties, seed))
+    # The plan's degrees bound to this host, as (host neighbour map, type, count).
+    sides = (h_out, h_in)
+    plan = [
+        (qv_type, [(sides[side], t, k) for side, t, k in degrees], qv_ties, seed)
+        for qv_type, degrees, qv_ties, seed in steps
+    ]
 
     assignment: dict[str, str] = {}
     used: set[str] = set()
@@ -344,8 +369,8 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
         if seed is None:
             pool = h_idx.nodes_by_type.get(qv_type, ())
         else:
-            nbrs, other, t = seed
-            pool = set(nbrs[assignment[other]][t])
+            side, other, t = seed
+            pool = set(sides[side][assignment[other]][t])
         # The node at i is not assigned yet and every other tie end is,
         # so assignment.get(end, h) maps a tie end to its host image.
         out = []
@@ -384,12 +409,6 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
 
     # Assign edge images. The ties already checked that every group has
     # enough host edges, so every node map yields.
-    q_pos = {n: i for i, n in enumerate(q_nodes)}
-    groups = list(q_idx.edges_by_key.items())
-    ends = [(t, q_pos[s], q_pos[g], len(members)) for (t, s, g), members in groups]
-    slot = {e: (gi, mi) for gi, (_, members) in enumerate(groups) for mi, e in enumerate(members)}
-    q_edges = sorted(q.edge_set)
-    slots = [slot[e] for e in q_edges]
     matches: list[Match] = []
     for images in node_maps:
         options = [

@@ -31,18 +31,28 @@ class Decision(str, enum.Enum):
 
 def insert_delete_conflicts(m1: ModelModification, m2: ModelModification) -> list[tuple[str, str]]:
     """The conflicts that require a decision, as sorted (edge, node) keys:
-    each created edge paired with each endpoint that the other side deleted."""
-    if m1.source.store is not m2.source.store or m1.source != m2.source:
+    each created edge paired with each endpoint that the other side deleted.
+
+    Each side's created edges are read once from the store's edge table,
+    and both endpoints are tested against the other side's deleted nodes;
+    a side whose partner deletes no node is skipped. A self-loop on a
+    deleted node, or an edge that both sides create over a node that both
+    delete, gives one key."""
+    s1, s2 = m1.source, m2.source
+    if s1 is not s2 and (s1.store is not s2.store or s1 != s2):
         raise SourceMismatch("modifications do not share a source model")
-    store = m1.source.store
+    edge_decl = s1.store._edges
     found: set[tuple[str, str]] = set()
     for a, b in ((m1, m2), (m2, m1)):
         dropped = b.deleted_nodes
+        if not dropped:
+            continue
         for e in a.created_edges:
-            src, tgt = store.endpoint(e)
-            for v in {src, tgt}:
-                if v in dropped:
-                    found.add((e, v))
+            _, src, tgt = edge_decl[e]
+            if src in dropped:
+                found.add((e, src))
+            if tgt in dropped:
+                found.add((e, tgt))
     return sorted(found)
 
 

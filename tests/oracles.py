@@ -102,6 +102,19 @@ def merge_triplets(versioning: ModelVersioning, lcp_mode: str) -> list[tuple[str
     return triplets
 
 
+def id_set_conflicts(m1: ModelModification, m2: ModelModification) -> list[tuple[str, str]]:
+    """Sorted (edge, node) insert-delete conflicts from the spans' id sets:
+    each side creates its target's edges that its source lacks, and
+    deletes its source's nodes that its target lacks; a created edge
+    conflicts with each of its endpoints that the other side deletes."""
+    found = set()
+    for a, b in ((m1, m2), (m2, m1)):
+        created = a.target.edge_set - a.source.edge_set
+        deleted = b.source.node_set - b.target.node_set
+        found |= {(e, v) for e in created for v in a.source.store.endpoint(e) if v in deleted}
+    return sorted(found)
+
+
 def fold_marks(versioning: ModelVersioning):
     """The union's node and edge sets and the creation and deletion marks,
     read off every version and modification: the root creates its

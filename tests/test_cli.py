@@ -1032,6 +1032,27 @@ def test_svm_merge_check_merges_each_triplet_once(capsys, monkeypatch, lcp):
 
 
 @pytest.mark.parametrize("lcp", mvmodel.versioning.LCP_MODES)
+def test_svm_conflicts_detects_each_triplet_once(capsys, monkeypatch, lcp):
+    """The per-version conflicts route calls the one conflict detection
+    through baseline's globals once per (pair, base), so no triplet is
+    skipped and no fast path runs outside the detector."""
+    versioning = parse_corpus(Path(PROJECT).read_bytes())
+    triplets = merge_triplets(versioning, lcp)
+    assert triplets
+    detect = mvmodel.baseline.insert_delete_conflicts
+    detections = []
+
+    def detected(*args):
+        detections.append(args)
+        return detect(*args)
+
+    monkeypatch.setattr(mvmodel.baseline, "insert_delete_conflicts", detected)
+    code, out, err = run_cli(capsys, "conflicts", PROJECT, "--mode", "svm", "--lcp", lcp)
+    assert code == 0 and err == "" and out.endswith("total 2\n")
+    assert sorted((m1.target_id, m2.target_id, m1.source_id) for m1, m2 in detections) == triplets
+
+
+@pytest.mark.parametrize("lcp", mvmodel.versioning.LCP_MODES)
 @pytest.mark.parametrize("shape", ["project", "chain"])
 def test_svm_merge_routes_build_each_span_once(monkeypatch, tmp_path, shape, lcp):
     """The per-version merge routes walk their triplets base by base and

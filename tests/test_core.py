@@ -366,3 +366,24 @@ def test_matching_is_invariant_under_host_renaming(host, pat):
         for m in plain
     )
     assert renamed == expect
+
+
+@given(pat=typed_graph(max_nodes=4, max_edges=5, prefix="q"),
+       hosts=st.lists(typed_graph(max_nodes=6, max_edges=10, prefix="h"), min_size=2, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_a_reused_plan_keeps_no_host_state(pat, hosts):
+    """One Pattern object matched against host after host: the plan made
+    on the first call is kept on the pattern's index, and every host, each
+    with its own store over the same ids, gets its brute-force matches,
+    twice over. A plan that kept a host's index would answer for the
+    first host."""
+    pattern = Pattern("q", full_model(build_store(AB_TG, *pat), AB_TG))
+    plan = None
+    for nodes, edges in hosts:
+        host = full_model(build_store(AB_TG, nodes, edges), AB_TG)
+        expected = brute_force_monomorphisms(pattern, host)
+        assert find_monomorphisms(pattern, host) == expected
+        assert find_monomorphisms(pattern, host) == expected
+        if len(pattern.graph.node_set) <= len(host.node_set):
+            plan = plan or pattern.graph.index().plan
+            assert plan is not None and pattern.graph.index().plan is plan

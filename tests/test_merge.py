@@ -26,7 +26,8 @@ from mvmodel import (
     validate_model,
 )
 from conftest import build_store, make_pattern
-from oracles import merge_triplets
+from mvmodel.versioning import LCP_MODES
+from oracles import id_set_conflicts, merge_triplets
 from strategies import histories
 
 TG = TypeGraph({"N"}, {"link": ("N", "N")})
@@ -95,6 +96,40 @@ def test_insert_delete_conflicts_gives_one_key_per_deleted_endpoint():
     )
     dropper = ModelModification(base, Model(store, TG, set(), set()), "base", "d")
     assert insert_delete_conflicts(creator, dropper) == [("e", "n1"), ("e", "n2")]
+
+
+def test_a_created_self_loop_on_a_deleted_node_gives_one_key():
+    store = build_store(TG, {"n1": "N", "n2": "N"}, {"loop": ("link", "n1", "n1")})
+    base = Model(store, TG, {"n1", "n2"}, set())
+    creator = ModelModification(base, Model(store, TG, {"n1", "n2"}, {"loop"}), "base", "c")
+    dropper = ModelModification(base, Model(store, TG, {"n2"}, set()), "base", "d")
+    assert insert_delete_conflicts(creator, dropper) == [("loop", "n1")]
+    assert insert_delete_conflicts(dropper, creator) == [("loop", "n1")]
+
+
+def test_an_edge_both_sides_create_over_a_node_both_delete_gives_one_key():
+    """Two improper targets that each create e and delete its source n1
+    find the same key from both sides; it is reported once."""
+    store = build_store(TG, {"n1": "N", "n2": "N"}, {"e": ("link", "n1", "n2")})
+    base = Model(store, TG, {"n1", "n2"}, set())
+    m1 = ModelModification(base, Model(store, TG, {"n2"}, {"e"}), "base", "t1")
+    m2 = ModelModification(base, Model(store, TG, {"n2"}, {"e"}), "base", "t2")
+    assert insert_delete_conflicts(m1, m2) == [("e", "n1")]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(histories())
+def test_insert_delete_conflicts_equals_the_id_set_oracle(versioning):
+    """On every merge triplet, in both lcp modes and both argument orders,
+    the detection that reads each created edge once from the store gives
+    the conflicts that set algebra on the spans' id sets gives."""
+    for lcp in LCP_MODES:
+        for i, j, c in merge_triplets(versioning, lcp):
+            m1 = versioning.max_preserving_mod(c, i)
+            m2 = versioning.max_preserving_mod(c, j)
+            expected = id_set_conflicts(m1, m2)
+            assert insert_delete_conflicts(m1, m2) == expected
+            assert insert_delete_conflicts(m2, m1) == expected
 
 
 def test_a_span_merged_with_itself_has_no_conflict():
