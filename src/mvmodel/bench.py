@@ -1,23 +1,20 @@
 """Benchmark harness comparing the folded route against the per-version route.
 
-``time`` covers the analysis alone. Setup work is done before the clock
-starts: corpus generation, folding and, through an untimed warm-up run,
-adjacency indices and the per-version route's merge-base table. The
-per-version merge-check route builds the merge of every (pair, base)
-once (``merge_min``) inside the clock and checks every pattern on it, as
-``merge-check --mode svm`` does.
-Each repetition re-derives presence from scratch so the folded route
-pays its full analysis cost every time. ``e2e_time`` covers a verdict
-from nothing, split into ``PHASES``. Times are reported as the mean,
-median and min over the repetitions, and the harness refuses to report
-if the two routes ever disagree on their results.
+Each repetition generates one history per route and times a verdict from
+nothing on it (``e2e_time``, split into ``PHASES``). It then times the
+analysis alone (``time``) on the same history or fold, whose indices and
+merge-base table that verdict built; the folded route first drops its
+presence cache, so it pays its full analysis cost. The per-version
+merge-check route builds the merge of every (pair, base) once
+(``merge_min``) inside both clocks, as ``merge-check --mode svm`` does.
+Times are the mean, median and min over the repetitions, and the harness
+refuses to report if any run disagrees with the task's first findings.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
-from functools import partial
+from dataclasses import asdict, dataclass, fields
 from statistics import fmean, median
 
 from .core import Pattern
@@ -43,6 +40,10 @@ class BenchParams:
 def parse_bench_params(data: bytes | str) -> BenchParams:
     obj = load_json(data, "bench-params")
     check_format(obj, BENCH_FORMAT, "bench-params")
+    known = {"format", *(f.name for f in fields(BenchParams))}
+    for key in obj:
+        if key not in known:
+            raise ParamError(f"unknown bench parameter {key!r}")
     corpus_obj = obj.get("corpus")
     if not isinstance(corpus_obj, dict):
         raise CorpusSyntaxError("missing corpus parameters", "bench-params")
@@ -120,7 +121,8 @@ def _end_to_end(params: BenchParams, task: Task, route: str, patterns: list[Patt
     """A verdict from nothing, timed by phase: generate the history, fold it
     (mvm only), build the merge-base table (svm only, for tasks that depend
     on the lcp mode), run the analysis and render its text with the CLI's
-    writer. Returns the seconds of each of ``PHASES``, and the findings."""
+    writer. Returns the seconds of each of ``PHASES``, the subject the
+    analysis ran on (the history, or its fold) and the findings."""
     laps = [time.perf_counter()]
 
     def lap(result):
@@ -132,7 +134,7 @@ def _end_to_end(params: BenchParams, task: Task, route: str, patterns: list[Patt
     lap(task.lcp and route == "svm" and versioning.latest_common_predecessor_table())
     groups = lap(getattr(task, route)(subject, patterns, params.lcp))
     lap(write_text(groups, str.encode))  # encoded as the CLI writes it, then dropped
-    return [b - a for a, b in zip(laps, laps[1:])], groups
+    return [b - a for a, b in zip(laps, laps[1:])], subject, groups
 
 
 def _stats(samples: list[float]) -> dict[str, float]:
@@ -140,42 +142,29 @@ def _stats(samples: list[float]) -> dict[str, float]:
 
 
 def run_bench(params: BenchParams, repeat: int = 5, patterns: list[Pattern] | None = None) -> BenchReport:
-    """Generate the corpus, run each task in both modes, compare, and time."""
+    """Run each task on both routes, one history per repetition; compare and time."""
     if repeat < 1:
         raise ParamError("repeat must be at least 1")
     if not patterns and any(TASKS[t].patterns for t in params.tasks):
         raise ParamError("check and merge-check tasks need constraint patterns")
     patterns = patterns or []
 
-    versioning = generate_versioning(params.corpus)
-    mvm = comb(versioning)
-
     results: list[BenchTaskResult] = []
     for name in params.tasks:
         task = TASKS[name]
-        run_mvm = partial(task.mvm, mvm, patterns, params.lcp)
-        run_svm = partial(task.svm, versioning, patterns, params.lcp)
-
-        # Warm-up builds adjacency indices for both routes, outside timing.
-        mvm.reset_presence_cache()
-        warm_mvm = run_mvm()
-        warm_svm = run_svm()
-        if warm_mvm != warm_svm:
-            raise BenchMismatch(f"task {name!r}: modes disagree on results")
-
+        first = None
         means, routes = {}, {}
-        for route, run, before in (
-            ("mvm", run_mvm, mvm.reset_presence_cache),
-            ("svm", run_svm, lambda: None),
-        ):
+        for route in ("mvm", "svm"):
             times, laps = [], []
             for _ in range(repeat):
-                before()
+                seconds, subject, cold = _end_to_end(params, task, route, patterns)
+                if route == "mvm":
+                    subject.reset_presence_cache()
                 start = time.perf_counter()
-                out = run()
+                warm = getattr(task, route)(subject, patterns, params.lcp)
                 times.append(time.perf_counter() - start)
-                seconds, e2e_out = _end_to_end(params, task, route, patterns)
-                if out != warm_mvm or e2e_out != warm_mvm:
+                first = cold if first is None else first
+                if cold != first or warm != first:
                     raise BenchMismatch(f"task {name!r}: modes disagree on results")
                 laps.append(seconds)
             means[route] = fmean(times)
@@ -184,6 +173,6 @@ def run_bench(params: BenchParams, repeat: int = 5, patterns: list[Pattern] | No
                 "e2e_time": _stats(list(map(sum, laps))),
                 "phases": {p: round(fmean(s), 6) for p, s in zip(PHASES, zip(*laps))},
             }
-        results.append(BenchTaskResult(name, means["mvm"], means["svm"], total(warm_mvm), routes))
+        results.append(BenchTaskResult(name, means["mvm"], means["svm"], total(first), routes))
 
     return BenchReport(params.corpus, repeat, tuple(results))

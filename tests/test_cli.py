@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import mvmodel.baseline
+import mvmodel.bench
 import mvmodel.cli
 import mvmodel.core
 import mvmodel.reports
@@ -301,6 +302,28 @@ def test_bench_json_times_each_route_end_to_end(capsys, data_dir):
                 assert 0 <= stats["min"] <= min(stats["median"], stats["mean"])
             assert sorted(times["phases"]) == ["analysis", "fold", "generate", "lcp_table", "render"]
             assert sum(times["phases"].values()) == pytest.approx(times["e2e_time"]["mean"], abs=1e-5)
+
+
+def test_bench_sets_up_one_history_per_repetition_and_route(capsys, data_dir, monkeypatch):
+    """Each repetition of each route generates one history, and the folded
+    route folds it once; no history is shared or warmed up besides."""
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(mvmodel.bench, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mvmodel.bench, name, call)
+
+    counted("generate_versioning")
+    counted("comb")
+    params = str(data_dir / "bench_small_all.params.json")  # 3 tasks
+    code, _, err = run_cli(capsys, "bench", "--params", params, "--repeat", "2")
+    assert code == 0 and err == ""
+    assert calls == {"generate_versioning": 3 * 2 * 2, "comb": 3 * 2}
 
 
 @pytest.mark.parametrize(
@@ -799,6 +822,17 @@ def test_bench_rejects_unknown_lcp_mode(capsys, tmp_path):
                     "lcp": "bogus"})
     )
     assert_one_error_line(capsys, "bench", "--params", str(params), "--repeat", "1")
+
+
+def test_bench_rejects_unknown_top_level_key(capsys, tmp_path):
+    params = tmp_path / "bench.json"
+    corpus = {k: v for k, v in GENERATOR_PARAMS.items() if k != "format"}
+    params.write_text(
+        json.dumps({"format": "mv-bench/1", "corpus": corpus, "tasks": ["conflicts"],
+                    "lcp_mode": "single"})
+    )
+    err = assert_one_error_line(capsys, "bench", "--params", str(params), "--repeat", "1")
+    assert err == "error: unknown bench parameter 'lcp_mode'\n"
 
 
 def test_corpus_that_is_not_utf8_is_one_error(capsys, tmp_path):
