@@ -45,16 +45,16 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
     common base that still had the endpoint but not the edge. Both sides
     descend from that base, so only versions below such a base are
     visited, and only the mergeable partners among the dropping versions
-    are paired up.
+    are paired up. A version below such a base that lacks the endpoint has
+    dropped it: the base is a strict ancestor that holds it.
     """
     dag = mvm.dag
     draw = dag.drawn_bases(lcp_mode)
-    partners = dag.merge_partners()
+    partners, mergeable = dag.merge_partners, dag.mergeable
     order, new = dag.order, tuple.__new__  # new builds a report without a Python frame
-    mergeable = sum(1 << k for k, p in enumerate(partners) if p)
     store = mvm.union.store
     out: list[MergeConflictReport] = []
-    for edge_elem in mvm.edge_elements:
+    for edge_elem in mvm.union.edge_set:
         if mvm.cv[edge_elem] == 1:  # created only at the root
             continue
         edge_presence = mvm.presence(edge_elem)
@@ -65,7 +65,7 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
             if not bases_ok:
                 continue
             below = dag.descendants(bases_ok) & mergeable
-            dropped = below & dag.reach(mvm.dv.get(endpoint, 0), mvm.cv[endpoint])
+            dropped = below & ~endpoint_presence
             if not dropped:
                 continue
             for i in bits(edge_presence & below):
@@ -105,9 +105,8 @@ def pcheck_m_mv(
     """
     dag = mvm.dag
     draw = dag.drawn_bases(lcp_mode)
-    partners = dag.merge_partners()
+    partners, mergeable = dag.merge_partners, dag.mergeable
     order, new = dag.order, tuple.__new__
-    mergeable = sum(1 << k for k, p in enumerate(partners) if p)
     out: list[MergeViolationReport] = []
     for m in find_monomorphisms(pattern, mvm.union):
         presences = [mvm.presence(image) for _, image in m.nodes + m.edges]

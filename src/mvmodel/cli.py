@@ -65,7 +65,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_validate(args) -> int:
     versioning = parse_corpus(_read(args.corpus))
     n = len(versioning.store)
-    _emit(f"ok versions={len(versioning.version_ids())} elements={n}\n", args.out)
+    _emit(f"ok versions={len(versioning.ids)} elements={n}\n", args.out)
     return 0
 
 

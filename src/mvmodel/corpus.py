@@ -217,14 +217,15 @@ def write_corpus(versioning: ModelVersioning) -> bytes:
 def _sorted_members(versioning: ModelVersioning) -> dict[str, tuple[list[str], list[str]]]:
     """Each version's node and edge ids in id order. The root's are
     sorted; every other version's are derived from the lists of its first
-    parent in ``order``, by the deltas of the span between them."""
+    parent in ``order``, by the deltas of the span between them, which
+    validation kept."""
     root = versioning.versions[versioning.root]
     out = {versioning.root: (sorted(root.node_set), sorted(root.edge_set))}
     for v in versioning.order:
         nodes, edges = out[v]
         for w in versioning.successors(v):
             if w not in out:
-                span = versioning.max_preserving_mod(v, w)
+                span = versioning.spans[v, w]
                 out[w] = (
                     _edited(nodes, span.deleted_nodes, span.created_nodes),
                     _edited(edges, span.deleted_edges, span.created_edges),
@@ -311,7 +312,7 @@ def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
     if len(set(names)) != len(names):
         raise ValidationError("base type names collide with the reserved mv naming scheme")
     dag = mvm.dag
-    elements = (*mvm.node_elements, *mvm.edge_elements)
+    elements = (*sorted(mvm.union.node_set), *sorted(mvm.union.edge_set))
     clash = next((x for x in (*elements, *dag.ids) if ":" in x), None)
     if clash is not None:
         raise ValidationError(f"id {clash!r} contains ':', the encoding's id separator")
@@ -322,7 +323,7 @@ def write_mv_encoding(mvm: MultiVersionModel) -> bytes:
     def link(eid: str, t: str, source: str, target: str) -> None:
         edges[eid] = {"type": t, "source": source, "target": target}
 
-    for e in mvm.edge_elements:
+    for e in mvm.union.edge_set:
         t = store.elem_type(e)
         for leg, end in zip(("src", "tgt"), store.endpoint(e)):
             link(f"{leg}:{e}", f"{t}_{leg}", e, end)

@@ -39,8 +39,6 @@ class MultiVersionModel:
         self.dag = dag
         self.cv = cv
         self.dv = dv
-        self.node_elements = tuple(sorted(union.node_set))
-        self.edge_elements = tuple(sorted(union.edge_set))
         self._presence_cache: dict[str, int] = {}
 
     def presence(self, element: str) -> int:
@@ -65,8 +63,8 @@ class MultiVersionModel:
         if version_id not in self.dag.position:
             raise UnknownVersion(version_id)
         bit = 1 << self.dag.position[version_id]
-        nodes = [x for x in self.node_elements if self.presence(x) & bit]
-        edges = [x for x in self.edge_elements if self.presence(x) & bit]
+        nodes = [x for x in self.union.node_set if self.presence(x) & bit]
+        edges = [x for x in self.union.edge_set if self.presence(x) & bit]
         return Model(self.union.store, self.union.type_graph, nodes, edges)
 
     def proj_delta(self, i: str, j: str) -> ModelModification:

@@ -158,9 +158,8 @@ class VersionDag:
         of the barriers below it (themselves included).
 
         With an element's creation versions as starts and its deletion
-        versions as barriers this is the versions that hold the element;
-        the other way round, the versions without it that have a strict
-        ancestor with it. The closed form is exact on the marks ``cv`` and
+        versions as barriers this is the versions that hold the element,
+        its presence. The closed form is exact on the marks ``cv`` and
         ``dv`` because they mark every version whose parents disagree on
         an element.
         """
@@ -176,7 +175,7 @@ class VersionDag:
         """Check the DAG's shape; raises the first violation found. One
         topological sort decides acyclicity and reachability from the root;
         it becomes ``order``, with the ancestor and descendant masks that
-        the merge bases and ``reach`` read."""
+        the merge masks, the merge bases and ``reach`` read."""
         if not self.ids:
             raise ValidationError("a versioning needs at least one version")
         for v in (self.root, *(v for pair in sorted(self.modifications) for v in pair)):
@@ -193,8 +192,17 @@ class VersionDag:
     def _number(self) -> None:
         """Number the versions in a topological order (``order`` and its
         inverse ``position``) and keep each one's strict ancestors
-        (``_pre``) and strict descendants (``_post``) as bitmasks over it.
-        Raises CycleDetected when there is no such order."""
+        (``_pre``) and strict descendants (``_post``) as bitmasks over it,
+        with the merge masks drawn from them: ``merge_partners``, for each
+        position the versions it has a merge base with, and ``mergeable``,
+        the versions with any partner. Raises CycleDetected when there is
+        no such order.
+
+        The partners are in closed form: validation proves that every
+        version descends from the root, so two versions other than the root
+        always share an ancestor, and they are partners exactly when neither
+        is an ancestor of the other. The root is an ancestor of every other
+        version, so the same expression leaves it no partner."""
         indegree = {v: len(ps) for v, ps in self._pred.items()}
         ready = [v for v, n in indegree.items() if not n]
         order: list[VersionId] = []
@@ -215,21 +223,11 @@ class VersionDag:
             raise CycleDetected([v, *reversed(path[path.index(v):])])
         position = {v: k for k, v in enumerate(order)}
         self.order, self.position = tuple(order), position
-        self._pre = _closure(order, position, self._pred, range(len(order)))
-        self._post = _closure(order, position, self._succ, reversed(range(len(order))))
-
-    def merge_partners(self) -> list[int]:
-        """For each position in ``order``, the mask of the versions it has
-        a merge base with.
-
-        In closed form: validation proves that every version descends from
-        the root, so two versions other than the root always share an
-        ancestor, and they are partners exactly when neither is an ancestor
-        of the other. The root is an ancestor of every other version, so
-        the same expression leaves it no partner."""
-        pre, post = self._pre, self._post
-        full = (1 << len(pre)) - 1
-        return [full & ~(pre[k] | post[k] | 1 << k) for k in range(len(pre))]
+        self._pre = pre = _closure(order, position, self._pred, range(len(order)))
+        self._post = post = _closure(order, position, self._succ, reversed(range(len(order))))
+        full = (1 << len(order)) - 1
+        self.merge_partners = [full & ~(pre[k] | post[k] | 1 << k) for k in range(len(order))]
+        self.mergeable = sum(1 << k for k, p in enumerate(self.merge_partners) if p)
 
     def drawn_bases(self, mode: str) -> Callable[[int, int], int]:
         """A function of two partner positions that gives the mask of their
@@ -267,7 +265,7 @@ class VersionDag:
         with equal common ancestors share one frozenset.
         """
         if self._lcp_table is None:
-            order, pre, partners = self.order, self._pre, self.merge_partners()
+            order, pre, partners = self.order, self._pre, self.merge_partners
             empty: frozenset[VersionId] = frozenset()
             bases_of: dict[int, frozenset[VersionId]] = {}
             table: dict[tuple[VersionId, VersionId], frozenset[VersionId]] = {}
@@ -317,9 +315,6 @@ class ModelVersioning(VersionDag):
     @property
     def type_graph(self) -> "TypeGraph":
         return self.version(self.root).type_graph
-
-    def version_ids(self) -> list[VersionId]:
-        return list(self.versions)
 
     def __eq__(self, other: object) -> bool:
         """Value equality: same shape and same element content.
@@ -391,13 +386,15 @@ class ModelVersioning(VersionDag):
         node deleted from a keeps an incident edge in b; by induction from
         the empty model it holds for every version.
 
-        Each span is built once and its deltas are kept for the fold:
-        ``union`` is the union's node and edge sets; ``cv`` and ``dv`` map
-        each element to the mask of the versions that create and delete it
-        (span (a, b) marks at b what b adds to a and what it drops)."""
+        Each span is built once and kept: ``spans`` maps each modification
+        to its span; ``union`` is the union's node and edge sets; ``cv`` and
+        ``dv`` map each element to the mask of the versions that create and
+        delete it (span (a, b) marks at b what b adds to a and what it
+        drops)."""
         store, tg = self.store, self.type_graph
+        self.spans = {(a, b): self.max_preserving_mod(a, b) for a, b in self.modifications}
         spans = [ModelModification(Model(store, tg), self.versions[self.root], "", self.root)]
-        spans += (self.max_preserving_mod(a, b) for a, b in self.modifications)
+        spans += self.spans.values()
         nodes = frozenset().union(*(span.created_nodes for span in spans))
         edges = frozenset().union(*(span.created_edges for span in spans))
         if not {store.elem_type(n) for n in nodes} <= tg.node_types:

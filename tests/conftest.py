@@ -69,7 +69,7 @@ def make_pattern(name: str, type_graph: TypeGraph, nodes: dict[str, str], edges:
 def rename_versions(versioning: ModelVersioning, seed: int) -> ModelVersioning:
     """The same history with version ids shuffled, so that id order is not a
     topological order; the root gets the id that sorts last."""
-    others = [v for v in versioning.version_ids() if v != versioning.root]
+    others = [v for v in versioning.ids if v != versioning.root]
     random.Random(seed).shuffle(others)
     new = {v: f"w{k:03d}" for k, v in enumerate(others)}
     new[versioning.root] = "z_root"

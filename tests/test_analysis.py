@@ -14,6 +14,7 @@ from mvmodel import (
     TypeGraph,
     VersionedViolation,
     comb,
+    find_monomorphisms,
     generate_versioning,
     mcheck_mv,
     oo_constraint_patterns,
@@ -163,6 +164,17 @@ def test_pcheck_mv_ignores_matches_spanning_versions():
     assert "e12" in mvm.union.edge_set and "e13" in mvm.union.edge_set
     assert pcheck_mv(mvm, unique_superclass_pattern()) == []
     assert svm_check(versioning, unique_superclass_pattern()) == []
+
+
+def test_empty_pattern_is_reported_in_every_version():
+    """The empty pattern has one embedding, which touches no element, so
+    the AND of no presence masks holds it in every version."""
+    versioning = merge_history(0)
+    empty = make_pattern("empty", versioning.type_graph, {}, {})
+    assert find_monomorphisms(empty, versioning.version(versioning.root)) == [Match((), ())]
+    want = [VersionedViolation(v, Match((), ())) for v in versioning.ids]
+    assert pcheck_mv(comb(versioning), empty) == want
+    assert svm_check(versioning, empty) == want
 
 
 def test_merge_preview_applies_deletions_before_matching():

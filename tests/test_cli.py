@@ -373,21 +373,35 @@ def test_package_runs_as_module():
     assert proc.stdout == "ok versions=3 elements=7\n"
 
 
-@pytest.mark.parametrize("mode", ["mvm", "svm"])
-@pytest.mark.parametrize("command", ["check", "merge-check"])
+HASHED_OUTPUTS = {
+    "check": (["--constraints", PROJECT_K], b"violation pattern="),
+    "merge-check": (["--constraints", PROJECT_K], b"violation pattern="),
+    "conflicts": ([], b"conflict left="),
+    "export-mvm": ([], b'"format": "mv-encoding/1"'),
+}
+
+
+@pytest.mark.parametrize(
+    "command, mode",
+    [(command, mode) for command in ("check", "merge-check", "conflicts") for mode in ("mvm", "svm")]
+    + [pytest.param("export-mvm", None, id="export-mvm")],
+)
 def test_output_does_not_depend_on_string_hashing(command, mode):
-    """The matcher draws candidates from sets, whose order follows string
-    hashes; two processes with different hash seeds print the same bytes."""
+    """The matcher draws candidates from sets, and the conflict analysis and
+    the export walk the union's sets, whose order follows string hashes; two
+    processes with different hash seeds print the same bytes."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    argv = [sys.executable, "-m", "mvmodel", command, PROJECT, "--constraints", PROJECT_K,
-            "--mode", mode]
+    options, marker = HASHED_OUTPUTS[command]
+    argv = [sys.executable, "-m", "mvmodel", command, PROJECT, *options]
+    if mode is not None:
+        argv += ["--mode", mode]
     outputs = []
     for hash_seed in ("0", "1"):
         env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
         proc = subprocess.run(argv, capture_output=True, env=env)
         assert proc.returncode == 0 and proc.stderr == b""
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1] and b"violation pattern=" in outputs[0]
+    assert outputs[0] == outputs[1] and marker in outputs[0]
 
 
 def test_generated_corpus_does_not_depend_on_string_hashing(tmp_path):
@@ -833,6 +847,28 @@ def test_bench_rejects_unknown_top_level_key(capsys, tmp_path):
     )
     err = assert_one_error_line(capsys, "bench", "--params", str(params), "--repeat", "1")
     assert err == "error: unknown bench parameter 'lcp_mode'\n"
+
+
+def test_bench_rejects_zero_repeats(capsys, tmp_path):
+    params = tmp_path / "bench.json"
+    corpus = {k: v for k, v in GENERATOR_PARAMS.items() if k != "format"}
+    params.write_text(json.dumps({"format": "mv-bench/1", "corpus": corpus, "tasks": ["conflicts"]}))
+    err = assert_one_error_line(capsys, "bench", "--params", str(params), "--repeat", "0")
+    assert err == "error: repeat must be at least 1\n"
+
+
+def test_bench_check_without_constraint_patterns_is_one_error(capsys, tmp_path):
+    (tmp_path / "none.constraints.json").write_text(
+        json.dumps({"format": "mv-constraints/1", "patterns": {}})
+    )
+    params = tmp_path / "bench.json"
+    corpus = {k: v for k, v in GENERATOR_PARAMS.items() if k != "format"}
+    params.write_text(
+        json.dumps({"format": "mv-bench/1", "corpus": corpus, "tasks": ["check"],
+                    "constraints": "none.constraints.json"})
+    )
+    err = assert_one_error_line(capsys, "bench", "--params", str(params), "--repeat", "1")
+    assert err == "error: check and merge-check tasks need constraint patterns\n"
 
 
 def test_corpus_that_is_not_utf8_is_one_error(capsys, tmp_path):

@@ -497,7 +497,7 @@ def test_generated_corpora_are_valid_and_start_at_v000(seed):
     )
     versioning = generate_versioning(params)
     versioning.validate()
-    ids = versioning.version_ids()
+    ids = versioning.ids
     assert ids[0] == "v000" and versioning.root == "v000"
     assert len(ids) == params.version_count
     assert all(len(v) == 4 and v.startswith("v") for v in ids)
@@ -509,6 +509,6 @@ def test_linear_histories_stay_linear():
         edits_per_modification=3, deletion_bias=0.3,
     )
     versioning = generate_versioning(params)
-    for vid in versioning.version_ids():
+    for vid in versioning.ids:
         assert len(versioning.successors(vid)) <= 1
     assert len(versioning.modifications) == 11

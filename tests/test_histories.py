@@ -105,7 +105,7 @@ def test_presence_and_deletion_reach_are_the_closed_form(versioning):
     mvm = comb(versioning)
     ids_of, position = versioning.ids_of, versioning.position
     ancestors = {v: predecessors(versioning, v) for v in versioning.versions}
-    for x in mvm.node_elements + mvm.edge_elements:
+    for x in mvm.union.node_set | mvm.union.edge_set:
         holding = {v for v, m in versioning.versions.items() if x in m.node_set | m.edge_set}
         assert ids_of(mvm.presence(x)) == sorted(holding)
         dropped = {v for v in versioning.versions if v not in holding and ancestors[v] & holding}
@@ -132,7 +132,7 @@ def test_drawn_bases_are_the_masks_of_the_analysed_bases(versioning):
     table, and each partner pair draws all its bases or their least id."""
     ids_of, order = versioning.ids_of, versioning.order
     table = versioning.latest_common_predecessor_table()
-    partners = versioning.merge_partners()
+    partners = versioning.merge_partners
     pairs = {(a, b) for a, mask in enumerate(partners) for b in bits(mask)}
     ranked = {tuple(sorted((order[a], order[b]))): (a, b) for a, b in pairs}
     assert len(ranked) * 2 == len(pairs)

@@ -164,7 +164,7 @@ def test_presence_cache_reset_keeps_answers():
 def test_proj_reproduces_each_version():
     versioning = running_example()
     mvm = comb(versioning)
-    for vid in versioning.version_ids():
+    for vid in versioning.ids:
         assert mvm.proj(vid) == versioning.version(vid)
     with pytest.raises(UnknownVersion):
         mvm.proj("M_9")
@@ -173,8 +173,8 @@ def test_proj_reproduces_each_version():
 def test_proj_delta_matches_direct_span():
     versioning = running_example()
     mvm = comb(versioning)
-    for i in versioning.version_ids():
-        for j in versioning.version_ids():
+    for i in versioning.ids:
+        for j in versioning.ids:
             if i == j:
                 continue
             got = mvm.proj_delta(i, j)
@@ -212,7 +212,7 @@ def test_presence_equals_membership_on_generated_corpora(seed):
     )
     versioning = generate_versioning(params)
     mvm = comb(versioning)
-    for element in mvm.node_elements + mvm.edge_elements:
+    for element in mvm.union.node_set | mvm.union.edge_set:
         member = [
             vid
             for vid, model in versioning.versions.items()

@@ -15,6 +15,7 @@ from mvmodel import (
     StoreMismatch,
     TypeGraph,
     UnknownVersion,
+    ValidationError,
     VersionDag,
     generate_versioning,
 )
@@ -22,6 +23,7 @@ from conftest import build_store, merge_history, rename_versions
 from oracles import latest_common_predecessors, predecessors, preserved
 
 TG = TypeGraph({"N"}, {"link": ("N", "N")})
+WIDER_TG = TypeGraph({"N", "M"}, {"link": ("N", "N")})  # TG plus an unused node type
 
 
 def simple_store():
@@ -53,7 +55,7 @@ def test_validate_accepts_small_dag():
         {("r", "a"), ("r", "b")},
     )
     v.validate()
-    assert v.version_ids() == ["a", "b", "r"]
+    assert v.ids == ("a", "b", "r")
     assert v.successors("r") == ("a", "b")
 
 
@@ -124,6 +126,60 @@ def test_validate_rejects_mixed_stores():
             {("r", "a")},
             root="r",
         )
+
+
+def test_validate_rejects_versions_over_different_type_graphs():
+    store = simple_store()
+    with pytest.raises(InvalidVersion):
+        ModelVersioning(
+            {"r": Model(store, TG, {"n1"}, set()), "a": Model(store, WIDER_TG, {"n1"}, set())},
+            {("r", "a")},
+            root="r",
+        )
+
+
+def test_successors_of_an_unknown_version():
+    v = versioning_from_shape({"r": {"n1"}}, set())
+    with pytest.raises(UnknownVersion):
+        v.successors("missing")
+
+
+# Each entry changes one part of EQ_BASE, so the two histories differ in it.
+EQ_BASE = {
+    "root": "r",
+    "mods": {("r", "a"), ("r", "b")},
+    "versions": {"r": ({"n1", "n2"}, {"e12"}), "a": ({"n1", "n2", "n3"}, {"e12", "e23"}),
+                 "b": ({"n1"}, set())},
+    "type_graph": TG,
+    "extra_node": False,
+}
+EQ_CHANGES = {
+    "root": {"root": "a", "mods": {("a", "r"), ("r", "b")}},
+    "modifications": {"mods": {("r", "a"), ("a", "b")}},
+    "version ids": {"mods": {("r", "a"), ("r", "c")},
+                    "versions": {"r": ({"n1", "n2"}, {"e12"}), "a": ({"n1", "n2", "n3"}, {"e12", "e23"}),
+                                 "c": ({"n1"}, set())}},
+    "version nodes": {"versions": {**EQ_BASE["versions"], "b": ({"n1", "n3"}, set())}},
+    "version edges": {"versions": {**EQ_BASE["versions"], "a": ({"n1", "n2", "n3"}, {"e12"})}},
+    "type graph": {"type_graph": WIDER_TG},
+    "store content": {"extra_node": True},
+}
+
+
+def eq_history(root, mods, versions, type_graph, extra_node) -> ModelVersioning:
+    store = simple_store()
+    if extra_node:
+        store.add_node("n4", "N")
+    models = {vid: Model(store, type_graph, *members) for vid, members in versions.items()}
+    return ModelVersioning(models, mods, root)
+
+
+@pytest.mark.parametrize("change", EQ_CHANGES)
+def test_histories_that_differ_in_one_part_are_unequal(change):
+    base = eq_history(**EQ_BASE)
+    assert base == eq_history(**EQ_BASE)
+    other = eq_history(**{**EQ_BASE, **EQ_CHANGES[change]})
+    assert base != other and other != base
 
 
 def test_predecessors_are_strict_and_transitive():
@@ -212,6 +268,12 @@ def test_modification_rejects_mixed_stores():
         )
 
 
+def test_modification_rejects_mixed_type_graphs():
+    store = simple_store()
+    with pytest.raises(ValidationError):
+        ModelModification(Model(store, TG, {"n1"}, set()), Model(store, WIDER_TG, {"n1"}, set()))
+
+
 def test_modification_preserved_edges_keep_their_endpoints():
     # an edge survives only if both endpoints survive with it
     store = simple_store()
@@ -234,7 +296,7 @@ def test_generated_corpora_validate_and_have_sane_ancestry(seed):
     )
     v = generate_versioning(params)
     v.validate()
-    ids = v.version_ids()
+    ids = v.ids
     assert v.root == "v000"
     for vid in ids:
         pre = predecessors(v, vid)
@@ -264,16 +326,17 @@ def is_merge_version(v: ModelVersioning, vid: str) -> bool:
 def test_lcp_table_and_partners_match_the_reference_off_topological_order(seed):
     v = merge_history(seed)
     v.validate()
-    ids = v.version_ids()
+    ids = v.ids
     assert ids[-1] == v.root and any(is_merge_version(v, x) for x in ids)
     table = v.latest_common_predecessor_table()
-    partners = {v.order[k]: set(v.ids_of(m)) for k, m in enumerate(v.merge_partners())}
+    partners = {v.order[k]: set(v.ids_of(m)) for k, m in enumerate(v.merge_partners)}
     assert len(table) == len(ids) * (len(ids) - 1) // 2
     for (i, j), bases in table.items():
         assert i < j
         assert bases == latest_common_predecessors(v, i, j)
         assert (j in partners[i]) == bool(bases)
     assert set(partners) == set(ids)
+    assert v.ids_of(v.mergeable) == sorted(i for i, ps in partners.items() if ps)
     for i, ps in partners.items():
         assert i not in ps
         assert all(i in partners[j] for j in ps)
@@ -287,4 +350,5 @@ def test_linear_chain_has_no_merge_partners(seed):
     params = GeneratorParams(seed=seed, base_size=6, branch_factor=1, version_count=15)
     v = rename_versions(generate_versioning(params), seed)
     assert all(not b for b in v.latest_common_predecessor_table().values())
-    assert v.merge_partners() == [0] * len(v.version_ids())
+    assert v.merge_partners == [0] * len(v.ids)
+    assert v.mergeable == 0
