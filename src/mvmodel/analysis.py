@@ -5,6 +5,9 @@ once per version or per merge pair: which versions violate a constraint,
 which merges will conflict, and which constraint violations survive any
 merge. Results are normalised reports equal to what the per-version
 baseline route computes.
+
+The pairwise analyses build their rows one left version at a time, in id
+order, and sort no whole list: only a left version's rows, on id ranks.
 """
 
 from __future__ import annotations
@@ -47,43 +50,67 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
     visited, and only the mergeable partners among the dropping versions
     are paired up. A version below such a base that lacks the endpoint has
     dropped it: the base is a strict ancestor that holds it.
+
+    Each such (edge, endpoint) is an event, numbered in that order. Left
+    versions are taken in id order, their later partners in id order, and
+    each pair's bases drawn once; the pair's rows over a base are the
+    bits of a mask of events, so they come out in report order unsorted.
     """
     dag = mvm.dag
     draw = dag.drawn_bases(lcp_mode)
+    ids, position, rank = dag.ids, dag.position, dag.rank
     partners, mergeable = dag.merge_partners, dag.mergeable
-    order, new = dag.order, tuple.__new__  # new builds a report without a Python frame
-    store = mvm.union.store
-    out: list[MergeConflictReport] = []
+    store, new = mvm.union.store, tuple.__new__  # new builds a report without a Python frame
+    events = []
     for edge_elem in mvm.union.edge_set:
         if mvm.cv[edge_elem] == 1:  # created only at the root
             continue
         edge_presence = mvm.presence(edge_elem)
         src, tgt = store.endpoint(edge_elem)
-        for endpoint in sorted({src, tgt}):
+        for endpoint in {src, tgt}:
             endpoint_presence = mvm.presence(endpoint)
             bases_ok = endpoint_presence & ~edge_presence
             if not bases_ok:
                 continue
             below = dag.descendants(bases_ok) & mergeable
             dropped = below & ~endpoint_presence
-            if not dropped:
-                continue
-            for i in bits(edge_presence & below):
-                vi, js = order[i], dropped & partners[i]
-                while js:  # bits(js) inlined: a generator per version costs more
-                    low = js & -js
-                    j, js = low.bit_length() - 1, js ^ low
-                    hit = draw(i, j) & bases_ok
-                    if not hit:
-                        continue
-                    vj = order[j]
-                    left, right = (vi, vj) if vi < vj else (vj, vi)
-                    while hit:  # bits(hit) inlined, likewise
+            if dropped:
+                events.append(((edge_elem, endpoint), edge_presence & below, dropped, bases_ok))
+    events.sort()
+    # per position: the events it holds, the events it dropped, the versions across them
+    holds, drops, reach = [0] * len(ids), [0] * len(ids), [0] * len(ids)
+    for e, (_, holders, dropped, _) in enumerate(events):
+        for k in bits(holders):
+            holds[k] |= 1 << e
+            reach[k] |= dropped
+        for k in bits(dropped):
+            drops[k] |= 1 << e
+            reach[k] |= holders
+    grants: dict[int, int] = {}  # base position -> the events it may be a base of
+    bases_of: dict[int, list[tuple[int, str]]] = {}  # drawn mask -> (grant, base id), id order
+    out: list[MergeConflictReport] = []
+    later = (1 << len(ids)) - 1  # the positions of the ids after the left version
+    for left in ids:
+        k = position[left]
+        later ^= 1 << k
+        for j in sorted(bits(partners[k] & later & reach[k]), key=rank.__getitem__):
+            right, drawn = ids[rank[j]], draw(k, j)
+            bases = bases_of.get(drawn)
+            if bases is None:
+                bases = bases_of[drawn] = []
+                for b in sorted(bits(drawn), key=rank.__getitem__):
+                    if b not in grants:
+                        grants[b] = sum(1 << e for e, ev in enumerate(events) if ev[3] >> b & 1)
+                    bases.append((grants[b], ids[rank[b]]))
+            pair = (holds[k] & drops[j]) | (drops[k] & holds[j])
+            for grant, base in bases:
+                hit = pair & grant
+                if hit:
+                    head = (left, right, base)
+                    while hit:  # bits(hit) inlined: a generator per base costs more
                         low = hit & -hit
-                        base = order[low.bit_length() - 1]
-                        out.append(new(MergeConflictReport, (left, right, base, edge_elem, endpoint)))
+                        out.append(new(MergeConflictReport, head + events[low.bit_length() - 1][0]))
                         hit ^= low
-    out.sort()
     return out
 
 
@@ -101,18 +128,20 @@ def pcheck_m_mv(
     counterparts are its partners narrowed by the presence masks missing
     the candidate. A pair found from both ends is taken from its lower
     position only, so no report is found twice. A base qualifies when it
-    lies in no presence mask that misses either side of the pair.
+    lies in no presence mask that misses either side of the pair. Rows
+    are filed under their left version and sorted within it.
     """
     dag = mvm.dag
     draw = dag.drawn_bases(lcp_mode)
-    partners, mergeable = dag.merge_partners, dag.mergeable
-    order, new = dag.order, tuple.__new__
-    out: list[MergeViolationReport] = []
-    for m in find_monomorphisms(pattern, mvm.union):
+    partners, mergeable, rank = dag.merge_partners, dag.mergeable, dag.rank
+    matches = find_monomorphisms(pattern, mvm.union)
+    n, v = len(matches), len(dag.ids)
+    filed: list[list[int]] = [[] for _ in dag.ids]  # keys per left rank
+    for t, m in enumerate(matches):
         presences = [mvm.presence(image) for _, image in m.nodes + m.edges]
         smallest = min(presences, key=int.bit_count, default=0)
         for a in bits(smallest & mergeable):
-            bit_a, va = 1 << a, order[a]
+            bit_a = 1 << a
             counterparts, lacked_a = partners[a] & ~(smallest & (bit_a - 1)), 0
             for p in presences:
                 if not p & bit_a:
@@ -127,11 +156,20 @@ def pcheck_m_mv(
                 hit = draw(a, b) & ~lacked
                 if not hit:
                     continue
-                vb = order[b]
-                left, right = (va, vb) if va < vb else (vb, va)
+                ra, rb = rank[a], rank[b]
+                left, right = (ra, rb) if ra < rb else (rb, ra)
+                keys, head = filed[left], right * v
                 while hit:
                     low = hit & -hit
-                    out.append(new(MergeViolationReport, (left, right, order[low.bit_length() - 1], m)))
+                    keys.append((head + rank[low.bit_length() - 1]) * n + t)
                     hit ^= low
-    out.sort()
+    ids, new = dag.ids, tuple.__new__  # new builds a report without a Python frame
+    out: list[MergeViolationReport] = []
+    for r, left in enumerate(ids):
+        keys, filed[r] = filed[r], []  # each left's keys are freed once its rows are out
+        keys.sort()
+        for key in keys:
+            pair, t = divmod(key, n)
+            right, base = divmod(pair, v)
+            out.append(new(MergeViolationReport, (left, ids[right], ids[base], matches[t])))
     return out

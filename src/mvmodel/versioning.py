@@ -195,8 +195,8 @@ class VersionDag:
         (``_pre``) and strict descendants (``_post``) as bitmasks over it,
         with the merge masks drawn from them: ``merge_partners``, for each
         position the versions it has a merge base with, and ``mergeable``,
-        the versions with any partner. Raises CycleDetected when there is
-        no such order.
+        the versions with any partner. ``rank`` holds each position's index
+        in ``ids``. Raises CycleDetected when there is no such order.
 
         The partners are in closed form: validation proves that every
         version descends from the root, so two versions other than the root
@@ -228,6 +228,8 @@ class VersionDag:
         full = (1 << len(order)) - 1
         self.merge_partners = [full & ~(pre[k] | post[k] | 1 << k) for k in range(len(order))]
         self.mergeable = sum(1 << k for k, p in enumerate(self.merge_partners) if p)
+        ranked = {v: r for r, v in enumerate(self.ids)}
+        self.rank = [ranked[v] for v in order]
 
     def drawn_bases(self, mode: str) -> Callable[[int, int], int]:
         """A function of two partner positions that gives the mask of their

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from mvmodel import (
@@ -25,7 +27,7 @@ from mvmodel import (
     svm_merge_check,
 )
 
-from mvmodel.versioning import LCP_MODES, check_lcp_mode
+from mvmodel.versioning import LCP_MODES, VersionDag, bits, check_lcp_mode
 from conftest import build_store, make_pattern, merge_history
 from oracles import latest_common_predecessors
 
@@ -245,6 +247,69 @@ def test_single_mode_picks_one_base_in_criss_cross():
         got = pcheck_m_mv(mvm, pattern, mode)
         assert [got] == svm_merge_check(versioning, [pattern], mode)
         assert {r.base for r in got} == ({"a", "b"} if mode == "all" else {"a"})
+
+
+def test_conflict_over_two_bases_is_listed_per_base_in_id_order():
+    """A conflict that holds over two merge bases is one report per base,
+    bases in id order; single mode keeps the least id. The ids sort in
+    another order than the numbering, so the bases and the pair must be
+    ordered by id, not by position."""
+    store = build_store(CLS_TG, {"n1": "Class", "n2": "Class"}, {"e": ("superclass", "n1", "n2")})
+    plain = Model(store, CLS_TG, {"n1", "n2"}, set())
+    versioning = ModelVersioning(
+        {
+            "zz": plain,
+            "x": plain,
+            "y": plain,
+            "b": Model(store, CLS_TG, {"n1", "n2"}, {"e"}),
+            "a": Model(store, CLS_TG, {"n1"}, set()),
+        },
+        {("zz", "x"), ("zz", "y"), ("x", "a"), ("y", "a"), ("x", "b"), ("y", "b")},
+        root="zz",
+    )
+    position = versioning.position
+    assert position["y"] < position["x"] and position["b"] < position["a"]
+    mvm = comb(versioning)
+    both = [MergeConflictReport("a", "b", base, "e", "n2") for base in ("x", "y")]
+    for mode, want in (("all", both), ("single", both[:1])):
+        assert mcheck_mv(mvm, mode) == svm_conflicts(versioning, mode) == want
+
+
+@pytest.mark.parametrize("mode", LCP_MODES)
+def test_conflicts_draw_each_partner_pair_at_most_once(monkeypatch, mode):
+    """mcheck_mv draws the bases of a pair of merge partners at most once,
+    on a history with several merge bases per pair."""
+    versioning = generate_versioning(
+        GeneratorParams(
+            seed=3,
+            base_size=20,
+            branch_factor=3,
+            version_count=30,
+            edits_per_modification=4,
+            deletion_bias=0.5,
+        )
+    )
+    assert any(len(bases) > 1 for bases in versioning.latest_common_predecessor_table().values())
+    partner_pairs = {
+        frozenset((a, b)) for a, mask in enumerate(versioning.merge_partners) for b in bits(mask)
+    }
+    draws: Counter[frozenset[int]] = Counter()
+    drawn_bases = VersionDag.drawn_bases
+
+    def counted_bases(self, lcp_mode):
+        draw = drawn_bases(self, lcp_mode)
+
+        def counted(a, b):
+            draws[frozenset((a, b))] += 1
+            return draw(a, b)
+
+        return counted
+
+    monkeypatch.setattr(VersionDag, "drawn_bases", counted_bases)
+    got = mcheck_mv(comb(versioning), mode)
+    assert got and got == svm_conflicts(versioning, mode)
+    assert set(draws) <= partner_pairs
+    assert max(draws.values()) == 1
 
 
 @pytest.mark.parametrize("seed", range(16))

@@ -61,7 +61,7 @@ def test_validate_accepts_small_dag():
 
 def test_version_dag_takes_each_id_once():
     dag = VersionDag(["r", "a", "r"], {("r", "a")}, "r")
-    assert (dag.ids, dag.order) == (("a", "r"), ("r", "a"))
+    assert (dag.ids, dag.order, dag.rank) == (("a", "r"), ("r", "a"), [1, 0])
 
 
 def test_unknown_version_lookup():
