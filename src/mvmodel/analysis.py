@@ -7,7 +7,8 @@ merge. Results are normalised reports equal to what the per-version
 baseline route computes.
 
 The pairwise analyses build their rows one left version at a time, in id
-order, and sort no whole list: only a left version's rows, on id ranks.
+order, and sort no whole list: only a left version's rows, on positions,
+as a version set's bit k is the k-th id.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ def pcheck_mv(mvm: MultiVersionModel, pattern: Pattern) -> list[VersionedViolati
     matches filed per version and read in id order come in report order.
     """
     dag = mvm.dag
-    everywhere = (1 << len(dag.order)) - 1
-    held: list[list[Match]] = [[] for _ in dag.order]
+    everywhere = (1 << len(dag.ids)) - 1
+    held: list[list[Match]] = [[] for _ in dag.ids]
     for m in find_monomorphisms(pattern, mvm.union):
         shared = everywhere
         for _, image in m.nodes + m.edges:
@@ -36,8 +37,8 @@ def pcheck_mv(mvm: MultiVersionModel, pattern: Pattern) -> list[VersionedViolati
                 break
         for k in bits(shared):
             held[k].append(m)
-    position, new = dag.position, tuple.__new__
-    return [new(VersionedViolation, (v, m)) for v in dag.ids for m in held[position[v]]]
+    new = tuple.__new__
+    return [new(VersionedViolation, (v, m)) for v, ms in zip(dag.ids, held) for m in ms]
 
 
 def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConflictReport]:
@@ -49,7 +50,9 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
     descend from that base, so only versions below such a base are
     visited, and only the mergeable partners among the dropping versions
     are paired up. A version below such a base that lacks the endpoint has
-    dropped it: the base is a strict ancestor that holds it.
+    dropped it: the base is a strict ancestor that holds it. The topmost
+    bases create the endpoint or drop the edge, so the bases so marked
+    have the same descendants, found in few rounds however ids sort.
 
     Each such (edge, endpoint) is an event, numbered in that order. Left
     versions are taken in id order, their later partners in id order, and
@@ -58,12 +61,12 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
     """
     dag = mvm.dag
     draw = dag.drawn_bases(lcp_mode)
-    ids, position, rank = dag.ids, dag.position, dag.rank
-    partners, mergeable = dag.merge_partners, dag.mergeable
+    ids, partners, mergeable = dag.ids, dag.merge_partners, dag.mergeable
+    root = 1 << dag.position[dag.root]
     store, new = mvm.union.store, tuple.__new__  # new builds a report without a Python frame
     events = []
     for edge_elem in mvm.union.edge_set:
-        if mvm.cv[edge_elem] == 1:  # created only at the root
+        if mvm.cv[edge_elem] == root:  # created only at the root
             continue
         edge_presence = mvm.presence(edge_elem)
         src, tgt = store.endpoint(edge_elem)
@@ -72,7 +75,8 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
             bases_ok = endpoint_presence & ~edge_presence
             if not bases_ok:
                 continue
-            below = dag.descendants(bases_ok) & mergeable
+            minimal = bases_ok & (mvm.cv[endpoint] | mvm.dv.get(edge_elem, 0))
+            below = dag.descendants(minimal) & mergeable
             dropped = below & ~endpoint_presence
             if dropped:
                 events.append(((edge_elem, endpoint), edge_presence & below, dropped, bases_ok))
@@ -89,19 +93,16 @@ def mcheck_mv(mvm: MultiVersionModel, lcp_mode: str = "all") -> list[MergeConfli
     grants: dict[int, int] = {}  # base position -> the events it may be a base of
     bases_of: dict[int, list[tuple[int, str]]] = {}  # drawn mask -> (grant, base id), id order
     out: list[MergeConflictReport] = []
-    later = (1 << len(ids)) - 1  # the positions of the ids after the left version
-    for left in ids:
-        k = position[left]
-        later ^= 1 << k
-        for j in sorted(bits(partners[k] & later & reach[k]), key=rank.__getitem__):
-            right, drawn = ids[rank[j]], draw(k, j)
+    for k, left in enumerate(ids):
+        for j in bits(partners[k] & reach[k] & (-2 << k)):  # the partners after k
+            right, drawn = ids[j], draw(k, j)
             bases = bases_of.get(drawn)
             if bases is None:
                 bases = bases_of[drawn] = []
-                for b in sorted(bits(drawn), key=rank.__getitem__):
+                for b in bits(drawn):
                     if b not in grants:
                         grants[b] = sum(1 << e for e, ev in enumerate(events) if ev[3] >> b & 1)
-                    bases.append((grants[b], ids[rank[b]]))
+                    bases.append((grants[b], ids[b]))
             pair = (holds[k] & drops[j]) | (drops[k] & holds[j])
             for grant, base in bases:
                 hit = pair & grant
@@ -127,19 +128,20 @@ def pcheck_m_mv(
     and supply every matched element the first candidate lacks, so
     counterparts are its partners narrowed by the presence masks missing
     the candidate. A pair found from both ends is taken from its lower
-    position only, so no report is found twice. A base qualifies when it
-    lies in no presence mask that misses either side of the pair. Rows
-    are filed under their left version and sorted within it.
+    id only, so no report is found twice; with no matched element, any
+    version is a candidate. A base qualifies when it lies in no presence
+    mask that misses either side of the pair. Rows are filed under their
+    left version and sorted within it.
     """
     dag = mvm.dag
     draw = dag.drawn_bases(lcp_mode)
-    partners, mergeable, rank = dag.merge_partners, dag.mergeable, dag.rank
+    partners, mergeable = dag.merge_partners, dag.mergeable
     matches = find_monomorphisms(pattern, mvm.union)
     n, v = len(matches), len(dag.ids)
-    filed: list[list[int]] = [[] for _ in dag.ids]  # keys per left rank
+    filed: list[list[int]] = [[] for _ in dag.ids]  # keys per left position
     for t, m in enumerate(matches):
         presences = [mvm.presence(image) for _, image in m.nodes + m.edges]
-        smallest = min(presences, key=int.bit_count, default=0)
+        smallest = min(presences, key=int.bit_count, default=(1 << v) - 1)
         for a in bits(smallest & mergeable):
             bit_a = 1 << a
             counterparts, lacked_a = partners[a] & ~(smallest & (bit_a - 1)), 0
@@ -156,17 +158,16 @@ def pcheck_m_mv(
                 hit = draw(a, b) & ~lacked
                 if not hit:
                     continue
-                ra, rb = rank[a], rank[b]
-                left, right = (ra, rb) if ra < rb else (rb, ra)
+                left, right = (a, b) if a < b else (b, a)
                 keys, head = filed[left], right * v
                 while hit:
                     low = hit & -hit
-                    keys.append((head + rank[low.bit_length() - 1]) * n + t)
+                    keys.append((head + low.bit_length() - 1) * n + t)
                     hit ^= low
     ids, new = dag.ids, tuple.__new__  # new builds a report without a Python frame
     out: list[MergeViolationReport] = []
-    for r, left in enumerate(ids):
-        keys, filed[r] = filed[r], []  # each left's keys are freed once its rows are out
+    for k, left in enumerate(ids):
+        keys, filed[k] = filed[k], []  # each left's keys are freed once its rows are out
         keys.sort()
         for key in keys:
             pair, t = divmod(key, n)

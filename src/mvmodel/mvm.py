@@ -7,9 +7,9 @@ and deletion marks on the version DAG: an element is present in every
 version that descends from one of its creation versions with none of its
 deletion versions in between. The union and the marks are recorded by
 the history's validation. The fold reads no version's model, only the
-``VersionDag``: every version set, the marks included, is a bitmask over
-its numbering ``order``, and its ancestor and descendant masks give
-``reach``.
+``VersionDag``: every version set, the marks included, is a bitmask whose
+bit k stands for the DAG's k-th id, and its ancestor and descendant masks
+give ``reach``.
 """
 
 from __future__ import annotations

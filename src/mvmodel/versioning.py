@@ -8,9 +8,9 @@ it is built; the delta proof and the merges in ``mvmodel.merge`` read them.
 
 ``VersionDag`` is the history without its models: the ids, the root and
 the modifications, checked for shape. It owns the version sets, each one
-a bitmask over the numbering ``order``: the ancestor and descendant
-masks, ``reach`` and the merge bases that each lcp mode draws. The fold
-in ``mvmodel.mvm`` and its analyses read only the DAG.
+a bitmask whose bit k stands for the k-th id in id order: the ancestor and
+descendant masks, ``reach`` and the merge bases that each lcp mode draws.
+The fold in ``mvmodel.mvm`` and its analyses read only the DAG.
 ``ModelVersioning`` is a ``VersionDag`` plus a model per version; its
 validation keeps the union and the creation and deletion marks for the
 fold.
@@ -135,14 +135,14 @@ class VersionDag:
 
     # -- version sets as bitmasks ----------------------------------------
     #
-    # ``order`` is the one numbering of the versions: a topological order,
-    # so every ancestor has a lower position than its descendants, and
-    # ``position`` is its inverse. A set of versions is an int whose bit k
-    # stands for ``order[k]``.
+    # The versions are numbered once, in id order: a set of versions is an
+    # int whose bit k stands for ``ids[k]``, and ``position`` maps each id
+    # to its k. Lower bits are lower ids, so a mask's bits, lowest first,
+    # are its versions in report order.
 
     def ids_of(self, mask: int) -> list[VersionId]:
         """The versions of a bitmask, in id order."""
-        return sorted(self.order[k] for k in bits(mask))
+        return [self.ids[k] for k in bits(mask)]
 
     def descendants(self, mask: int) -> int:
         """The versions at or below a member of ``mask``."""
@@ -174,8 +174,8 @@ class VersionDag:
     def validate(self) -> None:
         """Check the DAG's shape; raises the first violation found. One
         topological sort decides acyclicity and reachability from the root;
-        it becomes ``order``, with the ancestor and descendant masks that
-        the merge masks, the merge bases and ``reach`` read."""
+        as ``order`` it visits the versions to build the ancestor and
+        descendant masks that the merge masks, bases and ``reach`` read."""
         if not self.ids:
             raise ValidationError("a versioning needs at least one version")
         for v in (self.root, *(v for pair in sorted(self.modifications) for v in pair)):
@@ -183,20 +183,18 @@ class VersionDag:
                 raise UnknownVersion(v)
         self._number()
         root_bit = 1 << self.position[self.root]
-        missing = sorted(
-            v for v, m in zip(self.order, self._pre) if not m & root_bit and v != self.root
-        )
+        missing = [v for v, m in zip(self.ids, self._pre) if not m & root_bit and v != self.root]
         if missing:
             raise NoCommonRoot(missing)
 
     def _number(self) -> None:
-        """Number the versions in a topological order (``order`` and its
-        inverse ``position``) and keep each one's strict ancestors
-        (``_pre``) and strict descendants (``_post``) as bitmasks over it,
-        with the merge masks drawn from them: ``merge_partners``, for each
-        position the versions it has a merge base with, and ``mergeable``,
-        the versions with any partner. ``rank`` holds each position's index
-        in ``ids``. Raises CycleDetected when there is no such order.
+        """Sort the versions topologically (``order``), number them in id
+        order (``position``) and keep each one's strict ancestors (``_pre``)
+        and strict descendants (``_post``) as bitmasks, with the merge masks
+        drawn from them: ``merge_partners``, for each position the versions
+        it has a merge base with, and ``mergeable``, the versions with any
+        partner. ``order`` is only the closure's visiting order. Raises
+        CycleDetected when there is no topological order.
 
         The partners are in closed form: validation proves that every
         version descends from the root, so two versions other than the root
@@ -221,15 +219,13 @@ class VersionDag:
                 path.append(v)
                 v = next(p for p in self._pred[v] if indegree[p])
             raise CycleDetected([v, *reversed(path[path.index(v):])])
-        position = {v: k for k, v in enumerate(order)}
-        self.order, self.position = tuple(order), position
-        self._pre = pre = _closure(order, position, self._pred, range(len(order)))
-        self._post = post = _closure(order, position, self._succ, reversed(range(len(order))))
+        self.order = tuple(order)
+        self.position = position = {v: k for k, v in enumerate(self.ids)}
+        self._pre = pre = _closure(order, position, self._pred)
+        self._post = post = _closure(reversed(order), position, self._succ)
         full = (1 << len(order)) - 1
         self.merge_partners = [full & ~(pre[k] | post[k] | 1 << k) for k in range(len(order))]
         self.mergeable = sum(1 << k for k, p in enumerate(self.merge_partners) if p)
-        ranked = {v: r for r, v in enumerate(self.ids)}
-        self.rank = [ranked[v] for v in order]
 
     def drawn_bases(self, mode: str) -> Callable[[int, int], int]:
         """A function of two partner positions that gives the mask of their
@@ -240,7 +236,7 @@ class VersionDag:
         ancestors, so the drawn mask depends on the common mask alone and is
         memoised on it; a history has few distinct common masks."""
         check_lcp_mode(mode)
-        pre, position = self._pre, self.position
+        pre, single = self._pre, mode == "single"
         memo: dict[int, int] = {}
 
         def draw(a: int, b: int) -> int:
@@ -248,8 +244,8 @@ class VersionDag:
             drawn = memo.get(common)
             if drawn is None:
                 drawn = _maxima(common, pre)
-                if mode == "single":
-                    drawn = 1 << position[self.ids_of(drawn)[0]]
+                if single:
+                    drawn &= -drawn  # the lowest bit is the least id
                 memo[common] = drawn
             return drawn
 
@@ -267,15 +263,14 @@ class VersionDag:
         with equal common ancestors share one frozenset.
         """
         if self._lcp_table is None:
-            order, pre, partners = self.order, self._pre, self.merge_partners
+            ids, pre, partners = self.ids, self._pre, self.merge_partners
             empty: frozenset[VersionId] = frozenset()
             bases_of: dict[int, frozenset[VersionId]] = {}
             table: dict[tuple[VersionId, VersionId], frozenset[VersionId]] = {}
-            for a, i in enumerate(order):
+            for a, i in enumerate(ids):
                 pre_i, mine = pre[a], partners[a]
-                for b in range(a + 1, len(order)):
-                    j = order[b]
-                    pair = (i, j) if i < j else (j, i)
+                for b in range(a + 1, len(ids)):
+                    pair = (i, ids[b])
                     if not mine >> b & 1:
                         table[pair] = empty
                         continue
@@ -432,17 +427,18 @@ class ModelVersioning(VersionDag):
         return ModelModification(self.version(i), self.version(j), i, j)
 
 
-def _closure(order: list[VersionId], position: dict, links: dict, ks: Iterable[int]) -> list[int]:
-    """For each position of ``order``, the mask of the versions reachable
-    from it over one or more ``links``. ``ks`` visits every position after
-    the positions it links to: parents in ``order``, successors reversed."""
-    masks = [0] * len(order)
-    for k in ks:
+def _closure(visit: Iterable[VersionId], position: dict, links: dict) -> list[int]:
+    """For each version's position, the mask of the versions reachable
+    from it over one or more ``links``. ``visit`` takes every version after
+    the versions it links to: a topological order over parents, its
+    reverse over successors."""
+    masks = [0] * len(position)
+    for v in visit:
         mask = 0
-        for w in links[order[k]]:
+        for w in links[v]:
             j = position[w]
             mask |= masks[j] | (1 << j)
-        masks[k] = mask
+        masks[position[v]] = mask
     return masks
 
 
@@ -451,8 +447,9 @@ def _maxima(common: int, pre: list[int]) -> int:
 
     Takes the highest unvisited member, shadows its ancestors, and repeats
     until every member is visited or shadowed; a maximal member is never
-    shadowed, so this holds for any numbering. With a topological
-    numbering every visited member is maximal: one round per merge base.
+    shadowed, so this holds for any numbering. Where id order is
+    topological (the generator's ids up to ``v999``) every visited member
+    is maximal: one round per merge base; elsewhere there may be more.
     """
     shadow = 0
     rest = common

@@ -61,6 +61,18 @@ def read_encoding(doc: dict) -> Model:
     return model
 
 
+def assert_one_numbering(versioning: ModelVersioning) -> None:
+    """``position`` numbers the versions in id order, the numbering of
+    every version-set mask's bits, and ``order`` is a topological order
+    of the same versions."""
+    ids = versioning.ids
+    assert list(ids) == sorted(ids)
+    assert versioning.position == {v: k for k, v in enumerate(ids)}
+    at = {v: k for k, v in enumerate(versioning.order)}
+    assert sorted(at) == list(ids)
+    assert all(at[a] < at[b] for a, b in versioning.modifications)
+
+
 def make_pattern(name: str, type_graph: TypeGraph, nodes: dict[str, str], edges: dict[str, tuple[str, str, str]]) -> Pattern:
     store = build_store(type_graph, nodes, edges)
     return Pattern(name, full_model(store, type_graph))

@@ -170,13 +170,24 @@ def test_pcheck_mv_ignores_matches_spanning_versions():
 
 def test_empty_pattern_is_reported_in_every_version():
     """The empty pattern has one embedding, which touches no element, so
-    the AND of no presence masks holds it in every version."""
+    the AND of no presence masks holds it in every version, and it
+    survives the merge of every mergeable pair over each drawn base."""
     versioning = merge_history(0)
     empty = make_pattern("empty", versioning.type_graph, {}, {})
     assert find_monomorphisms(empty, versioning.version(versioning.root)) == [Match((), ())]
     want = [VersionedViolation(v, Match((), ())) for v in versioning.ids]
     assert pcheck_mv(comb(versioning), empty) == want
     assert svm_check(versioning, empty) == want
+    table = versioning.latest_common_predecessor_table()
+    for mode in LCP_MODES:
+        merged = [
+            MergeViolationReport(i, j, base, Match((), ()))
+            for (i, j), bases in sorted(table.items())
+            for base in sorted(bases)[: 1 if mode == "single" else None]
+        ]
+        assert merged
+        assert pcheck_m_mv(comb(versioning), empty, mode) == merged
+        assert svm_merge_check(versioning, [empty], mode) == [merged]
 
 
 def test_merge_preview_applies_deletions_before_matching():
@@ -251,9 +262,9 @@ def test_single_mode_picks_one_base_in_criss_cross():
 
 def test_conflict_over_two_bases_is_listed_per_base_in_id_order():
     """A conflict that holds over two merge bases is one report per base,
-    bases in id order; single mode keeps the least id. The ids sort in
-    another order than the numbering, so the bases and the pair must be
-    ordered by id, not by position."""
+    bases in id order; single mode keeps the least id. Topological order
+    and id order disagree here, so the bases and the pair must be ordered
+    by id, not by the order in which the DAG visits them."""
     store = build_store(CLS_TG, {"n1": "Class", "n2": "Class"}, {"e": ("superclass", "n1", "n2")})
     plain = Model(store, CLS_TG, {"n1", "n2"}, set())
     versioning = ModelVersioning(
@@ -267,8 +278,8 @@ def test_conflict_over_two_bases_is_listed_per_base_in_id_order():
         {("zz", "x"), ("zz", "y"), ("x", "a"), ("y", "a"), ("x", "b"), ("y", "b")},
         root="zz",
     )
-    position = versioning.position
-    assert position["y"] < position["x"] and position["b"] < position["a"]
+    at = {v: k for k, v in enumerate(versioning.order)}
+    assert at["y"] < at["x"] and at["b"] < at["a"]
     mvm = comb(versioning)
     both = [MergeConflictReport("a", "b", base, "e", "n2") for base in ("x", "y")]
     for mode, want in (("all", both), ("single", both[:1])):

@@ -1,8 +1,9 @@
 """Arbitrary valid histories: the fold recovers every version, both
 engines agree on every task, the encoding export is a typed graph that
 carries the fold's marks, the fold's union and marks equal the reference
-fold's, the descendant masks, the presence and deletion-reach masks and
-the drawn merge bases decode to what they stand for, every span's
+fold's, every version-set mask numbers its bits in id order, the
+descendant masks, the presence and deletion-reach masks and the drawn
+merge bases decode to what they stand for, every span's
 deltas are the plain set differences, the matcher finds
 what the exhaustive oracle finds in every version, the streamed text
 and JSON writers give the reference bytes, and both routes return
@@ -46,7 +47,7 @@ from mvmodel.reports import (
 )
 from mvmodel.versioning import LCP_MODES, bits
 from mvmodel.tasks import TASKS
-from conftest import build_store, read_encoding
+from conftest import assert_one_numbering, build_store, read_encoding
 from oracles import (
     brute_force_monomorphisms,
     fold_marks,
@@ -130,11 +131,11 @@ def test_fold_wraps_the_reference_union_and_marks(versioning):
 def test_drawn_bases_are_the_masks_of_the_analysed_bases(versioning):
     """The closed-form partners are the pairs with a merge base in the
     table, and each partner pair draws all its bases or their least id."""
-    ids_of, order = versioning.ids_of, versioning.order
+    ids_of, ids = versioning.ids_of, versioning.ids
     table = versioning.latest_common_predecessor_table()
     partners = versioning.merge_partners
     pairs = {(a, b) for a, mask in enumerate(partners) for b in bits(mask)}
-    ranked = {tuple(sorted((order[a], order[b]))): (a, b) for a, b in pairs}
+    ranked = {tuple(sorted((ids[a], ids[b]))): (a, b) for a, b in pairs}
     assert len(ranked) * 2 == len(pairs)
     assert ranked.keys() == {pair for pair, bases in table.items() if bases}
     for mode, want in (("all", sorted), ("single", lambda bases: [min(bases)])):
@@ -146,7 +147,8 @@ def test_drawn_bases_are_the_masks_of_the_analysed_bases(versioning):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(histories())
 def test_descendants_are_the_versions_with_the_ancestor(versioning):
-    for k, v in enumerate(versioning.order):
+    assert_one_numbering(versioning)
+    for k, v in enumerate(versioning.ids):
         below = {w for w in versioning.versions if v in predecessors(versioning, w)}
         assert versioning.ids_of(versioning.descendants(1 << k)) == sorted({v} | below)
 

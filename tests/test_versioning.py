@@ -19,7 +19,7 @@ from mvmodel import (
     VersionDag,
     generate_versioning,
 )
-from conftest import build_store, merge_history, rename_versions
+from conftest import assert_one_numbering, build_store, merge_history, rename_versions
 from oracles import latest_common_predecessors, predecessors, preserved
 
 TG = TypeGraph({"N"}, {"link": ("N", "N")})
@@ -61,7 +61,7 @@ def test_validate_accepts_small_dag():
 
 def test_version_dag_takes_each_id_once():
     dag = VersionDag(["r", "a", "r"], {("r", "a")}, "r")
-    assert (dag.ids, dag.order, dag.rank) == (("a", "r"), ("r", "a"), [1, 0])
+    assert (dag.ids, dag.order, dag.position) == (("a", "r"), ("r", "a"), {"a": 0, "r": 1})
 
 
 def test_unknown_version_lookup():
@@ -328,8 +328,9 @@ def test_lcp_table_and_partners_match_the_reference_off_topological_order(seed):
     v.validate()
     ids = v.ids
     assert ids[-1] == v.root and any(is_merge_version(v, x) for x in ids)
+    assert_one_numbering(v)
     table = v.latest_common_predecessor_table()
-    partners = {v.order[k]: set(v.ids_of(m)) for k, m in enumerate(v.merge_partners)}
+    partners = {v.ids[k]: set(v.ids_of(m)) for k, m in enumerate(v.merge_partners)}
     assert len(table) == len(ids) * (len(ids) - 1) // 2
     for (i, j), bases in table.items():
         assert i < j
