@@ -23,18 +23,14 @@ def pcheck_mv(mvm: MultiVersionModel, pattern: Pattern) -> list[VersionedViolati
     """Per-version violations, computed from one match pass over the fold.
 
     A pattern embedding exists in exactly the versions containing every
-    element it touches, i.e. the AND of the image's presence masks. Sorted
-    matches filed per version and read in id order come in report order.
+    element it touches, i.e. the AND of the image's presence masks, which
+    the matcher builds as it places elements, dropping every partial
+    embedding that no version holds. Sorted matches filed per version and
+    read in id order come in report order.
     """
     dag = mvm.dag
-    everywhere = (1 << len(dag.ids)) - 1
     held: list[list[Match]] = [[] for _ in dag.ids]
-    for m in find_monomorphisms(pattern, mvm.union):
-        shared = everywhere
-        for _, image in m.nodes + m.edges:
-            shared &= mvm.presence(image)
-            if not shared:
-                break
+    for m, shared in find_monomorphisms(pattern, mvm.union, mvm.presence, (1 << len(dag.ids)) - 1):
         for k in bits(shared):
             held[k].append(m)
     new = tuple.__new__
@@ -132,15 +128,23 @@ def pcheck_m_mv(
     version is a candidate. A base qualifies when it lies in no presence
     mask that misses either side of the pair. Rows are filed under their
     left version and sorted within it.
+
+    An element that no mergeable version holds can be in no merge, so the
+    matcher is given a presence that is empty on such elements and full on
+    all others: an embedding through one is dropped as soon as the search
+    places it, and with no mergeable version the search does not start.
     """
     dag = mvm.dag
     draw = dag.drawn_bases(lcp_mode)
     partners, mergeable = dag.merge_partners, dag.mergeable
-    matches = find_monomorphisms(pattern, mvm.union)
+    presence = mvm.presence
+    matches = find_monomorphisms(
+        pattern, mvm.union, lambda x: -1 if presence(x) & mergeable else 0, mergeable
+    )
     n, v = len(matches), len(dag.ids)
     filed: list[list[int]] = [[] for _ in dag.ids]  # keys per left position
-    for t, m in enumerate(matches):
-        presences = [mvm.presence(image) for _, image in m.nodes + m.edges]
+    for t, (m, _) in enumerate(matches):
+        presences = [presence(image) for _, image in m.nodes + m.edges]
         smallest = min(presences, key=int.bit_count, default=(1 << v) - 1)
         for a in bits(smallest & mergeable):
             bit_a = 1 << a
@@ -172,5 +176,5 @@ def pcheck_m_mv(
         for key in keys:
             pair, t = divmod(key, n)
             right, base = divmod(pair, v)
-            out.append(new(MergeViolationReport, (left, ids[right], ids[base], matches[t])))
+            out.append(new(MergeViolationReport, (left, ids[right], ids[base], matches[t][0])))
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     DanglingEdge,
@@ -305,7 +305,12 @@ def _match_plan(q: Model) -> tuple:
     return q_nodes, order, steps, ends, q_edges, [slot[e] for e in q_edges]
 
 
-def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
+def find_monomorphisms(
+    pattern: Pattern,
+    host: Model,
+    presence: Callable[[str], int] | None = None,
+    start: int = -1,
+) -> list:
     """Enumerate all embeddings of the pattern into the host.
 
     An embedding maps pattern nodes and edges injectively to host nodes
@@ -333,6 +338,21 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
     their images, and the sorted pattern edge ids with their slots'
     images.
 
+    With ``presence``, a map from each host element to a version mask,
+    only embeddings that some version in ``start`` holds whole are kept,
+    and each comes back as a ``(match, mask)`` pair whose mask is the AND
+    of ``start`` and of the presences of every image, never 0. The search
+    drops a partial embedding as soon as no version can hold it: each
+    placed node carries the AND of the masks placed so far, and a
+    candidate that passes the filter above ANDs in, for each tie, the OR
+    of the presences of the tie's host edge group, which bounds every
+    choice among parallel edges; a candidate whose mask reaches 0 is
+    dropped. An edge choice is kept only when ANDing its edges'
+    presences leaves a mask. An edge's presence lies within its ends', so
+    only the image of a pattern node without edges ANDs in its own, and
+    the mask is exact. Without ``presence`` no candidate pays for any of
+    this.
+
     The matcher leaves no reference cycles: reference counting frees
     its working state on return, even with the cyclic garbage collector
     off. Only the indices it caches on the two models, and the plan on
@@ -341,8 +361,10 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
     q = pattern.graph
     if q.type_graph != host.type_graph:
         raise TypeGraphMismatch("pattern and host use different type graphs")
+    if (q.edge_set and not q.node_set) or (presence is not None and not start):
+        return []
     if not q.node_set:
-        return [Match((), ())] if not q.edge_set else []
+        return [Match((), ())] if presence is None else [(Match((), ()), start)]
     if len(q.node_set) > len(host.node_set):
         return []
 
@@ -362,9 +384,10 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
 
     assignment: dict[str, str] = {}
     used: set[str] = set()
-    node_maps: list[tuple[str, ...]] = []  # the images of q_nodes
+    node_maps: list = []  # the images of q_nodes; with presence, paired with their mask
+    levels: list[dict[str, int]] = [{}] * len(order)  # with presence: kept candidate -> mask
 
-    def candidates(i: int) -> list[str]:
+    def candidates(i: int) -> list[str] | dict[str, int]:
         qv_type, degrees, qv_ties, seed = plan[i]
         if seed is None:
             pool = h_idx.nodes_by_type.get(qv_type, ())
@@ -386,7 +409,26 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
                         break
                 else:
                     out.append(h)
-        return out
+        if presence is None:
+            return out
+        # The mask that the node placed last carries. An edge's presence
+        # lies within its ends', so only a node without edges needs its own.
+        # Every tie's group passed the count test: it is in h_edges.
+        running = levels[i - 1][assignment[order[i - 1]]] if i else start
+        kept: dict[str, int] = {}
+        for h in out:
+            mask = running if degrees else running & presence(h)
+            for t, s, g, _ in qv_ties:
+                if not mask:
+                    break
+                held = 0
+                for e in h_edges[(t, assignment.get(s, h), assignment.get(g, h))]:
+                    held |= presence(e)
+                mask &= held
+            if mask:
+                kept[h] = mask
+        levels[i] = kept
+        return kept
 
     # Depth-first search, holding one candidate iterator per pattern node
     # on the search path; an explicit stack, since a recursive closure
@@ -402,23 +444,36 @@ def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]:
         else:
             assignment[qv] = h
             used.add(h)
-            if len(stack) == len(order):
+            if len(stack) < len(order):
+                stack.append(iter(candidates(len(stack))))
+            elif presence is None:
                 node_maps.append(tuple(map(assignment.__getitem__, q_nodes)))
             else:
-                stack.append(iter(candidates(len(stack))))
+                node_maps.append((tuple(map(assignment.__getitem__, q_nodes)), levels[-1][h]))
 
     # Assign edge images. The ties already checked that every group has
     # enough host edges, so every node map yields.
-    matches: list[Match] = []
+    matches: list = []
     for images in node_maps:
+        if presence is not None:
+            images, node_mask = images
         options = [
             list(itertools.permutations(h_edges.get((t, images[s], images[g]), ()), k))
             for t, s, g, k in ends
         ]
         assert all(options), "a node map lacks host edges that its ties checked"
         node_pairs = tuple(zip(q_nodes, images))
+        if presence is None:
+            for combo in itertools.product(*options):
+                matches.append(Match(node_pairs, tuple(zip(q_edges, [combo[g][m] for g, m in slots]))))
+            continue
         for combo in itertools.product(*options):
-            matches.append(Match(node_pairs, tuple(zip(q_edges, [combo[g][m] for g, m in slots]))))
+            edge_images = [combo[g][m] for g, m in slots]
+            mask = node_mask
+            for e in edge_images:
+                mask &= presence(e)
+            if mask:
+                matches.append((Match(node_pairs, tuple(zip(q_edges, edge_images))), mask))
     matches.sort()
     return matches
 

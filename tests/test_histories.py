@@ -56,7 +56,7 @@ from oracles import (
     render_text,
     validate_each_version,
 )
-from strategies import POOL_EDGES, POOL_NODES, histories
+from strategies import POOL_EDGES, POOL_NODES, histories, patterns, typed_histories
 
 PATTERNS = oo_constraint_patterns()
 
@@ -162,6 +162,33 @@ def test_matcher_agrees_with_brute_force_on_every_version(versioning):
     for model in versioning.versions.values():
         for pattern in PATTERNS:
             assert find_monomorphisms(pattern, model) == brute_force_monomorphisms(pattern, model)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(typed_histories(), st.data())
+def test_drawn_type_graphs_and_patterns_fold_agree(versioning, data):
+    """Over drawn type graphs whose pools hold self-loops and parallel
+    edges, with drawn patterns: every task's folded route equals the
+    per-version route in both lcp modes, and the folded check, and the
+    matcher on the union with presence masks and a drawn start mask, equal
+    the exhaustive matcher run on each version."""
+    drawn = data.draw(st.lists(patterns(versioning.type_graph), min_size=1, max_size=3))
+    start = data.draw(st.integers(1, (1 << len(versioning.ids)) - 1))
+    mvm = comb(versioning)
+    for task in TASKS.values():
+        for lcp in LCP_MODES if task.lcp else (None,):
+            assert task.mvm(mvm, drawn, lcp) == task.svm(versioning, drawn, lcp)
+    for pattern in drawn:
+        held: dict = {}  # match -> the versions that hold it
+        for k, v in enumerate(versioning.ids):
+            for m in brute_force_monomorphisms(pattern, versioning.version(v)):
+                held[m] = held.get(m, 0) | 1 << k
+        want = [VersionedViolation(v, m) for k, v in enumerate(versioning.ids)
+                for m in sorted(held) if held[m] >> k & 1]
+        assert pcheck_mv(mvm, pattern) == want
+        assert find_monomorphisms(pattern, mvm.union, mvm.presence, start) == sorted(
+            (m, mask & start) for m, mask in held.items() if mask & start
+        )
 
 
 # Appended to every id and pattern name: a format field, a %-conversion,
