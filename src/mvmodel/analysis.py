@@ -129,22 +129,18 @@ def pcheck_m_mv(
     mask that misses either side of the pair. Rows are filed under their
     left version and sorted within it.
 
-    An element that no mergeable version holds can be in no merge, so the
-    matcher is given a presence that is empty on such elements and full on
-    all others: an embedding through one is dropped as soon as the search
-    places it, and with no mergeable version the search does not start.
+    With no mergeable version there is no pair, so the matcher is not run.
     """
     dag = mvm.dag
     draw = dag.drawn_bases(lcp_mode)
     partners, mergeable = dag.merge_partners, dag.mergeable
-    presence = mvm.presence
-    matches = find_monomorphisms(
-        pattern, mvm.union, lambda x: -1 if presence(x) & mergeable else 0, mergeable
-    )
+    if not mergeable:
+        return []
+    matches = find_monomorphisms(pattern, mvm.union)
     n, v = len(matches), len(dag.ids)
     filed: list[list[int]] = [[] for _ in dag.ids]  # keys per left position
-    for t, (m, _) in enumerate(matches):
-        presences = [presence(image) for _, image in m.nodes + m.edges]
+    for t, m in enumerate(matches):
+        presences = [mvm.presence(image) for _, image in m.nodes + m.edges]
         smallest = min(presences, key=int.bit_count, default=(1 << v) - 1)
         for a in bits(smallest & mergeable):
             bit_a = 1 << a
@@ -176,5 +172,5 @@ def pcheck_m_mv(
         for key in keys:
             pair, t = divmod(key, n)
             right, base = divmod(pair, v)
-            out.append(new(MergeViolationReport, (left, ids[right], ids[base], matches[t][0])))
+            out.append(new(MergeViolationReport, (left, ids[right], ids[base], matches[t])))
     return out

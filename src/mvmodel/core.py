@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, overload
 
 from .errors import (
     DanglingEdge,
@@ -305,12 +305,22 @@ def _match_plan(q: Model) -> tuple:
     return q_nodes, order, steps, ends, q_edges, [slot[e] for e in q_edges]
 
 
+@overload
+def find_monomorphisms(pattern: Pattern, host: Model) -> list[Match]: ...
+
+
+@overload
+def find_monomorphisms(
+    pattern: Pattern, host: Model, presence: Callable[[str], int], start: int
+) -> list[tuple[Match, int]]: ...
+
+
 def find_monomorphisms(
     pattern: Pattern,
     host: Model,
     presence: Callable[[str], int] | None = None,
-    start: int = -1,
-) -> list:
+    start: int = 0,
+) -> list[Match] | list[tuple[Match, int]]:
     """Enumerate all embeddings of the pattern into the host.
 
     An embedding maps pattern nodes and edges injectively to host nodes
@@ -339,9 +349,11 @@ def find_monomorphisms(
     images.
 
     With ``presence``, a map from each host element to a version mask,
-    only embeddings that some version in ``start`` holds whole are kept,
-    and each comes back as a ``(match, mask)`` pair whose mask is the AND
-    of ``start`` and of the presences of every image, never 0. The search
+    only embeddings that some version in ``start`` (a non-negative mask,
+    given with ``presence``; left out, it is 0 and keeps nothing) holds
+    whole are kept, and each comes back as a ``(match, mask)`` pair whose
+    mask is the AND of ``start`` and of the presences of every image,
+    never 0. The search
     drops a partial embedding as soon as no version can hold it: each
     placed node carries the AND of the masks placed so far, and a
     candidate that passes the filter above ANDs in, for each tie, the OR

@@ -240,14 +240,15 @@ def test_churn_chain_search_drops_what_no_version_holds():
 
 def test_churn_chain_check_is_not_paid_per_union_embedding():
     """At 800 versions the union has 639,200 embeddings of the pattern.
-    Listing them all took 6-8 s; the search that drops each at its second
-    return type takes 0.5-1.3 s (a shared 2-core x86-64 machine, Python
-    3.11)."""
+    Listing them all took 5.7-8 s; the search that drops each at its
+    second return type takes 0.5-1.3 s (a shared 2-core x86-64 machine,
+    Python 3.11). The 5 s bound leaves the search about 4x room and is
+    still below what listing took."""
     versioning = churn_chain(800)
     mvm, pattern = comb(versioning), unique_return_type_pattern()
     began = perf_counter()
     assert pcheck_mv(mvm, pattern) == []
-    assert perf_counter() - began < 3.0
+    assert perf_counter() - began < 5.0
     assert svm_check(versioning, pattern) == []
 
 
