@@ -2,13 +2,14 @@
 
 Each repetition generates one history per route and times a verdict from
 nothing on it (``e2e_time``, split into ``PHASES``). It then times the
-analysis alone (``time``) on the same history or fold, whose indices and
-merge-base table that verdict built; the folded route first drops its
-presence cache, so it pays its full analysis cost. The per-version
-merge-check route builds the merge of every (pair, base) once
-(``merge_min``) inside both clocks, as ``merge-check --mode svm`` does.
-Times are the mean, median and min over the repetitions, and the harness
-refuses to report if any run disagrees with the task's first findings.
+analysis alone (``time``) on the same history, whose indices and
+merge-base table that verdict built; the folded route runs it on a fresh
+fold, which builds its presence masks anew, so it pays its full analysis
+cost. The per-version merge-check route builds the merge of every (pair,
+base) once (``merge_min``) inside both clocks, as ``merge-check --mode
+svm`` does. Times are the mean, median and min over the repetitions, and
+the harness refuses to report if any run disagrees with the task's first
+findings.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ def _end_to_end(params: BenchParams, task: Task, route: str, patterns: list[Patt
     """A verdict from nothing, timed by phase: generate the history, fold it
     (mvm only), build the merge-base table (svm only, for tasks that depend
     on the lcp mode), run the analysis and render its text with the CLI's
-    writer. Returns the seconds of each of ``PHASES``, the subject the
-    analysis ran on (the history, or its fold) and the findings."""
+    writer. Returns the seconds of each of ``PHASES``, the history and the
+    findings."""
     laps = [time.perf_counter()]
 
     def lap(result):
@@ -134,7 +135,7 @@ def _end_to_end(params: BenchParams, task: Task, route: str, patterns: list[Patt
     lap(task.lcp and route == "svm" and versioning.latest_common_predecessor_table())
     groups = lap(getattr(task, route)(subject, patterns, params.lcp))
     lap(write_text(groups, str.encode))  # encoded as the CLI writes it, then dropped
-    return [b - a for a, b in zip(laps, laps[1:])], subject, groups
+    return [b - a for a, b in zip(laps, laps[1:])], versioning, groups
 
 
 def _stats(samples: list[float]) -> dict[str, float]:
@@ -157,9 +158,8 @@ def run_bench(params: BenchParams, repeat: int = 5, patterns: list[Pattern] | No
         for route in ("mvm", "svm"):
             times, laps = [], []
             for _ in range(repeat):
-                seconds, subject, cold = _end_to_end(params, task, route, patterns)
-                if route == "mvm":
-                    subject.reset_presence_cache()
+                seconds, versioning, cold = _end_to_end(params, task, route, patterns)
+                subject = comb(versioning) if route == "mvm" else versioning
                 start = time.perf_counter()
                 warm = getattr(task, route)(subject, patterns, params.lcp)
                 times.append(time.perf_counter() - start)

@@ -319,7 +319,7 @@ def find_monomorphisms(
     pattern: Pattern,
     host: Model,
     presence: Callable[[str], int] | None = None,
-    start: int = 0,
+    start: int | None = None,
 ) -> list[Match] | list[tuple[Match, int]]:
     """Enumerate all embeddings of the pattern into the host.
 
@@ -350,7 +350,7 @@ def find_monomorphisms(
 
     With ``presence``, a map from each host element to a version mask,
     only embeddings that some version in ``start`` (a non-negative mask,
-    given with ``presence``; left out, it is 0 and keeps nothing) holds
+    given exactly when ``presence`` is; a ``ValueError`` otherwise) holds
     whole are kept, and each comes back as a ``(match, mask)`` pair whose
     mask is the AND of ``start`` and of the presences of every image,
     never 0. The search
@@ -373,6 +373,8 @@ def find_monomorphisms(
     q = pattern.graph
     if q.type_graph != host.type_graph:
         raise TypeGraphMismatch("pattern and host use different type graphs")
+    if (presence is None) != (start is None):
+        raise ValueError("presence and start are given together or not at all")
     if (q.edge_set and not q.node_set) or (presence is not None and not start):
         return []
     if not q.node_set:

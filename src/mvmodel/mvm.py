@@ -53,11 +53,6 @@ class MultiVersionModel:
         self._presence_cache[element] = result
         return result
 
-    def reset_presence_cache(self) -> None:
-        """Forget the presence masks built so far; the version-set masks
-        belong to the DAG and stay."""
-        self._presence_cache = {}
-
     def proj(self, version_id: str) -> Model:
         """Recover one version's model from the folded form."""
         if version_id not in self.dag.position:
@@ -75,11 +70,11 @@ class MultiVersionModel:
 def comb(versioning: ModelVersioning) -> MultiVersionModel:
     """Fold a version history into a multi-version model.
 
-    Validating the history already recorded the union of its versions
-    and the marks (see ``ModelVersioning._valid_by_delta``): the root's
-    elements are created at the root, and every modification marks the
-    elements it adds as created and those it removes as deleted at its
-    target. The fold only wraps them, with the versioning as its DAG.
+    Validating the history already built the union of its versions as a
+    ``Model`` and recorded the marks (see ``ModelVersioning._valid_by_delta``):
+    the root's elements are created at the root, and every modification
+    marks what it adds as created and what it removes as deleted at its
+    target. The fold only wraps them, with the versioning as its DAG, so
+    the folds of one history share its union and that union's index.
     """
-    union = Model(versioning.store, versioning.type_graph, *versioning.union)
-    return MultiVersionModel(union, versioning, versioning.cv, versioning.dv)
+    return MultiVersionModel(versioning.union, versioning, versioning.cv, versioning.dv)

@@ -17,6 +17,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import Match
+from .corpus import _render
 
 
 class VersionedViolation(NamedTuple):
@@ -115,11 +116,6 @@ def _json_row(kind: str, keys: list[tuple]) -> tuple[str, list[tuple]]:
     return "    {\n" + ",\n".join(f'      "{k}": %s' for k, *_ in keys) + "\n    }", keys
 
 
-def _json_object(pairs: tuple[tuple[str, str], ...]) -> str:
-    items = ",\n".join(f"        {_json_str(k)}: {_json_str(v)}" for k, v in pairs)
-    return "{\n" + items + "\n      }" if pairs else "{}"
-
-
 def write_json(groups: Groups, command: str, key: str, write: Callable[[str], object]) -> None:
     """An ``mv-report/1`` document with the reports under ``key``, byte for
     byte what ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` gives."""
@@ -128,7 +124,8 @@ def write_json(groups: Groups, command: str, key: str, write: Callable[[str], ob
     head, _, tail = json.dumps(doc, indent=2, sort_keys=True).partition(f'"{key}": null')
     write(f'{head}"{key}": [')
     sep = "\n"
-    for rows in _chunks(groups, _json_row, _json_object, _json_str):
+    json_object = lambda pairs: _render(dict(pairs), "\n      ")  # a Match part, keys sorted
+    for rows in _chunks(groups, _json_row, json_object, _json_str):
         write(sep + ",\n".join(rows))
         sep = ",\n"
     write(("\n  ]" if n else "]") + tail + "\n")

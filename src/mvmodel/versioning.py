@@ -12,8 +12,8 @@ a bitmask whose bit k stands for the k-th id in id order: the ancestor and
 descendant masks, ``reach`` and the merge bases that each lcp mode draws.
 The fold in ``mvmodel.mvm`` and its analyses read only the DAG.
 ``ModelVersioning`` is a ``VersionDag`` plus a model per version; its
-validation keeps the union and the creation and deletion marks for the
-fold.
+validation keeps the union ``Model`` and the creation and deletion marks,
+which every fold of the history wraps.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ class ModelVersioning(VersionDag):
         the empty model it holds for every version.
 
         Each span is built once and kept: ``spans`` maps each modification
-        to its span; ``union`` is the union's node and edge sets; ``cv`` and
+        to its span; ``union`` is the union as a ``Model``; ``cv`` and
         ``dv`` map each element to the mask of the versions that create and
         delete it (span (a, b) marks at b what b adds to a and what it
         drops)."""
@@ -416,7 +416,7 @@ class ModelVersioning(VersionDag):
                 cv[x] = cv.get(x, 0) | bit
             for x in span.deleted_nodes.union(span.deleted_edges):
                 dv[x] = dv.get(x, 0) | bit
-        self.union = (nodes, edges)
+        self.union = Model(store, tg, nodes, edges)
         self.cv, self.dv = cv, dv
         return True
 

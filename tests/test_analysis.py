@@ -23,6 +23,7 @@ from mvmodel import (
     mcheck_mv,
     oo_constraint_patterns,
     oo_type_graph,
+    parse_corpus,
     pcheck_m_mv,
     pcheck_mv,
     svm_check,
@@ -250,6 +251,21 @@ def test_churn_chain_check_is_not_paid_per_union_embedding():
     assert pcheck_mv(mvm, pattern) == []
     assert perf_counter() - began < 5.0
     assert svm_check(versioning, pattern) == []
+
+
+def test_matcher_takes_presence_and_start_together(data_dir):
+    """A presence without a start mask, or a start mask without a presence,
+    is refused rather than read as "keep nothing" or ignored; a start of 0
+    with a presence is a legal empty search."""
+    mvm = comb(parse_corpus((data_dir / "oo_project.corpus.json").read_bytes()))
+    full = (1 << len(mvm.dag.ids)) - 1
+    for pattern in oo_constraint_patterns():
+        assert find_monomorphisms(pattern, mvm.union)
+        assert find_monomorphisms(pattern, mvm.union, mvm.presence, 0) == []
+        with pytest.raises(ValueError):
+            find_monomorphisms(pattern, mvm.union, mvm.presence)
+        with pytest.raises(ValueError):
+            find_monomorphisms(pattern, mvm.union, start=full)
 
 
 def test_merge_preview_applies_deletions_before_matching():

@@ -306,7 +306,8 @@ def test_bench_json_times_each_route_end_to_end(capsys, data_dir):
 
 def test_bench_sets_up_one_history_per_repetition_and_route(capsys, data_dir, monkeypatch):
     """Each repetition of each route generates one history, and the folded
-    route folds it once; no history is shared or warmed up besides."""
+    route folds it twice: once for the verdict from nothing and once, fresh,
+    for the analysis alone; no history is shared or warmed up besides."""
     calls = Counter()
 
     def counted(name):
@@ -323,7 +324,7 @@ def test_bench_sets_up_one_history_per_repetition_and_route(capsys, data_dir, mo
     params = str(data_dir / "bench_small_all.params.json")  # 3 tasks
     code, _, err = run_cli(capsys, "bench", "--params", params, "--repeat", "2")
     assert code == 0 and err == ""
-    assert calls == {"generate_versioning": 3 * 2 * 2, "comb": 3 * 2}
+    assert calls == {"generate_versioning": 3 * 2 * 2, "comb": 3 * 2 * 2}
 
 
 @pytest.mark.parametrize(

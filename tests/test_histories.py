@@ -67,7 +67,7 @@ def test_arbitrary_histories_fold_agree_and_export(versioning):
     mvm = comb(versioning)
     # The same fold over a bare DAG, which holds no version's model.
     over_dag = MultiVersionModel(
-        Model(versioning.store, versioning.type_graph, *versioning.union),
+        versioning.union,
         VersionDag(versioning.versions, versioning.modifications, versioning.root),
         versioning.cv,
         versioning.dv,

@@ -154,11 +154,14 @@ def test_presence_rejects_non_structural_id():
         mvm.presence("nope")
 
 
-def test_presence_cache_reset_keeps_answers():
-    mvm = comb(running_example())
-    before = mvm.presence("c4")
-    mvm.reset_presence_cache()
-    assert mvm.presence("c4") == before
+def test_folds_of_one_history_share_its_union():
+    """A fold wraps the union that validation built; it builds no model of
+    its own, and two folds of one history agree on every presence."""
+    versioning = running_example()
+    one, two = comb(versioning), comb(versioning)
+    assert one.union is versioning.union and two.union is versioning.union
+    for x in versioning.union.node_set | versioning.union.edge_set:
+        assert one.presence(x) == two.presence(x)
 
 
 def test_proj_reproduces_each_version():
