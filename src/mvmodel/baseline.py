@@ -15,14 +15,16 @@ from .reports import MergeConflictReport, MergeViolationReport, VersionedViolati
 from .versioning import ModelVersioning, check_lcp_mode
 
 
-def svm_check(versioning: ModelVersioning, pattern: Pattern) -> list[VersionedViolation]:
-    """Pattern embeddings of every version, checked one model at a time.
-    The versions come in id order and ``pcheck`` sorts each one's
-    matches, so the list is sorted as built."""
+def svm_check(versioning: ModelVersioning, patterns: list[Pattern]) -> list[list[VersionedViolation]]:
+    """Pattern embeddings of every version: one list per pattern, in pattern
+    order, sorted as built. Each version is visited once, in id order, for
+    every pattern, and its matcher index is let go before the next version's."""
     new = tuple.__new__
-    out: list[VersionedViolation] = []
+    out: list[list[VersionedViolation]] = [[] for _ in patterns]
     for vid, model in versioning.versions.items():
-        out += [new(VersionedViolation, (vid, m)) for m in pcheck(model, pattern)]
+        for found, pattern in zip(out, patterns):
+            found += [new(VersionedViolation, (vid, m)) for m in pcheck(model, pattern)]
+        model._index = None  # one version's index alive at a time; a rebuild is identical
     return out
 
 

@@ -2,13 +2,14 @@
 
 Each repetition generates one history per route and times a verdict from
 nothing on it (``e2e_time``, split into ``PHASES``). It then times the
-analysis alone (``time``) on the same history, whose indices and
-merge-base table that verdict built; the folded route runs it on a fresh
-fold, which builds its presence masks anew, so it pays its full analysis
-cost. The per-version merge-check route builds the merge of every (pair,
-base) once (``merge_min``) inside both clocks, as ``merge-check --mode
-svm`` does. Times are the mean, median and min over the repetitions, and
-the harness refuses to report if any run disagrees with the task's first
+analysis alone (``time``) on the same history, whose merge-base table and
+indices that verdict built; the per-version check lets go of each version's
+index, so it builds them again. The folded route runs on a fresh fold,
+which builds its presence masks anew, so it pays its full analysis cost.
+The per-version merge-check route builds the merge of every (pair, base)
+once (``merge_min``) inside both clocks, as ``merge-check --mode svm``
+does. Times are the mean, median and min over the repetitions, and the
+harness refuses to report if any run disagrees with the task's first
 findings.
 """
 

@@ -172,7 +172,7 @@ class Model:
         return f"Model({len(self.node_set)} nodes, {len(self.edge_set)} edges)"
 
     def index(self) -> "_ModelIndex":
-        # Built at most once; rebuilding under a race would be identical.
+        # Built on first use and kept; svm_check drops it, and a rebuild is identical.
         if self._index is None:
             self._index = _ModelIndex(self)
         return self._index

@@ -38,7 +38,9 @@ TASKS: dict[str, Task] = {
         patterns=True,
         lcp=False,
         mvm=lambda mvm, patterns, lcp: [(p.name, pcheck_mv(mvm, p)) for p in patterns],
-        svm=lambda versioning, patterns, lcp: [(p.name, svm_check(versioning, p)) for p in patterns],
+        svm=lambda versioning, patterns, lcp: [
+            (p.name, reports) for p, reports in zip(patterns, svm_check(versioning, patterns))
+        ],
     ),
     "conflicts": Task(
         patterns=False,

@@ -148,16 +148,13 @@ def test_criterion_3_versioned_check_oracle():
         patterns = oo_constraint_patterns()
         suite_reports = 0
         for versioning, mvm in suite():
-            for pattern in patterns:
-                found = pcheck_mv(mvm, pattern)
-                assert found == svm_check(versioning, pattern)
-                suite_reports += len(found)
+            found = [pcheck_mv(mvm, pattern) for pattern in patterns]
+            assert found == svm_check(versioning, patterns)
+            suite_reports += sum(map(len, found))
         project, project_mvm, project_patterns = shipped()
-        shipped_reports = 0
-        for pattern in project_patterns:
-            found = pcheck_mv(project_mvm, pattern)
-            assert found == svm_check(project, pattern)
-            shipped_reports += len(found)
+        found = [pcheck_mv(project_mvm, pattern) for pattern in project_patterns]
+        assert found == svm_check(project, project_patterns)
+        shipped_reports = sum(map(len, found))
         assert shipped_reports == 9
         box["detail"] = f"{suite_reports} suite violations, {shipped_reports} shipped violations"
 

@@ -33,7 +33,7 @@ from mvmodel import (
 from mvmodel.oo import unique_return_type_pattern
 from mvmodel.versioning import LCP_MODES, VersionDag, bits, check_lcp_mode
 from conftest import build_store, make_pattern, merge_history
-from oracles import latest_common_predecessors
+from oracles import brute_force_monomorphisms, latest_common_predecessors
 
 CLS_TG = TypeGraph({"Class"}, {"superclass": ("Class", "Class")})
 
@@ -89,7 +89,7 @@ def test_no_version_violates_in_the_fork_example():
     versioning = running_example()
     pattern = unique_superclass_pattern()
     assert pcheck_mv(comb(versioning), pattern) == []
-    assert svm_check(versioning, pattern) == []
+    assert svm_check(versioning, [pattern]) == [[]]
 
 
 def test_fork_example_has_exactly_one_conflict():
@@ -146,7 +146,7 @@ def test_pcheck_mv_reports_per_version():
     hits = pcheck_mv(comb(versioning), unique_superclass_pattern())
     assert [h.version for h in hits] == ["bad", "bad"]
     assert all(isinstance(h, VersionedViolation) for h in hits)
-    assert hits == svm_check(versioning, unique_superclass_pattern())
+    assert [hits] == svm_check(versioning, [unique_superclass_pattern()])
 
 
 def test_pcheck_mv_ignores_matches_spanning_versions():
@@ -169,7 +169,7 @@ def test_pcheck_mv_ignores_matches_spanning_versions():
     # both edges are in the union of the versions, so the match on it exists
     assert "e12" in mvm.union.edge_set and "e13" in mvm.union.edge_set
     assert pcheck_mv(mvm, unique_superclass_pattern()) == []
-    assert svm_check(versioning, unique_superclass_pattern()) == []
+    assert svm_check(versioning, [unique_superclass_pattern()]) == [[]]
 
 
 def test_empty_pattern_is_reported_in_every_version():
@@ -181,7 +181,7 @@ def test_empty_pattern_is_reported_in_every_version():
     assert find_monomorphisms(empty, versioning.version(versioning.root)) == [Match((), ())]
     want = [VersionedViolation(v, Match((), ())) for v in versioning.ids]
     assert pcheck_mv(comb(versioning), empty) == want
-    assert svm_check(versioning, empty) == want
+    assert svm_check(versioning, [empty]) == [want]
     table = versioning.latest_common_predecessor_table()
     for mode in LCP_MODES:
         merged = [
@@ -206,10 +206,10 @@ def test_a_tie_is_held_by_any_of_its_parallel_edges():
         root="r",
     )
     pattern = make_pattern("loop", tg, {"p": "Node"}, {"q": ("loop", "p", "p")})
-    assert pcheck_mv(comb(versioning), pattern) == svm_check(versioning, pattern) == [
+    assert [pcheck_mv(comb(versioning), pattern)] == svm_check(versioning, [pattern]) == [[
         VersionedViolation("a", Match((("p", "n"),), (("q", "y"),))),
         VersionedViolation("r", Match((("p", "n"),), (("q", "x"),))),
-    ]
+    ]]
 
 
 def churn_chain(count: int) -> ModelVersioning:
@@ -236,7 +236,7 @@ def test_churn_chain_search_drops_what_no_version_holds():
     pairs = [(m.node_map["ret_a"], m.node_map["ret_b"]) for m in find_monomorphisms(pattern, mvm.union)]
     assert sorted(pairs) == list(permutations(sorted(mvm.union.node_set - {"m"}), 2))
     assert find_monomorphisms(pattern, mvm.union, mvm.presence, (1 << 30) - 1) == []
-    assert pcheck_mv(mvm, pattern) == svm_check(versioning, pattern) == []
+    assert [pcheck_mv(mvm, pattern)] == svm_check(versioning, [pattern]) == [[]]
 
 
 def test_churn_chain_check_is_not_paid_per_union_embedding():
@@ -250,7 +250,7 @@ def test_churn_chain_check_is_not_paid_per_union_embedding():
     began = perf_counter()
     assert pcheck_mv(mvm, pattern) == []
     assert perf_counter() - began < 5.0
-    assert svm_check(versioning, pattern) == []
+    assert svm_check(versioning, [pattern]) == [[]]
 
 
 def test_matcher_takes_presence_and_start_together(data_dir):
@@ -290,9 +290,41 @@ def test_merge_preview_applies_deletions_before_matching():
 @pytest.mark.parametrize("seed", range(25))
 def test_folded_check_equals_per_version_check(seed):
     versioning = generate_versioning(acceptance_params(seed))
-    mvm = comb(versioning)
-    for pattern in oo_constraint_patterns():
-        assert pcheck_mv(mvm, pattern) == svm_check(versioning, pattern)
+    mvm, patterns = comb(versioning), oo_constraint_patterns()
+    assert [pcheck_mv(mvm, p) for p in patterns] == svm_check(versioning, patterns)
+
+
+@pytest.mark.parametrize("source", ["oo_project", "generated"])
+def test_svm_check_builds_each_version_index_once_and_lets_it_go(data_dir, monkeypatch, source):
+    """The per-version check visits each version once for all patterns:
+    no version's matcher index is built twice during the call, none is
+    held when it returns, and every list is what the brute-force matcher
+    finds in each version, in id order."""
+    if source == "oo_project":
+        versioning = parse_corpus((data_dir / "oo_project.corpus.json").read_bytes())
+    else:
+        versioning = generate_versioning(acceptance_params(13))
+    patterns = oo_constraint_patterns()
+    builds: Counter = Counter()
+    index = Model.index
+
+    def counted(model):
+        if model._index is None:
+            builds[id(model)] += 1
+        return index(model)
+
+    monkeypatch.setattr(Model, "index", counted)
+    found = svm_check(versioning, patterns)
+    monkeypatch.undo()
+    models = versioning.versions.values()
+    assert [builds[id(model)] for model in models] == [1] * len(models)
+    assert [model._index for model in models] == [None] * len(models)
+    assert found == [
+        [VersionedViolation(v, m) for v, model in versioning.versions.items()
+         for m in brute_force_monomorphisms(pattern, model)]
+        for pattern in patterns
+    ]
+    assert any(found)
 
 
 @pytest.mark.parametrize("seed", range(25))

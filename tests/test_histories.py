@@ -338,7 +338,7 @@ def test_an_invalid_version_wins_over_a_bad_shape(modifications):
 @given(histories())
 def test_svm_routes_return_sorted_lists_without_duplicates(versioning):
     # What lets the reference routes collect their reports in lists, not sets.
-    found = [svm_check(versioning, p) for p in PATTERNS]
+    found = svm_check(versioning, PATTERNS)
     for mode in LCP_MODES:
         found += [svm_conflicts(versioning, mode), *svm_merge_check(versioning, PATTERNS, mode)]
     for reports in found:
