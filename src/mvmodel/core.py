@@ -25,6 +25,9 @@ from .errors import (
 NodeId = str
 EdgeId = str
 TypeId = str
+# The neighbour map of a node with no edges on one side: one shared object,
+# where a `{}` default would build a new dict on every degree test.
+_NO_NBRS: Mapping[str, list[str]] = MappingProxyType({})
 
 
 class TypeGraph:
@@ -353,17 +356,16 @@ def find_monomorphisms(
     given exactly when ``presence`` is; a ``ValueError`` otherwise) holds
     whole are kept, and each comes back as a ``(match, mask)`` pair whose
     mask is the AND of ``start`` and of the presences of every image,
-    never 0. The search
-    drops a partial embedding as soon as no version can hold it: each
-    placed node carries the AND of the masks placed so far, and a
-    candidate that passes the filter above ANDs in, for each tie, the OR
-    of the presences of the tie's host edge group, which bounds every
-    choice among parallel edges; a candidate whose mask reaches 0 is
-    dropped. An edge choice is kept only when ANDing its edges'
-    presences leaves a mask. An edge's presence lies within its ends', so
-    only the image of a pattern node without edges ANDs in its own, and
-    the mask is exact. Without ``presence`` no candidate pays for any of
-    this.
+    never 0. The search drops a partial embedding as soon as no version
+    can hold it: each candidate carries the mask of the node placed
+    before it, and the filter's tie loop, for each tie whose host edge
+    group is large enough, ANDs in the OR of the group's presences,
+    which bounds every choice among parallel edges, and drops the
+    candidate once its mask reaches 0. An edge choice is kept only when
+    ANDing its edges' presences leaves a mask. An edge's presence lies
+    within its ends', so only the image of a pattern node without edges
+    ANDs in its own, and the mask is exact. Without ``presence`` every
+    candidate carries a constant mask and no presence is read.
 
     The matcher leaves no reference cycles: reference counting frees
     its working state on return, even with the cyclic garbage collector
@@ -373,9 +375,9 @@ def find_monomorphisms(
     q = pattern.graph
     if q.type_graph != host.type_graph:
         raise TypeGraphMismatch("pattern and host use different type graphs")
-    if (presence is None) != (start is None):
-        raise ValueError("presence and start are given together or not at all")
-    if (q.edge_set and not q.node_set) or (presence is not None and not start):
+    if (presence is None) != (start is None) or (start is not None and start < 0):
+        raise ValueError("presence and a non-negative start are given together or not at all")
+    if (q.edge_set and not q.node_set) or start == 0:
         return []
     if not q.node_set:
         return [Match((), ())] if presence is None else [(Match((), ()), start)]
@@ -398,10 +400,11 @@ def find_monomorphisms(
 
     assignment: dict[str, str] = {}
     used: set[str] = set()
-    node_maps: list = []  # the images of q_nodes; with presence, paired with their mask
-    levels: list[dict[str, int]] = [{}] * len(order)  # with presence: kept candidate -> mask
+    node_maps: list[tuple[tuple[str, ...], int]] = []  # the images of q_nodes, with their mask
 
-    def candidates(i: int) -> list[str] | dict[str, int]:
+    def candidates(i: int, running: int) -> list[tuple[str, int]]:
+        """The host nodes that can take the pattern node at i, each with
+        ``running`` narrowed to the versions that can hold it there."""
         qv_type, degrees, qv_ties, seed = plan[i]
         if seed is None:
             pool = h_idx.nodes_by_type.get(qv_type, ())
@@ -415,74 +418,62 @@ def find_monomorphisms(
             if h in used or h_type[h] != qv_type:
                 continue
             for nbrs, t, k in degrees:
-                if len(nbrs.get(h, {}).get(t, ())) < k:
+                if len(nbrs.get(h, _NO_NBRS).get(t, ())) < k:
                     break
             else:
+                # An edge's presence lies within its ends', so only a node
+                # without edges needs its own.
+                mask = running if degrees or presence is None else running & presence(h)
                 for t, s, g, k in qv_ties:
-                    if len(h_edges.get((t, assignment.get(s, h), assignment.get(g, h)), ())) < k:
+                    group = h_edges.get((t, assignment.get(s, h), assignment.get(g, h)), ())
+                    if len(group) < k:
                         break
+                    if presence is not None:
+                        held = 0
+                        for e in group:
+                            held |= presence(e)
+                        mask &= held
+                        if not mask:
+                            break
                 else:
-                    out.append(h)
-        if presence is None:
-            return out
-        # The mask that the node placed last carries. An edge's presence
-        # lies within its ends', so only a node without edges needs its own.
-        # Every tie's group passed the count test: it is in h_edges.
-        running = levels[i - 1][assignment[order[i - 1]]] if i else start
-        kept: dict[str, int] = {}
-        for h in out:
-            mask = running if degrees else running & presence(h)
-            for t, s, g, _ in qv_ties:
-                if not mask:
-                    break
-                held = 0
-                for e in h_edges[(t, assignment.get(s, h), assignment.get(g, h))]:
-                    held |= presence(e)
-                mask &= held
-            if mask:
-                kept[h] = mask
-        levels[i] = kept
-        return kept
+                    if mask:
+                        out.append((h, mask))
+        return out
 
     # Depth-first search, holding one candidate iterator per pattern node
     # on the search path; an explicit stack, since a recursive closure
     # would refer to itself and leave a reference cycle behind each call.
-    stack = [iter(candidates(0))]
+    stack = [iter(candidates(0, -1 if start is None else start))]
     while stack:
         qv = order[len(stack) - 1]
         if qv in assignment:
             used.discard(assignment.pop(qv))
-        h = next(stack[-1], None)
+        h, mask = next(stack[-1], (None, 0))
         if h is None:
             stack.pop()
         else:
             assignment[qv] = h
             used.add(h)
             if len(stack) < len(order):
-                stack.append(iter(candidates(len(stack))))
-            elif presence is None:
-                node_maps.append(tuple(map(assignment.__getitem__, q_nodes)))
+                stack.append(iter(candidates(len(stack), mask)))
             else:
-                node_maps.append((tuple(map(assignment.__getitem__, q_nodes)), levels[-1][h]))
+                node_maps.append((tuple(map(assignment.__getitem__, q_nodes)), mask))
 
     # Assign edge images. The ties already checked that every group has
     # enough host edges, so every node map yields.
     matches: list = []
-    for images in node_maps:
-        if presence is not None:
-            images, node_mask = images
+    for images, node_mask in node_maps:
         options = [
             list(itertools.permutations(h_edges.get((t, images[s], images[g]), ()), k))
             for t, s, g, k in ends
         ]
         assert all(options), "a node map lacks host edges that its ties checked"
         node_pairs = tuple(zip(q_nodes, images))
-        if presence is None:
-            for combo in itertools.product(*options):
-                matches.append(Match(node_pairs, tuple(zip(q_edges, [combo[g][m] for g, m in slots]))))
-            continue
         for combo in itertools.product(*options):
             edge_images = [combo[g][m] for g, m in slots]
+            if presence is None:
+                matches.append(Match(node_pairs, tuple(zip(q_edges, edge_images))))
+                continue
             mask = node_mask
             for e in edge_images:
                 mask &= presence(e)

@@ -254,9 +254,10 @@ def test_churn_chain_check_is_not_paid_per_union_embedding():
 
 
 def test_matcher_takes_presence_and_start_together(data_dir):
-    """A presence without a start mask, or a start mask without a presence,
-    is refused rather than read as "keep nothing" or ignored; a start of 0
-    with a presence is a legal empty search."""
+    """A presence without a start mask, a start mask without a presence, or
+    a negative start mask, is refused rather than read as "keep nothing",
+    ignored, or as a mask whose bits never end; a start of 0 with a
+    presence is a legal empty search."""
     mvm = comb(parse_corpus((data_dir / "oo_project.corpus.json").read_bytes()))
     full = (1 << len(mvm.dag.ids)) - 1
     for pattern in oo_constraint_patterns():
@@ -266,6 +267,9 @@ def test_matcher_takes_presence_and_start_together(data_dir):
             find_monomorphisms(pattern, mvm.union, mvm.presence)
         with pytest.raises(ValueError):
             find_monomorphisms(pattern, mvm.union, start=full)
+    empty = make_pattern("empty", mvm.union.type_graph, {}, {})
+    with pytest.raises(ValueError):
+        find_monomorphisms(empty, mvm.union, mvm.presence, -1)
 
 
 def test_merge_preview_applies_deletions_before_matching():

@@ -171,7 +171,8 @@ def test_drawn_type_graphs_and_patterns_fold_agree(versioning, data):
     edges, with drawn patterns: every task's folded route equals the
     per-version route in both lcp modes, and the folded check, and the
     matcher on the union with presence masks and a drawn start mask, equal
-    the exhaustive matcher run on each version."""
+    the exhaustive matcher run on each version; the matcher without masks
+    equals the exhaustive matcher on the union."""
     drawn = data.draw(st.lists(patterns(versioning.type_graph), min_size=1, max_size=3))
     start = data.draw(st.integers(1, (1 << len(versioning.ids)) - 1))
     mvm = comb(versioning)
@@ -186,6 +187,7 @@ def test_drawn_type_graphs_and_patterns_fold_agree(versioning, data):
         want = [VersionedViolation(v, m) for k, v in enumerate(versioning.ids)
                 for m in sorted(held) if held[m] >> k & 1]
         assert pcheck_mv(mvm, pattern) == want
+        assert find_monomorphisms(pattern, mvm.union) == brute_force_monomorphisms(pattern, mvm.union)
         assert find_monomorphisms(pattern, mvm.union, mvm.presence, start) == sorted(
             (m, mask & start) for m, mask in held.items() if mask & start
         )
