@@ -28,6 +28,8 @@ TypeId = str
 # The neighbour map of a node with no edges on one side: one shared object,
 # where a `{}` default would build a new dict on every degree test.
 _NO_NBRS: Mapping[str, list[str]] = MappingProxyType({})
+# The inputs that Model can read twice; it holds any other iterable first.
+_REREADABLE = (list, tuple, set, frozenset)
 
 
 class TypeGraph:
@@ -81,27 +83,35 @@ class ElementStore:
 
     Ids are unique across both namespaces. Registration is append-only:
     an element's type, and an edge's endpoints, never change afterwards.
+    Each id is held once: ``_own_nodes`` and ``_own_edges`` map every id
+    to the store's own object for it, which an edge's endpoints and every
+    model of the store hold, so their set algebra compares by identity.
     """
 
-    __slots__ = ("_nodes", "_edges")
+    __slots__ = ("_nodes", "_edges", "_own_nodes", "_own_edges")
 
     def __init__(self) -> None:
         self._nodes: dict[NodeId, TypeId] = {}
         self._edges: dict[EdgeId, tuple[TypeId, NodeId, NodeId]] = {}
+        self._own_nodes: dict[NodeId, NodeId] = {}
+        self._own_edges: dict[EdgeId, EdgeId] = {}
 
     def add_node(self, node_id: NodeId, node_type: TypeId) -> None:
         if node_id in self._nodes or node_id in self._edges:
             raise ValueError(f"duplicate element id {node_id!r}")
         self._nodes[node_id] = node_type
+        self._own_nodes[node_id] = node_id
 
     def add_edge(self, edge_id: EdgeId, edge_type: TypeId, source: NodeId, target: NodeId) -> None:
         if edge_id in self._nodes or edge_id in self._edges:
             raise ValueError(f"duplicate element id {edge_id!r}")
-        if source not in self._nodes:
+        own = self._own_nodes
+        if source not in own:
             raise ValueError(f"edge {edge_id!r}: source {source!r} is not a registered node")
-        if target not in self._nodes:
+        if target not in own:
             raise ValueError(f"edge {edge_id!r}: target {target!r} is not a registered node")
-        self._edges[edge_id] = (edge_type, source, target)
+        self._edges[edge_id] = (edge_type, own[source], own[target])
+        self._own_edges[edge_id] = edge_id
 
     def is_node(self, elem_id: str) -> bool:
         return elem_id in self._nodes
@@ -137,7 +147,11 @@ class Model:
 
     Models are immutable. Equality requires the same store object and
     equal id sets; endpoints are invariant across all models of a store,
-    so equal id sets mean equal graphs.
+    so equal id sets mean equal graphs. A model holds the store's own id
+    objects, not the ones it is given: the lookup that swaps each in is
+    also the check that it is registered. An unregistered id raises
+    ValueError naming the least one, nodes before edges; an unhashable
+    one, the TypeError of a set of it.
     """
 
     __slots__ = ("store", "type_graph", "node_set", "edge_set", "_index")
@@ -151,12 +165,22 @@ class Model:
     ):
         self.store = store
         self.type_graph = type_graph
-        self.node_set: frozenset[NodeId] = frozenset(nodes)
-        self.edge_set: frozenset[EdgeId] = frozenset(edges)
-        for kind, missing in (("node", self.node_set.difference(store._nodes)),
-                              ("edge", self.edge_set.difference(store._edges))):
-            if missing:  # the least id, so that the message is the same under any hash seed
-                raise ValueError(f"{min(missing, key=str)!r} is not a registered {kind}")
+        # A miss is reported from the inputs, so they must be read again.
+        if not isinstance(nodes, _REREADABLE):
+            nodes = tuple(nodes)
+        try:
+            self.node_set: frozenset[NodeId] = frozenset(map(store._own_nodes.__getitem__, nodes))
+            if not isinstance(edges, _REREADABLE):
+                edges = tuple(edges)
+            self.edge_set: frozenset[EdgeId] = frozenset(map(store._own_edges.__getitem__, edges))
+        except (KeyError, TypeError):
+            # Sets of the inputs give an unhashable id's TypeError, nodes first.
+            for kind, missing in (("node", frozenset(nodes).difference(store._nodes)),
+                                  ("edge", frozenset(edges).difference(store._edges))):
+                if missing:  # the least id, so that the message is the same under any hash seed
+                    least = min(missing, key=str)
+                    raise ValueError(f"{least!r} is not a registered {kind}") from None
+            raise
         self._index: _ModelIndex | None = None
 
     def __eq__(self, other: object) -> bool:

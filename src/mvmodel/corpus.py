@@ -188,6 +188,8 @@ def parse_corpus(data: bytes | str) -> ModelVersioning:
             if not {*map(type, nodes), *map(type, edges)} <= {str}:  # JSON gives exact types
                 raise CorpusSyntaxError("element ids must be strings", where) from None
             raise ValidationError(f"{where}: {err}") from err
+        # The model holds the store's id objects; the decoded copies die now.
+        del versions_obj[vid]
     mods_obj = _require(obj, "modifications", list, "corpus")
     mods = []
     for k, pair in enumerate(mods_obj):

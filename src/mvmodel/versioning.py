@@ -394,21 +394,25 @@ class ModelVersioning(VersionDag):
         spans += self.spans.values()
         nodes = frozenset().union(*(span.created_nodes for span in spans))
         edges = frozenset().union(*(span.created_edges for span in spans))
-        if not {store.elem_type(n) for n in nodes} <= tg.node_types:
+        # The store's tables, read directly: a method call per element would
+        # cost more than the check it makes.
+        node_type, edge_decl = store._nodes, store._edges
+        if not {node_type[n] for n in nodes} <= tg.node_types:
             return False
+        edge_types = tg.edge_types
         incident: dict[str, list[str]] = {}
         for e in edges:
-            t, ends = store.elem_type(e), store.endpoint(e)
-            if t not in tg.edge_types or tuple(map(store.elem_type, ends)) != tg.endpoint_types(t):
+            t, src, dst = edge_decl[e]
+            if t not in edge_types or (node_type[src], node_type[dst]) != edge_types[t]:
                 return False
-            for n in ends:
-                incident.setdefault(n, []).append(e)
+            incident.setdefault(src, []).append(e)
+            incident.setdefault(dst, []).append(e)
         cv: dict[str, int] = {}
         dv: dict[str, int] = {}
         position = self.position
         for span in spans:
             tgt, bit = span.target, 1 << position[span.target_id]
-            if not all(tgt.node_set.issuperset(store.endpoint(e)) for e in span.created_edges):
+            if not all(tgt.node_set.issuperset(edge_decl[e][1:]) for e in span.created_edges):
                 return False
             if not all(tgt.edge_set.isdisjoint(incident.get(n, ())) for n in span.deleted_nodes):
                 return False

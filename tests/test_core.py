@@ -71,6 +71,40 @@ def test_model_requires_registered_ids():
         Model(store, AB_TG, {"x"}, {"x"})
 
 
+def _unhashable_message() -> str:
+    with pytest.raises(TypeError) as err:
+        frozenset([[]])
+    return str(err.value)
+
+
+@pytest.mark.parametrize("one_shot", [False, True], ids=["list", "generator"])
+@pytest.mark.parametrize("nodes, edges, kind, message", [
+    (["x", "ghost"], [], ValueError, "'ghost' is not a registered node"),
+    (["x", "y"], ["e", "ghost"], ValueError, "'ghost' is not a registered edge"),
+    (["x", "e"], [], ValueError, "'e' is not a registered node"),
+    (["x", "x"], ["x"], ValueError, "'x' is not a registered edge"),
+    (["x", []], [], TypeError, None),
+    (["x", "y"], ["e", []], TypeError, None),
+    # The least unregistered id is named, wherever it stands in the input
+    # and however far the input was read before the first miss.
+    (["x", "g2", "y", "g1"], [], ValueError, "'g1' is not a registered node"),
+    (["g1", "x", "g2"], [], ValueError, "'g1' is not a registered node"),
+    (["x", "ghost"], ["phantom"], ValueError, "'ghost' is not a registered node"),
+    # Every id is hashed before any is found unregistered, as sets of
+    # both inputs are built first.
+    (["ghost"], [[]], TypeError, None),
+], ids=["node", "edge", "edge-as-node", "node-as-edge", "unhashable-node", "unhashable-edge",
+        "least-node", "first-miss-least", "node-before-edge", "unhashable-edge-before-node"])
+def test_model_pins_the_error_for_each_bad_id(nodes, edges, kind, message, one_shot):
+    store = build_store(AB_TG, {"x": "A", "y": "A"}, {"e": ("a2a", "x", "y")})
+    if one_shot:
+        nodes, edges = iter(nodes), (e for e in edges)
+    with pytest.raises(kind) as err:
+        Model(store, AB_TG, nodes, edges)
+    assert type(err.value) is kind
+    assert str(err.value) == (message or _unhashable_message())
+
+
 def test_model_equality_is_store_identity_plus_id_sets():
     store = build_store(AB_TG, {"x": "A", "y": "A"}, {"e": ("a2a", "x", "y")})
     m1 = Model(store, AB_TG, {"x", "y"}, {"e"})

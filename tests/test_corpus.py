@@ -150,6 +150,33 @@ def test_corpus_accepts_minimal_document():
     assert versioning.version("v").edge_set == {"e"}
 
 
+@pytest.mark.parametrize("source", ["running", "oo_project", "wide-rare-like"])
+def test_a_parsed_history_holds_each_element_id_once(source):
+    """Every id that the parsed history holds, in its versions, its union,
+    its spans' deltas and its edges' endpoints, is the object that the
+    store registered, so the decoded copies are gone and the set algebra
+    meets identical objects."""
+    if source == "wide-rare-like":  # big models, few edits, at a tenth of the size
+        params = GeneratorParams(seed=3, base_size=100, branch_factor=2, version_count=12,
+                                 edits_per_modification=2, deletion_bias=0.95)
+        data = write_corpus(generate_versioning(params))
+    else:
+        data = (ROOT / "data" / f"{source}.corpus.json").read_bytes()
+    versioning = parse_corpus(data)
+    store = versioning.store
+    registered = {x: x for x in (*store.node_ids(), *store.edge_ids())}
+    held = [*versioning.union.node_set, *versioning.union.edge_set]
+    for m in versioning.versions.values():
+        held += [*m.node_set, *m.edge_set]
+    for span in versioning.spans.values():
+        held += [*span.created_nodes, *span.deleted_nodes,
+                 *span.created_edges, *span.deleted_edges]
+    for e in store.edge_ids():
+        held += store.endpoint(e)
+    assert all(x is registered[x] for x in held)
+    assert len({id(x) for x in (*registered, *held)}) == len(store)
+
+
 def test_corpus_rejects_unknown_element_in_version():
     obj = corpus_obj()
     obj["versions"]["v"]["nodes"].append("ghost")
