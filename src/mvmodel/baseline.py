@@ -4,7 +4,10 @@ These walk the stored version models directly: check every version on
 its own, check every merge pair on its own. Merge pairs are taken base
 by base, so each span from a base to a version is built once. They are
 the reference route; the folded route in ``analysis`` must produce
-identical reports, and the oracle command diffs the two.
+identical reports, and the oracle command diffs the two. Every model is
+matched from scratch, but the two check routes hold one ``Match`` object
+per distinct embedding, as the folded ones do: a match equal to one
+already reported is replaced by that object before it goes into a row.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from .versioning import ModelVersioning, check_lcp_mode
 def svm_check(versioning: ModelVersioning, patterns: list[Pattern]) -> list[list[VersionedViolation]]:
     """Pattern embeddings of every version: one list per pattern, in pattern
     order, sorted as built. Each version is visited once, in id order, for
-    every pattern, and its matcher index is let go before the next version's."""
+    every pattern, and its matcher index is let go before the next version's.
+    Each distinct match is held once, however many versions hold it."""
     new = tuple.__new__
+    keep = {}.setdefault  # one object per distinct Match
     out: list[list[VersionedViolation]] = [[] for _ in patterns]
     for vid, model in versioning.versions.items():
         for found, pattern in zip(out, patterns):
-            found += [new(VersionedViolation, (vid, m)) for m in pcheck(model, pattern)]
+            found += [new(VersionedViolation, (vid, keep(m, m))) for m in pcheck(model, pattern)]
         model._index = None  # one version's index alive at a time; a rebuild is identical
     return out
 
@@ -67,13 +72,16 @@ def svm_merge_check(
     """Violations of the deletion-prioritising merge of every mergeable
     pair: one sorted list per pattern, in pattern order. Each (pair, base)
     is merged once and the merged model is checked against every pattern,
-    whose matches are distinct, so no list holds a duplicate."""
+    whose matches are distinct, so no list holds a duplicate. Each distinct
+    match is held once, however many merged models hold it."""
     new = tuple.__new__
+    keep = {}.setdefault  # one object per distinct Match
     out: list[list[MergeViolationReport]] = [[] for _ in patterns]
     for i, j, c, m1, m2 in _spans_by_base(versioning, lcp_mode):
         merged = merge_min(m1, m2)
         for found, pattern in zip(out, patterns):
-            found += [new(MergeViolationReport, (i, j, c, m)) for m in pcheck(merged, pattern)]
+            found += [new(MergeViolationReport, (i, j, c, keep(m, m)))
+                      for m in pcheck(merged, pattern)]
     for found in out:
         found.sort()
     return out

@@ -75,10 +75,14 @@ def _merged(
         | m2.created_edges
     ) - {edge for (edge, _), d in decided.items() if d is Decision.REVERT_EDGE_CREATION}
     merged = Model(source.store, source.type_graph, nodes, edges)
-    node_set, endpoint = merged.node_set, source.store.endpoint
-    if not all(node_set.issuperset(endpoint(e)) for e in edges):
-        dangling = next(e for e in sorted(edges) if not node_set.issuperset(endpoint(e)))
-        raise ImproperResult(f"merge produced a dangling edge: {dangling!r}")
+    node_set, edge_decl = merged.node_set, source.store._edges
+    dangling = []
+    for e in edges:
+        _, src, tgt = edge_decl[e]
+        if src not in node_set or tgt not in node_set:
+            dangling.append(e)
+    if dangling:
+        raise ImproperResult(f"merge produced a dangling edge: {min(dangling)!r}")
     return merged
 
 
