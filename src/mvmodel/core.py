@@ -25,9 +25,6 @@ from .errors import (
 NodeId = str
 EdgeId = str
 TypeId = str
-# The neighbour map of a node with no edges on one side: one shared object,
-# where a `{}` default would build a new dict on every degree test.
-_NO_NBRS: Mapping[str, list[str]] = MappingProxyType({})
 # The inputs that Model can read twice; it holds any other iterable first.
 _REREADABLE = (list, tuple, set, frozenset)
 
@@ -208,12 +205,13 @@ class Model:
 class _ModelIndex:
     """Type, neighbour and edge-group indices for one model, used by the matcher.
 
-    ``out_nbrs[n][t]`` lists the targets of n's outgoing t-edges and
-    ``in_nbrs[n][t]`` the sources of its incoming ones, once per edge, so
-    their lengths are n's per-type degrees; only nodes with edges have
-    entries. ``edges_by_key[(t, s, g)]`` lists the parallel t-edges from s
-    to g. No list is in any particular order. ``plan`` is the matcher's
-    plan for this model as a pattern, made by ``_match_plan`` on first use.
+    ``out_nbrs[(n, t)]`` lists the targets of n's outgoing t-edges and
+    ``in_nbrs[(n, t)]`` the sources of its incoming ones, once per edge, so
+    their lengths are n's per-type degrees; a key is there only when its
+    list is not empty. ``edges_by_key[(t, s, g)]`` lists the parallel
+    t-edges from s to g. No list is in any particular order. ``plan`` is
+    the matcher's plan for this model as a pattern, made by ``_match_plan``
+    on first use.
     """
 
     __slots__ = ("nodes_by_type", "out_nbrs", "in_nbrs", "edges_by_key", "plan")
@@ -221,15 +219,15 @@ class _ModelIndex:
     def __init__(self, model: Model):
         node_type, edge_decl = model.store._nodes, model.store._edges
         by_type: dict[str, list[str]] = {}
-        out_nbrs: dict[str, dict[str, list[str]]] = {}
-        in_nbrs: dict[str, dict[str, list[str]]] = {}
+        out_nbrs: dict[tuple[str, str], list[str]] = {}
+        in_nbrs: dict[tuple[str, str], list[str]] = {}
         by_key: dict[tuple[str, str, str], list[str]] = {}
         for n in model.node_set:
             by_type.setdefault(node_type[n], []).append(n)
         for e in model.edge_set:
             t, src, tgt = edge_decl[e]
-            out_nbrs.setdefault(src, {}).setdefault(t, []).append(tgt)
-            in_nbrs.setdefault(tgt, {}).setdefault(t, []).append(src)
+            out_nbrs.setdefault((src, t), []).append(tgt)
+            in_nbrs.setdefault((tgt, t), []).append(src)
             by_key.setdefault((t, src, tgt), []).append(e)
         self.nodes_by_type = by_type
         self.out_nbrs = out_nbrs
@@ -302,19 +300,21 @@ class Match(NamedTuple):
 def _match_plan(q: Model) -> tuple:
     """The pattern-only part of ``find_monomorphisms``'s search, which
     holds no host object: the sorted node ids, the static order, one step
-    per position in that order, each edge group's type, the indices of its
-    source and target among the sorted node ids and its size, and the
-    sorted edge ids with their (group, member) slots. A step is the node's
-    type, its per-type degrees as (side, type, count), its ties, and the
-    (side, placed end, type) of its first tie that is not a self-loop, or
-    None; side 0 reads a host node's outgoing neighbours and side 1 its
-    incoming ones."""
+    per position in that order, each pattern edge's ends as its type and
+    the indices of its source and target among the sorted node ids, and
+    the sorted edge ids, which the ends follow. A step is the node's type,
+    its per-type degrees as (side, type, count), its ties, and the (side,
+    placed end, type) of its first tie that is not a self-loop, or None;
+    side 0 reads a host node's outgoing neighbours and side 1 its incoming
+    ones."""
     q_idx = q.index()
     q_nodes = sorted(q.node_set)
-    q_out = {n: [(t, len(ns)) for t, ns in q_idx.out_nbrs.get(n, {}).items()] for n in q_nodes}
-    q_in = {n: [(t, len(ns)) for t, ns in q_idx.in_nbrs.get(n, {}).items()] for n in q_nodes}
+    degrees: dict[str, list[tuple[int, str, int]]] = {n: [] for n in q_nodes}
+    for side, nbrs in enumerate((q_idx.out_nbrs, q_idx.in_nbrs)):
+        for (n, t), ns in nbrs.items():
+            degrees[n].append((side, t, len(ns)))
     # Static order: highest total degree first, id as tie-break.
-    order = sorted(q_nodes, key=lambda n: (-sum(k for _, k in q_out[n] + q_in[n]), n))
+    order = sorted(q_nodes, key=lambda n: (-sum(k for _, _, k in degrees[n]), n))
     position = {n: i for i, n in enumerate(order)}
     ties: list[list[tuple[str, str, str, int]]] = [[] for _ in order]
     for (t, src, tgt), members in q_idx.edges_by_key.items():
@@ -322,14 +322,11 @@ def _match_plan(q: Model) -> tuple:
     steps = []
     for qv, qv_ties in zip(order, ties):
         seed = next(((1, g, t) if s == qv else (0, s, t) for t, s, g, _ in qv_ties if s != g), None)
-        degrees = [(0, t, k) for t, k in q_out[qv]] + [(1, t, k) for t, k in q_in[qv]]
-        steps.append((q.store.elem_type(qv), degrees, qv_ties, seed))
+        steps.append((q.store.elem_type(qv), degrees[qv], qv_ties, seed))
     q_pos = {n: i for i, n in enumerate(q_nodes)}
-    groups = list(q_idx.edges_by_key.items())
-    ends = [(t, q_pos[s], q_pos[g], len(members)) for (t, s, g), members in groups]
-    slot = {e: (gi, mi) for gi, (_, members) in enumerate(groups) for mi, e in enumerate(members)}
     q_edges = sorted(q.edge_set)
-    return q_nodes, order, steps, ends, q_edges, [slot[e] for e in q_edges]
+    ends = [(t, q_pos[s], q_pos[g]) for t, s, g in map(q.store._edges.__getitem__, q_edges)]
+    return q_nodes, order, steps, ends, q_edges
 
 
 @overload
@@ -367,13 +364,13 @@ def find_monomorphisms(
     pattern's.
 
     Edge images are assigned after the node map is complete, since they
-    are only ambiguous between parallel edges: a group's pattern edges
-    take the host's parallel edges between the mapped ends in any
-    injective way. Each pattern edge has a (group, member) slot, planned
-    once per pattern, kept on the pattern's index, that reads its image
-    from each such choice; a match zips the sorted pattern node ids with
-    their images, and the sorted pattern edge ids with their slots'
-    images.
+    are only ambiguous between parallel edges: each pattern edge, in
+    sorted id order, takes an edge from the host's group of its type
+    between its mapped ends, and a choice in which two pattern edges take
+    one host edge is skipped, so parallel pattern edges take distinct
+    host edges. The ends are planned once per pattern, kept on the
+    pattern's index; a match zips the sorted pattern node ids with their
+    images, and the sorted pattern edge ids with the chosen host edges.
 
     With ``presence``, a map from each host element to a version mask,
     only embeddings that some version in ``start`` (a non-negative mask,
@@ -411,7 +408,7 @@ def find_monomorphisms(
     q_idx = q.index()
     if q_idx.plan is None:
         q_idx.plan = _match_plan(q)
-    q_nodes, order, steps, ends, q_edges, slots = q_idx.plan
+    q_nodes, order, steps, ends, q_edges = q_idx.plan
     h_idx = host.index()
     h_type = host.store._nodes
     h_out, h_in, h_edges = h_idx.out_nbrs, h_idx.in_nbrs, h_idx.edges_by_key
@@ -434,7 +431,7 @@ def find_monomorphisms(
             pool = h_idx.nodes_by_type.get(qv_type, ())
         else:
             side, other, t = seed
-            pool = set(sides[side][assignment[other]][t])
+            pool = set(sides[side][assignment[other], t])
         # The node at i is not assigned yet and every other tie end is,
         # so assignment.get(end, h) maps a tie end to its host image.
         out = []
@@ -442,7 +439,7 @@ def find_monomorphisms(
             if h in used or h_type[h] != qv_type:
                 continue
             for nbrs, t, k in degrees:
-                if len(nbrs.get(h, _NO_NBRS).get(t, ())) < k:
+                if len(nbrs.get((h, t), ())) < k:
                     break
             else:
                 # An edge's presence lies within its ends', so only a node
@@ -484,25 +481,21 @@ def find_monomorphisms(
                 node_maps.append((tuple(map(assignment.__getitem__, q_nodes)), mask))
 
     # Assign edge images. The ties already checked that every group has
-    # enough host edges, so every node map yields.
+    # enough host edges, so every group is there and every node map yields.
     matches: list = []
     for images, node_mask in node_maps:
-        options = [
-            list(itertools.permutations(h_edges.get((t, images[s], images[g]), ()), k))
-            for t, s, g, k in ends
-        ]
-        assert all(options), "a node map lacks host edges that its ties checked"
         node_pairs = tuple(zip(q_nodes, images))
-        for combo in itertools.product(*options):
-            edge_images = [combo[g][m] for g, m in slots]
+        for combo in itertools.product(*[h_edges[t, images[s], images[g]] for t, s, g in ends]):
+            if len(set(combo)) < len(combo):  # parallel pattern edges took one host edge
+                continue
             if presence is None:
-                matches.append(Match(node_pairs, tuple(zip(q_edges, edge_images))))
+                matches.append(Match(node_pairs, tuple(zip(q_edges, combo))))
                 continue
             mask = node_mask
-            for e in edge_images:
+            for e in combo:
                 mask &= presence(e)
             if mask:
-                matches.append((Match(node_pairs, tuple(zip(q_edges, edge_images))), mask))
+                matches.append((Match(node_pairs, tuple(zip(q_edges, combo))), mask))
     matches.sort()
     return matches
 

@@ -235,6 +235,38 @@ def test_parallel_pattern_edges_need_distinct_host_edges():
     assert len(matches) == 2
     for m in matches:
         assert set(m.edge_map.values()) == {"h1", "h2"}
+    # Three parallel host edges: every ordered pair of distinct ones.
+    hs = ("h1", "h2", "h3")
+    triple = full_model(
+        build_store(
+            CLS_TG, {"x": "Class", "y": "Class"}, {h: ("superclass", "x", "y") for h in hs}
+        ),
+        CLS_TG,
+    )
+    matches = find_monomorphisms(pattern, triple)
+    pairs = [(m.edge_map["e1"], m.edge_map["e2"]) for m in matches]
+    assert sorted(pairs) == [(a, b) for a in hs for b in hs if a != b]
+    # Parallel self-loops take distinct host loops as well.
+    loops = make_pattern(
+        "loops",
+        CLS_TG,
+        {"a": "Class"},
+        {"e1": ("superclass", "a", "a"), "e2": ("superclass", "a", "a")},
+    )
+    looped = full_model(
+        build_store(CLS_TG, {"x": "Class"}, {h: ("superclass", "x", "x") for h in hs}),
+        CLS_TG,
+    )
+    matches = find_monomorphisms(loops, looped)
+    assert len(matches) == 6
+    assert all(m.edge_map["e1"] != m.edge_map["e2"] for m in matches)
+    # Masked: only h1 and h3 share a version, so only they pair up.
+    presence = {"x": 0b11, "y": 0b11, "h1": 0b01, "h2": 0b10, "h3": 0b01}.__getitem__
+    held = find_monomorphisms(pattern, triple, presence, 0b11)
+    assert [(m.edge_map["e1"], m.edge_map["e2"], mask) for m, mask in held] == [
+        ("h1", "h3", 0b01),
+        ("h3", "h1", 0b01),
+    ]
 
 
 def test_matcher_rejects_foreign_type_graph():
