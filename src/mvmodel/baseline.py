@@ -1,13 +1,14 @@
 """Per-version analyses computed the straightforward way.
 
-These walk the stored version models directly: check every version on
-its own, check every merge pair on its own. Merge pairs are taken base
-by base, so each span from a base to a version is built once. They are
-the reference route; the folded route in ``analysis`` must produce
-identical reports, and the oracle command diffs the two. Every model is
-matched from scratch, but the two check routes hold one ``Match`` object
-per distinct embedding, as the folded ones do: a match equal to one
-already reported is replaced by that object before it goes into a row.
+These walk the version models, which the history builds from its deltas:
+check every version on its own, check every merge pair on its own. Merge
+pairs are taken base by base, so each span from a base to a version is
+built once. They are the reference route; the folded route in
+``analysis`` must produce identical reports, and the oracle command diffs
+the two. Every model is matched from scratch, but the two check routes
+hold one ``Match`` object per distinct embedding, as the folded ones do: a
+match equal to one already reported is replaced by that object before it
+goes into a row.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from __future__ import annotations
 from .core import Pattern, pcheck
 from .merge import insert_delete_conflicts, merge_min
 from .reports import MergeConflictReport, MergeViolationReport, VersionedViolation
-from .versioning import ModelVersioning, check_lcp_mode
+from .versioning import ModelModification, ModelVersioning, check_lcp_mode
 
 
 def svm_check(versioning: ModelVersioning, patterns: list[Pattern]) -> list[list[VersionedViolation]]:
     """Pattern embeddings of every version: one list per pattern, in pattern
     order, sorted as built. Each version is visited once, in id order, for
-    every pattern, and its matcher index is let go before the next version's.
+    every pattern; the history builds each version's model as the walk
+    reaches it, and the model and its matcher index go with the next one.
     Each distinct match is held once, however many versions hold it."""
     new = tuple.__new__
     keep = {}.setdefault  # one object per distinct Match
@@ -29,7 +31,6 @@ def svm_check(versioning: ModelVersioning, patterns: list[Pattern]) -> list[list
     for vid, model in versioning.versions.items():
         for found, pattern in zip(out, patterns):
             found += [new(VersionedViolation, (vid, keep(m, m))) for m in pcheck(model, pattern)]
-        model._index = None  # one version's index alive at a time; a rebuild is identical
     return out
 
 
@@ -39,7 +40,8 @@ def _spans_by_base(versioning: ModelVersioning, lcp_mode: str):
     (``all``) or the least id (``single``). One pass over the merge-base
     table files each pair under its drawn bases; the walk then goes base by
     base, so each span from a base to a version is built once, and dropped
-    with the base's pairs when the walk moves on."""
+    with the base's pairs when the walk moves on. Each version's model is
+    built once per call, so one base's spans share its one model."""
     check_lcp_mode(lcp_mode)
     single = lcp_mode == "single"
     pairs_of: dict[str, list[tuple[str, str]]] = {}
@@ -47,9 +49,10 @@ def _spans_by_base(versioning: ModelVersioning, lcp_mode: str):
         if bases:
             for c in (min(bases),) if single else bases:
                 pairs_of.setdefault(c, []).append(pair)
+    models = dict(versioning.versions.items()) if pairs_of else {}
     while pairs_of:
         c, pairs = pairs_of.popitem()
-        span = {v: versioning.max_preserving_mod(c, v) for v in set().union(*pairs)}
+        span = {v: ModelModification(models[c], models[v], c, v) for v in set().union(*pairs)}
         for i, j in pairs:
             yield i, j, c, span[i], span[j]
 

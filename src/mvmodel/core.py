@@ -180,6 +180,16 @@ class Model:
             raise
         self._index: _ModelIndex | None = None
 
+    @classmethod
+    def _wrap(cls, store: ElementStore, type_graph: TypeGraph,
+              node_set: frozenset[NodeId], edge_set: frozenset[EdgeId]) -> "Model":
+        """A model over frozensets that already hold the store's own ids,
+        taken as they are: no lookup, no copy."""
+        model = cls.__new__(cls)
+        model.store, model.type_graph = store, type_graph
+        model.node_set, model.edge_set, model._index = node_set, edge_set, None
+        return model
+
     def __eq__(self, other: object) -> bool:
         return other is self or (
             isinstance(other, Model)

@@ -218,21 +218,10 @@ def write_corpus(versioning: ModelVersioning) -> bytes:
 
 def _sorted_members(versioning: ModelVersioning) -> dict[str, tuple[list[str], list[str]]]:
     """Each version's node and edge ids in id order. The root's are
-    sorted; every other version's are derived from the lists of its first
-    parent in ``order``, by the deltas of the span between them, which
-    validation kept."""
-    root = versioning.versions[versioning.root]
-    out = {versioning.root: (sorted(root.node_set), sorted(root.edge_set))}
-    for v in versioning.order:
-        nodes, edges = out[v]
-        for w in versioning.successors(v):
-            if w not in out:
-                span = versioning.spans[v, w]
-                out[w] = (
-                    _edited(nodes, span.deleted_nodes, span.created_nodes),
-                    _edited(edges, span.deleted_edges, span.created_edges),
-                )
-    return out
+    sorted; every other version's are derived from its parent's lists by
+    the deltas of the span between them, which the history keeps."""
+    nodes, edges = versioning.root_members
+    return dict(versioning.replay((sorted(nodes), sorted(edges)), _edited))
 
 
 def _edited(ids: list[str], deleted, created) -> list[str]:

@@ -67,53 +67,58 @@ def total(groups: Groups) -> int:
 
 
 def _chunks(groups: Groups, template, render, encode) -> Iterable[list[str]]:
-    """Every report as a row, in lists of at most ``_CHUNK``: one ``%``-template
-    per group applied to a tuple of strings. ``template(kind, keys)`` gets
-    ``(key, field, part)`` per output key (field None for the pattern name,
-    part j of a Match, else None) and returns the template and the keys in
-    its order. Names and values are arguments, never pasted into the
-    template; each distinct Match's parts are ``render``ed once, and other
-    values ``encode``d. A report the template takes as it is (a text conflict
-    line) is its own row's tuple; other rows are zipped from columns."""
+    """Every report as a row, in lists of at most ``_CHUNK``: one template
+    per group, its literal pieces joined with the row's values.
+    ``template(kind, keys)`` gets ``(key, field, part)`` per output key
+    (field None for the pattern name, part j of a Match, else None) and
+    returns the pieces that go before, between and after the values, and
+    the keys in their order. Names and values are joined in, never pasted
+    into the pieces; each Match object's parts are ``render``ed once, and
+    other values ``encode``d. Both routes hold one object per distinct
+    Match, so the cache is keyed by object, which the reports keep alive."""
     for name, reports in groups:
         if not reports:
             continue
         first = reports[0]
-        done: dict[Match, tuple[str, ...]] = {}
-        cell = lambda m: done.get(m) or done.setdefault(m, tuple(map(render, m)))
+        done: dict[int, tuple[str, ...]] = {}
+        cell = lambda m: done.get(id(m)) or done.setdefault(id(m), tuple(map(render, m)))
         keys = [("pattern", None, None)] * (name is not None)
         for k, (field, value) in enumerate(zip(first._fields, first)):
             parts = enumerate(value._fields) if isinstance(value, Match) else [(None, field)]
             keys += [(key, k, j) for j, key in parts]
-        row, keys = template(_KINDS[type(first)], keys)
-        as_is = encode is None and keys == [(f, k, None) for k, f in enumerate(first._fields)]
+        pieces, keys = template(_KINDS[type(first)], keys)
         matched = {k for _, k, j in keys if j is not None}
         name = encode(name) if encode and name is not None else name
         for start in range(0, len(reports), _CHUNK):
             chunk = reports[start : start + _CHUNK]
-            if as_is:
-                yield list(map(row.__mod__, chunk))
-                continue
             fields = list(zip(*chunk))
             rendered = {k: list(zip(*map(cell, fields[k]))) for k in matched}
-            columns = [repeat(name) if k is None else rendered[k][j] if j is not None
-                       else map(encode, fields[k]) if encode else fields[k] for _, k, j in keys]
-            yield list(map(row.__mod__, zip(*columns)))
+            columns = [repeat(pieces[0])]
+            for piece, (_, k, j) in zip(pieces[1:], keys):
+                columns.append(repeat(name) if k is None else rendered[k][j] if j is not None
+                               else map(encode, fields[k]) if encode else fields[k])
+                columns.append(repeat(piece))
+            yield list(map("".join, zip(*columns)))
 
 
 def write_text(groups: Groups, write: Callable[[str], object]) -> None:
     """Text lines: the kind, then ``key=value`` for the pattern name when
     there is one and for each field, a Match as ``nodes=`` and ``edges=``
     lists of ``pattern id:host id``; then ``total N``."""
-    text_row = lambda kind, keys: (" ".join([kind] + [f"{k}=%s" for k, *_ in keys]), keys)
-    for lines in _chunks(groups, text_row, lambda pairs: ",".join(map(":".join, pairs)), None):
+    for lines in _chunks(groups, _text_row, lambda pairs: ",".join(map(":".join, pairs)), None):
         write("\n".join(lines) + "\n")
     write(f"total {total(groups)}\n")
 
 
-def _json_row(kind: str, keys: list[tuple]) -> tuple[str, list[tuple]]:
+def _text_row(kind: str, keys: list[tuple]) -> tuple[list[str], list[tuple]]:
+    heads = [f" {k}=" for k, *_ in keys]
+    return [kind + heads[0], *heads[1:], ""], keys
+
+
+def _json_row(kind: str, keys: list[tuple]) -> tuple[list[str], list[tuple]]:
     keys = sorted(keys)  # by key: no two keys of a row share a name
-    return "    {\n" + ",\n".join(f'      "{k}": %s' for k, *_ in keys) + "\n    }", keys
+    heads = [f'      "{k}": ' for k, *_ in keys]
+    return ["    {\n" + heads[0], *[",\n" + head for head in heads[1:]], "\n    }"], keys
 
 
 def write_json(groups: Groups, command: str, key: str, write: Callable[[str], object]) -> None:

@@ -4,23 +4,26 @@ A span, the ``ModelModification`` from one version to another, is
 maximally preserving by construction, as all versions share one element
 store: an element survives exactly when it is in both versions. It holds
 its four deltas (created and deleted nodes and edges), computed once when
-it is built; the delta proof and the merges in ``mvmodel.merge`` read them.
+it is built; the merges in ``mvmodel.merge`` read them.
 
 ``VersionDag`` is the history without its models: the ids, the root and
 the modifications, checked for shape. It owns the version sets, each one
 a bitmask whose bit k stands for the k-th id in id order: the ancestor and
 descendant masks, ``reach`` and the merge bases that each lcp mode draws.
 The fold in ``mvmodel.mvm`` and its analyses read only the DAG.
-``ModelVersioning`` is a ``VersionDag`` plus a model per version; its
-validation keeps the union ``Model`` and the creation and deletion marks,
-which every fold of the history wraps.
-"""
+``ModelVersioning`` is a ``VersionDag`` plus its deltas: the root's
+members and one ``Delta`` per modification, from which ``versions``
+builds each version's model on access. Its validation keeps the union
+``Model`` and the creation and deletion marks, which every fold of the
+history wraps."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from collections import Counter
+from collections.abc import ItemsView, Mapping, ValuesView
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import ElementStore, Model, TypeGraph
+from .core import Model
 from .errors import (
     CycleDetected,
     InvalidVersion,
@@ -54,6 +57,21 @@ def _deltas(source: frozenset[str], target: frozenset[str]) -> tuple[frozenset, 
         return created, (source - target if len(created) > grow else _EMPTY)
     deleted = source - target
     return (target - source if len(deleted) > -grow else _EMPTY), deleted
+
+
+class Delta(NamedTuple):
+    """A span's four deltas: what its target adds to its source and what it
+    drops, by kind. A history keeps one per modification."""
+
+    created_nodes: frozenset[str]
+    deleted_nodes: frozenset[str]
+    created_edges: frozenset[str]
+    deleted_edges: frozenset[str]
+
+    @classmethod
+    def between(cls, source: Model, target: Model) -> "Delta":
+        return cls(*_deltas(source.node_set, target.node_set),
+                   *_deltas(source.edge_set, target.edge_set))
 
 
 class ModelModification:
@@ -286,7 +304,16 @@ class VersionDag:
 class ModelVersioning(VersionDag):
     """A version DAG whose versions are models over one element store;
     construction validates it (see ``validate``), so every instance is well
-    formed."""
+    formed.
+
+    It holds its deltas, not its versions: the root's node and edge sets
+    (``root_members``) and, in ``spans``, each modification's ``Delta``. The models it is given are
+    read by validation and then dropped. ``versions`` is a read-only
+    mapping that builds each model on access: ``version`` replays the
+    deltas along one path from the root, through each version's least
+    parent, and ``replay`` builds every version in id order, each from
+    that parent's member sets.
+    """
 
     def __init__(
         self,
@@ -294,46 +321,78 @@ class ModelVersioning(VersionDag):
         modifications: Iterable[tuple[VersionId, VersionId]],
         root: VersionId,
     ):
-        self.versions: dict[VersionId, Model] = dict(sorted(versions.items()))
-        super().__init__(self.versions, modifications, root)
+        self._given: dict[VersionId, Model] | None = dict(sorted(versions.items()))
+        super().__init__(self._given, modifications, root)
+        self._given = None
 
     # -- basic access ---------------------------------------------------
 
+    @property
+    def versions(self) -> Mapping[VersionId, Model]:
+        """Each version's model, by id; iteration goes in id order."""
+        return _Versions(self)
+
     def version(self, version_id: VersionId) -> Model:
-        try:
-            return self.versions[version_id]
-        except KeyError:
-            raise UnknownVersion(version_id) from None
+        if version_id not in self.position:
+            raise UnknownVersion(version_id)
+        path = []
+        while version_id != self.root:
+            parent = self._pred[version_id][0]
+            path.append((parent, version_id))
+            version_id = parent
+        members = self.root_members
+        for span in reversed(path):
+            members = _step(members, self.spans[span], _edit)
+        return Model._wrap(self.store, self.type_graph, *members)
 
-    @property
-    def store(self) -> "ElementStore":
-        return self.version(self.root).store
+    def replay(self, root: tuple, edit: Callable) -> Iterator[tuple[VersionId, tuple]]:
+        """Yield (version id, members) for every version, in id order. The
+        root's members are ``root``, a (nodes, edges) pair; every other
+        version's are its least parent's, edited per kind by ``edit(ids,
+        deleted, created)`` with the deltas of the span between them.
 
-    @property
-    def type_graph(self) -> "TypeGraph":
-        return self.version(self.root).type_graph
+        Each version is built once, from that parent. A pair is held until
+        it is yielded and every version built from it is built; a parent
+        that comes later in id order is built first, on demand."""
+        parent = {v: ps[0] for v, ps in self._pred.items() if ps}
+        spans = self.spans
+        waiting = Counter(parent.values())  # per version: its unbuilt children,
+        waiting.update(self.ids)  # and its own yield
+        held = {self.root: root}
+        for vid in self.ids:
+            path, v = [], vid
+            while v not in held:
+                path.append(v)
+                v = parent[v]
+            for w in reversed(path):
+                held[w] = _step(held[v], spans[v, w], edit)
+                waiting[v] -= 1
+                if not waiting[v]:
+                    del held[v]
+                v = w
+            yield vid, held[vid]
+            waiting[vid] -= 1
+            if not waiting[vid]:
+                del held[vid]
 
     def __eq__(self, other: object) -> bool:
-        """Value equality: same shape and same element content.
+        """Value equality: same shape and same element content, compared
+        on the root's members and the spans' deltas.
 
         Unlike Model equality this does not require store identity, so a
         versioning equals its serialization round trip.
         """
         if not isinstance(other, ModelVersioning):
             return NotImplemented
-        if (
-            self.root != other.root
-            or self.modifications != other.modifications
-            or list(self.versions) != list(other.versions)
-        ):
-            return False
-        for vid, m in self.versions.items():
-            o = other.versions[vid]
-            if m.node_set != o.node_set or m.edge_set != o.edge_set:
-                return False
-            if m.type_graph != o.type_graph:
-                return False
-        return self.store.snapshot() == other.store.snapshot()
+        return (
+            self.root == other.root
+            and self.modifications == other.modifications
+            and self.ids == other.ids
+            and self.type_graph == other.type_graph
+            and self.root_members == other.root_members
+            and self.spans == other.spans
+            and self.store.snapshot() == other.store.snapshot()
+        )
 
     # -- validation -----------------------------------------------------
 
@@ -344,29 +403,32 @@ class ModelVersioning(VersionDag):
         marks (``_valid_by_delta``); only when that fails, or the shape is
         bad, is every version checked in full, in id order, so
         ``InvalidVersion`` names the first broken one and wins over
-        ``CycleDetected`` and ``NoCommonRoot``."""
+        ``CycleDetected`` and ``NoCommonRoot``. It reads the given models
+        during construction, and the replayed ones afterwards."""
         try:
             super().validate()
             shape_error = None
         except (CycleDetected, NoCommonRoot) as err:
             shape_error = err
-        ref = next(iter(self.versions.values()))
-        for vid, m in self.versions.items():
+        models = self._given if self._given is not None else dict(self.versions.items())
+        ref = next(iter(models.values()))
+        for vid, m in models.items():
             if m.store is not ref.store:
                 raise StoreMismatch(f"version {vid!r} uses a different element store")
             if m.type_graph != ref.type_graph:
                 raise InvalidVersion(vid, ValidationError("type graph differs between versions"))
-        if shape_error is None and self._valid_by_delta():
+        self.store, self.type_graph = ref.store, ref.type_graph
+        if shape_error is None and self._valid_by_delta(models):
             return
-        for vid in self.versions:
+        for vid, m in models.items():
             try:
-                core.validate_model(self.versions[vid])
+                core.validate_model(m)
             except Exception as err:
                 raise InvalidVersion(vid, err) from err
         if shape_error is not None:
             raise shape_error
 
-    def _valid_by_delta(self) -> bool:
+    def _valid_by_delta(self, models: Mapping[VersionId, Model]) -> bool:
         """Whether a history of valid shape is valid, proven without
         visiting a version in full; False when a version is invalid.
 
@@ -383,17 +445,18 @@ class ModelVersioning(VersionDag):
         node deleted from a keeps an incident edge in b; by induction from
         the empty model it holds for every version.
 
-        Each span is built once and kept: ``spans`` maps each modification
-        to its span; ``union`` is the union as a ``Model``; ``cv`` and
-        ``dv`` map each element to the mask of the versions that create and
-        delete it (span (a, b) marks at b what b adds to a and what it
-        drops)."""
-        store, tg = self.store, self.type_graph
-        self.spans = {(a, b): self.max_preserving_mod(a, b) for a, b in self.modifications}
-        spans = [ModelModification(Model(store, tg), self.versions[self.root], "", self.root)]
-        spans += self.spans.values()
-        nodes = frozenset().union(*(span.created_nodes for span in spans))
-        edges = frozenset().union(*(span.created_edges for span in spans))
+        What the history keeps is set here: ``spans`` maps each
+        modification to its ``Delta``; ``union`` is the union as a
+        ``Model``; ``cv`` and ``dv`` map each element to the mask of the
+        versions that create and delete it (span (a, b) marks at b what b
+        adds to a and what it drops); and ``root_members``, from which
+        ``version`` and ``replay`` start."""
+        store, tg, root = self.store, self.type_graph, models[self.root]
+        self.spans = {(a, b): Delta.between(models[a], models[b]) for a, b in self.modifications}
+        spans = [(self.root, Delta.between(Model(store, tg), root))]
+        spans += [(b, delta) for (_, b), delta in self.spans.items()]
+        nodes = frozenset().union(*(delta.created_nodes for _, delta in spans))
+        edges = frozenset().union(*(delta.created_edges for _, delta in spans))
         # The store's tables, read directly: a method call per element would
         # cost more than the check it makes.
         node_type, edge_decl = store._nodes, store._edges
@@ -410,18 +473,19 @@ class ModelVersioning(VersionDag):
         cv: dict[str, int] = {}
         dv: dict[str, int] = {}
         position = self.position
-        for span in spans:
-            tgt, bit = span.target, 1 << position[span.target_id]
-            if not all(tgt.node_set.issuperset(edge_decl[e][1:]) for e in span.created_edges):
+        for target, delta in spans:
+            tgt, bit = models[target], 1 << position[target]
+            if not all(tgt.node_set.issuperset(edge_decl[e][1:]) for e in delta.created_edges):
                 return False
-            if not all(tgt.edge_set.isdisjoint(incident.get(n, ())) for n in span.deleted_nodes):
+            if not all(tgt.edge_set.isdisjoint(incident.get(n, ())) for n in delta.deleted_nodes):
                 return False
-            for x in span.created_edges.union(span.created_nodes):
+            for x in delta.created_edges.union(delta.created_nodes):
                 cv[x] = cv.get(x, 0) | bit
-            for x in span.deleted_nodes.union(span.deleted_edges):
+            for x in delta.deleted_nodes.union(delta.deleted_edges):
                 dv[x] = dv.get(x, 0) | bit
         self.union = Model(store, tg, nodes, edges)
         self.cv, self.dv = cv, dv
+        self.root_members = (root.node_set, root.edge_set)
         return True
 
     # -- spans ------------------------------------------------------------
@@ -429,6 +493,68 @@ class ModelVersioning(VersionDag):
     def max_preserving_mod(self, i: VersionId, j: VersionId) -> ModelModification:
         """The span from version i to version j that preserves their intersection."""
         return ModelModification(self.version(i), self.version(j), i, j)
+
+
+class _Versions(Mapping):
+    """A history's versions as a read-only mapping from id to ``Model``,
+    each built on access; ``items`` and ``values`` build them in one
+    ``replay``. Unknown ids raise KeyError."""
+
+    __slots__ = ("_history",)
+
+    def __init__(self, history: ModelVersioning):
+        self._history = history
+
+    def __getitem__(self, version_id: VersionId) -> Model:
+        if version_id not in self._history.position:
+            raise KeyError(version_id)
+        return self._history.version(version_id)
+
+    def __contains__(self, version_id: object) -> bool:
+        return version_id in self._history.position
+
+    def __iter__(self) -> Iterator[VersionId]:
+        return iter(self._history.ids)
+
+    def __len__(self) -> int:
+        return len(self._history.ids)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    def __iter__(self) -> Iterator[tuple[VersionId, Model]]:
+        h = self._mapping._history
+        wrap, store, tg = Model._wrap, h.store, h.type_graph
+        for vid, members in h.replay(h.root_members, _edit):
+            yield vid, wrap(store, tg, *members)
+
+
+class _Values(ValuesView):
+    def __iter__(self) -> Iterator[Model]:
+        return (model for _, model in _Items(self._mapping))
+
+
+def _step(members: tuple, delta: Delta, edit: Callable) -> tuple:
+    """A (nodes, edges) pair carried across a span: ``edit`` applied to each
+    kind with that kind's deleted and created ids."""
+    nodes, edges = members
+    return (edit(nodes, delta.deleted_nodes, delta.created_nodes),
+            edit(edges, delta.deleted_edges, delta.created_edges))
+
+
+def _edit(ids: frozenset[str], deleted: frozenset[str], created: frozenset[str]) -> frozenset[str]:
+    """``ids`` without ``deleted`` and with ``created``: the same object when
+    both are empty, so a kind that a span leaves alone shares its set."""
+    if deleted:
+        ids = ids - deleted
+    if created:
+        ids = ids | created
+    return ids
 
 
 def _closure(visit: Iterable[VersionId], position: dict, links: dict) -> list[int]:

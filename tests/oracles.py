@@ -120,7 +120,7 @@ def fold_marks(versioning: ModelVersioning):
     read off every version and modification: the root creates its
     elements, and each modification (a, b) creates at b what b adds to a
     and deletes at b what b drops from a."""
-    versions = versioning.versions
+    versions = dict(versioning.versions.items())  # each version built once
     nodes = set().union(*(m.node_set for m in versions.values()))
     edges = set().union(*(m.edge_set for m in versions.values()))
     root = versions[versioning.root]

@@ -29,8 +29,9 @@ POOL_EDGES = {
 }
 
 
-def drawn_history(draw, count: int, type_graph: TypeGraph, nodes, edges) -> ModelVersioning:
-    """A history of ``count`` versions over a pool of nodes and edges.
+def drawn_history(draw, count: int, type_graph: TypeGraph, nodes, edges) -> tuple[dict, set, str]:
+    """The models, modifications and root of a history of ``count``
+    versions over a pool of nodes and edges.
 
     The modifications form a random DAG in which every version but the
     root has 1-3 parents among the versions drawn before it. Each version
@@ -50,14 +51,23 @@ def drawn_history(draw, count: int, type_graph: TypeGraph, nodes, edges) -> Mode
         if k:
             parents = draw(st.sets(st.sampled_from(ids[:k]), min_size=1, max_size=min(3, k)))
             modifications |= {(p, vid) for p in parents}
-    return ModelVersioning(versions, modifications, ids[0])
+    return versions, modifications, ids[0]
+
+
+@st.composite
+def history_args(draw, max_versions: int = 8) -> tuple[dict, set, str]:
+    """The models, modifications and root of an arbitrary valid history
+    over the OO pool (see ``drawn_history``)."""
+    count = draw(st.integers(2, max_versions))
+    return drawn_history(draw, count, oo_type_graph(), POOL_NODES, POOL_EDGES)
 
 
 @st.composite
 def histories(draw, max_versions: int = 8) -> ModelVersioning:
-    """An arbitrary valid history over the OO pool (see ``drawn_history``)."""
+    """An arbitrary valid history over the OO pool (see ``drawn_history``),
+    drawn as ``history_args`` draws its arguments."""
     count = draw(st.integers(2, max_versions))
-    return drawn_history(draw, count, oo_type_graph(), POOL_NODES, POOL_EDGES)
+    return ModelVersioning(*drawn_history(draw, count, oo_type_graph(), POOL_NODES, POOL_EDGES))
 
 
 def drawn_edge(draw, edge_type: str, end_types: tuple[str, str], nodes: dict[str, str]):
@@ -93,7 +103,8 @@ def typed_histories(draw, max_versions: int = 6) -> ModelVersioning:
         edge = drawn_edge(draw, t, edge_types[t], nodes)
         if edge:
             edges[f"x{k}"] = edge
-    return drawn_history(draw, draw(st.integers(2, max_versions)), type_graph, nodes, edges)
+    count = draw(st.integers(2, max_versions))
+    return ModelVersioning(*drawn_history(draw, count, type_graph, nodes, edges))
 
 
 @st.composite

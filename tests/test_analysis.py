@@ -303,28 +303,31 @@ def test_folded_check_equals_per_version_check(seed):
 @pytest.mark.parametrize("source", ["oo_project", "generated"])
 def test_svm_check_builds_each_version_index_once_and_lets_it_go(data_dir, monkeypatch, source):
     """The per-version check visits each version once for all patterns:
-    no version's matcher index is built twice during the call, none is
-    held when it returns, and every list is what the brute-force matcher
-    finds in each version, in id order."""
+    it builds exactly one matcher index per version during the call, no
+    version model it built is reachable when it returns, and every list is
+    what the brute-force matcher finds in each version, in id order."""
     if source == "oo_project":
         versioning = parse_corpus((data_dir / "oo_project.corpus.json").read_bytes())
     else:
         versioning = generate_versioning(acceptance_params(13))
     patterns = oo_constraint_patterns()
-    builds: Counter = Counter()
+    store = versioning.store
+    builds = 0
     index = Model.index
 
     def counted(model):
-        if model._index is None:
-            builds[id(model)] += 1
+        nonlocal builds
+        if model._index is None and model.store is store:
+            builds += 1
         return index(model)
 
     monkeypatch.setattr(Model, "index", counted)
     found = svm_check(versioning, patterns)
     monkeypatch.undo()
-    models = versioning.versions.values()
-    assert [builds[id(model)] for model in models] == [1] * len(models)
-    assert [model._index for model in models] == [None] * len(models)
+    assert builds == len(versioning.ids)
+    gc.collect()
+    alive = [x for x in gc.get_objects() if isinstance(x, Model) and x.store is store]
+    assert alive == [versioning.union]
     assert found == [
         [VersionedViolation(v, m) for v, model in versioning.versions.items()
          for m in brute_force_monomorphisms(pattern, model)]

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib.util
 import json
 import sys
+import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -25,8 +28,11 @@ from mvmodel import (
     generate_versioning,
     oo_constraint_patterns,
     parse_constraints,
+    pcheck_mv,
     parse_corpus,
     parse_generator_params,
+    svm_check,
+    svm_conflicts,
     write_constraints,
     write_corpus,
     write_generator_params,
@@ -150,16 +156,18 @@ def test_corpus_accepts_minimal_document():
     assert versioning.version("v").edge_set == {"e"}
 
 
+WIDE_RARE_LIKE = GeneratorParams(seed=3, base_size=100, branch_factor=2, version_count=12,
+                                 edits_per_modification=2, deletion_bias=0.95)
+
+
 @pytest.mark.parametrize("source", ["running", "oo_project", "wide-rare-like"])
 def test_a_parsed_history_holds_each_element_id_once(source):
-    """Every id that the parsed history holds, in its versions, its union,
-    its spans' deltas and its edges' endpoints, is the object that the
-    store registered, so the decoded copies are gone and the set algebra
-    meets identical objects."""
+    """Every id that the parsed history holds, in the models its versions
+    view builds, its union, its spans' deltas and its edges' endpoints, is
+    the object that the store registered, so the decoded copies are gone
+    and the set algebra meets identical objects."""
     if source == "wide-rare-like":  # big models, few edits, at a tenth of the size
-        params = GeneratorParams(seed=3, base_size=100, branch_factor=2, version_count=12,
-                                 edits_per_modification=2, deletion_bias=0.95)
-        data = write_corpus(generate_versioning(params))
+        data = write_corpus(generate_versioning(WIDE_RARE_LIKE))
     else:
         data = (ROOT / "data" / f"{source}.corpus.json").read_bytes()
     versioning = parse_corpus(data)
@@ -168,13 +176,61 @@ def test_a_parsed_history_holds_each_element_id_once(source):
     held = [*versioning.union.node_set, *versioning.union.edge_set]
     for m in versioning.versions.values():
         held += [*m.node_set, *m.edge_set]
-    for span in versioning.spans.values():
-        held += [*span.created_nodes, *span.deleted_nodes,
-                 *span.created_edges, *span.deleted_edges]
+    for delta in versioning.spans.values():
+        held += [*delta.created_nodes, *delta.deleted_nodes,
+                 *delta.created_edges, *delta.deleted_edges]
     for e in store.edge_ids():
         held += store.endpoint(e)
     assert all(x is registered[x] for x in held)
     assert len({id(x) for x in (*registered, *held)}) == len(store)
+
+
+def _models_reached(start: object, stop: tuple) -> list[Model]:
+    """Every Model reachable from ``start`` over ``gc.get_referents``,
+    not going through ``stop``, classes, modules or functions."""
+    opaque = (type, types.ModuleType, types.FunctionType)
+    seen = {id(x) for x in (start, *stop)}
+    todo, found = [start], []
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Model):
+            found.append(x)
+        for y in gc.get_referents(x):
+            if id(y) not in seen and not isinstance(y, opaque):
+                seen.add(id(y))
+                todo.append(y)
+    return found
+
+
+@pytest.mark.parametrize("source", ["parsed", "generated"])
+def test_a_history_holds_no_model_but_its_union(source):
+    """A history holds its deltas, not its versions: after construction,
+    and after both per-version routes have read its versions, the union
+    is the only model reachable from it."""
+    versioning = generate_versioning(WIDE_RARE_LIKE)
+    if source == "parsed":
+        versioning = parse_corpus(write_corpus(versioning))
+    patterns = oo_constraint_patterns()
+    assert svm_check(versioning, patterns) == [pcheck_mv(comb(versioning), p) for p in patterns]
+    svm_conflicts(versioning)
+    stop = (versioning.store, versioning.type_graph)
+    assert _models_reached(versioning, stop) == [versioning.union]
+
+
+def test_a_parsed_wide_rare_history_holds_under_2_mib():
+    """perfbench's wide-rare shape: 120 versions of about 2,000 elements.
+    Its version models would hold over 7 MiB; the history holds its store,
+    its union, the root's members and the spans' deltas."""
+    data = write_corpus(generate_versioning(GeneratorParams(**_perfbench_run().SHAPES["wide-rare"])))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        versioning = parse_corpus(data)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(versioning.ids) == 120
+    assert held < 2 * 2**20
 
 
 def test_corpus_rejects_unknown_element_in_version():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given, settings
 
 from mvmodel import (
     CycleDetected,
@@ -17,10 +20,14 @@ from mvmodel import (
     UnknownVersion,
     ValidationError,
     VersionDag,
+    comb,
     generate_versioning,
+    parse_corpus,
+    write_corpus,
 )
 from conftest import assert_one_numbering, build_store, merge_history, rename_versions
 from oracles import latest_common_predecessors, predecessors, preserved
+from strategies import history_args
 
 TG = TypeGraph({"N"}, {"link": ("N", "N")})
 WIDER_TG = TypeGraph({"N", "M"}, {"link": ("N", "N")})  # TG plus an unused node type
@@ -353,3 +360,94 @@ def test_linear_chain_has_no_merge_partners(seed):
     assert all(not b for b in v.latest_common_predecessor_table().values())
     assert v.merge_partners == [0] * len(v.ids)
     assert v.mergeable == 0
+
+
+def _given_and_parsed(seed: int) -> tuple[dict, ModelVersioning]:
+    """A generated history parsed back, with the models that its corpus
+    document lists, built over the parsed history's store."""
+    doc = write_corpus(merge_history(seed))
+    versioning = parse_corpus(doc)
+    store, tg = versioning.store, versioning.type_graph
+    given = {v: Model(store, tg, m["nodes"], m["edges"])
+             for v, m in json.loads(doc)["versions"].items()}
+    return given, versioning
+
+
+def assert_views_the_models(versioning: ModelVersioning, given: dict) -> None:
+    """The versions view holds exactly ``given``, in id order, however it
+    is read."""
+    view = versioning.versions
+    assert list(view) == sorted(given) and len(view) == len(given)
+    assert [v for v, _ in view.items()] == sorted(given)
+    assert dict(view.items()) == given
+    assert list(view.values()) == [given[v] for v in sorted(given)]
+    for v, m in given.items():
+        assert v in view
+        assert view[v] == m
+        assert versioning.version(v) == m
+
+
+@settings(max_examples=100, deadline=None)
+@given(history_args())
+def test_the_versions_view_builds_the_given_models(args):
+    models, mods, root = args
+    versioning = ModelVersioning(models, mods, root)
+    assert_views_the_models(versioning, models)
+    # A kind that a span leaves alone shares its parent's set.
+    by_id = dict(versioning.versions.items())
+    for (a, b), delta in versioning.spans.items():
+        if not delta.created_nodes and not delta.deleted_nodes and versioning._pred[b][0] == a:
+            assert by_id[b].node_set is by_id[a].node_set
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_versions_view_builds_renamed_histories_off_topological_order(seed):
+    given, versioning = _given_and_parsed(seed)
+    assert versioning.ids[-1] == versioning.root  # id order is not topological
+    assert_views_the_models(versioning, given)
+    renamed = rename_versions(versioning, seed + 1)
+    mvm = comb(renamed)
+    built = dict(renamed.versions.items())
+    assert sorted(built) == list(renamed.ids)
+    for v, m in built.items():
+        assert renamed.version(v) == m == mvm.proj(v)
+    assert sorted(map(members, built.values())) == sorted(map(members, given.values()))
+
+
+def members(model: Model) -> tuple[list[str], list[str]]:
+    return sorted(model.node_set), sorted(model.edge_set)
+
+
+def test_the_versions_view_rejects_unknown_ids():
+    given, versioning = _given_and_parsed(0)
+    with pytest.raises(KeyError):
+        versioning.versions["x"]
+    with pytest.raises(UnknownVersion):
+        versioning.version("x")
+    assert "x" not in versioning.versions
+    assert versioning.versions.get("x") is None
+
+
+def test_a_built_history_validates_again_unchanged():
+    given, versioning = _given_and_parsed(1)
+    spans, union = versioning.spans, versioning.union
+    versioning.validate()
+    assert versioning.spans == spans and versioning.union == union
+    assert_views_the_models(versioning, given)
+
+
+def test_history_equality_compares_the_deltas():
+    versioning = merge_history(2)
+    data = write_corpus(versioning)
+    assert parse_corpus(data) == versioning
+    # Drop one edge from one version that no other version descends from:
+    # the history stays valid, and only the deltas of the spans into it change.
+    doc = json.loads(data)
+    parents = {a for a, _ in doc["modifications"]}
+    leaf = next(v for v in sorted(doc["versions"]) if v not in parents and doc["versions"][v]["edges"])
+    doc["versions"][leaf]["edges"].pop()
+    changed = parse_corpus(json.dumps(doc))
+    assert changed != versioning
+    assert changed.root == versioning.root and changed.modifications == versioning.modifications
+    differ = [k for k in versioning.spans if changed.spans[k] != versioning.spans[k]]
+    assert differ and all(b == leaf for _, b in differ)
