@@ -42,7 +42,6 @@ from .errors import (
     NoCommonRoot,
     NotStructural,
     ParamError,
-    SourceMismatch,
     StoreMismatch,
     TooManyConflicts,
     TypeGraphMismatch,
@@ -96,7 +95,6 @@ __all__ = [
     "NotStructural",
     "ParamError",
     "Pattern",
-    "SourceMismatch",
     "StoreMismatch",
     "TooManyConflicts",
     "TypeGraph",

@@ -35,13 +35,13 @@ def svm_check(versioning: ModelVersioning, patterns: list[Pattern]) -> list[list
 
 
 def _spans_by_base(versioning: ModelVersioning, lcp_mode: str):
-    """Yield (left, right, base, left span, right span) for every mergeable
-    pair and each of its merge bases that ``lcp_mode`` draws: every base
-    (``all``) or the least id (``single``). One pass over the merge-base
-    table files each pair under its drawn bases; the walk then goes base by
-    base, so each span from a base to a version is built once, and dropped
-    with the base's pairs when the walk moves on. Each version's model is
-    built once per call, so one base's spans share its one model."""
+    """Yield (left, right, base, base model, left span, right span) for
+    every mergeable pair and each of its merge bases that ``lcp_mode``
+    draws: every base (``all``) or the least id (``single``). One pass over
+    the merge-base table files each pair under its drawn bases; the walk
+    then goes base by base, so each span from a base to a version is built
+    once, and dropped with the base's pairs when the walk moves on. Each
+    version's model is built once per call."""
     check_lcp_mode(lcp_mode)
     single = lcp_mode == "single"
     pairs_of: dict[str, list[tuple[str, str]]] = {}
@@ -52,9 +52,10 @@ def _spans_by_base(versioning: ModelVersioning, lcp_mode: str):
     models = dict(versioning.versions.items()) if pairs_of else {}
     while pairs_of:
         c, pairs = pairs_of.popitem()
-        span = {v: ModelModification(models[c], models[v], c, v) for v in set().union(*pairs)}
+        base = models[c]
+        span = {v: ModelModification.between(base, models[v]) for v in set().union(*pairs)}
         for i, j in pairs:
-            yield i, j, c, span[i], span[j]
+            yield i, j, c, base, span[i], span[j]
 
 
 def svm_conflicts(versioning: ModelVersioning, lcp_mode: str = "all") -> list[MergeConflictReport]:
@@ -63,8 +64,9 @@ def svm_conflicts(versioning: ModelVersioning, lcp_mode: str = "all") -> list[Me
     holds no duplicate."""
     new = tuple.__new__  # builds a report without a Python frame
     out: list[MergeConflictReport] = []
-    for i, j, c, m1, m2 in _spans_by_base(versioning, lcp_mode):
-        out += [new(MergeConflictReport, (i, j, c, e, v)) for e, v in insert_delete_conflicts(m1, m2)]
+    for i, j, c, base, m1, m2 in _spans_by_base(versioning, lcp_mode):
+        out += [new(MergeConflictReport, (i, j, c, e, v))
+                for e, v in insert_delete_conflicts(base, m1, m2)]
     out.sort()
     return out
 
@@ -80,8 +82,8 @@ def svm_merge_check(
     new = tuple.__new__
     keep = {}.setdefault  # one object per distinct Match
     out: list[list[MergeViolationReport]] = [[] for _ in patterns]
-    for i, j, c, m1, m2 in _spans_by_base(versioning, lcp_mode):
-        merged = merge_min(m1, m2)
+    for i, j, c, base, m1, m2 in _spans_by_base(versioning, lcp_mode):
+        merged = merge_min(base, m1, m2)
         for found, pattern in zip(out, patterns):
             found += [new(MergeViolationReport, (i, j, c, keep(m, m)))
                       for m in pcheck(merged, pattern)]

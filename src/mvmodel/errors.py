@@ -77,10 +77,6 @@ class UnknownVersion(ModelError):
         self.version_id = version_id
 
 
-class SourceMismatch(ModelError):
-    """Two modifications that must share a source model do not."""
-
-
 class IncompleteStrategy(ModelError):
     """A merge strategy does not decide exactly the detected conflicts."""
 

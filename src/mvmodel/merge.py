@@ -1,5 +1,7 @@
-"""Three-way merge of two modifications sharing a source model.
+"""Three-way merge of two modifications out of one base model.
 
+Each merge takes the base once and two ``ModelModification`` spans from
+it, the spans a history keeps or ``ModelModification.between`` builds.
 The default merge rules are: keep what both sides keep, drop what either
 side drops, add what either side adds. The one genuinely problematic
 situation is an edge added by one side whose endpoint node the other
@@ -15,12 +17,7 @@ import itertools
 from typing import Mapping
 
 from .core import Model
-from .errors import (
-    ImproperResult,
-    IncompleteStrategy,
-    SourceMismatch,
-    TooManyConflicts,
-)
+from .errors import ImproperResult, IncompleteStrategy, TooManyConflicts
 from .versioning import ModelModification
 
 
@@ -29,7 +26,12 @@ class Decision(str, enum.Enum):
     REVERT_NODE_DELETION = "revert-node-deletion"
 
 
-def insert_delete_conflicts(m1: ModelModification, m2: ModelModification) -> list[tuple[str, str]]:
+Strategy = Mapping[tuple[str, str], Decision]  # a decision per conflict key
+
+
+def insert_delete_conflicts(
+    base: Model, m1: ModelModification, m2: ModelModification
+) -> list[tuple[str, str]]:
     """The conflicts that require a decision, as sorted (edge, node) keys:
     each created edge paired with each endpoint that the other side deleted.
 
@@ -38,10 +40,7 @@ def insert_delete_conflicts(m1: ModelModification, m2: ModelModification) -> lis
     a side whose partner deletes no node is skipped. A self-loop on a
     deleted node, or an edge that both sides create over a node that both
     delete, gives one key."""
-    s1, s2 = m1.source, m2.source
-    if s1 is not s2 and (s1.store is not s2.store or s1 != s2):
-        raise SourceMismatch("modifications do not share a source model")
-    edge_decl = s1.store._edges
+    edge_decl = base.store._edges
     found: set[tuple[str, str]] = set()
     for a, b in ((m1, m2), (m2, m1)):
         dropped = b.deleted_nodes
@@ -56,26 +55,23 @@ def insert_delete_conflicts(m1: ModelModification, m2: ModelModification) -> lis
     return sorted(found)
 
 
-def _merged(
-    m1: ModelModification, m2: ModelModification, decided: Mapping[tuple[str, str], Decision]
-) -> Model:
-    """The union of both spans' deltas over their shared source, without the
+def _merged(base: Model, m1: ModelModification, m2: ModelModification, decided: Strategy) -> Model:
+    """The union of both spans' deltas over their base, without the
     reverted edge creations and with the reverted node deletions restored;
     the one builder behind every merge."""
-    source = m1.source
     nodes = (
-        (source.node_set - m1.deleted_nodes - m2.deleted_nodes)
+        (base.node_set - m1.deleted_nodes - m2.deleted_nodes)
         | m1.created_nodes
         | m2.created_nodes
         | {node for (_, node), d in decided.items() if d is Decision.REVERT_NODE_DELETION}
     )
     edges = (
-        (source.edge_set - m1.deleted_edges - m2.deleted_edges)
+        (base.edge_set - m1.deleted_edges - m2.deleted_edges)
         | m1.created_edges
         | m2.created_edges
     ) - {edge for (edge, _), d in decided.items() if d is Decision.REVERT_EDGE_CREATION}
-    merged = Model(source.store, source.type_graph, nodes, edges)
-    node_set, edge_decl = merged.node_set, source.store._edges
+    merged = Model(base.store, base.type_graph, nodes, edges)
+    node_set, edge_decl = merged.node_set, base.store._edges
     dangling = []
     for e in edges:
         _, src, tgt = edge_decl[e]
@@ -86,45 +82,50 @@ def _merged(
     return merged
 
 
-def merge(
-    m1: ModelModification, m2: ModelModification, strategy: Mapping[tuple[str, str], Decision]
-) -> Model:
+def merge(base: Model, m1: ModelModification, m2: ModelModification, strategy: Strategy) -> Model:
     """The merged model under the given per-conflict decisions.
 
     The strategy maps each (edge, node) key of the pair's insert-delete
-    conflicts, which are detected once, to a decision, and must decide
-    exactly those. Reverting an edge creation removes that edge from the
-    result; reverting a node deletion restores the node (and nothing
-    else, so edges dropped alongside the node stay dropped). The source
-    and both targets must be valid models: then the merged model conforms
-    to the type graph and no decision fails (see ``enumerate_strategies``).
-    On improper targets a dangling edge, the first in id order, raises
-    ImproperResult.
+    conflicts, which are detected once, to a ``Decision`` or its string
+    value, and must decide exactly those; any other value raises
+    IncompleteStrategy before the conflicts are detected. Reverting an edge
+    creation removes that edge from the result; reverting a node deletion
+    restores the node (and nothing else, so edges dropped alongside the node
+    stay dropped). The base and both targets must be valid models: then the
+    merged model conforms to the type graph and no decision fails (see
+    ``enumerate_strategies``). On improper targets a dangling edge, the
+    first in id order, raises ImproperResult.
     """
-    keys = set(insert_delete_conflicts(m1, m2))
-    if strategy.keys() != keys:
-        missing = sorted(keys - strategy.keys())
-        extra = sorted(strategy.keys() - keys)
+    decided = {}
+    for key, value in strategy.items():
+        try:
+            decided[key] = Decision(value)
+        except ValueError:
+            raise IncompleteStrategy(f"{value!r} for {key!r} is not a Decision") from None
+    keys = set(insert_delete_conflicts(base, m1, m2))
+    if decided.keys() != keys:
+        missing = sorted(keys - decided.keys())
+        extra = sorted(decided.keys() - keys)
         raise IncompleteStrategy(
             f"strategy must decide exactly the detected conflicts; missing={missing} extra={extra}"
         )
-    return _merged(m1, m2, strategy)
+    return _merged(base, m1, m2, decided)
 
 
-def merge_min(m1: ModelModification, m2: ModelModification) -> Model:
+def merge_min(base: Model, m1: ModelModification, m2: ModelModification) -> Model:
     """The deletion-prioritising merge: revert every conflicting edge creation.
 
     Detects the pair's conflicts once and builds the merge under the
-    all-revert strategy, ``dict.fromkeys(insert_delete_conflicts(m1, m2),
-    Decision.REVERT_EDGE_CREATION)``. Always succeeds on valid targets,
+    all-revert strategy, ``dict.fromkeys(insert_delete_conflicts(base, m1,
+    m2), Decision.REVERT_EDGE_CREATION)``. Always succeeds on valid targets,
     and its result is contained in the result of every other strategy.
     """
-    keys = insert_delete_conflicts(m1, m2)
-    return _merged(m1, m2, dict.fromkeys(keys, Decision.REVERT_EDGE_CREATION))
+    keys = insert_delete_conflicts(base, m1, m2)
+    return _merged(base, m1, m2, dict.fromkeys(keys, Decision.REVERT_EDGE_CREATION))
 
 
 def enumerate_strategies(
-    m1: ModelModification, m2: ModelModification, bound: int = 16
+    base: Model, m1: ModelModification, m2: ModelModification, bound: int = 16
 ) -> list[dict[tuple[str, str], Decision]]:
     """Every decision map over the pair's insert-delete conflicts.
 
@@ -133,14 +134,14 @@ def enumerate_strategies(
     ``merge_min``'s all-revert strategy. k above the bound raises
     TooManyConflicts rather than silently expanding. The conflicts are
     detected once, and no trial merge is built, because on valid spans
-    every map merges properly: an edge that survives from the source is
+    every map merges properly: an edge that survives from the base is
     kept by both targets, and proper targets keep its endpoints; a
     created edge either gets reverted, or each of its endpoints that the
     other side deleted is a conflict key whose node is restored. On
     improper targets ``merge`` raises ImproperResult for each map whose
     result dangles.
     """
-    keys = insert_delete_conflicts(m1, m2)
+    keys = insert_delete_conflicts(base, m1, m2)
     if len(keys) > bound:
         raise TooManyConflicts(len(keys), bound)
     choices = (Decision.REVERT_EDGE_CREATION, Decision.REVERT_NODE_DELETION)

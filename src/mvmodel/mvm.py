@@ -64,7 +64,7 @@ class MultiVersionModel:
 
     def proj_delta(self, i: str, j: str) -> ModelModification:
         """The span between two recovered versions."""
-        return ModelModification(self.proj(i), self.proj(j), i, j)
+        return ModelModification.between(self.proj(i), self.proj(j))
 
 
 def comb(versioning: ModelVersioning) -> MultiVersionModel:

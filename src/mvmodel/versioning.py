@@ -1,10 +1,10 @@
 """Version histories: DAGs of models linked by difference spans.
 
-A span, the ``ModelModification`` from one version to another, is
-maximally preserving by construction, as all versions share one element
-store: an element survives exactly when it is in both versions. It holds
-its four deltas (created and deleted nodes and edges), computed once when
-it is built; the merges in ``mvmodel.merge`` read them.
+A span, the ``ModelModification`` from one model to another, is maximally
+preserving by construction, as all versions share one element store: an
+element survives exactly when it is in both models. It is its four deltas
+(created and deleted nodes and edges); a history keeps one per
+modification, and the merges in ``mvmodel.merge`` read two from one base.
 
 ``VersionDag`` is the history without its models: the ids, the root and
 the modifications, checked for shape. It owns the version sets, each one
@@ -12,10 +12,10 @@ a bitmask whose bit k stands for the k-th id in id order: the ancestor and
 descendant masks, ``reach`` and the merge bases that each lcp mode draws.
 The fold in ``mvmodel.mvm`` and its analyses read only the DAG.
 ``ModelVersioning`` is a ``VersionDag`` plus its deltas: the root's
-members and one ``Delta`` per modification, from which ``versions``
-builds each version's model on access. Its validation keeps the union
-``Model`` and the creation and deletion marks, which every fold of the
-history wraps."""
+members and one span per modification, from which ``versions`` builds
+each version's model on access. Its validation keeps the union ``Model``
+and the creation and deletion marks, which every fold of the history
+wraps."""
 
 from __future__ import annotations
 
@@ -59,9 +59,12 @@ def _deltas(source: frozenset[str], target: frozenset[str]) -> tuple[frozenset, 
     return (target - source if len(deleted) > -grow else _EMPTY), deleted
 
 
-class Delta(NamedTuple):
-    """A span's four deltas: what its target adds to its source and what it
-    drops, by kind. A history keeps one per modification."""
+class ModelModification(NamedTuple):
+    """A span: the difference between two models, read as source-to-target
+    evolution, as its four deltas: what the target adds to the source and
+    what it drops, by kind. The preserved part is what the source holds
+    outside the deleted sets. A history keeps one per modification, and the
+    merges read two from one base."""
 
     created_nodes: frozenset[str]
     deleted_nodes: frozenset[str]
@@ -69,47 +72,13 @@ class Delta(NamedTuple):
     deleted_edges: frozenset[str]
 
     @classmethod
-    def between(cls, source: Model, target: Model) -> "Delta":
-        return cls(*_deltas(source.node_set, target.node_set),
-                   *_deltas(source.edge_set, target.edge_set))
-
-
-class ModelModification:
-    """A span: the difference between two models, read as source-to-target
-    evolution. The preserved part is the intersection of the two membership
-    sets. Its four deltas are computed here, once per kind by ``_deltas``,
-    and never go stale, as models are immutable.
-    """
-
-    __slots__ = ("source", "target", "source_id", "target_id",
-                 "created_nodes", "created_edges", "deleted_nodes", "deleted_edges")
-
-    def __init__(self, source: Model, target: Model, source_id: str = "", target_id: str = ""):
+    def between(cls, source: Model, target: Model) -> "ModelModification":
         if source.store is not target.store:
             raise StoreMismatch("modification endpoints use different element stores")
         if source.type_graph != target.type_graph:
             raise ValidationError("modification endpoints use different type graphs")
-        self.source = source
-        self.target = target
-        self.source_id = source_id
-        self.target_id = target_id
-        self.created_nodes, self.deleted_nodes = _deltas(source.node_set, target.node_set)
-        self.created_edges, self.deleted_edges = _deltas(source.edge_set, target.edge_set)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ModelModification)
-            and self.source == other.source
-            and self.target == other.target
-            and self.source_id == other.source_id
-            and self.target_id == other.target_id
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self.source_id, self.target_id))
-
-    def __repr__(self) -> str:
-        return f"ModelModification({self.source_id!r} -> {self.target_id!r})"
+        return cls(*_deltas(source.node_set, target.node_set),
+                   *_deltas(source.edge_set, target.edge_set))
 
 
 class VersionDag:
@@ -307,12 +276,12 @@ class ModelVersioning(VersionDag):
     formed.
 
     It holds its deltas, not its versions: the root's node and edge sets
-    (``root_members``) and, in ``spans``, each modification's ``Delta``. The models it is given are
-    read by validation and then dropped. ``versions`` is a read-only
-    mapping that builds each model on access: ``version`` replays the
-    deltas along one path from the root, through each version's least
-    parent, and ``replay`` builds every version in id order, each from
-    that parent's member sets.
+    (``root_members``) and, in ``spans``, each modification's
+    ``ModelModification``. The models it is given are read by validation
+    and then dropped. ``versions`` is a read-only mapping that builds each
+    model on access: ``version`` replays the deltas along one path from the
+    root, through each version's least parent, and ``replay`` builds every
+    version in id order, each from that parent's member sets.
     """
 
     def __init__(
@@ -446,14 +415,15 @@ class ModelVersioning(VersionDag):
         the empty model it holds for every version.
 
         What the history keeps is set here: ``spans`` maps each
-        modification to its ``Delta``; ``union`` is the union as a
-        ``Model``; ``cv`` and ``dv`` map each element to the mask of the
-        versions that create and delete it (span (a, b) marks at b what b
-        adds to a and what it drops); and ``root_members``, from which
-        ``version`` and ``replay`` start."""
+        modification to its span; ``union`` is the union as a ``Model``;
+        ``cv`` and ``dv`` map each element to the mask of the versions that
+        create and delete it (span (a, b) marks at b what b adds to a and
+        what it drops); and ``root_members``, from which ``version`` and
+        ``replay`` start."""
         store, tg, root = self.store, self.type_graph, models[self.root]
-        self.spans = {(a, b): Delta.between(models[a], models[b]) for a, b in self.modifications}
-        spans = [(self.root, Delta.between(Model(store, tg), root))]
+        between = ModelModification.between
+        self.spans = {(a, b): between(models[a], models[b]) for a, b in self.modifications}
+        spans = [(self.root, between(Model(store, tg), root))]
         spans += [(b, delta) for (_, b), delta in self.spans.items()]
         nodes = frozenset().union(*(delta.created_nodes for _, delta in spans))
         edges = frozenset().union(*(delta.created_edges for _, delta in spans))
@@ -492,7 +462,7 @@ class ModelVersioning(VersionDag):
 
     def max_preserving_mod(self, i: VersionId, j: VersionId) -> ModelModification:
         """The span from version i to version j that preserves their intersection."""
-        return ModelModification(self.version(i), self.version(j), i, j)
+        return ModelModification.between(self.version(i), self.version(j))
 
 
 class _Versions(Mapping):
@@ -539,7 +509,7 @@ class _Values(ValuesView):
         return (model for _, model in _Items(self._mapping))
 
 
-def _step(members: tuple, delta: Delta, edit: Callable) -> tuple:
+def _step(members: tuple, delta: ModelModification, edit: Callable) -> tuple:
     """A (nodes, edges) pair carried across a span: ``edit`` applied to each
     kind with that kind's deleted and created ids."""
     nodes, edges = members

@@ -21,7 +21,6 @@ from mvmodel import (
     InvalidVersion,
     Match,
     Model,
-    ModelModification,
     ModelVersioning,
     Pattern,
     validate_model,
@@ -73,9 +72,10 @@ def predecessors(versioning: ModelVersioning, version_id: str) -> frozenset[str]
     return frozenset(seen)
 
 
-def preserved(mod: ModelModification) -> tuple[frozenset[str], frozenset[str]]:
-    """The node and edge sets a modification keeps: what both ends hold."""
-    return mod.source.node_set & mod.target.node_set, mod.source.edge_set & mod.target.edge_set
+def preserved(source: Model, target: Model) -> tuple[frozenset[str], frozenset[str]]:
+    """The node and edge sets a modification from source to target keeps:
+    what both ends hold."""
+    return source.node_set & target.node_set, source.edge_set & target.edge_set
 
 
 def latest_common_predecessors(versioning: ModelVersioning, i: str, j: str) -> frozenset[str]:
@@ -102,16 +102,16 @@ def merge_triplets(versioning: ModelVersioning, lcp_mode: str) -> list[tuple[str
     return triplets
 
 
-def id_set_conflicts(m1: ModelModification, m2: ModelModification) -> list[tuple[str, str]]:
-    """Sorted (edge, node) insert-delete conflicts from the spans' id sets:
-    each side creates its target's edges that its source lacks, and
-    deletes its source's nodes that its target lacks; a created edge
+def id_set_conflicts(base: Model, left: Model, right: Model) -> list[tuple[str, str]]:
+    """Sorted (edge, node) insert-delete conflicts of two models out of one
+    base, from their id sets: each side creates its edges that the base
+    lacks, and deletes the base's nodes that it lacks; a created edge
     conflicts with each of its endpoints that the other side deletes."""
     found = set()
-    for a, b in ((m1, m2), (m2, m1)):
-        created = a.target.edge_set - a.source.edge_set
-        deleted = b.source.node_set - b.target.node_set
-        found |= {(e, v) for e in created for v in a.source.store.endpoint(e) if v in deleted}
+    for a, b in ((left, right), (right, left)):
+        created = a.edge_set - base.edge_set
+        deleted = base.node_set - b.node_set
+        found |= {(e, v) for e in created for v in base.store.endpoint(e) if v in deleted}
     return sorted(found)
 
 

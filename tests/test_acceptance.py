@@ -194,13 +194,14 @@ def test_criterion_5_merge_check_oracle_and_strategy_floor():
                     key = (report.left, report.right, report.base)
                     by_triplet.setdefault(key, set()).add(report.match)
                 for i, j, c in triplets:
+                    base = versioning.version(c)
                     m1 = versioning.max_preserving_mod(c, i)
                     m2 = versioning.max_preserving_mod(c, j)
-                    if len(insert_delete_conflicts(m1, m2)) > 16:
+                    if len(insert_delete_conflicts(base, m1, m2)) > 16:
                         continue
                     unavoidable = None
-                    for strategy in enumerate_strategies(m1, m2):
-                        left = set(pcheck(merge(m1, m2, strategy), pattern))
+                    for strategy in enumerate_strategies(base, m1, m2):
+                        left = set(pcheck(merge(base, m1, m2, strategy), pattern))
                         unavoidable = left if unavoidable is None else unavoidable & left
                     assert by_triplet.get((i, j, c), set()) == (unavoidable or set())
                     floor_instances += 1
@@ -228,18 +229,19 @@ def test_criterion_6_minimal_merge_is_violation_floor():
             )
             versioning = generate_versioning(params)
             for i, j, c in merge_triplets(versioning, "all"):
+                base = versioning.version(c)
                 m1 = versioning.max_preserving_mod(c, i)
                 m2 = versioning.max_preserving_mod(c, j)
-                if not 1 <= len(insert_delete_conflicts(m1, m2)) <= 8:
+                if not 1 <= len(insert_delete_conflicts(base, m1, m2)) <= 8:
                     continue
                 qualifying += 1
-                floor_model = merge_min(m1, m2)
-                strategies = enumerate_strategies(m1, m2)
+                floor_model = merge_min(base, m1, m2)
+                strategies = enumerate_strategies(base, m1, m2)
                 for pattern in patterns:
                     floor = set(pcheck(floor_model, pattern))
                     unavoidable = None
                     for strategy in strategies:
-                        left = set(pcheck(merge(m1, m2, strategy), pattern))
+                        left = set(pcheck(merge(base, m1, m2, strategy), pattern))
                         unavoidable = left if unavoidable is None else unavoidable & left
                     assert floor == unavoidable
                     nonempty_floors += bool(floor)

@@ -1067,6 +1067,21 @@ def test_routes_call_analyses_through_module_attributes(capsys, monkeypatch, com
         assert len(calls) == 1
 
 
+def walked_spans(monkeypatch) -> list:
+    """Record each (left, right, base, base model, left span, right span)
+    that the per-version merge routes walk. The list keeps every span it
+    holds alive, so a span's id names it for the rest of the test."""
+    spans_by_base, walked = mvmodel.baseline._spans_by_base, []
+
+    def recorded(*args):
+        for step in spans_by_base(*args):
+            walked.append(step)
+            yield step
+
+    monkeypatch.setattr(mvmodel.baseline, "_spans_by_base", recorded)
+    return walked
+
+
 @pytest.mark.parametrize("lcp", mvmodel.versioning.LCP_MODES)
 def test_svm_merge_check_merges_each_triplet_once(capsys, monkeypatch, lcp):
     """The per-version merge-check builds one merged model per (pair, base)
@@ -1118,9 +1133,11 @@ def test_svm_conflicts_detects_each_triplet_once(capsys, monkeypatch, lcp):
         return detect(*args)
 
     monkeypatch.setattr(mvmodel.baseline, "insert_delete_conflicts", detected)
+    walked = walked_spans(monkeypatch)
     code, out, err = run_cli(capsys, "conflicts", PROJECT, "--mode", "svm", "--lcp", lcp)
     assert code == 0 and err == "" and out.endswith("total 2\n")
-    assert sorted((m1.target_id, m2.target_id, m1.source_id) for m1, m2 in detections) == triplets
+    triplet_of = {(id(base), id(m1), id(m2)): (i, j, c) for i, j, c, base, m1, m2 in walked}
+    assert sorted(triplet_of[tuple(map(id, args))] for args in detections) == triplets
 
 
 @pytest.mark.parametrize("lcp", mvmodel.versioning.LCP_MODES)
@@ -1139,23 +1156,29 @@ def test_svm_merge_routes_build_each_span_once(monkeypatch, tmp_path, shape, lcp
     triplets = merge_triplets(versioning, lcp)
     assert bool(triplets) == (shape == "project")
     spans = {(c, v) for i, j, c in triplets for v in (i, j)}
-    init = mvmodel.versioning.ModelModification.__init__
-    built: list[tuple[str, str]] = []
+    between = mvmodel.versioning.ModelModification.between
+    built: list = []
 
-    def counted(self, source, target, source_id="", target_id=""):
-        built.append((source_id, target_id))
-        init(self, source, target, source_id, target_id)
+    def counted(source, target):
+        built.append(between(source, target))
+        return built[-1]
 
-    monkeypatch.setattr(mvmodel.versioning.ModelModification, "__init__", counted)
+    monkeypatch.setattr(mvmodel.versioning.ModelModification, "between", counted)
+    walked = walked_spans(monkeypatch)
     for verdict in (
         lambda: mvmodel.baseline.svm_conflicts(versioning, lcp),
         lambda: mvmodel.baseline.svm_merge_check(versioning, patterns, lcp),
     ):
         built.clear()
+        walked.clear()
         verdict()
-        per_span = Counter(key for key in built if key in spans)
+        # (base, version) of each span that the walk yields; any other
+        # span built reads None
+        key_of = {id(m): (c, v) for i, j, c, _, mi, mj in walked for v, m in ((i, mi), (j, mj))}
+        keys = [key_of.get(id(span)) for span in built]
+        per_span = Counter(key for key in keys if key in spans)
         assert all(n == 1 for n in per_span.values())
-        assert [key for key in built if key not in spans] == []
+        assert [key for key in keys if key not in spans] == []
 
 
 @pytest.mark.parametrize("command", ["check", "merge-check"])

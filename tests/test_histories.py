@@ -3,9 +3,9 @@ engines agree on every task, the encoding export is a typed graph that
 carries the fold's marks, the fold's union and marks equal the reference
 fold's, every version-set mask numbers its bits in id order, the
 descendant masks, the presence and deletion-reach masks and the drawn
-merge bases decode to what they stand for, every span's
-deltas are the plain set differences, the matcher finds
-what the exhaustive oracle finds in every version, the streamed text
+merge bases decode to what they stand for, every span's deltas are the
+plain set differences, the history keeps the merges' spans, the matcher
+finds what the exhaustive oracle finds in every version, the streamed text
 and JSON writers give the reference bytes, and both routes return
 sorted lists without duplicates, the folded ones of their report types.
 The same histories with one broken version fail validation as the full
@@ -31,6 +31,7 @@ from mvmodel import (
     comb,
     find_monomorphisms,
     mcheck_mv,
+    merge_min,
     oo_constraint_patterns,
     oo_type_graph,
     pcheck_m_mv,
@@ -304,12 +305,25 @@ def assert_fails_like_the_full_check(args: dict) -> None:
 def test_span_deltas_are_the_plain_set_differences(versioning):
     # Every ordered pair, not only the modifications: the span derives one
     # delta's size from the other's and may skip the second difference.
-    for (a, source), (b, target) in product(versioning.versions.items(), repeat=2):
-        span = ModelModification(source, target, a, b)
+    for source, target in product(versioning.versions.values(), repeat=2):
+        span = ModelModification.between(source, target)
         assert span.created_nodes == target.node_set - source.node_set
         assert span.created_edges == target.edge_set - source.edge_set
         assert span.deleted_nodes == source.node_set - target.node_set
         assert span.deleted_edges == source.edge_set - target.edge_set
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(histories())
+def test_the_history_spans_are_the_merge_spans(versioning):
+    """A history keeps, per modification, the span that the merges read:
+    the one ``max_preserving_mod`` and the fold's ``proj_delta`` build, and
+    merging it with itself over its source gives its target."""
+    mvm = comb(versioning)
+    for a, b in sorted(versioning.modifications):
+        span = versioning.spans[a, b]
+        assert span == versioning.max_preserving_mod(a, b) == mvm.proj_delta(a, b)
+        assert merge_min(versioning.version(a), span, span) == versioning.version(b)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

@@ -14,7 +14,6 @@ from mvmodel import (
     IncompleteStrategy,
     Model,
     ModelModification,
-    SourceMismatch,
     TooManyConflicts,
     TypeGraph,
     enumerate_strategies,
@@ -31,6 +30,7 @@ from oracles import id_set_conflicts, merge_triplets
 from strategies import histories
 
 TG = TypeGraph({"N"}, {"link": ("N", "N")})
+span = ModelModification.between
 
 
 def four_node_store():
@@ -51,26 +51,16 @@ def fork():
     base = Model(store, TG, {"n1", "n2", "n3", "n4"}, set())
     left = Model(store, TG, {"n1", "n2", "n3"}, {"e13"})
     right = Model(store, TG, {"n1", "n2", "n3", "n4"}, {"e12", "e42"})
-    m1 = ModelModification(base, left, "base", "left")
-    m2 = ModelModification(base, right, "base", "right")
-    return store, m1, m2
+    m1 = span(base, left)
+    m2 = span(base, right)
+    return base, m1, m2
 
 
 def test_insert_delete_conflicts_finds_the_fork_clash():
-    _, m1, m2 = fork()
-    assert insert_delete_conflicts(m1, m2) == [("e42", "n4")]
+    base, m1, m2 = fork()
+    assert insert_delete_conflicts(base, m1, m2) == [("e42", "n4")]
     # symmetric in the argument order
-    assert insert_delete_conflicts(m2, m1) == [("e42", "n4")]
-
-
-def test_insert_delete_conflicts_requires_shared_source():
-    store = four_node_store()
-    tgt = Model(store, TG, {"n1", "n2"}, set())
-    with pytest.raises(SourceMismatch):
-        insert_delete_conflicts(
-            ModelModification(Model(store, TG, {"n1"}, set()), tgt, "a", "t"),
-            ModelModification(Model(store, TG, {"n2"}, set()), tgt, "b", "t"),
-        )
+    assert insert_delete_conflicts(base, m2, m1) == [("e42", "n4")]
 
 
 def test_elements_both_sides_delete_are_no_conflict():
@@ -79,9 +69,9 @@ def test_elements_both_sides_delete_are_no_conflict():
     # Both sides drop n3 and e13; left also drops n4, which right links to n2.
     left = Model(store, TG, {"n1", "n2"}, set())
     right = Model(store, TG, {"n1", "n2", "n4"}, {"e42"})
-    m1 = ModelModification(base, left, "base", "left")
-    m2 = ModelModification(base, right, "base", "right")
-    assert insert_delete_conflicts(m1, m2) == [("e42", "n4")]
+    m1 = span(base, left)
+    m2 = span(base, right)
+    assert insert_delete_conflicts(base, m1, m2) == [("e42", "n4")]
 
 
 def test_insert_delete_conflicts_gives_one_key_per_deleted_endpoint():
@@ -91,20 +81,18 @@ def test_insert_delete_conflicts_gives_one_key_per_deleted_endpoint():
         {"e": ("link", "n1", "n2")},
     )
     base = Model(store, TG, {"n1", "n2"}, set())
-    creator = ModelModification(
-        base, Model(store, TG, {"n1", "n2"}, {"e"}), "base", "c"
-    )
-    dropper = ModelModification(base, Model(store, TG, set(), set()), "base", "d")
-    assert insert_delete_conflicts(creator, dropper) == [("e", "n1"), ("e", "n2")]
+    creator = span(base, Model(store, TG, {"n1", "n2"}, {"e"}))
+    dropper = span(base, Model(store, TG, set(), set()))
+    assert insert_delete_conflicts(base, creator, dropper) == [("e", "n1"), ("e", "n2")]
 
 
 def test_a_created_self_loop_on_a_deleted_node_gives_one_key():
     store = build_store(TG, {"n1": "N", "n2": "N"}, {"loop": ("link", "n1", "n1")})
     base = Model(store, TG, {"n1", "n2"}, set())
-    creator = ModelModification(base, Model(store, TG, {"n1", "n2"}, {"loop"}), "base", "c")
-    dropper = ModelModification(base, Model(store, TG, {"n2"}, set()), "base", "d")
-    assert insert_delete_conflicts(creator, dropper) == [("loop", "n1")]
-    assert insert_delete_conflicts(dropper, creator) == [("loop", "n1")]
+    creator = span(base, Model(store, TG, {"n1", "n2"}, {"loop"}))
+    dropper = span(base, Model(store, TG, {"n2"}, set()))
+    assert insert_delete_conflicts(base, creator, dropper) == [("loop", "n1")]
+    assert insert_delete_conflicts(base, dropper, creator) == [("loop", "n1")]
 
 
 def test_an_edge_both_sides_create_over_a_node_both_delete_gives_one_key():
@@ -112,9 +100,9 @@ def test_an_edge_both_sides_create_over_a_node_both_delete_gives_one_key():
     find the same key from both sides; it is reported once."""
     store = build_store(TG, {"n1": "N", "n2": "N"}, {"e": ("link", "n1", "n2")})
     base = Model(store, TG, {"n1", "n2"}, set())
-    m1 = ModelModification(base, Model(store, TG, {"n2"}, {"e"}), "base", "t1")
-    m2 = ModelModification(base, Model(store, TG, {"n2"}, {"e"}), "base", "t2")
-    assert insert_delete_conflicts(m1, m2) == [("e", "n1")]
+    m1 = span(base, Model(store, TG, {"n2"}, {"e"}))
+    m2 = span(base, Model(store, TG, {"n2"}, {"e"}))
+    assert insert_delete_conflicts(base, m1, m2) == [("e", "n1")]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -125,19 +113,20 @@ def test_insert_delete_conflicts_equals_the_id_set_oracle(versioning):
     the conflicts that set algebra on the spans' id sets gives."""
     for lcp in LCP_MODES:
         for i, j, c in merge_triplets(versioning, lcp):
+            base = versioning.version(c)
             m1 = versioning.max_preserving_mod(c, i)
             m2 = versioning.max_preserving_mod(c, j)
-            expected = id_set_conflicts(m1, m2)
-            assert insert_delete_conflicts(m1, m2) == expected
-            assert insert_delete_conflicts(m2, m1) == expected
+            expected = id_set_conflicts(base, versioning.version(i), versioning.version(j))
+            assert insert_delete_conflicts(base, m1, m2) == expected
+            assert insert_delete_conflicts(base, m2, m1) == expected
 
 
 def test_a_span_merged_with_itself_has_no_conflict():
     store = four_node_store()
     base = Model(store, TG, {"n1", "n2", "n3"}, {"e12"})
     both = Model(store, TG, {"n1", "n3"}, set())
-    m = ModelModification(base, both, "base", "t")
-    assert insert_delete_conflicts(m, m) == []
+    m = span(base, both)
+    assert insert_delete_conflicts(base, m, m) == []
 
 
 def test_merge_without_conflicts_unions_changes():
@@ -145,20 +134,21 @@ def test_merge_without_conflicts_unions_changes():
     base = Model(store, TG, {"n1", "n2", "n3", "n4"}, set())
     left = Model(store, TG, {"n1", "n2", "n3", "n4"}, {"e12"})
     right = Model(store, TG, {"n1", "n2", "n4"}, set())
-    m1 = ModelModification(base, left, "base", "left")
-    m2 = ModelModification(base, right, "base", "right")
-    merged = merge(m1, m2, {})
+    m1 = span(base, left)
+    m2 = span(base, right)
+    merged = merge(base, m1, m2, {})
     assert merged.node_set == {"n1", "n2", "n4"}
     assert merged.edge_set == {"e12"}
     validate_model(merged)
 
 
 def test_merge_strategy_must_cover_conflicts_exactly():
-    _, m1, m2 = fork()
+    base, m1, m2 = fork()
     with pytest.raises(IncompleteStrategy):
-        merge(m1, m2, {})
+        merge(base, m1, m2, {})
     with pytest.raises(IncompleteStrategy):
         merge(
+            base,
             m1,
             m2,
             {
@@ -168,16 +158,36 @@ def test_merge_strategy_must_cover_conflicts_exactly():
         )
 
 
+def test_merge_reads_decisions_by_their_string_values():
+    """A strategy may decide with each Decision's string value; it merges
+    as the Decision itself does."""
+    base, m1, m2 = fork()
+    for decision in Decision:
+        by_value = merge(base, m1, m2, {("e42", "n4"): decision.value})
+        assert by_value == merge(base, m1, m2, {("e42", "n4"): decision})
+
+
+@pytest.mark.parametrize("value", [None, "revert", 1])
+def test_merge_rejects_a_value_that_is_no_decision(monkeypatch, value):
+    """A value that is neither a Decision nor its string value raises
+    IncompleteStrategy naming its key, before the conflicts are detected."""
+    base, m1, m2 = fork()
+    merge_module = importlib.import_module("mvmodel.merge")
+    monkeypatch.setattr(merge_module, "insert_delete_conflicts", None)
+    with pytest.raises(IncompleteStrategy, match=r"\('e42', 'n4'\)"):
+        merge(base, m1, m2, {("e42", "n4"): value})
+
+
 def test_revert_edge_creation_drops_the_edge():
-    _, m1, m2 = fork()
-    merged = merge(m1, m2, {("e42", "n4"): Decision.REVERT_EDGE_CREATION})
+    base, m1, m2 = fork()
+    merged = merge(base, m1, m2, {("e42", "n4"): Decision.REVERT_EDGE_CREATION})
     assert merged.node_set == {"n1", "n2", "n3"}
     assert merged.edge_set == {"e12", "e13"}
 
 
 def test_revert_node_deletion_restores_only_the_node():
-    _, m1, m2 = fork()
-    merged = merge(m1, m2, {("e42", "n4"): Decision.REVERT_NODE_DELETION})
+    base, m1, m2 = fork()
+    merged = merge(base, m1, m2, {("e42", "n4"): Decision.REVERT_NODE_DELETION})
     assert merged.node_set == {"n1", "n2", "n3", "n4"}
     assert merged.edge_set == {"e12", "e13", "e42"}
 
@@ -188,33 +198,33 @@ def improper_fork():
     store = four_node_store()
     base = Model(store, TG, {"n1", "n2", "n3", "n4"}, set())
     broken = Model(store, TG, {"n1"}, {"e13", "e12"})
-    m1 = ModelModification(base, broken, "base", "broken")
-    m2 = ModelModification(base, base, "base", "same")
-    return m1, m2
+    m1 = span(base, broken)
+    m2 = span(base, base)
+    return base, m1, m2
 
 
 def test_a_dangling_target_edge_makes_an_improper_result():
     """Only properness is checked on the merged model; the first dangling
     edge in id order is named."""
-    m1, m2 = improper_fork()
+    base, m1, m2 = improper_fork()
     with pytest.raises(ImproperResult, match=r"^merge produced a dangling edge: 'e12'$"):
-        merge_min(m1, m2)
+        merge_min(base, m1, m2)
 
 
 def test_improper_targets_get_every_decision_map():
     """enumerate_strategies builds no trial merge: improper targets get
     every decision map too, and merge raises on each one that dangles."""
-    m1, m2 = improper_fork()
-    assert enumerate_strategies(m1, m2) == [{}]
+    base, m1, m2 = improper_fork()
+    assert enumerate_strategies(base, m1, m2) == [{}]
     with pytest.raises(ImproperResult):
-        merge(m1, m2, {})
+        merge(base, m1, m2, {})
 
 
 def test_merge_min_reverts_every_conflicting_creation():
-    _, m1, m2 = fork()
-    merged = merge_min(m1, m2)
+    base, m1, m2 = fork()
+    merged = merge_min(base, m1, m2)
     assert merged.edge_set == {"e12", "e13"}
-    assert merged == merge(m1, m2, {("e42", "n4"): Decision.REVERT_EDGE_CREATION})
+    assert merged == merge(base, m1, m2, {("e42", "n4"): Decision.REVERT_EDGE_CREATION})
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -225,13 +235,14 @@ def test_merge_min_is_merge_under_its_applied_strategy(versioning):
     conflicting edge creation, and that strategy is the first one
     enumerate_strategies yields wherever the conflicts can be enumerated."""
     for i, j, c in merge_triplets(versioning, "all"):
+        base = versioning.version(c)
         m1 = versioning.max_preserving_mod(c, i)
         m2 = versioning.max_preserving_mod(c, j)
-        keys = insert_delete_conflicts(m1, m2)
+        keys = insert_delete_conflicts(base, m1, m2)
         all_revert = dict.fromkeys(keys, Decision.REVERT_EDGE_CREATION)
-        assert merge(m1, m2, all_revert) == merge_min(m1, m2)
+        assert merge(base, m1, m2, all_revert) == merge_min(base, m1, m2)
         if len(keys) <= 16:
-            assert enumerate_strategies(m1, m2)[0] == all_revert
+            assert enumerate_strategies(base, m1, m2)[0] == all_revert
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -241,35 +252,36 @@ def test_every_decision_map_merges_properly(versioning):
     enumerate_strategies returns all 2**k of them, and each merged model
     is valid."""
     for i, j, c in merge_triplets(versioning, "all"):
+        base = versioning.version(c)
         m1 = versioning.max_preserving_mod(c, i)
         m2 = versioning.max_preserving_mod(c, j)
-        k = len(insert_delete_conflicts(m1, m2))
+        k = len(insert_delete_conflicts(base, m1, m2))
         if k <= 8:
-            strategies = enumerate_strategies(m1, m2)
+            strategies = enumerate_strategies(base, m1, m2)
             assert len(strategies) == 2**k
             for strategy in strategies:
-                validate_model(merge(m1, m2, strategy))
+                validate_model(merge(base, m1, m2, strategy))
 
 
 def test_merge_min_is_contained_in_every_strategy_result():
-    _, m1, m2 = fork()
-    low = merge_min(m1, m2)
-    for strategy in enumerate_strategies(m1, m2):
-        other = merge(m1, m2, strategy)
+    base, m1, m2 = fork()
+    low = merge_min(base, m1, m2)
+    for strategy in enumerate_strategies(base, m1, m2):
+        other = merge(base, m1, m2, strategy)
         assert low.node_set <= other.node_set
         assert low.edge_set <= other.edge_set
 
 
 def test_enumerate_strategies_spans_the_decision_space():
-    _, m1, m2 = fork()
-    strategies = enumerate_strategies(m1, m2)
+    base, m1, m2 = fork()
+    strategies = enumerate_strategies(base, m1, m2)
     assert len(strategies) == 2
     assert strategies == [
         {("e42", "n4"): Decision.REVERT_EDGE_CREATION},
         {("e42", "n4"): Decision.REVERT_NODE_DELETION},
     ]
     for s in strategies:
-        validate_model(merge(m1, m2, s))
+        validate_model(merge(base, m1, m2, s))
 
 
 def test_enumerate_strategies_bound(monkeypatch):
@@ -279,14 +291,9 @@ def test_enumerate_strategies_bound(monkeypatch):
         {f"e{i}": ("link", f"n{i}", f"n{i}") for i in range(5)},
     )
     base = Model(store, TG, {f"n{i}" for i in range(6)}, set())
-    creator = ModelModification(
-        base,
-        Model(store, TG, {f"n{i}" for i in range(6)}, {f"e{i}" for i in range(5)}),
-        "base",
-        "c",
-    )
-    dropper = ModelModification(base, Model(store, TG, {"n5"}, set()), "base", "d")
-    assert len(insert_delete_conflicts(creator, dropper)) == 5
+    creator = span(base, Model(store, TG, {f"n{i}" for i in range(6)}, {f"e{i}" for i in range(5)}))
+    dropper = span(base, Model(store, TG, {"n5"}, set()))
+    assert len(insert_delete_conflicts(base, creator, dropper)) == 5
     detections = []
 
     def detected(*args):
@@ -295,10 +302,10 @@ def test_enumerate_strategies_bound(monkeypatch):
 
     merge_module = importlib.import_module("mvmodel.merge")
     monkeypatch.setattr(merge_module, "insert_delete_conflicts", detected)
-    assert len(enumerate_strategies(creator, dropper)) == 32
+    assert len(enumerate_strategies(base, creator, dropper)) == 32
     assert len(detections) == 1
     with pytest.raises(TooManyConflicts):
-        enumerate_strategies(creator, dropper, bound=4)
+        enumerate_strategies(base, creator, dropper, bound=4)
 
 
 def test_minimal_merge_violations_are_strategy_independent():
@@ -307,18 +314,18 @@ def test_minimal_merge_violations_are_strategy_independent():
     base = Model(store, TG, {"n1", "n2", "n3", "n4"}, set())
     left = Model(store, TG, {"n1", "n2", "n3"}, {"e13", "e12"})
     right = Model(store, TG, {"n1", "n2", "n3", "n4"}, {"e42"})
-    m1 = ModelModification(base, left, "base", "left")
-    m2 = ModelModification(base, right, "base", "right")
+    m1 = span(base, left)
+    m2 = span(base, right)
     pattern = make_pattern(
         "fan-out",
         TG,
         {"a": "N", "b": "N", "c": "N"},
         {"x": ("link", "a", "b"), "y": ("link", "a", "c")},
     )
-    floor = pcheck(merge_min(m1, m2), pattern)
+    floor = pcheck(merge_min(base, m1, m2), pattern)
     assert floor  # n1 links to both n2 and n3 in every outcome
     results = [
-        set(pcheck(merge(m1, m2, s), pattern))
-        for s in enumerate_strategies(m1, m2)
+        set(pcheck(merge(base, m1, m2, s), pattern))
+        for s in enumerate_strategies(base, m1, m2)
     ]
     assert set(floor) == set.intersection(*results)

@@ -182,7 +182,9 @@ def test_proj_delta_matches_direct_span():
                 continue
             got = mvm.proj_delta(i, j)
             want = versioning.max_preserving_mod(i, j)
-            assert preserved(got) == preserved(want)
+            assert preserved(mvm.proj(i), mvm.proj(j)) == preserved(
+                versioning.version(i), versioning.version(j)
+            )
             assert got.created_nodes == want.created_nodes
             assert got.created_edges == want.created_edges
             assert got.deleted_nodes == want.deleted_nodes

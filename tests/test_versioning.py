@@ -242,7 +242,8 @@ def test_max_preserving_mod_is_componentwise_intersection():
     tgt = Model(store, TG, {"n2", "n3"}, {"e23"})
     v = ModelVersioning({"s": src, "t": tgt}, {("s", "t")}, root="s")
     mod = v.max_preserving_mod("s", "t")
-    assert preserved(mod) == ({"n2"}, set())
+    kept = (src.node_set - mod.deleted_nodes, src.edge_set - mod.deleted_edges)
+    assert kept == preserved(src, tgt) == ({"n2"}, set())
     assert mod.deleted_nodes == {"n1"}
     assert mod.deleted_edges == {"e12"}
     assert mod.created_nodes == {"n3"}
@@ -262,7 +263,7 @@ def test_max_preserving_mod_is_componentwise_intersection():
 def test_modification_deltas_are_the_plain_set_differences(source, target):
     store = simple_store()
     src, tgt = Model(store, TG, *source), Model(store, TG, *target)
-    mod = ModelModification(src, tgt, "a", "b")
+    mod = ModelModification.between(src, tgt)
     assert (mod.created_nodes, mod.created_edges) == (target[0] - source[0], target[1] - source[1])
     assert (mod.deleted_nodes, mod.deleted_edges) == (source[0] - target[0], source[1] - target[1])
 
@@ -270,15 +271,15 @@ def test_modification_deltas_are_the_plain_set_differences(source, target):
 def test_modification_rejects_mixed_stores():
     s1, s2 = simple_store(), simple_store()
     with pytest.raises(StoreMismatch):
-        ModelModification(
-            Model(s1, TG, {"n1"}, set()), Model(s2, TG, {"n1"}, set()), "a", "b"
-        )
+        ModelModification.between(Model(s1, TG, {"n1"}, set()), Model(s2, TG, {"n1"}, set()))
 
 
 def test_modification_rejects_mixed_type_graphs():
     store = simple_store()
     with pytest.raises(ValidationError):
-        ModelModification(Model(store, TG, {"n1"}, set()), Model(store, WIDER_TG, {"n1"}, set()))
+        ModelModification.between(
+            Model(store, TG, {"n1"}, set()), Model(store, WIDER_TG, {"n1"}, set())
+        )
 
 
 def test_modification_preserved_edges_keep_their_endpoints():
@@ -286,8 +287,8 @@ def test_modification_preserved_edges_keep_their_endpoints():
     store = simple_store()
     src = Model(store, TG, {"n1", "n2"}, {"e12"})
     tgt = Model(store, TG, {"n1", "n2"}, {"e12"})
-    mod = ModelModification(src, tgt, "a", "b")
-    assert preserved(mod)[1] == {"e12"}
+    mod = ModelModification.between(src, tgt)
+    assert src.edge_set - mod.deleted_edges == preserved(src, tgt)[1] == {"e12"}
     assert mod.created_edges == set() and mod.deleted_edges == set()
 
 
