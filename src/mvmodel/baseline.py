@@ -1,9 +1,10 @@
 """Per-version analyses computed the straightforward way.
 
 These walk the version models, which the history builds from its deltas:
-check every version on its own, check every merge pair on its own. Merge
-pairs are taken base by base, so each span from a base to a version is
-built once. They are the reference route; the folded route in
+check every version on its own, check every merge pair on its own, over
+the merge bases that the fold draws (tests hold that draw to an oracle).
+Merge pairs are taken base by base, so each span from a base to a version
+is built once. They are the reference route; the folded route in
 ``analysis`` must produce identical reports, and the oracle command diffs
 the two. Every model is matched from scratch, but the two check routes
 hold one ``Match`` object per distinct embedding, as the folded ones do: a
@@ -38,17 +39,21 @@ def _spans_by_base(versioning: ModelVersioning, lcp_mode: str):
     """Yield (left, right, base, base model, left span, right span) for
     every mergeable pair and each of its merge bases that ``lcp_mode``
     draws: every base (``all``) or the least id (``single``). One pass over
-    the merge-base table files each pair under its drawn bases; the walk
-    then goes base by base, so each span from a base to a version is built
-    once, and dropped with the base's pairs when the walk moves on. Each
-    version's model is built once per call."""
+    the merge-base table files each pair under its drawn mask, and each
+    distinct mask becomes base ids once; the walk then goes base by base,
+    so each span from a base to a version is built once, and dropped with
+    the base's pairs when the walk moves on. Each version's model is built
+    once per call, and none when no pair is mergeable."""
     check_lcp_mode(lcp_mode)
     single = lcp_mode == "single"
-    pairs_of: dict[str, list[tuple[str, str]]] = {}
+    pairs_of_mask: dict[int, list[tuple[str, str]]] = {}
     for pair, bases in versioning.latest_common_predecessor_table().items():
         if bases:
-            for c in (min(bases),) if single else bases:
-                pairs_of.setdefault(c, []).append(pair)
+            pairs_of_mask.setdefault(bases & -bases if single else bases, []).append(pair)
+    pairs_of: dict[str, list[tuple[str, str]]] = {}
+    for bases, pairs in pairs_of_mask.items():
+        for c in versioning.ids_of(bases):
+            pairs_of.setdefault(c, []).extend(pairs)
     models = dict(versioning.versions.items()) if pairs_of else {}
     while pairs_of:
         c, pairs = pairs_of.popitem()

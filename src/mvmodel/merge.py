@@ -1,7 +1,8 @@
 """Three-way merge of two modifications out of one base model.
 
 Each merge takes the base once and two ``ModelModification`` spans from
-it, the spans a history keeps or ``ModelModification.between`` builds.
+it, the spans a history keeps or ``ModelModification.between`` builds,
+and raises ValidationError on a span that does not come out of the base.
 The default merge rules are: keep what both sides keep, drop what either
 side drops, add what either side adds. The one genuinely problematic
 situation is an edge added by one side whose endpoint node the other
@@ -17,7 +18,7 @@ import itertools
 from typing import Mapping
 
 from .core import Model
-from .errors import ImproperResult, IncompleteStrategy, TooManyConflicts
+from .errors import ImproperResult, IncompleteStrategy, TooManyConflicts, ValidationError
 from .versioning import ModelModification
 
 
@@ -39,7 +40,8 @@ def insert_delete_conflicts(
     and both endpoints are tested against the other side's deleted nodes;
     a side whose partner deletes no node is skipped. A self-loop on a
     deleted node, or an edge that both sides create over a node that both
-    delete, gives one key."""
+    delete, gives one key. Unlike the merges, it does not check that both
+    spans come out of ``base``: the per-version route builds them so."""
     edge_decl = base.store._edges
     found: set[tuple[str, str]] = set()
     for a, b in ((m1, m2), (m2, m1)):
@@ -53,6 +55,19 @@ def insert_delete_conflicts(
             if tgt in dropped:
                 found.add((e, tgt))
     return sorted(found)
+
+
+def _conflicts_from(base: Model, m1: ModelModification, m2: ModelModification) -> list[tuple[str, str]]:
+    """``insert_delete_conflicts`` of two spans out of ``base``. A span does
+    not carry its source: ValidationError names the least id that a span
+    deletes and the base lacks, or creates and the base holds."""
+    nodes, edges = base.node_set, base.edge_set
+    stray = [x for m in (m1, m2) for x in itertools.chain(
+        m.deleted_nodes - nodes, m.deleted_edges - edges,
+        nodes & m.created_nodes, edges & m.created_edges)]
+    if stray:
+        raise ValidationError(f"a span does not come out of the merge base: {min(stray)!r}")
+    return insert_delete_conflicts(base, m1, m2)
 
 
 def _merged(base: Model, m1: ModelModification, m2: ModelModification, decided: Strategy) -> Model:
@@ -102,7 +117,7 @@ def merge(base: Model, m1: ModelModification, m2: ModelModification, strategy: S
             decided[key] = Decision(value)
         except ValueError:
             raise IncompleteStrategy(f"{value!r} for {key!r} is not a Decision") from None
-    keys = set(insert_delete_conflicts(base, m1, m2))
+    keys = set(_conflicts_from(base, m1, m2))
     if decided.keys() != keys:
         missing = sorted(keys - decided.keys())
         extra = sorted(decided.keys() - keys)
@@ -120,7 +135,7 @@ def merge_min(base: Model, m1: ModelModification, m2: ModelModification) -> Mode
     m2), Decision.REVERT_EDGE_CREATION)``. Always succeeds on valid targets,
     and its result is contained in the result of every other strategy.
     """
-    keys = insert_delete_conflicts(base, m1, m2)
+    keys = _conflicts_from(base, m1, m2)
     return _merged(base, m1, m2, dict.fromkeys(keys, Decision.REVERT_EDGE_CREATION))
 
 
@@ -141,7 +156,7 @@ def enumerate_strategies(
     improper targets ``merge`` raises ImproperResult for each map whose
     result dangles.
     """
-    keys = insert_delete_conflicts(base, m1, m2)
+    keys = _conflicts_from(base, m1, m2)
     if len(keys) > bound:
         raise TooManyConflicts(len(keys), bound)
     choices = (Decision.REVERT_EDGE_CREATION, Decision.REVERT_NODE_DELETION)

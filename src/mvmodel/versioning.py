@@ -20,7 +20,7 @@ wraps."""
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import Model
@@ -106,7 +106,7 @@ class VersionDag:
                 pred[b].append(a)
         self._succ = {v: tuple(ws) for v, ws in succ.items()}
         self._pred = {v: tuple(ws) for v, ws in pred.items()}
-        self._lcp_table: dict[tuple[VersionId, VersionId], frozenset[VersionId]] | None = None
+        self._lcp_table: dict[tuple[VersionId, VersionId], int] | None = None
         self.validate()
 
     def successors(self, version_id: VersionId) -> tuple[VersionId, ...]:
@@ -238,34 +238,20 @@ class VersionDag:
 
         return draw
 
-    def latest_common_predecessor_table(
-        self,
-    ) -> dict[tuple[VersionId, VersionId], frozenset[VersionId]]:
-        """Merge-base sets for every unordered version pair, keyed (i, j) with i < j.
-
-        Read by the per-version route only; the folded analyses use
-        ``merge_partners`` and ``drawn_bases`` instead. One pass over all
-        pairs: a set is non-empty exactly for partners, and holds the maxima
-        of the pair's common ancestors, as ``drawn_bases`` draws them. Pairs
-        with equal common ancestors share one frozenset.
+    def latest_common_predecessor_table(self) -> dict[tuple[VersionId, VersionId], int]:
+        """The merge-base mask of every unordered version pair, keyed (i, j)
+        with i < j: ``drawn_bases("all")`` of the pair for merge partners,
+        0 for any other pair. A layout of the fold's draw for the
+        per-version route, which files pairs under their masks; the folded
+        analyses draw from ``merge_partners`` and ``drawn_bases`` directly.
         """
         if self._lcp_table is None:
-            ids, pre, partners = self.ids, self._pre, self.merge_partners
-            empty: frozenset[VersionId] = frozenset()
-            bases_of: dict[int, frozenset[VersionId]] = {}
-            table: dict[tuple[VersionId, VersionId], frozenset[VersionId]] = {}
+            ids, partners, draw = self.ids, self.merge_partners, self.drawn_bases("all")
+            table: dict[tuple[VersionId, VersionId], int] = {}
             for a, i in enumerate(ids):
-                pre_i, mine = pre[a], partners[a]
+                mine = partners[a]
                 for b in range(a + 1, len(ids)):
-                    pair = (i, ids[b])
-                    if not mine >> b & 1:
-                        table[pair] = empty
-                        continue
-                    common = pre_i & pre[b]
-                    bases = bases_of.get(common)
-                    if bases is None:
-                        bases = bases_of[common] = frozenset(self.ids_of(_maxima(common, pre)))
-                    table[pair] = bases
+                    table[i, ids[b]] = draw(a, b) if mine >> b & 1 else 0
             self._lcp_table = table
         return self._lcp_table
 
@@ -346,7 +332,9 @@ class ModelVersioning(VersionDag):
 
     def __eq__(self, other: object) -> bool:
         """Value equality: same shape and same element content, compared
-        on the root's members and the spans' deltas.
+        on the root's members and the spans' deltas. The shape is the root
+        and the modifications: every other version descends from the root,
+        so the ids are the root and the modifications' targets.
 
         Unlike Model equality this does not require store identity, so a
         versioning equals its serialization round trip.
@@ -356,7 +344,6 @@ class ModelVersioning(VersionDag):
         return (
             self.root == other.root
             and self.modifications == other.modifications
-            and self.ids == other.ids
             and self.type_graph == other.type_graph
             and self.root_members == other.root_members
             and self.spans == other.spans
@@ -467,8 +454,8 @@ class ModelVersioning(VersionDag):
 
 class _Versions(Mapping):
     """A history's versions as a read-only mapping from id to ``Model``,
-    each built on access; ``items`` and ``values`` build them in one
-    ``replay``. Unknown ids raise KeyError."""
+    each built on access; ``items`` and ``values`` are generators that
+    build them in one ``replay``. Unknown ids raise KeyError."""
 
     __slots__ = ("_history",)
 
@@ -489,24 +476,15 @@ class _Versions(Mapping):
     def __len__(self) -> int:
         return len(self._history.ids)
 
-    def items(self) -> ItemsView:
-        return _Items(self)
-
-    def values(self) -> ValuesView:
-        return _Values(self)
-
-
-class _Items(ItemsView):
-    def __iter__(self) -> Iterator[tuple[VersionId, Model]]:
-        h = self._mapping._history
+    def items(self) -> Iterator[tuple[VersionId, Model]]:
+        h = self._history
         wrap, store, tg = Model._wrap, h.store, h.type_graph
         for vid, members in h.replay(h.root_members, _edit):
             yield vid, wrap(store, tg, *members)
 
-
-class _Values(ValuesView):
-    def __iter__(self) -> Iterator[Model]:
-        return (model for _, model in _Items(self._mapping))
+    def values(self) -> Iterator[Model]:
+        for _, model in self.items():
+            yield model
 
 
 def _step(members: tuple, delta: ModelModification, edit: Callable) -> tuple:

@@ -52,6 +52,7 @@ from conftest import assert_one_numbering, build_store, read_encoding
 from oracles import (
     brute_force_monomorphisms,
     fold_marks,
+    latest_common_predecessors,
     predecessors,
     render_json,
     render_text,
@@ -131,7 +132,9 @@ def test_fold_wraps_the_reference_union_and_marks(versioning):
 @given(histories())
 def test_drawn_bases_are_the_masks_of_the_analysed_bases(versioning):
     """The closed-form partners are the pairs with a merge base in the
-    table, and each partner pair draws all its bases or their least id."""
+    table, the table holds the ``all`` draw of each partner pair and 0 for
+    any other pair, and each partner pair draws all the oracle's bases or
+    their least id."""
     ids_of, ids = versioning.ids_of, versioning.ids
     table = versioning.latest_common_predecessor_table()
     partners = versioning.merge_partners
@@ -139,10 +142,13 @@ def test_drawn_bases_are_the_masks_of_the_analysed_bases(versioning):
     ranked = {tuple(sorted((ids[a], ids[b]))): (a, b) for a, b in pairs}
     assert len(ranked) * 2 == len(pairs)
     assert ranked.keys() == {pair for pair, bases in table.items() if bases}
+    draw_all = versioning.drawn_bases("all")
+    assert table == {pair: draw_all(*ranked[pair]) if pair in ranked else 0 for pair in table}
     for mode, want in (("all", sorted), ("single", lambda bases: [min(bases)])):
         draw = versioning.drawn_bases(mode)
         for pair, (a, b) in ranked.items():
-            assert ids_of(draw(a, b)) == ids_of(draw(b, a)) == want(table[pair])
+            bases = latest_common_predecessors(versioning, *pair)
+            assert ids_of(draw(a, b)) == ids_of(draw(b, a)) == want(bases)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

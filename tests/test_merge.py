@@ -16,11 +16,13 @@ from mvmodel import (
     ModelModification,
     TooManyConflicts,
     TypeGraph,
+    ValidationError,
     enumerate_strategies,
     find_monomorphisms,
     insert_delete_conflicts,
     merge,
     merge_min,
+    parse_corpus,
     pcheck,
     validate_model,
 )
@@ -176,6 +178,31 @@ def test_merge_rejects_a_value_that_is_no_decision(monkeypatch, value):
     monkeypatch.setattr(merge_module, "insert_delete_conflicts", None)
     with pytest.raises(IncompleteStrategy, match=r"\('e42', 'n4'\)"):
         merge(base, m1, m2, {("e42", "n4"): value})
+
+
+def test_the_merges_refuse_spans_that_do_not_come_out_of_the_base(data_dir):
+    """A span does not carry its source. Over v0, the spans v2 -> v3 and
+    v1 -> v5 would merge into a model where foo_b has two return types,
+    and the unchecked insert_delete_conflicts reports an edge into cls_c,
+    which v0 lacks. v2 -> v3 creates rt_bfoo_int, which v0 holds, and
+    deletes rt_bfoo_str; v1 -> v5 deletes five ids that v0 lacks, the
+    least of them bar_c. Each merge names that least id, before it
+    detects the conflicts."""
+    h = parse_corpus((data_dir / "oo_project.corpus.json").read_bytes())
+    base = h.version("v0")
+    m1, m2 = h.max_preserving_mod("v2", "v3"), h.max_preserving_mod("v1", "v5")
+    assert insert_delete_conflicts(base, m1, m2) == [("sup_c_a", "cls_c")]
+    assert "cls_c" not in base.node_set
+    for call in (
+        lambda: merge_min(base, m1, m2),
+        lambda: merge(base, m1, m2, {("sup_c_a", "cls_c"): Decision.REVERT_EDGE_CREATION}),
+        lambda: enumerate_strategies(base, m1, m2),
+    ):
+        with pytest.raises(ValidationError, match=r"'bar_c'$"):
+            call()
+    with pytest.raises(ValidationError, match=r"'rt_bfoo_int'$"):
+        merge_min(base, m1, m1)
+    assert merge_min(h.version("v2"), m1, m1) == h.version("v3")
 
 
 def test_revert_edge_creation_drops_the_edge():
