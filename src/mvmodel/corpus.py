@@ -13,15 +13,16 @@ a fold as one graph in edge-as-node form; the analyses never build it.
 
 from __future__ import annotations
 
+import io
 import json
 from bisect import bisect_left
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from .core import ElementStore, Model, Pattern, TypeGraph, validate_pattern
 from .errors import CorpusSyntaxError, ModelError, ValidationError
 from .mvm import MultiVersionModel
-from .versioning import ModelVersioning
+from .versioning import ModelVersioning, SpanBuilder
 
 CORPUS_FORMAT = "mv-corpus/1"
 CONSTRAINTS_FORMAT = "mv-constraints/1"
@@ -55,8 +56,39 @@ def canonical_json(obj: Any) -> bytes:
     call per value; this writer joins each list of strings, and each
     object whose values are all strings, in one go, and leaves every
     other scalar to ``json.dumps``, with its texts and its ``TypeError``.
+    It writes into one buffer, whose bytes it returns without a copy, and
+    an ``_Entries`` object member by member (``_emit``).
     """
-    return (_render(obj, "\n") + "\n").encode("utf-8")
+    out = io.BytesIO()
+    _emit(obj, "\n", lambda piece: out.write(piece.encode()))
+    out.write(b"\n")
+    return out.getvalue()
+
+
+class _Entries:
+    """An object for ``canonical_json`` given as its (key, value) pairs, in
+    key order: an iterable that it reads once, as it writes them, so the
+    caller need not hold them all."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: Iterable[tuple[str, Any]]):
+        self.pairs = pairs
+
+
+def _emit(obj: Any, nl: str, write: Callable[[str], object]) -> None:
+    """``obj`` as ``_render`` renders it, handed to ``write``: an
+    ``_Entries`` object one member at a time, any other value whole."""
+    if not isinstance(obj, _Entries):
+        write(_render(obj, nl))
+        return
+    inner = nl + "  "
+    head = "{"
+    for key, value in obj.pairs:
+        write(f"{head}{inner}{_json_str(key)}: ")
+        _emit(value, inner, write)
+        head = ","
+    write("{}" if head == "{" else nl + "}")
 
 
 def _render(obj: Any, nl: str) -> str:
@@ -167,7 +199,25 @@ def _fill_store(store: ElementStore, obj: Any, where: str) -> None:
 
 
 def parse_corpus(data: bytes | str) -> ModelVersioning:
-    """Parse and fully validate one corpus file."""
+    """Parse and fully validate one corpus file.
+
+    The document is read one version at a time (``_read_corpus``), and the
+    history is handed its deltas. Anything that reader does not expect (a
+    duplicate key, ``versions`` before ``elements`` or ``type_graph``, a
+    decode error, a wrong type, or a failed check) is read again from the
+    start by the whole-document reader, ``_parse_document``, so every
+    accepted history and every error is that reader's."""
+    try:
+        return _read_corpus(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (_Irregular, ModelError, ValueError, KeyError, TypeError, RecursionError):
+        pass
+    return _parse_document(data)
+
+
+def _parse_document(data: bytes | str) -> ModelVersioning:
+    """Parse and fully validate one corpus file, decoded whole by
+    ``json.loads``, with a ``Model`` per version; every error that
+    ``parse_corpus`` raises is raised here."""
     obj = load_json(data, "corpus")
     check_format(obj, CORPUS_FORMAT, "corpus")
     tg = _parse_type_graph(_require(obj, "type_graph", dict, "corpus"), "type_graph")
@@ -190,38 +240,180 @@ def parse_corpus(data: bytes | str) -> ModelVersioning:
             raise ValidationError(f"{where}: {err}") from err
         # The model holds the store's id objects; the decoded copies die now.
         del versions_obj[vid]
-    mods_obj = _require(obj, "modifications", list, "corpus")
+    return ModelVersioning(versions, _modifications(obj), root)
+
+
+def _modifications(obj: dict) -> list[tuple[str, str]]:
     mods = []
-    for k, pair in enumerate(mods_obj):
+    for k, pair in enumerate(_require(obj, "modifications", list, "corpus")):
         if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair)):
             raise CorpusSyntaxError("modification must be a [from, to] pair", f"modifications[{k}]")
         mods.append((pair[0], pair[1]))
-    return ModelVersioning(versions, mods, root)
+    return mods
+
+
+class _Irregular(Exception):
+    """Input that ``_read_corpus`` leaves to the whole-document reader."""
+
+
+_scan_once = json.JSONDecoder().scan_once
+_space = json.decoder.WHITESPACE.match
+
+
+def _value(text: str, idx: int) -> tuple[Any, int]:
+    """The JSON value that starts at ``text[idx]``, decoded as
+    ``json.loads`` decodes it, and the index after it."""
+    try:
+        return _scan_once(text, idx)
+    except StopIteration:
+        raise _Irregular from None
+
+
+def _object(text: str, idx: int, take: Callable[[str, int], int]) -> int:
+    """Walk the JSON object that starts at ``text[idx]`` as json's own
+    scanner does, and return the index after it. ``take(key, start)``
+    reads each member's value from ``start`` and returns the index after
+    that value. A duplicate key, or anything json rejects, is _Irregular."""
+    if text[idx:idx + 1] != "{":
+        raise _Irregular
+    idx = _space(text, idx + 1).end()
+    if text[idx:idx + 1] == "}":
+        return idx + 1
+    seen = set()
+    while True:
+        if text[idx:idx + 1] != '"':
+            raise _Irregular
+        key, idx = json.decoder.scanstring(text, idx + 1)
+        if key in seen:
+            raise _Irregular
+        seen.add(key)
+        idx = _space(text, idx).end()
+        if text[idx:idx + 1] != ":":
+            raise _Irregular
+        idx = _space(text, take(key, _space(text, idx + 1).end())).end()
+        if text[idx:idx + 1] == "}":
+            return idx + 1
+        if text[idx:idx + 1] != ",":
+            raise _Irregular
+        idx = _space(text, idx + 1).end()
+
+
+def _read_corpus(text: str) -> ModelVersioning:
+    """The corpus in ``text``, read one version at a time. It raises
+    _Irregular, or the error of a failed check, on anything that
+    ``parse_corpus`` leaves to the whole-document reader.
+
+    The top-level object and ``versions`` are walked with json's own
+    scanner; every other value is decoded whole. ``type_graph`` and
+    ``elements`` must come before ``versions``. Then each version entry is
+    decoded on its own, and its ids are swapped for the store's own, which
+    is also the check that they are registered (``_VersionReader``)."""
+    head: dict[str, Any] = {}
+    versions: _VersionReader | None = None
+
+    def take(key: str, start: int) -> int:
+        nonlocal versions
+        if key != "versions":
+            head[key], end = _value(text, start)
+            return end
+        versions = _VersionReader(text, head)
+        return _object(text, start, versions.take)
+
+    end = _object(text, _space(text, 0).end(), take)
+    if _space(text, end).end() != len(text) or versions is None:
+        raise _Irregular
+    return versions.history(head)
+
+
+class _VersionReader:
+    """The entries of a corpus's ``versions``, taken one at a time, and the
+    spans built from them.
+
+    When ``modifications`` and ``root`` come before ``versions``, as they
+    do in the canonical form, each modification's span is built as soon
+    as both its ends are read, and a version's sets are dropped after its
+    last span; the root's stay, as the history's ``root_members``.
+    Otherwise every version's sets are kept until ``history`` builds the
+    spans."""
+
+    def __init__(self, text: str, head: dict[str, Any]):
+        self.text = text
+        self.type_graph = _parse_type_graph(_require(head, "type_graph", dict, "corpus"), "type_graph")
+        self.store = ElementStore()
+        _fill_store(self.store, _require(head, "elements", dict, "corpus"), "elements")
+        self.spans = SpanBuilder(self.store)
+        self.ids: list[str] = []
+        self.members: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
+        # Per version, its modifications, and how many of their spans are
+        # not built yet; None when they are not known while the versions
+        # are read.
+        self.mods = self.pairs = self.left = self.root = None
+        if "modifications" in head and "root" in head:
+            self.root = _require(head, "root", str, "corpus")
+            self.mods = _modifications(head)
+            self.pairs = {}
+            for pair in set(self.mods):
+                for v in set(pair):
+                    self.pairs.setdefault(v, []).append(pair)
+            self.left = {v: len(pairs) for v, pairs in self.pairs.items()}
+
+    def take(self, vid: str, start: int) -> int:
+        entry, end = _value(self.text, start)
+        where = f"versions.{vid}"
+        nodes = _require(entry, "nodes", list, where)
+        edges = _require(entry, "edges", list, where)
+        own_nodes, own_edges = self.store._own_nodes, self.store._own_edges
+        members = self.members
+        members[vid] = (frozenset(map(own_nodes.__getitem__, nodes)),
+                        frozenset(map(own_edges.__getitem__, edges)))
+        self.ids.append(vid)
+        if self.pairs is None:
+            return end
+        # A pair's other end, once read, is held until this span is built.
+        left, root = self.left, self.root
+        for a, b in self.pairs.get(vid, ()):
+            if a in members and b in members:
+                self.spans.add(a, b, members[a], members[b])
+                for v in {a, b}:
+                    left[v] -= 1
+                    if not left[v] and v != root:
+                        del members[v]
+        if vid not in left and vid != root:
+            del members[vid]
+        return end
+
+    def history(self, head: dict[str, Any]) -> ModelVersioning:
+        """The history, once the whole document is read: the spans not
+        built yet are built from the versions' kept sets."""
+        check_format(head, CORPUS_FORMAT, "corpus")
+        root = _require(head, "root", str, "corpus")
+        members, built = self.members, self.spans.spans
+        for a, b in self.mods if self.mods is not None else _modifications(head):
+            if (a, b) not in built:
+                self.spans.add(a, b, members[a], members[b])
+        return ModelVersioning._from_deltas(self.store, self.type_graph, self.ids, root,
+                                            members[root], self.spans)
 
 
 def write_corpus(versioning: ModelVersioning) -> bytes:
-    """Serialise a versioning canonically."""
+    """Serialise a versioning canonically. The versions are written as
+    ``replay`` builds them, each as its sorted node and edge id lists: the
+    root's are sorted, and every other version's are derived from its
+    parent's lists by the deltas of the span between them (``_edited``).
+    So no more lists are held than ``replay`` holds."""
     store, tg = versioning.store, versioning.type_graph
+    nodes, edges = versioning.root_members
+    members = versioning.replay((sorted(nodes), sorted(edges)), _edited)
     obj = {
         "format": CORPUS_FORMAT,
         "type_graph": _type_graph(tg.node_types, tg.edge_types),
         "elements": _graph(store, store.node_ids(), store.edge_ids()),
         "root": versioning.root,
-        "versions": {
-            vid: {"nodes": nodes, "edges": edges}
-            for vid, (nodes, edges) in _sorted_members(versioning).items()
-        },
+        "versions": _Entries((vid, {"nodes": nodes, "edges": edges})
+                             for vid, (nodes, edges) in members),
         "modifications": [list(pair) for pair in sorted(versioning.modifications)],
     }
-    return canonical_json(obj)
-
-
-def _sorted_members(versioning: ModelVersioning) -> dict[str, tuple[list[str], list[str]]]:
-    """Each version's node and edge ids in id order. The root's are
-    sorted; every other version's are derived from its parent's lists by
-    the deltas of the span between them, which the history keeps."""
-    nodes, edges = versioning.root_members
-    return dict(versioning.replay((sorted(nodes), sorted(edges)), _edited))
+    return canonical_json(_Entries(sorted(obj.items())))
 
 
 def _edited(ids: list[str], deleted, created) -> list[str]:

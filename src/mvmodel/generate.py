@@ -16,11 +16,11 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import asdict, dataclass, fields
 
-from .core import ElementStore, Model
+from .core import ElementStore
 from .corpus import canonical_json, check_format, load_json
 from .errors import ParamError
 from .oo import CLASS, METHOD, OVERRIDES, OWNS, RETURN_TYPE, SUPERCLASS, TYPEREF, oo_type_graph
-from .versioning import ModelVersioning
+from .versioning import ModelVersioning, SpanBuilder
 
 GENERATOR_FORMAT = "mv-generator/1"
 
@@ -190,15 +190,20 @@ def _apply_edits(
 
 
 def generate_versioning(params: GeneratorParams) -> ModelVersioning:
-    """Build one versioning from the parameters, deterministically."""
+    """Build one versioning from the parameters, deterministically.
+
+    Every version's members are kept as sorted lists, which later versions
+    copy and merges read. The history gets its deltas, not a model per
+    version: each span is built as its target is made, from the two
+    versions' lists as sets, which are dropped again."""
     params.validate()
     rng = random.Random(params.seed)
     b = _Builder(rng)
+    spans = SpanBuilder(b.store)
 
     root = "v000"
     membership: dict[str, tuple[list[str], list[str]]] = {root: _build_base(b, params.base_size)}
     children: dict[str, int] = {root: 0}
-    mods: list[tuple[str, str]] = []
     # Every version so far, and those with fewer than branch_factor
     # children, each in id order, which is not creation order past v999.
     ids = [root]
@@ -214,15 +219,21 @@ def generate_versioning(params: GeneratorParams) -> ModelVersioning:
         nodes, edges = p_nodes.copy(), p_edges.copy()
         _apply_edits(b, nodes, edges, params.edits_per_modification, params.deletion_bias)
         membership[vid] = (nodes, edges)
-        mods.append((parent, vid))
+        members = _sets(membership[vid])
+        spans.add(parent, vid, _sets(membership[parent]), members)
         if params.branch_factor >= 2 and len(ids) >= 2 and rng.random() < 0.25:
             second = rng.choice([v for v in ids if v != parent])
-            mods.append((second, vid))
+            spans.add(second, vid, _sets(membership[second]), members)
         insort(ids, vid)
         insort(eligible, vid)
         children[vid] = 0
 
-    versions = {
-        vid: Model(b.store, b.type_graph, nodes, edges) for vid, (nodes, edges) in membership.items()
-    }
-    return ModelVersioning(versions, mods, root)
+    return ModelVersioning._from_deltas(b.store, b.type_graph, ids, root,
+                                        _sets(membership[root]), spans)
+
+
+def _sets(members: tuple[list[str], list[str]]) -> tuple[frozenset[str], frozenset[str]]:
+    """A version's sorted node and edge lists as sets. The lists hold the
+    store's own id objects, so the sets do too."""
+    nodes, edges = members
+    return frozenset(nodes), frozenset(edges)

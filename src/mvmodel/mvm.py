@@ -71,7 +71,7 @@ def comb(versioning: ModelVersioning) -> MultiVersionModel:
     """Fold a version history into a multi-version model.
 
     Validating the history already built the union of its versions as a
-    ``Model`` and recorded the marks (see ``ModelVersioning._valid_by_delta``):
+    ``Model`` and recorded the marks (see ``ModelVersioning._mark``):
     the root's elements are created at the root, and every modification
     marks what it adds as created and what it removes as deleted at its
     target. The fold only wraps them, with the versioning as its DAG, so

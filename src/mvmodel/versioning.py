@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .core import Model
+from .core import ElementStore, Model, TypeGraph
 from .errors import (
     CycleDetected,
     InvalidVersion,
@@ -39,6 +40,7 @@ VersionId = str
 LCP_MODES = ("all", "single")
 
 _EMPTY: frozenset[str] = frozenset()
+_NOTHING = (_EMPTY, _EMPTY)  # the members of the empty model
 
 
 def check_lcp_mode(mode: str) -> None:
@@ -256,6 +258,52 @@ class VersionDag:
         return self._lcp_table
 
 
+class SpanBuilder:
+    """One history's spans, built one at a time, for
+    ``ModelVersioning._from_deltas``.
+
+    ``add`` builds the span of a modification from the (nodes, edges)
+    member sets of its two ends, each a pair of frozensets of the store's
+    own ids, and keeps it in ``spans``. Each span is checked where it is
+    built, with its target's sets in hand, for whether it carries
+    properness from its source to its target: every edge it creates has
+    both ends in the target, and no node it deletes keeps an incident edge
+    there. ``proper`` stays True while every span does, so a caller may
+    drop a version's sets once its last span is built."""
+
+    def __init__(self, store: ElementStore):
+        self.spans: dict[tuple[VersionId, VersionId], ModelModification] = {}
+        self.proper = True
+        self._edge_decl = store._edges
+        self._incident: dict[str, list[str]] = {}
+        self._indexed = 0
+
+    def add(self, source_id: VersionId, target_id: VersionId, source: tuple, target: tuple) -> None:
+        self.spans[source_id, target_id] = self.span(source, target)
+
+    def span(self, source: tuple, target: tuple) -> ModelModification:
+        (source_nodes, source_edges), (nodes, edges) = source, target
+        span = ModelModification(*_deltas(source_nodes, nodes), *_deltas(source_edges, edges))
+        if self.proper:
+            decl = self._edge_decl
+            self.proper = all(nodes.issuperset(decl[e][1:]) for e in span.created_edges) and (
+                not span.deleted_nodes or edges.isdisjoint(self._incident_to(span.deleted_nodes)))
+        return span
+
+    def _incident_to(self, nodes: frozenset[str]) -> Iterator[str]:
+        """The registered edges with an end in ``nodes``. The index is
+        built on the first span that deletes a node, and extended by the
+        edges registered since, for a store that grows as the spans are
+        built (the generator's)."""
+        decl, index = self._edge_decl, self._incident
+        if self._indexed < len(decl):
+            for e, (_, src, dst) in islice(decl.items(), self._indexed, None):
+                index.setdefault(src, []).append(e)
+                index.setdefault(dst, []).append(e)
+            self._indexed = len(decl)
+        return chain.from_iterable(index.get(n, ()) for n in nodes)
+
+
 class ModelVersioning(VersionDag):
     """A version DAG whose versions are models over one element store;
     construction validates it (see ``validate``), so every instance is well
@@ -263,11 +311,14 @@ class ModelVersioning(VersionDag):
 
     It holds its deltas, not its versions: the root's node and edge sets
     (``root_members``) and, in ``spans``, each modification's
-    ``ModelModification``. The models it is given are read by validation
-    and then dropped. ``versions`` is a read-only mapping that builds each
-    model on access: ``version`` replays the deltas along one path from the
-    root, through each version's least parent, and ``replay`` builds every
-    version in id order, each from that parent's member sets.
+    ``ModelModification``. The public constructor takes a model per
+    version, which validation reads and then drops; the corpus reader and
+    the generator hand over the deltas alone (``_from_deltas``), so no
+    version is ever a ``Model`` on their way in. ``versions`` is a
+    read-only mapping that builds each model on access: ``version``
+    replays the deltas along one path from the root, through each
+    version's least parent, and ``replay`` builds every version in id
+    order, each from that parent's member sets.
     """
 
     def __init__(
@@ -279,6 +330,36 @@ class ModelVersioning(VersionDag):
         self._given: dict[VersionId, Model] | None = dict(sorted(versions.items()))
         super().__init__(self._given, modifications, root)
         self._given = None
+
+    @classmethod
+    def _from_deltas(
+        cls,
+        store: ElementStore,
+        type_graph: TypeGraph,
+        ids: Iterable[VersionId],
+        root: VersionId,
+        root_members: tuple[frozenset[str], frozenset[str]],
+        spans: SpanBuilder,
+    ) -> "ModelVersioning":
+        """The history of versions ``ids`` over ``store`` and ``type_graph``
+        whose root holds ``root_members`` and whose modifications are the
+        spans built in ``spans``, validated as the public constructor
+        validates one. A bad shape raises its error at once, as there is
+        no model to check in full; any other invalid version raises the
+        ``InvalidVersion`` of the first, from the replayed versions."""
+        self = cls.__new__(cls)
+        self._given = None
+        self.store, self.type_graph = store, type_graph
+        self._take(root_members, spans)
+        VersionDag.__init__(self, ids, spans.spans, root)
+        return self
+
+    def _take(self, root_members: tuple, spans: SpanBuilder) -> None:
+        """Keep the root's members and the built spans. The history's first
+        span runs from the empty model to the root; it is checked for
+        properness with the others, and then dropped."""
+        spans.span(_NOTHING, root_members)
+        self.root_members, self.spans, self._proper = root_members, spans.spans, spans.proper
 
     # -- basic access ---------------------------------------------------
 
@@ -355,28 +436,40 @@ class ModelVersioning(VersionDag):
     def validate(self) -> None:
         """Check the whole versioning; raises the first violation found.
         The DAG checks its shape first (``VersionDag.validate``). A valid
-        history is proven valid by its deltas, which are kept as the fold's
-        marks (``_valid_by_delta``); only when that fails, or the shape is
-        bad, is every version checked in full, in id order, so
-        ``InvalidVersion`` names the first broken one and wins over
-        ``CycleDetected`` and ``NoCommonRoot``. It reads the given models
-        during construction, and the replayed ones afterwards."""
+        history is proven valid by its deltas: each span carries
+        properness (``SpanBuilder``), and the elements conform to the type
+        graph (``_mark``, which keeps the fold's marks). Only when that
+        fails, or the shape is bad, is every version checked in full, in id
+        order, so ``InvalidVersion`` names the first broken one and wins
+        over ``CycleDetected`` and ``NoCommonRoot``. During the public
+        constructor it reads the given models and builds the spans from
+        them; otherwise it reads the spans it holds, and replays the
+        versions for the full check."""
         try:
             super().validate()
             shape_error = None
         except (CycleDetected, NoCommonRoot) as err:
             shape_error = err
-        models = self._given if self._given is not None else dict(self.versions.items())
-        ref = next(iter(models.values()))
-        for vid, m in models.items():
-            if m.store is not ref.store:
-                raise StoreMismatch(f"version {vid!r} uses a different element store")
-            if m.type_graph != ref.type_graph:
-                raise InvalidVersion(vid, ValidationError("type graph differs between versions"))
-        self.store, self.type_graph = ref.store, ref.type_graph
-        if shape_error is None and self._valid_by_delta(models):
+        models = self._given
+        if models is not None:
+            ref = next(iter(models.values()))
+            for vid, m in models.items():
+                if m.store is not ref.store:
+                    raise StoreMismatch(f"version {vid!r} uses a different element store")
+                if m.type_graph != ref.type_graph:
+                    raise InvalidVersion(vid, ValidationError("type graph differs between versions"))
+            self.store, self.type_graph = ref.store, ref.type_graph
+            if shape_error is None:
+                spans = SpanBuilder(self.store)
+                members = {vid: (m.node_set, m.edge_set) for vid, m in models.items()}
+                for a, b in self.modifications:
+                    spans.add(a, b, members[a], members[b])
+                self._take(members[self.root], spans)
+        elif shape_error is not None:
+            raise shape_error  # only deltas: no version to check in full
+        if shape_error is None and self._proper and self._mark():
             return
-        for vid, m in models.items():
+        for vid, m in (self.versions if models is None else models).items():
             try:
                 core.validate_model(m)
             except Exception as err:
@@ -384,65 +477,49 @@ class ModelVersioning(VersionDag):
         if shape_error is not None:
             raise shape_error
 
-    def _valid_by_delta(self, models: Mapping[VersionId, Model]) -> bool:
-        """Whether a history of valid shape is valid, proven without
-        visiting a version in full; False when a version is invalid.
+    def _mark(self) -> bool:
+        """Whether every element of the history conforms to the type graph,
+        checked once per element of the union of the versions; if so, keep
+        the union and the marks.
 
-        The history's first span runs from the empty model to the root,
-        and then one span per modification. Types are checked once per
-        element of the union of the versions. That union is every span's
-        created elements, which is exact because the shape check has proven
-        that every version descends from the root: on a path from the root
-        to a version that holds an element, the first span whose target
-        holds it creates it.
+        That union is the root's members and every span's created
+        elements, which is exact because the shape check has proven that
+        every version descends from the root: on a path from the root to a
+        version that holds an element, the first span whose target holds
+        it creates it. Properness holds on the root, and carries across
+        every span, so by induction from the root it holds for every
+        version.
 
-        Properness holds on the empty model and carries across a span
-        (a, b) when every edge created in b has both endpoints in b and no
-        node deleted from a keeps an incident edge in b; by induction from
-        the empty model it holds for every version.
-
-        What the history keeps is set here: ``spans`` maps each
-        modification to its span; ``union`` is the union as a ``Model``;
-        ``cv`` and ``dv`` map each element to the mask of the versions that
-        create and delete it (span (a, b) marks at b what b adds to a and
-        what it drops); and ``root_members``, from which ``version`` and
-        ``replay`` start."""
-        store, tg, root = self.store, self.type_graph, models[self.root]
-        between = ModelModification.between
-        self.spans = {(a, b): between(models[a], models[b]) for a, b in self.modifications}
-        spans = [(self.root, between(Model(store, tg), root))]
-        spans += [(b, delta) for (_, b), delta in self.spans.items()]
-        nodes = frozenset().union(*(delta.created_nodes for _, delta in spans))
-        edges = frozenset().union(*(delta.created_edges for _, delta in spans))
+        What the history keeps is set here: ``union`` is the union as a
+        ``Model``; ``cv`` and ``dv`` map each element to the mask of the
+        versions that create and delete it (the root creates its members,
+        and span (a, b) marks at b what b adds to a and what it drops)."""
+        store, tg = self.store, self.type_graph
+        root_nodes, root_edges = self.root_members
+        deltas = self.spans.values()
+        nodes = root_nodes.union(*(delta.created_nodes for delta in deltas))
+        edges = root_edges.union(*(delta.created_edges for delta in deltas))
         # The store's tables, read directly: a method call per element would
         # cost more than the check it makes.
         node_type, edge_decl = store._nodes, store._edges
         if not {node_type[n] for n in nodes} <= tg.node_types:
             return False
         edge_types = tg.edge_types
-        incident: dict[str, list[str]] = {}
         for e in edges:
             t, src, dst = edge_decl[e]
             if t not in edge_types or (node_type[src], node_type[dst]) != edge_types[t]:
                 return False
-            incident.setdefault(src, []).append(e)
-            incident.setdefault(dst, []).append(e)
-        cv: dict[str, int] = {}
-        dv: dict[str, int] = {}
         position = self.position
-        for target, delta in spans:
-            tgt, bit = models[target], 1 << position[target]
-            if not all(tgt.node_set.issuperset(edge_decl[e][1:]) for e in delta.created_edges):
-                return False
-            if not all(tgt.edge_set.isdisjoint(incident.get(n, ())) for n in delta.deleted_nodes):
-                return False
-            for x in delta.created_edges.union(delta.created_nodes):
+        cv = dict.fromkeys(chain(root_nodes, root_edges), 1 << position[self.root])
+        dv: dict[str, int] = {}
+        for (_, target), delta in self.spans.items():
+            bit = 1 << position[target]
+            for x in chain(delta.created_edges, delta.created_nodes):
                 cv[x] = cv.get(x, 0) | bit
-            for x in delta.deleted_nodes.union(delta.deleted_edges):
+            for x in chain(delta.deleted_nodes, delta.deleted_edges):
                 dv[x] = dv.get(x, 0) | bit
-        self.union = Model(store, tg, nodes, edges)
+        self.union = Model._wrap(store, tg, nodes, edges)
         self.cv, self.dv = cv, dv
-        self.root_members = (root.node_set, root.edge_set)
         return True
 
     # -- spans ------------------------------------------------------------

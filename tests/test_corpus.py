@@ -6,6 +6,7 @@ import gc
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 import tracemalloc
 import types
@@ -42,7 +43,7 @@ from mvmodel import (
 )
 from mvmodel.bench import parse_bench_params
 from mvmodel.cli import main
-from mvmodel.corpus import canonical_json
+from mvmodel.corpus import _parse_document, _read_corpus, canonical_json
 from strategies import histories
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -217,20 +218,221 @@ def test_a_history_holds_no_model_but_its_union(source):
     assert _models_reached(versioning, stop) == [versioning.union]
 
 
-def test_a_parsed_wide_rare_history_holds_under_2_mib():
-    """perfbench's wide-rare shape: 120 versions of about 2,000 elements.
-    Its version models would hold over 7 MiB; the history holds its store,
-    its union, the root's members and the spans' deltas."""
-    data = write_corpus(generate_versioning(GeneratorParams(**_perfbench_run().SHAPES["wide-rare"])))
+def _wide_rare() -> GeneratorParams:
+    return GeneratorParams(**_perfbench_run().SHAPES["wide-rare"])
+
+
+def _traced(fn):
+    """``fn()``, with the bytes it left allocated and its peak, by tracemalloc."""
     gc.collect()
     tracemalloc.start()
     try:
-        versioning = parse_corpus(data)
-        held = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, held, peak
+
+
+def test_a_parsed_wide_rare_history_holds_under_2_mib():
+    """perfbench's wide-rare shape: 120 versions of about 2,000 elements.
+    Its version models would hold over 7 MiB; the history holds its store,
+    its union, the root's members and the spans' deltas. The reader takes
+    one version at a time, so its peak is the decoded text (4.1 MiB) and
+    the sets of the versions whose spans are not all built yet, not the
+    whole decoded document (15 MiB)."""
+    data = write_corpus(generate_versioning(_wide_rare()))
+    versioning, held, peak = _traced(lambda: parse_corpus(data))
     assert len(versioning.ids) == 120
     assert held < 2 * 2**20
+    assert peak <= 8.5 * 2**20
+
+
+def test_generating_the_wide_rare_history_peaks_under_4_mib():
+    """The generator keeps each version's sorted id lists, which later
+    versions copy, and hands the history its spans, each built from two
+    versions' lists as sets; a model per version would take over 7 MiB."""
+    versioning, _, peak = _traced(lambda: generate_versioning(_wide_rare()))
+    assert len(versioning.ids) == 120
+    assert peak <= 4 * 2**20
+
+
+def test_writing_the_wide_rare_corpus_peaks_under_7_5_mib():
+    """The 4.1 MiB document is written into one buffer, version by version
+    as ``replay`` builds them, and returned without a copy."""
+    versioning = generate_versioning(_wide_rare())
+    data, _, peak = _traced(lambda: write_corpus(versioning))
+    assert len(data) > 4 * 10**6
+    assert peak <= 7.5 * 2**20
+
+
+def test_generating_and_parsing_build_no_model_per_version(monkeypatch):
+    """The generator and the reader hand the history its deltas: neither
+    builds a ``Model`` per version for it to diff and drop."""
+    calls = []
+    init = Model.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "__init__", counted)
+    versioning = generate_versioning(_wide_rare())
+    assert len(versioning.ids) == 120 and len(calls) <= 2
+    calls.clear()
+    data = write_corpus(versioning)
+    assert parse_corpus(data) == versioning and len(calls) <= 2
+
+
+# -- the version-at-a-time reader and the whole-document reader agree -------
+
+SHIPPED = [(ROOT / "data" / f"{name}.corpus.json").read_text()
+           for name in ("running", "oo_project")]
+# README's example builds its document in this order and writes it with
+# json.dumps, so ``modifications`` follows ``versions``.
+README_ORDER = ("format", "type_graph", "elements", "root", "versions", "modifications")
+WRONG_TYPES = st.sampled_from([1, -0.5, None, True, "x", [], {}, [[]], {"nodes": []}])
+BAD_IDS = st.sampled_from([1, True, None, 2.5, [], {}, "ghost"])
+
+
+def _outcome(parse, data):
+    """What a reader makes of ``data``: the history, or the type and the
+    text of the error it raises."""
+    try:
+        return parse(data)
+    except Exception as err:  # every error is compared, whatever its type
+        return type(err), str(err)
+
+
+def _escaped(text: str, ident: str) -> str:
+    """``text`` with each JSON string ``ident`` written in escapes."""
+    return text.replace(json.dumps(ident), '"' + "".join(f"\\u{ord(c):04x}" for c in ident) + '"')
+
+
+def _ids(obj: dict) -> list[str]:
+    return sorted({*obj["versions"], *obj["elements"]["nodes"], *obj["elements"]["edges"]})
+
+
+CORPUS_VARIANTS = ["reordered", "respaced", "escaped", "duplicate", "truncated", "extra", "garbled",
+                   "wrong-type", "bad-id", "invalid"]
+
+
+@st.composite
+def corpus_texts(draw, variant: str) -> tuple[str | bytes, bool]:
+    """A corpus document and whether it is valid and regular, so that the
+    version-at-a-time reader must take it without falling back: the
+    canonical corpus of a drawn history or of a shipped one, changed by
+    ``variant``. It is reordered, respaced, escaped, given a duplicate
+    key, truncated, given trailing text, garbled at one character, given
+    a wrong-typed value or a bad id in a version list, or made invalid."""
+    obj = json.loads(draw(st.one_of(histories().map(write_corpus), st.sampled_from(SHIPPED))))
+    vids = sorted(obj["versions"])
+    vid = draw(st.sampled_from(vids))
+    regular = False
+    if variant == "reordered":
+        order = draw(st.one_of(st.just(README_ORDER), st.permutations(README_ORDER)))
+        obj = {k: obj[k] for k in order}
+        regular = order.index("versions") > max(order.index("type_graph"), order.index("elements"))
+    elif variant == "respaced":
+        indent = draw(st.sampled_from([None, 0, 1, 3, "\t", " \r\n"]))
+        separators = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\n", " :\t")]))
+        pad = draw(st.sampled_from(["", " ", "\n", " \t\r\n "]))
+        text = pad + json.dumps(obj, indent=indent, separators=separators, sort_keys=True) + pad
+        return text, True
+    elif variant == "escaped":
+        text = canonical_json(obj).decode()
+        for ident in draw(st.sets(st.sampled_from(_ids(obj)), min_size=1, max_size=4)):
+            text = _escaped(text, ident)
+        return text, True
+    elif variant == "duplicate":
+        text = json.dumps(obj, sort_keys=True)
+        where = draw(st.sampled_from(["top", "versions", "entry"]))
+        if where == "top":
+            key = draw(st.sampled_from(README_ORDER))
+            value = draw(st.one_of(WRONG_TYPES, st.just(obj[key]), st.sampled_from(vids)))
+            return "{" + f"{json.dumps(key)}: {json.dumps(value)}, " + text[1:], False
+        entry = json.dumps(obj["versions"][draw(st.sampled_from(vids))])
+        if where == "versions":
+            head = '"versions": {'
+            return text.replace(head, head + f"{json.dumps(vid)}: {entry}, "), False
+        head = f'"versions": {{{json.dumps(vid)}: {{'
+        if head not in text:
+            head = f'{json.dumps(vid)}: {{'
+        kind = draw(st.sampled_from(["nodes", "edges"]))
+        extra = json.dumps(draw(st.one_of(WRONG_TYPES, st.just(json.loads(entry)[kind]))))
+        return text.replace(head, head + f'"{kind}": {extra}, ', 1), True
+    elif variant == "truncated":
+        text = canonical_json(obj).decode()
+        return text[:draw(st.integers(0, len(text) - 1))], False
+    elif variant == "extra":
+        return canonical_json(obj).decode() + draw(st.sampled_from(["x", "{}", "]", " 1", "\u00a0"])), False
+    elif variant == "garbled":
+        # A separator that the reader's own walk reads (of the top level or
+        # of versions, which comes last), or any character, replaced.
+        text = canonical_json(obj).decode()
+        start = text.index('\n  "versions": {')
+        seps = []
+        for indent, after in (("  ", 0), ("    ", start)):
+            for m in re.finditer(rf'\n{indent}"[^"\n]*"(:)|(,)(?=\n{indent}")', text):
+                seps += [m.start(g) for g in (1, 2) if m.start(g) > after]
+        k = draw(st.one_of(st.sampled_from(seps), st.integers(0, len(text) - 1)))
+        return text[:k] + draw(st.sampled_from(["x", "", ";", " ", "]"])) + text[k + 1:], False
+    elif variant == "wrong-type":
+        target = draw(st.sampled_from(["top", "entry", "list", "element"]))
+        if target == "top":
+            obj[draw(st.sampled_from(README_ORDER))] = draw(WRONG_TYPES)
+        elif target == "entry":
+            obj["versions"][vid] = draw(WRONG_TYPES)
+        elif target == "list":
+            entry = obj["versions"][vid]
+            kind = draw(st.sampled_from(["nodes", "edges"]))
+            # An object of the right ids reads as those ids when iterated.
+            entry[kind] = draw(st.one_of(WRONG_TYPES, st.just(dict.fromkeys(entry[kind], 0))))
+        else:
+            node = draw(st.sampled_from(sorted(obj["elements"]["nodes"])))
+            obj["elements"]["nodes"][node] = draw(WRONG_TYPES)
+    elif variant == "bad-id":
+        kind = draw(st.sampled_from(["nodes", "edges"]))
+        other = sorted(obj["elements"]["edges" if kind == "nodes" else "nodes"]) or ["ghost"]
+        bad = draw(st.one_of(BAD_IDS, st.sampled_from(other)))
+        ids = obj["versions"][vid][kind]
+        ids.insert(draw(st.integers(0, len(ids))), bad)
+    else:
+        change = draw(st.sampled_from(["drop-node", "cycle", "root", "orphan", "unknown"]))
+        mods = obj["modifications"]
+        if change == "drop-node" and obj["versions"][vid]["nodes"]:
+            obj["versions"][vid]["nodes"].remove(draw(st.sampled_from(obj["versions"][vid]["nodes"])))
+        elif change == "cycle" and mods:
+            a, b = draw(st.sampled_from(mods))
+            mods.append([b, a])
+        elif change == "root":
+            obj["root"] = vid
+        elif change == "orphan":
+            obj["modifications"] = [pair for pair in mods if pair[1] != vid]
+        else:
+            mods.append([vid, "ghost"])
+    text = json.dumps(obj) if variant == "reordered" else canonical_json(obj).decode()
+    return (text.encode() if draw(st.booleans()) else text), regular
+
+
+@pytest.mark.parametrize("variant", CORPUS_VARIANTS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_two_corpus_readers_agree(variant, data):
+    """``parse_corpus`` reads one version at a time and leaves whatever it
+    does not expect to the whole-document reader. Both must give an equal
+    history with the same bytes, or the same error; a regular document,
+    whatever its key order, spacing or escapes, must not fall back."""
+    text, regular = data.draw(corpus_texts(variant))
+    got, expected = _outcome(parse_corpus, text), _outcome(_parse_document, text)
+    if isinstance(expected, ModelVersioning):
+        assert isinstance(got, ModelVersioning)
+        assert got == expected and write_corpus(got) == write_corpus(expected)
+    else:
+        assert got == expected
+    if regular:
+        fast = _read_corpus(text.decode() if isinstance(text, bytes) else text)
+        assert fast == expected and write_corpus(fast) == write_corpus(expected)
 
 
 def test_corpus_rejects_unknown_element_in_version():
