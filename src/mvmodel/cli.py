@@ -45,27 +45,27 @@ def _read(path: str) -> bytes:
 
 @contextmanager
 def _output(out: str | None):
-    """A ``write(str)`` that sends UTF-8 bytes to the file ``out`` or to
-    stdout's buffer, whatever the encoding of stdout's text layer; a
-    text-only stdout (such as ``io.StringIO``) gets the text."""
+    """A ``write(bytes)`` that sends UTF-8 bytes, as they are, to the file
+    ``out`` or to stdout's buffer, whatever the encoding of stdout's text
+    layer; a text-only stdout (such as ``io.StringIO``) gets them decoded."""
     if out is None and not hasattr(sys.stdout, "buffer"):
-        yield sys.stdout.write
+        yield lambda data: sys.stdout.write(data.decode("utf-8"))
         return
     sys.stdout.flush()
     with open(out, "wb") if out is not None else nullcontext(sys.stdout.buffer) as f:
-        yield lambda text: f.write(text.encode("utf-8"))
+        yield f.write
         f.flush()
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(data: bytes, out: str | None) -> None:
     with _output(out) as write:
-        write(text)
+        write(data)
 
 
 def cmd_validate(args) -> int:
     versioning = parse_corpus(_read(args.corpus))
     n = len(versioning.store)
-    _emit(f"ok versions={len(versioning.ids)} elements={n}\n", args.out)
+    _emit(f"ok versions={len(versioning.ids)} elements={n}\n".encode(), args.out)
     return 0
 
 
@@ -73,7 +73,7 @@ def cmd_project(args) -> int:
     versioning = parse_corpus(_read(args.corpus))
     mvm = comb(versioning)
     model = mvm.proj(args.version)
-    _emit(write_model(model, args.version).decode("utf-8"), args.out)
+    _emit(write_model(model, args.version), args.out)
     return 0
 
 
@@ -87,7 +87,10 @@ def cmd_report(args) -> int:
     subject = comb(versioning) if args.mode == "mvm" else versioning
     groups = getattr(task, args.mode)(subject, patterns, lcp)
     # Every analysis has run, so a failing verdict writes nothing.
-    with _output(args.out) as write:
+    with _output(args.out) as write_bytes:
+        def write(chunk: str) -> None:
+            write_bytes(chunk.encode("utf-8"))
+
         if args.json:
             # pattern tasks report violations; the one without patterns, conflicts
             write_json(groups, args.command, "violations" if task.patterns else "conflicts", write)
@@ -112,21 +115,21 @@ def cmd_oracle(args) -> int:
             else:
                 ok = False
                 lines.append(f"{label} MISMATCH mvm={total(folded)} svm={total(plain)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n").encode(), args.out)
     return 0 if ok else 1
 
 
 def cmd_generate(args) -> int:
     params = parse_generator_params(_read(args.params))
     versioning = generate_versioning(params)
-    _emit(write_corpus(versioning).decode("utf-8"), args.out)
+    _emit(write_corpus(versioning), args.out)
     return 0
 
 
 def cmd_export_mvm(args) -> int:
     versioning = parse_corpus(_read(args.corpus))
     mvm = comb(versioning)
-    _emit(write_mv_encoding(mvm).decode("utf-8"), args.out)
+    _emit(write_mv_encoding(mvm), args.out)
     return 0
 
 
@@ -139,7 +142,7 @@ def cmd_bench(args) -> int:
 
         patterns = parse_constraints(path.read_bytes(), oo_type_graph())
     report = run_bench(params, repeat=args.repeat, patterns=patterns)
-    _emit(report.to_json() if args.json else report.to_text(), args.out)
+    _emit((report.to_json() if args.json else report.to_text()).encode(), args.out)
     return 0
 
 

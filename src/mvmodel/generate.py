@@ -20,9 +20,10 @@ from .core import ElementStore
 from .corpus import canonical_json, check_format, load_json
 from .errors import ParamError
 from .oo import CLASS, METHOD, OVERRIDES, OWNS, RETURN_TYPE, SUPERCLASS, TYPEREF, oo_type_graph
-from .versioning import ModelVersioning, SpanBuilder
+from .versioning import _EMPTY, ModelModification, ModelVersioning, SpanBuilder
 
 GENERATOR_FORMAT = "mv-generator/1"
+_NODE_TYPES = (CLASS, METHOD, TYPEREF)
 
 
 @dataclass(frozen=True)
@@ -107,11 +108,37 @@ class _Builder:
         return eid
 
 
-def _discard(ids: list[str], x: str) -> None:
-    """Remove ``x`` from the sorted list ``ids`` if it is there."""
+def _discard(ids: list[str], x: str) -> bool:
+    """Remove ``x`` from the sorted list ``ids`` if it is there, and say
+    whether it was."""
     k = bisect_left(ids, x)
     if k < len(ids) and ids[k] == x:
         del ids[k]
+        return True
+    return False
+
+
+def _move(x: str, into: set[str], out_of: set[str]) -> None:
+    """Record ``x`` in the delta ``into``, or take it out of the opposite
+    delta ``out_of``, which this undoes."""
+    if x in out_of:
+        out_of.remove(x)
+    else:
+        into.add(x)
+
+
+class _Without:
+    """The sorted list ``ids`` without its member ``skip``, read by
+    ``Random.choice``, which takes only its length and one index."""
+
+    def __init__(self, ids: list[str], skip: str):
+        self.ids, self.at = ids, bisect_left(ids, skip)
+
+    def __len__(self) -> int:
+        return len(self.ids) - 1
+
+    def __getitem__(self, k: int) -> str:
+        return self.ids[k + (k >= self.at)]
 
 
 def _build_base(b: _Builder, size: int) -> tuple[list[str], list[str]]:
@@ -148,45 +175,72 @@ def _build_base(b: _Builder, size: int) -> tuple[list[str], list[str]]:
 
 def _apply_edits(
     b: _Builder, nodes: list[str], edges: list[str], count: int, deletion_bias: float
-) -> None:
-    """Edit one version's sorted node and edge lists in place; every draw
-    is over a sorted list."""
+) -> ModelModification:
+    """Edit one version's sorted node and edge lists in place, every draw
+    over a sorted list, and return the span that the edits made, net: an
+    id created and dropped, or dropped and readopted, lands in neither
+    delta. The per-type node pools are sorted out of ``nodes`` at the first
+    edge-adding edit and kept in step from there; a readoption still lists
+    every registered element that the version lacks."""
     rng, store = b.rng, b.store
-    node_type = store._nodes
+    node_type, edge_decl = store._nodes, store._edges
+    created_nodes, deleted_nodes, created_edges, deleted_edges = set(), set(), set(), set()
+    pools: dict[str, list[str]] | None = None
+
+    def add_node(n: str) -> None:
+        insort(nodes, n)
+        _move(n, created_nodes, deleted_nodes)
+        if pools is not None:
+            insort(pools[node_type[n]], n)
+
     for _ in range(count):
         if rng.random() < deletion_bias and (nodes or edges):
             # A node takes its incident edges with it; an edge goes alone.
             if edges and (not nodes or rng.random() < 0.5):
-                _discard(edges, rng.choice(edges))
+                gone = rng.choice(edges)
+                _discard(edges, gone)
+                _move(gone, deleted_edges, created_edges)
             elif nodes:
                 victim = rng.choice(nodes)
                 _discard(nodes, victim)
+                _move(victim, deleted_nodes, created_nodes)
+                if pools is not None:
+                    _discard(pools[node_type[victim]], victim)
                 for e in b.incident[victim]:
-                    _discard(edges, e)
+                    if _discard(edges, e):
+                        _move(e, deleted_edges, created_edges)
             continue
         q = rng.random()
         if q < 0.15:
             # Try to readopt something registered earlier but absent here.
             present_nodes, present_edges = set(nodes), set(edges)
             pool = [n for n in b.node_ids if n not in present_nodes]
-            pool += [
-                e
-                for e in b.edge_ids
-                if e not in present_edges and present_nodes.issuperset(store.endpoint(e))
-            ]
+            pool += [e for e in b.edge_ids if e not in present_edges
+                     and edge_decl[e][1] in present_nodes and edge_decl[e][2] in present_nodes]
             if pool:
                 pick = rng.choice(pool)
-                insort(nodes if store.is_node(pick) else edges, pick)
+                if pick in node_type:
+                    add_node(pick)
+                else:
+                    insort(edges, pick)
+                    _move(pick, created_edges, deleted_edges)
                 continue
         if q < 0.70:
+            if pools is None:
+                pools = {t: [] for t in _NODE_TYPES}
+                for n in nodes:
+                    pools[node_type[n]].append(n)
             t = rng.choice(b.edge_types)
             src_t, tgt_t = b.type_graph.endpoint_types(t)
-            src_pool = [n for n in nodes if node_type[n] == src_t]
-            tgt_pool = src_pool if tgt_t == src_t else [n for n in nodes if node_type[n] == tgt_t]
+            src_pool, tgt_pool = pools[src_t], pools[tgt_t]
             if src_pool and tgt_pool:
-                insort(edges, b.new_edge(t, rng.choice(src_pool), rng.choice(tgt_pool)))
+                e = b.new_edge(t, rng.choice(src_pool), rng.choice(tgt_pool))
+                insort(edges, e)
+                created_edges.add(e)
                 continue
-        insort(nodes, b.new_node(rng.choice((CLASS, METHOD, TYPEREF))))
+        add_node(b.new_node(rng.choice(_NODE_TYPES)))
+    return ModelModification(*(frozenset(d) if d else _EMPTY for d in
+                               (created_nodes, deleted_nodes, created_edges, deleted_edges)))
 
 
 def generate_versioning(params: GeneratorParams) -> ModelVersioning:
@@ -194,7 +248,8 @@ def generate_versioning(params: GeneratorParams) -> ModelVersioning:
 
     Every version's members are kept as sorted lists, which later versions
     copy and merges read. The history gets its deltas, not a model per
-    version: each span is built as its target is made, from the two
+    version: the span from a version's parent is the one its edits
+    recorded, and only a merge's second span is built from the two
     versions' lists as sets, which are dropped again."""
     params.validate()
     rng = random.Random(params.seed)
@@ -216,14 +271,12 @@ def generate_versioning(params: GeneratorParams) -> ModelVersioning:
         if children[parent] == params.branch_factor:
             _discard(eligible, parent)
         p_nodes, p_edges = membership[parent]
-        nodes, edges = p_nodes.copy(), p_edges.copy()
-        _apply_edits(b, nodes, edges, params.edits_per_modification, params.deletion_bias)
-        membership[vid] = (nodes, edges)
-        members = _sets(membership[vid])
-        spans.add(parent, vid, _sets(membership[parent]), members)
+        nodes, edges = membership[vid] = p_nodes.copy(), p_edges.copy()
+        span = _apply_edits(b, nodes, edges, params.edits_per_modification, params.deletion_bias)
+        spans.keep(parent, vid, span, (nodes, edges))
         if params.branch_factor >= 2 and len(ids) >= 2 and rng.random() < 0.25:
-            second = rng.choice([v for v in ids if v != parent])
-            spans.add(second, vid, _sets(membership[second]), members)
+            second = rng.choice(_Without(ids, parent))
+            spans.add(second, vid, _sets(membership[second]), _sets((nodes, edges)))
         insort(ids, vid)
         insort(eligible, vid)
         children[vid] = 0

@@ -19,8 +19,10 @@ wraps."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
+from functools import partial
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -59,6 +61,11 @@ def _deltas(source: frozenset[str], target: frozenset[str]) -> tuple[frozenset, 
         return created, (source - target if len(created) > grow else _EMPTY)
     deleted = source - target
     return (target - source if len(deleted) > -grow else _EMPTY), deleted
+
+
+def _in_sorted(ids: list[str], x: str) -> bool:
+    k = bisect_left(ids, x)
+    return k < len(ids) and ids[k] == x
 
 
 class ModelModification(NamedTuple):
@@ -264,12 +271,14 @@ class SpanBuilder:
 
     ``add`` builds the span of a modification from the (nodes, edges)
     member sets of its two ends, each a pair of frozensets of the store's
-    own ids, and keeps it in ``spans``. Each span is checked where it is
-    built, with its target's sets in hand, for whether it carries
-    properness from its source to its target: every edge it creates has
-    both ends in the target, and no node it deletes keeps an incident edge
-    there. ``proper`` stays True while every span does, so a caller may
-    drop a version's sets once its last span is built."""
+    own ids, and keeps it in ``spans``; ``keep`` keeps a span whose maker
+    knows its deltas, with its target's members as sorted id lists. Each
+    span is checked as it comes in, against its target's members, for
+    whether it carries properness from its source to its target: every
+    edge it creates has both ends in the target, and no node it deletes
+    keeps an incident edge there. ``proper`` stays True while every span
+    does, so a caller may drop a version's members once its last span is
+    in."""
 
     def __init__(self, store: ElementStore):
         self.spans: dict[tuple[VersionId, VersionId], ModelModification] = {}
@@ -281,14 +290,24 @@ class SpanBuilder:
     def add(self, source_id: VersionId, target_id: VersionId, source: tuple, target: tuple) -> None:
         self.spans[source_id, target_id] = self.span(source, target)
 
+    def keep(self, source_id: VersionId, target_id: VersionId, span: ModelModification,
+             target: tuple[list[str], list[str]]) -> None:
+        nodes, edges = target
+        self._check(span, partial(_in_sorted, nodes), partial(_in_sorted, edges))
+        self.spans[source_id, target_id] = span
+
     def span(self, source: tuple, target: tuple) -> ModelModification:
         (source_nodes, source_edges), (nodes, edges) = source, target
         span = ModelModification(*_deltas(source_nodes, nodes), *_deltas(source_edges, edges))
+        self._check(span, nodes.__contains__, edges.__contains__)
+        return span
+
+    def _check(self, span: ModelModification, has_node: Callable, has_edge: Callable) -> None:
         if self.proper:
             decl = self._edge_decl
-            self.proper = all(nodes.issuperset(decl[e][1:]) for e in span.created_edges) and (
-                not span.deleted_nodes or edges.isdisjoint(self._incident_to(span.deleted_nodes)))
-        return span
+            self.proper = all(has_node(n) for e in span.created_edges for n in decl[e][1:]) and (
+                not span.deleted_nodes
+                or not any(map(has_edge, self._incident_to(span.deleted_nodes))))
 
     def _incident_to(self, nodes: frozenset[str]) -> Iterator[str]:
         """The registered edges with an end in ``nodes``. The index is

@@ -509,6 +509,22 @@ def test_report_output_is_streamed(tmp_path):
         assert verdict - alone < out.stat().st_size / 2, fmt
 
 
+def test_generate_writes_the_corpus_bytes_as_they_are(tmp_path):
+    """``generate -o`` holds its document once: on perfbench's wide-rare
+    shape (data/bench_check.params.json's corpus, 4.1 MiB written) it
+    peaks under 6 MiB, where a text copy of the bytes, encoded again on
+    the way out, took the command to about 9 MiB."""
+    corpus = json.loads((DATA_DIR / "bench_check.params.json").read_text())["corpus"]
+    params = tmp_path / "wide-rare.params.json"
+    params.write_text(json.dumps({"format": "mv-generator/1", **corpus}))
+    out = tmp_path / "wide-rare.corpus.json"
+    gc.collect()
+    peak = traced_peak(lambda: main(["generate", "--params", str(params), "-o", str(out)]))
+    assert out.stat().st_size > 4 * 10**6
+    assert out.read_bytes() == write_corpus(generate_versioning(GeneratorParams(**corpus)))
+    assert peak <= 6 * 2**20
+
+
 def test_verdicts_build_no_reference_cycles():
     """With the cyclic collector off, as in a CLI command, reference
     counting alone frees what the analyses drop: parsing, folding, both

@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvmodel.generate
 from mvmodel import (
     CorpusSyntaxError,
     ElementStore,
     GeneratorParams,
     Model,
+    ModelModification,
     ModelVersioning,
     ParamError,
     UnknownVersion,
@@ -250,8 +252,9 @@ def test_a_parsed_wide_rare_history_holds_under_2_mib():
 
 def test_generating_the_wide_rare_history_peaks_under_4_mib():
     """The generator keeps each version's sorted id lists, which later
-    versions copy, and hands the history its spans, each built from two
-    versions' lists as sets; a model per version would take over 7 MiB."""
+    versions copy, and hands the history its spans, each recorded by the
+    edits that made its target (a merge's second span from two versions'
+    lists as sets); a model per version would take over 7 MiB."""
     versioning, _, peak = _traced(lambda: generate_versioning(_wide_rare()))
     assert len(versioning.ids) == 120
     assert peak <= 4 * 2**20
@@ -705,6 +708,71 @@ def test_generated_corpus_bytes_match_the_benchmark_shapes():
     assert _bench_corpus_params("check") == run.SHAPES["wide-rare"]
     for shape, params in run.SHAPES.items():
         assert _generated(params)[1] == run.EXPECTED[shape]["sha256"], shape
+
+
+# The pinned edge cases, and a shape with many edits per modification,
+# where an id is often created and dropped, or dropped and readopted,
+# within one modification.
+SPAN_SHAPES = {
+    **{name: GENERATED[name][0]
+       for name in ("empty-base", "no-edits", "always-delete", "never-delete", "chain")},
+    "many-edits": dict(seed=12, base_size=15, branch_factor=3, version_count=30,
+                       edits_per_modification=40, deletion_bias=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPAN_SHAPES))
+def test_generated_spans_are_the_differences_of_the_versions(monkeypatch, name):
+    """The generator records each modification's deltas as it edits, net
+    of what the modification undoes itself; each must be the difference
+    of the version's lists before and after the edits, and every span,
+    a merge's second one included, the difference of its two versions."""
+    apply_edits = mvmodel.generate._apply_edits
+    made = []
+
+    def recorded(b, nodes, edges, *args):
+        before_nodes, before_edges = set(nodes), set(edges)
+        span = apply_edits(b, nodes, edges, *args)
+        made.append((span, (set(nodes) - before_nodes, before_nodes - set(nodes),
+                            set(edges) - before_edges, before_edges - set(edges))))
+        return span
+
+    monkeypatch.setattr(mvmodel.generate, "_apply_edits", recorded)
+    versioning = generate_versioning(GeneratorParams(**SPAN_SHAPES[name]))
+    assert len(made) == len(versioning.ids) - 1
+    assert all(span == expected for span, expected in made)
+    for (a, b), span in versioning.spans.items():
+        assert span == ModelModification.between(versioning.version(a), versioning.version(b))
+    assert parse_corpus(write_corpus(versioning)) == versioning
+    if name == "many-edits":  # some ids were created and dropped within one modification
+        assert len(versioning.store) > len(versioning.union.node_set | versioning.union.edge_set)
+
+
+def test_generating_wide_rare_converts_only_merge_targets_to_sets(monkeypatch):
+    """On perfbench's wide-rare shape the generator turns whole versions
+    into sets only for a merge's second span (its two ends) and for the
+    root; every other span comes from the edits. Its readoption scan reads
+    the edges' ends from the store's table, without a method call per
+    registered edge."""
+    conversions = endpoints = 0
+    to_sets, endpoint = mvmodel.generate._sets, ElementStore.endpoint
+
+    def counted_sets(members):
+        nonlocal conversions
+        conversions += 1
+        return to_sets(members)
+
+    def counted_endpoint(self, e):
+        nonlocal endpoints
+        endpoints += 1
+        return endpoint(self, e)
+
+    monkeypatch.setattr(mvmodel.generate, "_sets", counted_sets)
+    monkeypatch.setattr(ElementStore, "endpoint", counted_endpoint)
+    versioning = generate_versioning(_wide_rare())
+    merges = len(versioning.modifications) - (len(versioning.ids) - 1)
+    assert merges == 30
+    assert (conversions, endpoints) == (1 + 2 * merges, 0)
 
 
 def test_generator_seeds_differ():
