@@ -39,8 +39,14 @@ from .tasks import TASKS
 from .versioning import LCP_MODES
 
 
-def _read(path: str) -> bytes:
-    return Path(path).read_bytes()
+def _read(path: str | Path) -> str | bytes:
+    """The file's text, so that its bytes go once decoded; the bytes when
+    they are not UTF-8, for the parser to reject with its own error."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        return data
 
 
 @contextmanager
@@ -140,7 +146,7 @@ def cmd_bench(args) -> int:
         path = Path(args.params).parent / params.constraints
         from .oo import oo_type_graph
 
-        patterns = parse_constraints(path.read_bytes(), oo_type_graph())
+        patterns = parse_constraints(_read(path), oo_type_graph())
     report = run_bench(params, repeat=args.repeat, patterns=patterns)
     _emit((report.to_json() if args.json else report.to_text()).encode(), args.out)
     return 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Container, Mapping
 from functools import partial
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -172,16 +172,22 @@ class VersionDag:
         topological sort decides acyclicity and reachability from the root;
         as ``order`` it visits the versions to build the ancestor and
         descendant masks that the merge masks, bases and ``reach`` read."""
-        if not self.ids:
-            raise ValidationError("a versioning needs at least one version")
-        for v in (self.root, *(v for pair in sorted(self.modifications) for v in pair)):
-            if v not in self._succ:
-                raise UnknownVersion(v)
+        self._check_ids(self._succ, self.modifications, self.root)
         self._number()
         root_bit = 1 << self.position[self.root]
         missing = [v for v, m in zip(self.ids, self._pre) if not m & root_bit and v != self.root]
         if missing:
             raise NoCommonRoot(missing)
+
+    @staticmethod
+    def _check_ids(ids: Container, modifications: Iterable[tuple], root: VersionId) -> None:
+        """The checks before the shape's: at least one version in ``ids``,
+        and every id that the root and the modifications name among them."""
+        if not ids:
+            raise ValidationError("a versioning needs at least one version")
+        for v in (root, *(v for pair in sorted(modifications) for v in pair)):
+            if v not in ids:
+                raise UnknownVersion(v)
 
     def _number(self) -> None:
         """Sort the versions topologically (``order``), number them in id
@@ -267,7 +273,7 @@ class VersionDag:
 
 class SpanBuilder:
     """One history's spans, built one at a time, for
-    ``ModelVersioning._from_deltas``.
+    ``ModelVersioning._build``.
 
     ``add`` builds the span of a modification from the (nodes, edges)
     member sets of its two ends, each a pair of frozensets of the store's
@@ -330,13 +336,13 @@ class ModelVersioning(VersionDag):
 
     It holds its deltas, not its versions: the root's node and edge sets
     (``root_members``) and, in ``spans``, each modification's
-    ``ModelModification``. The public constructor takes a model per
-    version, which validation reads and then drops; the corpus reader and
-    the generator hand over the deltas alone (``_from_deltas``), so no
-    version is ever a ``Model`` on their way in. ``versions`` is a
-    read-only mapping that builds each model on access: ``version``
-    replays the deltas along one path from the root, through each
-    version's least parent, and ``replay`` builds every version in id
+    ``ModelModification``. Every history is built by one route,
+    ``_build``: the corpus reader and the generator hand it their spans
+    (``_from_deltas``), and the public constructor, which takes a model
+    per version, hands it spans built from its models' member sets.
+    ``versions`` is a read-only mapping that builds each model on access:
+    ``version`` replays the deltas along one path from the root, through
+    each version's least parent, and ``replay`` builds every version in id
     order, each from that parent's member sets.
     """
 
@@ -346,39 +352,46 @@ class ModelVersioning(VersionDag):
         modifications: Iterable[tuple[VersionId, VersionId]],
         root: VersionId,
     ):
-        self._given: dict[VersionId, Model] | None = dict(sorted(versions.items()))
-        super().__init__(self._given, modifications, root)
-        self._given = None
+        models = dict(sorted(versions.items()))
+        pairs = frozenset((a, b) for a, b in modifications)
+        self._check_ids(models, pairs, root)
+        ref = next(iter(models.values()))
+        for vid, m in models.items():
+            if m.store is not ref.store:
+                raise StoreMismatch(f"version {vid!r} uses a different element store")
+            if m.type_graph != ref.type_graph:
+                raise InvalidVersion(vid, ValidationError("type graph differs between versions"))
+        members = {vid: (m.node_set, m.edge_set) for vid, m in models.items()}
+        spans = SpanBuilder(ref.store)
+        for a, b in pairs:
+            spans.add(a, b, members[a], members[b])
+        try:
+            self._build(ref.store, ref.type_graph, models, root, members[root], spans)
+        except (CycleDetected, NoCommonRoot):
+            self._check_each(models.items())  # a broken version wins over a bad shape
+            raise
 
     @classmethod
-    def _from_deltas(
-        cls,
-        store: ElementStore,
-        type_graph: TypeGraph,
-        ids: Iterable[VersionId],
-        root: VersionId,
-        root_members: tuple[frozenset[str], frozenset[str]],
-        spans: SpanBuilder,
-    ) -> "ModelVersioning":
-        """The history of versions ``ids`` over ``store`` and ``type_graph``
-        whose root holds ``root_members`` and whose modifications are the
-        spans built in ``spans``, validated as the public constructor
-        validates one. A bad shape raises its error at once, as there is
-        no model to check in full; any other invalid version raises the
-        ``InvalidVersion`` of the first, from the replayed versions."""
+    def _from_deltas(cls, *deltas) -> "ModelVersioning":
+        """The history that ``_build`` builds from ``deltas``, as the corpus
+        reader and the generator hand them over: a bad shape raises at
+        once, as no model is given to check in full."""
         self = cls.__new__(cls)
-        self._given = None
-        self.store, self.type_graph = store, type_graph
-        self._take(root_members, spans)
-        VersionDag.__init__(self, ids, spans.spans, root)
+        self._build(*deltas)
         return self
 
-    def _take(self, root_members: tuple, spans: SpanBuilder) -> None:
-        """Keep the root's members and the built spans. The history's first
-        span runs from the empty model to the root; it is checked for
-        properness with the others, and then dropped."""
+    def _build(self, store: ElementStore, type_graph: TypeGraph, ids: Iterable[VersionId],
+               root: VersionId, root_members: tuple, spans: SpanBuilder) -> None:
+        """Build the history of versions ``ids`` over ``store`` and
+        ``type_graph`` whose root holds ``root_members`` and whose
+        modifications are the spans built in ``spans``: keep the root's
+        members and the spans, then number the DAG, which calls
+        ``validate``. The first span, from the empty model to the root, is
+        checked for properness with the others, then dropped."""
         spans.span(_NOTHING, root_members)
+        self.store, self.type_graph = store, type_graph
         self.root_members, self.spans, self._proper = root_members, spans.spans, spans.proper
+        VersionDag.__init__(self, ids, spans.spans, root)
 
     # -- basic access ---------------------------------------------------
 
@@ -453,48 +466,26 @@ class ModelVersioning(VersionDag):
     # -- validation -----------------------------------------------------
 
     def validate(self) -> None:
-        """Check the whole versioning; raises the first violation found.
-        The DAG checks its shape first (``VersionDag.validate``). A valid
-        history is proven valid by its deltas: each span carries
-        properness (``SpanBuilder``), and the elements conform to the type
-        graph (``_mark``, which keeps the fold's marks). Only when that
-        fails, or the shape is bad, is every version checked in full, in id
-        order, so ``InvalidVersion`` names the first broken one and wins
-        over ``CycleDetected`` and ``NoCommonRoot``. During the public
-        constructor it reads the given models and builds the spans from
-        them; otherwise it reads the spans it holds, and replays the
-        versions for the full check."""
-        try:
-            super().validate()
-            shape_error = None
-        except (CycleDetected, NoCommonRoot) as err:
-            shape_error = err
-        models = self._given
-        if models is not None:
-            ref = next(iter(models.values()))
-            for vid, m in models.items():
-                if m.store is not ref.store:
-                    raise StoreMismatch(f"version {vid!r} uses a different element store")
-                if m.type_graph != ref.type_graph:
-                    raise InvalidVersion(vid, ValidationError("type graph differs between versions"))
-            self.store, self.type_graph = ref.store, ref.type_graph
-            if shape_error is None:
-                spans = SpanBuilder(self.store)
-                members = {vid: (m.node_set, m.edge_set) for vid, m in models.items()}
-                for a, b in self.modifications:
-                    spans.add(a, b, members[a], members[b])
-                self._take(members[self.root], spans)
-        elif shape_error is not None:
-            raise shape_error  # only deltas: no version to check in full
-        if shape_error is None and self._proper and self._mark():
-            return
-        for vid, m in (self.versions if models is None else models).items():
+        """Check the whole versioning; raises the first violation found. A
+        bad shape raises at once (``VersionDag.validate``). A valid history
+        is proven valid by its deltas: each span carries properness
+        (``SpanBuilder``), and its elements conform to the type graph
+        (``_mark``, which keeps the fold's marks). Only when that fails is
+        every version replayed and checked in full, in id order, so
+        ``InvalidVersion`` names the first broken one."""
+        super().validate()
+        if not (self._proper and self._mark()):
+            self._check_each(self.versions.items())
+
+    @staticmethod
+    def _check_each(versions: Iterable[tuple[VersionId, Model]]) -> None:
+        """Check each (id, model) in full, in the order given; raises the
+        ``InvalidVersion`` of the first broken one."""
+        for vid, m in versions:
             try:
                 core.validate_model(m)
             except Exception as err:
                 raise InvalidVersion(vid, err) from err
-        if shape_error is not None:
-            raise shape_error
 
     def _mark(self) -> bool:
         """Whether every element of the history conforms to the type graph,

@@ -7,6 +7,7 @@ import json
 import pytest
 from hypothesis import given, settings
 
+import mvmodel.corpus
 from mvmodel import (
     CycleDetected,
     GeneratorParams,
@@ -25,6 +26,7 @@ from mvmodel import (
     parse_corpus,
     write_corpus,
 )
+from mvmodel.corpus import _parse_document
 from conftest import assert_one_numbering, build_store, merge_history, rename_versions
 from oracles import latest_common_predecessors, predecessors, preserved
 from strategies import history_args
@@ -143,6 +145,124 @@ def test_validate_rejects_versions_over_different_type_graphs():
             {("r", "a")},
             root="r",
         )
+
+
+BROKEN_A = "version 'a' is invalid: edge 'e12' lacks an endpoint node in the graph"
+
+
+def _precedence_cases() -> dict[str, tuple]:
+    """Per case: the versions, modifications and root given, and the type
+    and message of the error they raise. The ids are checked first, then
+    each given model's store and type graph, then every version in full,
+    and only then the shape: a broken version wins over a bad shape."""
+    s1, s2 = simple_store(), simple_store()
+    ok, broken = Model(s1, TG, {"n1"}, set()), Model(s1, TG, {"n1"}, {"e12"})
+    elsewhere, wider = Model(s2, TG, {"n1"}, set()), Model(s1, WIDER_TG, {"n1"}, set())
+    cycle = [("r", "a"), ("a", "b"), ("b", "a")]
+    return {
+        "no-versions": ({}, [], "r", ValidationError, "a versioning needs at least one version"),
+        "unknown-root+mixed-stores": ({"a": ok, "r": elsewhere}, [("r", "a")], "zzz",
+                                      UnknownVersion, "unknown version 'zzz'"),
+        "unknown-end+broken-version": ({"a": broken, "r": ok}, [("r", "a"), ("a", "ghost")], "r",
+                                       UnknownVersion, "unknown version 'ghost'"),
+        "mixed-stores+broken-version": ({"a": broken, "r": elsewhere}, [("r", "a")], "r",
+                                        StoreMismatch, "version 'r' uses a different element store"),
+        "type-graph+later-store": ({"a": ok, "b": wider, "c": elsewhere}, [("a", "b"), ("a", "c")], "a",
+                                   InvalidVersion, "version 'b' is invalid: type graph differs between versions"),
+        "cycle+broken-version": ({"a": broken, "b": ok, "r": ok}, cycle, "r", InvalidVersion, BROKEN_A),
+        "cycle+mixed-stores": ({"a": ok, "b": elsewhere, "r": ok}, cycle, "r",
+                               StoreMismatch, "version 'b' uses a different element store"),
+        "orphan+broken-version": ({"a": broken, "island": ok, "r": ok}, [("r", "a")], "r",
+                                  InvalidVersion, BROKEN_A),
+        "orphan": ({"a": ok, "island": ok, "r": ok}, [("r", "a")], "r",
+                   NoCommonRoot, "versions not descended from the root: island"),
+        "cycle": ({"a": ok, "b": ok, "r": ok}, cycle, "r", CycleDetected, "modification cycle: a -> b -> a"),
+        "broken-root": ({"a": ok, "r": broken}, [("r", "a")], "r", InvalidVersion,
+                        "version 'r' is invalid: edge 'e12' lacks an endpoint node in the graph"),
+        "broken-version": ({"a": broken, "r": ok}, [("r", "a")], "r", InvalidVersion, BROKEN_A),
+    }
+
+
+PRECEDENCE = _precedence_cases()
+
+
+@pytest.mark.parametrize("one_shot", [False, True], ids=["set", "iterator"])
+@pytest.mark.parametrize("case", PRECEDENCE)
+def test_the_first_error_of_combined_defects_is_fixed(case, one_shot):
+    """Whichever defects a history combines, the public constructor raises
+    the same first error, whether its modifications come as a set or as a
+    one-shot iterator."""
+    versions, mods, root, error, message = PRECEDENCE[case]
+    with pytest.raises(error) as exc:
+        ModelVersioning(versions, iter(mods) if one_shot else set(mods), root)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_modifications_may_come_as_a_one_shot_iterator():
+    store = simple_store()
+    versions = {"r": Model(store, TG, {"n1"}, set()), "a": Model(store, TG, {"n1", "n2"}, {"e12"})}
+    history = ModelVersioning(versions, iter([("r", "a")]), "r")
+    assert history.modifications == {("r", "a")}
+    assert history == ModelVersioning(versions, {("r", "a")}, "r")
+    assert history.version("a") == versions["a"]
+
+
+def _corpus(versions: dict[str, tuple[list, list]], mods: list, root: str = "r") -> str:
+    """A corpus over ``simple_store``'s elements with the given versions'
+    node and edge lists."""
+    return json.dumps({
+        "format": "mv-corpus/1",
+        "type_graph": {"node_types": ["N"], "edge_types": {"link": {"source": "N", "target": "N"}}},
+        "elements": {"nodes": {"n1": "N", "n2": "N", "n3": "N"},
+                     "edges": {"e12": {"type": "link", "source": "n1", "target": "n2"},
+                               "e23": {"type": "link", "source": "n2", "target": "n3"}}},
+        "root": root,
+        "versions": {vid: {"nodes": nodes, "edges": edges} for vid, (nodes, edges) in versions.items()},
+        "modifications": [list(pair) for pair in mods],
+    }, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("versions, mods", [
+    ({"a": (["n1"], ["e12"]), "b": (["n1"], []), "r": (["n1"], [])}, [("a", "b"), ("b", "a"), ("r", "a")]),
+    ({"a": (["n1"], ["e12"]), "island": (["n1"], []), "r": (["n1"], [])}, [("r", "a")]),
+], ids=["cycle", "orphan"])
+@pytest.mark.parametrize("parse", [parse_corpus, _parse_document], ids=["parse_corpus", "_parse_document"])
+def test_a_read_broken_version_wins_over_a_bad_shape(versions, mods, parse):
+    with pytest.raises(InvalidVersion) as exc:
+        parse(_corpus(versions, mods))
+    assert str(exc.value) == BROKEN_A
+
+
+def test_every_route_into_a_history_validates_it_once(monkeypatch):
+    """perfbench's tracer counts ``versioning.validate.calls`` by patching
+    ``ModelVersioning.validate`` on the class, so every way of building a
+    history must call it there, once: the public constructor, the
+    version-at-a-time reader, the whole-document reader and the generator."""
+    params = GeneratorParams(seed=3, base_size=8, branch_factor=3, version_count=12)
+    generated = generate_versioning(params)
+    data = write_corpus(generated)
+    validate, calls = ModelVersioning.validate, []
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    def not_streamed(data):
+        raise AssertionError("parse_corpus fell back to the whole-document reader")
+
+    monkeypatch.setattr(ModelVersioning, "validate", counted)
+    monkeypatch.setattr(mvmodel.corpus, "_parse_document", not_streamed)
+    routes = {
+        "public constructor": lambda: ModelVersioning(
+            dict(generated.versions.items()), iter(generated.modifications), generated.root),
+        "parse_corpus": lambda: parse_corpus(data),
+        "_parse_document": lambda: _parse_document(data),
+        "generate_versioning": lambda: generate_versioning(params),
+    }
+    for route, build in routes.items():
+        calls.clear()
+        history = build()
+        assert history == generated and calls == [history], route
 
 
 def test_successors_of_an_unknown_version():
