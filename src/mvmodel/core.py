@@ -110,9 +110,6 @@ class ElementStore:
         self._edges[edge_id] = (edge_type, own[source], own[target])
         self._own_edges[edge_id] = edge_id
 
-    def is_node(self, elem_id: str) -> bool:
-        return elem_id in self._nodes
-
     def elem_type(self, elem_id: str) -> TypeId:
         if elem_id in self._nodes:
             return self._nodes[elem_id]

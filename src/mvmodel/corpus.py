@@ -203,10 +203,11 @@ def parse_corpus(data: bytes | str) -> ModelVersioning:
 
     The document is read one version at a time (``_read_corpus``), and the
     history is handed its deltas. Anything that reader does not expect (a
-    duplicate key, ``versions`` before ``elements`` or ``type_graph``, a
-    decode error, a wrong type, or a failed check) is read again from the
-    start by the whole-document reader, ``_parse_document``, so every
-    accepted history and every error is that reader's."""
+    duplicate key, ``versions`` before ``type_graph``, ``elements``,
+    ``root`` or ``modifications``, a decode error, a wrong type, or a
+    failed check) is read again from the start by the whole-document
+    reader, ``_parse_document``, so every accepted history and every error
+    is that reader's."""
     try:
         return _read_corpus(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (_Irregular, ModelError, ValueError, KeyError, TypeError, RecursionError):
@@ -304,10 +305,11 @@ def _read_corpus(text: str) -> ModelVersioning:
     ``parse_corpus`` leaves to the whole-document reader.
 
     The top-level object and ``versions`` are walked with json's own
-    scanner; every other value is decoded whole. ``type_graph`` and
-    ``elements`` must come before ``versions``. Then each version entry is
-    decoded on its own, and its ids are swapped for the store's own, which
-    is also the check that they are registered (``_VersionReader``)."""
+    scanner; every other value is decoded whole. ``type_graph``,
+    ``elements``, ``root`` and ``modifications`` must come before
+    ``versions``. Then each version entry is decoded on its own, and its
+    ids are swapped for the store's own, which is also the check that
+    they are registered (``_VersionReader``)."""
     head: dict[str, Any] = {}
     versions: _VersionReader | None = None
 
@@ -327,16 +329,15 @@ def _read_corpus(text: str) -> ModelVersioning:
 
 class _VersionReader:
     """The entries of a corpus's ``versions``, taken one at a time, and the
-    spans built from them.
-
-    When ``modifications`` and ``root`` come before ``versions``, as they
-    do in the canonical form, each modification's span is built as soon
-    as both its ends are read, and a version's sets are dropped after its
-    last span; the root's stay, as the history's ``root_members``.
-    Otherwise every version's sets are kept until ``history`` builds the
-    spans."""
+    spans built from them. ``root`` and ``modifications`` must come before
+    ``versions``, as they do in the canonical form, or the document is
+    _Irregular. Each modification's span is built as soon as both its ends
+    are read, and a version's sets are dropped after its last span; the
+    root's stay, as the history's ``root_members``."""
 
     def __init__(self, text: str, head: dict[str, Any]):
+        if "root" not in head or "modifications" not in head:
+            raise _Irregular
         self.text = text
         self.type_graph = _parse_type_graph(_require(head, "type_graph", dict, "corpus"), "type_graph")
         self.store = ElementStore()
@@ -344,18 +345,14 @@ class _VersionReader:
         self.spans = SpanBuilder(self.store)
         self.ids: list[str] = []
         self.members: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
+        self.root = _require(head, "root", str, "corpus")
         # Per version, its modifications, and how many of their spans are
-        # not built yet; None when they are not known while the versions
-        # are read.
-        self.mods = self.pairs = self.left = self.root = None
-        if "modifications" in head and "root" in head:
-            self.root = _require(head, "root", str, "corpus")
-            self.mods = _modifications(head)
-            self.pairs = {}
-            for pair in set(self.mods):
-                for v in set(pair):
-                    self.pairs.setdefault(v, []).append(pair)
-            self.left = {v: len(pairs) for v, pairs in self.pairs.items()}
+        # not built yet.
+        self.pairs: dict[str, list[tuple[str, str]]] = {}
+        for pair in set(_modifications(head)):
+            for v in set(pair):
+                self.pairs.setdefault(v, []).append(pair)
+        self.left = {v: len(pairs) for v, pairs in self.pairs.items()}
 
     def take(self, vid: str, start: int) -> int:
         entry, end = _value(self.text, start)
@@ -367,8 +364,6 @@ class _VersionReader:
         members[vid] = (frozenset(map(own_nodes.__getitem__, nodes)),
                         frozenset(map(own_edges.__getitem__, edges)))
         self.ids.append(vid)
-        if self.pairs is None:
-            return end
         # A pair's other end, once read, is held until this span is built.
         left, root = self.left, self.root
         for a, b in self.pairs.get(vid, ()):
@@ -383,16 +378,13 @@ class _VersionReader:
         return end
 
     def history(self, head: dict[str, Any]) -> ModelVersioning:
-        """The history, once the whole document is read: the spans not
-        built yet are built from the versions' kept sets."""
+        """The history, once the whole document is read. A span not built
+        has an end that is not a version: _Irregular."""
         check_format(head, CORPUS_FORMAT, "corpus")
-        root = _require(head, "root", str, "corpus")
-        members, built = self.members, self.spans.spans
-        for a, b in self.mods if self.mods is not None else _modifications(head):
-            if (a, b) not in built:
-                self.spans.add(a, b, members[a], members[b])
-        return ModelVersioning._from_deltas(self.store, self.type_graph, self.ids, root,
-                                            members[root], self.spans)
+        if any(self.left.values()):
+            raise _Irregular
+        return ModelVersioning._from_deltas(self.store, self.type_graph, self.ids, self.root,
+                                            self.members[self.root], self.spans)
 
 
 def write_corpus(versioning: ModelVersioning) -> bytes:

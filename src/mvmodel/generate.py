@@ -127,20 +127,6 @@ def _move(x: str, into: set[str], out_of: set[str]) -> None:
         into.add(x)
 
 
-class _Without:
-    """The sorted list ``ids`` without its member ``skip``, read by
-    ``Random.choice``, which takes only its length and one index."""
-
-    def __init__(self, ids: list[str], skip: str):
-        self.ids, self.at = ids, bisect_left(ids, skip)
-
-    def __len__(self) -> int:
-        return len(self.ids) - 1
-
-    def __getitem__(self, k: int) -> str:
-        return self.ids[k + (k >= self.at)]
-
-
 def _build_base(b: _Builder, size: int) -> tuple[list[str], list[str]]:
     """The root model, wired well formed; it holds every element
     registered so far, so its members are the builder's sorted ids."""
@@ -275,7 +261,8 @@ def generate_versioning(params: GeneratorParams) -> ModelVersioning:
         span = _apply_edits(b, nodes, edges, params.edits_per_modification, params.deletion_bias)
         spans.keep(parent, vid, span, (nodes, edges))
         if params.branch_factor >= 2 and len(ids) >= 2 and rng.random() < 0.25:
-            second = rng.choice(_Without(ids, parent))
+            j = rng.randrange(len(ids) - 1)  # an index into ids without parent
+            second = ids[j + (j >= bisect_left(ids, parent))]
             spans.add(second, vid, _sets(membership[second]), _sets((nodes, edges)))
         insort(ids, vid)
         insort(eligible, vid)

@@ -45,7 +45,7 @@ from mvmodel import (
 )
 from mvmodel.bench import parse_bench_params
 from mvmodel.cli import main
-from mvmodel.corpus import _parse_document, _read_corpus, canonical_json
+from mvmodel.corpus import _Irregular, _parse_document, _read_corpus, canonical_json
 from strategies import histories
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -323,8 +323,9 @@ CORPUS_VARIANTS = ["reordered", "respaced", "escaped", "duplicate", "truncated",
 @st.composite
 def corpus_texts(draw, variant: str) -> tuple[str | bytes, bool]:
     """A corpus document and whether it is valid and regular, so that the
-    version-at-a-time reader must take it without falling back: the
-    canonical corpus of a drawn history or of a shipped one, changed by
+    version-at-a-time reader must take it without falling back (``versions``
+    follows ``type_graph``, ``elements``, ``root`` and ``modifications``):
+    the canonical corpus of a drawn history or of a shipped one, changed by
     ``variant``. It is reordered, respaced, escaped, given a duplicate
     key, truncated, given trailing text, garbled at one character, given
     a wrong-typed value or a bad id in a version list, or made invalid."""
@@ -335,7 +336,7 @@ def corpus_texts(draw, variant: str) -> tuple[str | bytes, bool]:
     if variant == "reordered":
         order = draw(st.one_of(st.just(README_ORDER), st.permutations(README_ORDER)))
         obj = {k: obj[k] for k in order}
-        regular = order.index("versions") > max(order.index("type_graph"), order.index("elements"))
+        regular = {"type_graph", "elements", "root", "modifications"} <= set(order[:order.index("versions")])
     elif variant == "respaced":
         indent = draw(st.sampled_from([None, 0, 1, 3, "\t", " \r\n"]))
         separators = draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,\n", " :\t")]))
@@ -425,7 +426,7 @@ def test_the_two_corpus_readers_agree(variant, data):
     """``parse_corpus`` reads one version at a time and leaves whatever it
     does not expect to the whole-document reader. Both must give an equal
     history with the same bytes, or the same error; a regular document,
-    whatever its key order, spacing or escapes, must not fall back."""
+    whatever its spacing or escapes, must not fall back."""
     text, regular = data.draw(corpus_texts(variant))
     got, expected = _outcome(parse_corpus, text), _outcome(_parse_document, text)
     if isinstance(expected, ModelVersioning):
@@ -436,6 +437,23 @@ def test_the_two_corpus_readers_agree(variant, data):
     if regular:
         fast = _read_corpus(text.decode() if isinstance(text, bytes) else text)
         assert fast == expected and write_corpus(fast) == write_corpus(expected)
+
+
+@pytest.mark.parametrize("order", [
+    README_ORDER, ("format", "type_graph", "elements", "modifications", "versions", "root"),
+], ids=["readme", "root-last"])
+@pytest.mark.parametrize("canonical", SHIPPED, ids=["running", "oo_project"])
+def test_a_corpus_with_versions_before_its_shape_is_read_whole(canonical, order):
+    """A corpus that lists ``versions`` before ``root`` or ``modifications``,
+    as README's example writes it, is left to the whole-document reader,
+    which gives the canonical document's history and bytes."""
+    obj = json.loads(canonical)
+    text = json.dumps({k: obj[k] for k in order})
+    with pytest.raises(_Irregular):
+        _read_corpus(text)
+    history = parse_corpus(text)
+    assert history == _read_corpus(canonical)
+    assert write_corpus(history) == canonical.encode()
 
 
 def test_corpus_rejects_unknown_element_in_version():
